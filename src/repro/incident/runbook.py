@@ -353,52 +353,9 @@ class RunbookExecutor:
         for request in orch.requests:
             if request.status == FAILED and request.job_id in incident.jobs:
                 jobs.add(request.job_id)
-        submitted = self.evacuations.setdefault(incident.incident_id, [])
-        to_evacuate: List[str] = []
-        for job_id in sorted(jobs):
-            if any(
-                r.kind == "evacuate" and not r.terminal
-                for r in orch.requests
-                if r.job_id == job_id
-            ):
-                continue
-            record = orch.store.job(job_id)
-            if any(q.vm.state is RunState.SHUTOFF for q in record.qemus):
-                # Dead guests cannot be parked; restore owns this job.
-                self.cluster.trace(
-                    "incident", "evacuation_skipped",
-                    incident=incident.incident_id, job=job_id,
-                    reason="vm-down",
-                )
-                continue
-            to_evacuate.append(job_id)
-        yield from self._lease_spares(incident, to_evacuate)
-        try:
-            for job_id in to_evacuate:
-                request = orch.submit(
-                    job_id, kind="evacuate",
-                    priority=orch.config.evacuation_priority,
-                    incident_id=incident.incident_id,
-                )
-                request.blacklist.update(
-                    self._unreachable_hosts(job_id, incident.links)
-                )
-                submitted.append(request)
-            self.cluster.trace(
-                "incident", "evacuations_submitted",
-                incident=incident.incident_id, jobs=sorted(jobs),
-                requests=[r.request_id for r in submitted],
-            )
-            for request in list(submitted):
-                if not request.terminal and request.done is not None:
-                    yield request.done
-            bad = [r for r in submitted if r.status != COMPLETED]
-            if bad:
-                raise IncidentError(
-                    f"evacuation failed for {sorted(r.job_id for r in bad)}"
-                )
-        finally:
-            orch.arbiter.release(incident.incident_id)
+        yield from self._evacuate(
+            incident, sorted(jobs), cut_links=incident.links
+        )
         yield self.env.timeout(0.0)
 
     def _act_evacuate_host(self, incident: Incident, params: dict):
@@ -408,43 +365,74 @@ class RunbookExecutor:
         died with it cannot be parked — those targets are *skipped* (the
         runbook proceeds to ``restore-from-checkpoint``), never failed.
         """
-        orch = self.orchestrator
-        submitted = self.evacuations.setdefault(incident.incident_id, [])
         skipped: List[str] = []
-        to_evacuate: List[str] = []
+        job_ids: List[str] = []
         for host in sorted(incident.suspect_hosts or incident.hosts):
             if self.cluster.node(host).failed:
                 skipped.append(f"{host}:host-failed")
                 continue
-            for record in orch.store.jobs_on(host):
-                if any(
-                    r.kind == "evacuate" and not r.terminal
-                    for r in orch.requests
-                    if r.fleet_job is record
-                ):
-                    continue
-                if any(q.vm.state is RunState.SHUTOFF for q in record.qemus):
-                    skipped.append(f"{host}:{record.job_id}:vm-down")
-                    continue
-                if record.job_id not in to_evacuate:
-                    to_evacuate.append(record.job_id)
+            for record in self.orchestrator.store.jobs_on(host):
+                if record.job_id not in job_ids:
+                    job_ids.append(record.job_id)
+        yield from self._evacuate(incident, job_ids, skipped=skipped)
+
+    def _evacuate(
+        self,
+        incident: Incident,
+        job_ids: Sequence[str],
+        cut_links: Optional[Set[str]] = None,
+        skipped: Sequence[str] = (),
+    ):
+        """Evacuate ``job_ids`` onto leased spares and await the landing.
+
+        A job that already has an evacuation pending is left to it.  A
+        job with a SHUTOFF VM is skipped: its guests died with their
+        host, cannot be parked, and belong to ``restore-from-checkpoint``.
+        The rest lease one spare slot per VM, get one ``evacuate`` request
+        each (routed around ``cut_links`` when given), and the step
+        waits for every evacuation this incident submitted; any that did
+        not complete raises :class:`IncidentError`.
+        """
+        orch = self.orchestrator
+        skipped = list(skipped)
+        to_evacuate: List[str] = []
+        for job_id in job_ids:
+            if any(
+                r.kind == "evacuate" and not r.terminal and r.job_id == job_id
+                for r in orch.requests
+            ):
+                continue
+            if any(
+                q.vm.state is RunState.SHUTOFF
+                for q in orch.store.job(job_id).qemus
+            ):
+                skipped.append(f"{job_id}:vm-down")
+                continue
+            to_evacuate.append(job_id)
         if skipped:
             self.cluster.trace(
                 "incident", "evacuation_fell_through",
                 incident=incident.incident_id, skipped=skipped,
             )
-        if not to_evacuate:
-            yield self.env.timeout(0.0)
-            return
+        submitted = self.evacuations.setdefault(incident.incident_id, [])
         yield from self._lease_spares(incident, to_evacuate)
         try:
             for job_id in to_evacuate:
-                submitted.append(
-                    orch.submit(
-                        job_id, kind="evacuate",
-                        priority=orch.config.evacuation_priority,
-                        incident_id=incident.incident_id,
+                request = orch.submit(
+                    job_id, kind="evacuate",
+                    priority=orch.config.evacuation_priority,
+                    incident_id=incident.incident_id,
+                )
+                if cut_links is not None:
+                    request.blacklist.update(
+                        self._unreachable_hosts(job_id, cut_links)
                     )
+                submitted.append(request)
+            if to_evacuate:
+                self.cluster.trace(
+                    "incident", "evacuations_submitted",
+                    incident=incident.incident_id, jobs=to_evacuate,
+                    requests=[r.request_id for r in submitted],
                 )
             for request in list(submitted):
                 if not request.terminal and request.done is not None:

@@ -3,9 +3,10 @@
 Same two-site estate as the fleet scenario — IB blades draining onto an
 Ethernet estate whose far half sits behind a thin WAN pipe — plus a few
 *spare* hosts in the primary enclosure (evacuation headroom), a
-heartbeat mesh, and the full incident-response stack.  ``cut_at_s``
-seconds into the drain the WAN fiber goes dark for ``heal_after_s``
-seconds, killing whatever migration is mid-flight over it.
+heartbeat mesh sampled by the incident telemetry probe, and the full
+incident-response stack.  ``cut_at_s`` seconds into the drain the WAN
+fiber goes dark for ``heal_after_s`` seconds, killing whatever migration
+is mid-flight over it.
 
 With ``autonomous=True`` the :class:`~repro.incident.manager.IncidentManager`
 must detect the cut from telemetry, classify it ``fiber-cut``, and run
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import ControllerCrashError
 from repro.hardware.cluster import Cluster
-from repro.incident.correlator import RESOLVED
+from repro.incident.correlator import RESOLVED, Incident
 from repro.incident.manager import IncidentManager
 from repro.incident.runbook import (
     DEFAULT_RUNBOOK,
@@ -129,6 +130,29 @@ def build_incident_cluster(
     return cluster
 
 
+def _heartbeat_mesh(cluster: Cluster, period_s: float) -> HeartbeatMonitor:
+    """Every node beats every ``period_s``; the incident probe samples phi."""
+    monitor = HeartbeatMonitor(cluster)
+    for node in cluster.nodes:
+        cluster.env.process(
+            monitor.emit_heartbeats(node, period_s), name=f"heartbeat.{node}"
+        )
+    return monitor
+
+
+def _all_incidents(managers: List[IncidentManager]) -> List[Incident]:
+    """Incidents across a manager and its successors, by id.
+
+    Latest manager wins: a successor's rebuilt incident supersedes the
+    dead manager's (forever-REMEDIATING) copy of the same id.
+    """
+    by_id: Dict[int, Incident] = {}
+    for m in managers:
+        for incident in m.incidents:
+            by_id[incident.incident_id] = incident
+    return [by_id[iid] for iid in sorted(by_id)]
+
+
 def run_incident_scenario(
     jobs: int = 4,
     vms_per_job: int = 1,
@@ -175,17 +199,7 @@ def run_incident_scenario(
     for job_id, tenant, job, qemus, _ in records:
         orch.register_job(job_id, job, qemus, tenant=tenant)
 
-    # Heartbeat mesh: every node beats; phi feeds both the legacy
-    # HealthMonitor evacuation path and the incident telemetry probe.
-    monitor = HeartbeatMonitor(cluster)
-    for node in cluster.nodes:
-        env.process(
-            monitor.emit_heartbeats(node, heartbeat_period_s),
-            name=f"heartbeat.{node}",
-        )
-    monitor.start()
-    orch.watch(monitor.health)
-
+    monitor = _heartbeat_mesh(cluster, heartbeat_period_s)
     manager = IncidentManager(
         cluster,
         orch,
@@ -223,21 +237,12 @@ def run_incident_scenario(
     env.process(_submit_all(), name="incident.submit")
     env.run(until=start_at + 0.001)
 
-    def _all_incidents():
-        # Latest manager wins: a successor's rebuilt incident supersedes
-        # the dead manager's (forever-REMEDIATING) copy of the same id.
-        by_id: Dict[int, object] = {}
-        for m in managers:
-            for incident in m.incidents:
-                by_id[incident.incident_id] = incident
-        return [by_id[iid] for iid in sorted(by_id)]
-
     def _done() -> bool:
         if not all(r.terminal for r in orch.requests):
             return False
         if crash_during_remediation and not manager.crashed:
             return False  # the armed crash has not fired yet
-        incidents = _all_incidents()
+        incidents = _all_incidents(managers)
         if autonomous:
             # Converged once the cut was diagnosed and fully remediated.
             return bool(incidents) and all(
@@ -272,7 +277,7 @@ def run_incident_scenario(
                 manager_out.append(successor)
         env.run(until=env.now + 0.5)
 
-    unique_incidents = _all_incidents()
+    unique_incidents = _all_incidents(managers)
 
     executed: List[tuple] = []
     for m in managers:
@@ -499,14 +504,7 @@ def run_host_failure_scenario(
         # rank_main lets a checkpoint restore relaunch the SPMD program.
         orch.register_job(job_id, job, qemus, tenant=tenant, rank_main=_busy)
 
-    monitor = HeartbeatMonitor(cluster)
-    for node in cluster.nodes:
-        env.process(
-            monitor.emit_heartbeats(node, heartbeat_period_s),
-            name=f"heartbeat.{node}",
-        )
-    monitor.start()
-    orch.watch(monitor.health)
+    monitor = _heartbeat_mesh(cluster, heartbeat_period_s)
 
     runbook = _drill_runbook()
     manager = IncidentManager(
@@ -619,13 +617,6 @@ def run_host_failure_scenario(
     env.process(_kill(), name="hostfail.kill")
     env.run(until=start_at + 0.001)
 
-    def _all_incidents():
-        by_id: Dict[int, object] = {}
-        for m in managers:
-            for incident in m.incidents:
-                by_id[incident.incident_id] = incident
-        return [by_id[iid] for iid in sorted(by_id)]
-
     def _settled(request) -> bool:
         # The baseline has no restore path: a request stuck behind a dead
         # VM will never run; count it stranded instead of waiting it out.
@@ -643,7 +634,7 @@ def run_host_failure_scenario(
             or any(s.crashed for s in services)
         ):
             return False  # the armed crash has not fired yet
-        incidents = _all_incidents()
+        incidents = _all_incidents(managers)
         if not incidents:
             return False
         if autonomous:
@@ -711,7 +702,7 @@ def run_host_failure_scenario(
     for s in services:
         s.stop()
 
-    unique_incidents = _all_incidents()
+    unique_incidents = _all_incidents(managers)
     executed: List[tuple] = []
     for m in managers:
         executed.extend(m.executor.executed)

@@ -12,6 +12,19 @@ Three producers feed one :class:`TelemetryBus`:
   trace history;
 * anything else may call :meth:`TelemetryBus.publish` directly.
 
+Operator and sensor warnings (the paper's "ECC errors rising" case) need
+no API of their own.  A warning about ``node`` is one infinite-phi
+sample published on the incident manager's bus::
+
+    manager.bus.publish(TelemetrySample(
+        env.now, HOST_PHI, node, math.inf, {"reason": "ecc-errors"}))
+
+It takes exactly the heartbeat-silence path: the phi-spike detector
+alerts, the correlator opens a ``host-failure`` incident, and its
+runbook's ``evacuate-host`` step moves the node's live VMs.  A repeated
+warning folds into the open incident, or finds the node already empty,
+so it adds no second evacuation.
+
 The bus keeps a bounded ring buffer per ``(stream, key)`` series — a
 fiber cut must not make the controller's memory grow with outage length
 — and fans each sample out to synchronous subscribers (the detectors).

@@ -25,9 +25,10 @@ process.  Compositional guarantees:
   another automated attempt;
 * a *committed degrade* counts as completion (the VMs did move).
 
-Health integration: :meth:`watch` subscribes to a
-:class:`~repro.core.fault_tolerance.HealthMonitor`; a WARNING enqueues a
-high-priority evacuation for every fleet job with VMs on the sick node.
+The orchestrator does not watch host health itself.  Suspect and dead
+hosts reach it through the incident pipeline
+(:mod:`repro.incident`): a journaled runbook submits ``evacuate``
+requests tagged with their ``incident_id``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from repro.sim.events import Event
 from repro.vmm.vm import RunState
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.fault_tolerance import HealthMonitor
     from repro.hardware.cluster import Cluster
     from repro.mpi.runtime import MpiJob
     from repro.vmm.qemu import QemuProcess
@@ -89,7 +89,7 @@ class FleetConfig:
     max_inflight_per_tenant: Optional[int] = None
     #: Default retry budget for aborted-and-rolled-back requests.
     max_attempts: int = 3
-    #: Priority assigned to health-driven evacuations.
+    #: Priority of the ``evacuate`` requests incident runbooks submit.
     evacuation_priority: int = 100
     #: Minimum bottleneck bandwidth (bytes/s) a migration path must offer
     #: before a request is started.  Requests whose links have degraded
@@ -161,7 +161,6 @@ class FleetOrchestrator:
         self._running_footprint: Dict[MigrationRequest, PlannedMigration] = {}
         self._wake: Optional[Event] = None
         self._loop_proc = None
-        self._monitor: Optional["HealthMonitor"] = None
         self._settle_waiters: List[Event] = []
         #: Number of requests started by each scan that started any —
         #: the de-facto concurrency of each execution wave.
@@ -221,44 +220,6 @@ class FleetOrchestrator:
         self._ensure_loop()
         self._kick()
         return request
-
-    # -- health-monitor integration ---------------------------------------------------
-
-    def watch(self, monitor: "HealthMonitor") -> None:
-        """React to health WARNINGs with high-priority evacuations."""
-        self._monitor = monitor
-        monitor.subscribe(self._on_health_event)
-
-    def _on_health_event(self, event) -> None:
-        from repro.core.fault_tolerance import Health
-
-        if event.state is not Health.WARNING:
-            return
-        for record in self.store.jobs_on(event.node):
-            if any(
-                r.kind == "evacuate" and not r.terminal
-                for r in self.requests
-                if r.fleet_job is record
-            ):
-                continue
-            if any(q.vm.state is RunState.SHUTOFF for q in record.qemus):
-                # The node did not merely degrade — its VMs are gone.
-                # Evacuation cannot park dead guests; checkpoint-restore
-                # remediation owns this job now.
-                self.cluster.trace(
-                    "fleet", "evacuation_skipped", job=record.job_id,
-                    node=event.node, reason="vm-down",
-                )
-                continue
-            self.cluster.trace(
-                "fleet", "evacuation_enqueued", job=record.job_id, node=event.node,
-                reason=event.reason,
-            )
-            self.submit(
-                record.job_id,
-                kind="evacuate",
-                priority=self.config.evacuation_priority,
-            )
 
     # -- incident-response integration --------------------------------------------------
 
@@ -630,9 +591,9 @@ class FleetOrchestrator:
     def _evacuation_candidates(
         self, record: FleetJob, exclude, incident_id: Optional[int] = None
     ) -> List:
-        """Empty healthy nodes, current hosts excluded.
+        """Empty live nodes, current hosts excluded.
 
-        Dead hosts never qualify, and hosts the spare arbiter has leased
+        Dead hosts (``node.failed``) never qualify, and hosts the spare arbiter has leased
         to a *different* incident are invisible — that is what keeps two
         overlapping remediations from landing on the same spare.
         """
@@ -640,14 +601,9 @@ class FleetOrchestrator:
         leased_away = self.arbiter.leased_to_others(
             incident_id if incident_id is not None else -1
         )
-        healthy = None
-        if self._monitor is not None:
-            healthy = set(self._monitor.healthy_nodes())
         nodes = []
         for name in sorted(self.cluster.nodes):
             if name in current or name in exclude or name in leased_away:
-                continue
-            if healthy is not None and name not in healthy:
                 continue
             node = self.cluster.node(name)
             if node.vms or node.failed:

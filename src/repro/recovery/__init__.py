@@ -8,16 +8,20 @@ Three pieces close the control plane's single point of failure:
   replays the journal after a controller crash, reconciles it against
   observed VMM/agent/HCA state, and rolls each in-flight sequence
   forward or back;
-* :mod:`repro.recovery.failure_detector` — phi-accrual heartbeats
-  feeding the :class:`~repro.core.fault_tolerance.HealthMonitor`, with
-  fencing epochs (:mod:`repro.symvirt.fencing`) so a superseded
+* :mod:`repro.recovery.failure_detector` — phi-accrual heartbeats, the
+  ``host.phi`` source the incident pipeline's telemetry probe samples,
+  with fencing epochs (:mod:`repro.symvirt.fencing`) so a superseded
   controller cannot double-drive QMP.
 
-``RecoveryManager`` and the detector classes are loaded lazily: the
-journal must stay importable from :mod:`repro.core.ninja` without
-dragging in the scheduler stack (which imports ninja right back).
+Only ``RecoveryManager`` is loaded lazily: the journal must stay
+importable from :mod:`repro.core.ninja` without dragging in the
+scheduler stack (which imports ninja right back).
 """
 
+from repro.recovery.failure_detector import (
+    HeartbeatMonitor,
+    PhiAccrualFailureDetector,
+)
 from repro.recovery.journal import (
     JournalRecord,
     MigrationJournal,
@@ -40,8 +44,4 @@ def __getattr__(name):
         from repro.recovery import recovery
 
         return getattr(recovery, name)
-    if name in ("HeartbeatMonitor", "PhiAccrualFailureDetector"):
-        from repro.recovery import failure_detector
-
-        return getattr(failure_detector, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -156,7 +156,7 @@ class FleetCheckpointService:
                     "checkpoint", "failed", job=job_id, error=str(err),
                 )
 
-    # -- eligibility (satellite guard, shared with FaultToleranceManager) ---------
+    # -- eligibility ---------------------------------------------------------------
 
     def ineligible_reason(self, record: "FleetJob") -> Optional[str]:
         """Why ``record`` must not be checkpointed right now (None = go).

@@ -1,17 +1,18 @@
-"""Phi-accrual heartbeat failure detection feeding the health monitor.
+"""Phi-accrual heartbeat failure detection: the phi source for telemetry.
 
 Controllers and agents cannot distinguish "node is slow" from "node is
 dead" with a boolean timeout — the phi-accrual detector (Hayashibara et
 al., the detector behind Cassandra/Akka) replaces the boolean with a
 *suspicion level*: ``phi(t)`` grows continuously with the time since the
 last heartbeat, scaled by the node's own observed inter-arrival history.
-Consumers pick thresholds, not timeouts:
 
-* ``phi >= warn_phi``  → the node is *suspected*: the
-  :class:`~repro.core.fault_tolerance.HealthMonitor` gets a WARNING and
-  the fleet orchestrator starts evacuating its VMs;
-* ``phi >= fail_phi``  → the node is *condemned*: FAILED is reported and
-  reactive fault tolerance (checkpoint restore) takes over.
+:class:`HeartbeatMonitor` only keeps score.  The incident pipeline's
+:class:`~repro.incident.telemetry.LinkTelemetryProbe` samples every
+node's phi onto the telemetry bus as ``host.phi``, and
+:class:`~repro.incident.detectors.PhiSpikeDetector` owns the one
+suspicion threshold (``warn_phi``): a spike opens a ``host-failure``
+incident whose runbook evacuates live VMs and restores dead ones from
+their last committed checkpoint.
 
 We use the exponential-interarrival variant: with mean heartbeat
 interval ``m`` and ``Δt`` since the last beat, the probability the node
@@ -20,17 +21,15 @@ is still alive is ``exp(-Δt/m)``, giving
     phi(Δt) = -log10(P_later) = (Δt / m) · log10(e)
 
 so ``phi = 8`` means "the chance this silence is benign is 1e-8".  A
-resumed heartbeat drops phi to ~0 and the monitor reports OK again —
-suspicion, unlike a tripped timeout, is reversible.
+resumed heartbeat drops phi to ~0 — suspicion, unlike a tripped
+timeout, is reversible.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
-
-from repro.core.fault_tolerance import Health, HealthMonitor
+from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.cluster import Cluster
@@ -80,42 +79,18 @@ class PhiAccrualFailureDetector:
 
 
 class HeartbeatMonitor:
-    """Cluster-wide heartbeat collection + phi evaluation loop.
+    """Cluster-wide heartbeat collection: one phi detector per node.
 
-    Wire-up: nodes (or their SymVirt agents) call :meth:`beat`; the
-    monitor's scan process evaluates every detector each
-    ``scan_period_s`` and pushes state *transitions* into the
-    :class:`~repro.core.fault_tolerance.HealthMonitor` — which is where
-    the fleet orchestrator's evacuation path already listens.
+    Wire-up: nodes (or their SymVirt agents) call :meth:`beat`, or run
+    :meth:`emit_heartbeats` as a process; consumers read :meth:`phi`.
     """
 
-    def __init__(
-        self,
-        cluster: "Cluster",
-        health: Optional[HealthMonitor] = None,
-        warn_phi: float = 8.0,
-        fail_phi: float = 16.0,
-        scan_period_s: float = 0.5,
-        window: int = 64,
-        bootstrap_interval_s: float = 1.0,
-    ) -> None:
+    def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
         self.env = cluster.env
-        self.health = health if health is not None else HealthMonitor(cluster)
-        self.warn_phi = warn_phi
-        self.fail_phi = fail_phi
-        self.scan_period_s = scan_period_s
         self.detectors: Dict[str, PhiAccrualFailureDetector] = {
-            name: PhiAccrualFailureDetector(
-                window=window, bootstrap_interval_s=bootstrap_interval_s
-            )
-            for name in cluster.nodes
+            name: PhiAccrualFailureDetector() for name in cluster.nodes
         }
-        #: (time, node, phi, state) transitions, for tests/diagnostics.
-        self.transitions: List[tuple] = []
-        self._proc = None
-
-    # -- input -------------------------------------------------------------------
 
     def beat(self, node: str) -> None:
         """Record one heartbeat from ``node``."""
@@ -133,39 +108,5 @@ class HeartbeatMonitor:
             self.beat(node)
             yield self.env.timeout(period_s)
 
-    # -- evaluation --------------------------------------------------------------
-
     def phi(self, node: str) -> float:
         return self.detectors[node].phi(self.env.now)
-
-    def start(self):
-        """Spawn the scan loop; returns the process."""
-        if self._proc is None or not self._proc.is_alive:
-            self._proc = self.env.process(self._scan_loop(), name="heartbeat.scan")
-        return self._proc
-
-    def _scan_loop(self):
-        while True:
-            yield self.env.timeout(self.scan_period_s)
-            self.scan()
-
-    def scan(self) -> None:
-        """One evaluation pass: report every state *transition*."""
-        for node, detector in self.detectors.items():
-            phi = detector.phi(self.env.now)
-            if phi >= self.fail_phi:
-                state = Health.FAILED
-            elif phi >= self.warn_phi:
-                state = Health.WARNING
-            else:
-                state = Health.OK
-            if self.health.state.get(node) is state:
-                continue
-            # Never resurrect a FAILED node automatically — an operator
-            # (or test) must clear it; flapping OK↔WARNING is fine.
-            if self.health.state.get(node) is Health.FAILED and state is not Health.FAILED:
-                continue
-            self.transitions.append((self.env.now, node, round(phi, 3), state))
-            self.health.report(
-                node, state, reason=f"heartbeat phi={phi:.1f}"
-            )

@@ -1,18 +1,25 @@
-"""Unit/integration tests: health monitoring and reactive FT."""
+"""Proactive and reactive fault tolerance (paper §II-A) through the
+incident pipeline.
 
-import pytest
+A predicted failure arrives as an operator warning — one infinite-phi
+``host.phi`` sample — and the ``host-failure`` runbook evacuates the
+node's job.  An unannounced failure arrives as heartbeat silence and the
+same runbook falls through to restore-from-checkpoint.  Every reaction is
+submitted by the journaled runbook; when it cannot finish, the incident
+manager traces ``remediation_failed`` and the job stays where it was.
+(Checkpoint restore itself is covered by ``tests/incident/test_host_failure.py``.)
+"""
 
-from repro.core.checkpointing import ProactiveCheckpoint
-from repro.core.fault_tolerance import (
-    FaultToleranceManager,
-    Health,
-    HealthMonitor,
-)
-from repro.errors import HardwareError
+import math
+
 from repro.hardware.cluster import build_agc_cluster
-from repro.storage.nfs import NfsServer
+from repro.incident.manager import IncidentManager
+from repro.incident.telemetry import HOST_PHI, TelemetrySample
+from repro.orchestrator import FleetOrchestrator
+from repro.recovery.failure_detector import HeartbeatMonitor
 from repro.testbed import create_job, provision_vms
 from repro.units import GiB
+from repro.vmm.vm import RunState
 from tests.conftest import drive
 
 
@@ -23,95 +30,93 @@ def _busy(proc, comm):
     return None
 
 
-def _setup(ib=2, eth=4):
+def _setup(ib=2, eth=4, heartbeats=False):
     cluster = build_agc_cluster(ib_nodes=ib, eth_nodes=eth)
     hosts = [f"ib{i+1:02d}" for i in range(ib)]
     vms = provision_vms(cluster, hosts, memory_bytes=4 * GiB)
     job = create_job(cluster, vms, procs_per_vm=1)
     drive(cluster.env, job.init(), name="init")
     job.launch(_busy)
-    return cluster, vms, job
+    orch = FleetOrchestrator(cluster)
+    orch.register_job("j0", job, vms)
+    monitor = None
+    if heartbeats:
+        monitor = HeartbeatMonitor(cluster)
+        for name in cluster.nodes:
+            cluster.env.process(
+                monitor.emit_heartbeats(name, period_s=1.0), name=f"hb.{name}"
+            )
+    manager = IncidentManager(cluster, orch, heartbeats=monitor).start()
+    return cluster, vms, job, orch, manager
 
 
-# -- HealthMonitor --------------------------------------------------------------
+def _warn_at(cluster, manager, at_time, node, reason):
+    def fire():
+        yield cluster.env.timeout(at_time - cluster.env.now)
+        manager.bus.publish(
+            TelemetrySample(cluster.env.now, HOST_PHI, node, math.inf,
+                            {"reason": reason})
+        )
+
+    cluster.env.process(fire(), name=f"warn.{node}")
 
 
-def test_monitor_tracks_state_and_notifies():
-    cluster = build_agc_cluster(ib_nodes=1, eth_nodes=1)
-    monitor = HealthMonitor(cluster)
-    seen = []
-    monitor.subscribe(seen.append)
-    monitor.report("ib01", Health.WARNING, reason="ECC")
-    assert monitor.state["ib01"] is Health.WARNING
-    assert monitor.healthy_nodes() == ["eth01"]
-    assert seen[0].reason == "ECC"
+def _remediation_errors(cluster):
+    return [
+        str(r.fields["error"])
+        for r in cluster.tracer.select("incident", "remediation_failed")
+    ]
 
 
-def test_monitor_unknown_node():
-    cluster = build_agc_cluster(ib_nodes=1, eth_nodes=0)
-    monitor = HealthMonitor(cluster)
-    with pytest.raises(HardwareError):
-        monitor.report("ghost", Health.FAILED)
-
-
-def test_monitor_scheduled_report():
-    cluster = build_agc_cluster(ib_nodes=1, eth_nodes=0)
-    monitor = HealthMonitor(cluster)
-    monitor.schedule_report(5.0, "ib01", Health.FAILED)
-    cluster.env.run(until=10.0)
-    assert monitor.state["ib01"] is Health.FAILED
-    assert monitor.events[0].time == pytest.approx(5.0)
-
-
-# -- reactive evacuation ------------------------------------------------------------
+# -- proactive: evacuate on a warning ---------------------------------------------
 
 
 def test_warning_triggers_automatic_evacuation():
-    cluster, vms, job = _setup()
-    manager = FaultToleranceManager(cluster, job, vms)
-    manager.monitor.schedule_report(10.0, "ib01", Health.WARNING, "thermal")
+    cluster, vms, job, orch, manager = _setup()
+    _warn_at(cluster, manager, 10.0, "ib01", "thermal")
     cluster.env.run(until=250.0)
-    assert manager.actions and manager.actions[0].kind == "evacuate"
-    assert manager.actions[0].ok
-    # Every VM left the degraded node (whole-fleet evacuation).
+    [request] = orch.requests
+    assert request.kind == "evacuate" and request.status == "completed"
+    assert request.incident_id == manager.incidents[0].incident_id
+    assert manager.settled
+    # Every VM of the job left the degraded node (whole-job evacuation).
     assert all(q.node.name != "ib01" for q in vms)
     # Job survived.
     assert job.live_ranks == job.size
 
 
 def test_evacuation_requires_capacity():
-    cluster, vms, job = _setup(ib=2, eth=0)
+    cluster, vms, job, orch, manager = _setup(ib=2, eth=0)
     # Only the two IB nodes exist and one is degraded: nowhere to go.
-    manager = FaultToleranceManager(cluster, job, vms)
-    manager.monitor.schedule_report(5.0, "ib01", Health.WARNING)
+    _warn_at(cluster, manager, 5.0, "ib01", "ecc-errors")
     cluster.env.run(until=50.0)
-    assert manager.actions and not manager.actions[0].ok
-    assert "capacity" in manager.actions[0].detail
+    [error] = _remediation_errors(cluster)
+    assert "evacuation failed" in error
+    assert all(r.kind == "evacuate" and r.status == "failed" for r in orch.requests)
+    assert "no feasible placement" in orch.requests[0].error
+    assert not manager.settled
+    # The job was left where it was, still running.
+    assert [q.node.name for q in vms] == ["ib01", "ib02"]
+    assert job.live_ranks == job.size
+
+
+# -- reactive: restore after an unannounced failure -------------------------------
 
 
 def test_failure_without_checkpoint_reports_loss():
-    cluster, vms, job = _setup()
-    manager = FaultToleranceManager(cluster, job, vms)
-    manager.monitor.schedule_report(5.0, "ib01", Health.FAILED, "PSU")
-    cluster.env.run(until=20.0)
-    assert manager.actions[0].kind == "restore"
-    assert not manager.actions[0].ok
-    assert "no checkpoint" in manager.actions[0].detail
+    cluster, vms, job, orch, manager = _setup(heartbeats=True)
 
+    def kill():
+        yield cluster.env.timeout(5.0)
+        cluster.fail_host("ib01")
 
-def test_checkpoint_schedule_then_failure_restores():
-    cluster, vms, job = _setup()
-    store = NfsServer(cluster.env)
-    checkpointer = ProactiveCheckpoint(cluster, store)
-    manager = FaultToleranceManager(
-        cluster, job, vms, checkpointer=checkpointer
-    )
-    env = cluster.env
-    env.process(manager.run_checkpoint_schedule(period_s=60.0, rounds=2))
-    # Fail ib01 after the first checkpoint completes (~60 + sequence).
-    manager.monitor.schedule_report(250.0, "ib01", Health.FAILED, "kernel panic")
-    env.run(until=400.0)
-    assert manager.last_checkpoint is not None
-    restore_actions = [a for a in manager.actions if a.kind == "restore"]
-    assert restore_actions and restore_actions[0].ok
-    assert "restored" in restore_actions[0].detail
+    cluster.env.process(kill(), name="kill")
+    cluster.env.run(until=60.0)
+    assert manager.incidents[0].klass == "host-failure"
+    [error] = _remediation_errors(cluster)
+    assert "no checkpoint service" in error
+    # Nothing was restored or moved: the job stays where it died.
+    assert orch.requests == []
+    assert [q.node.name for q in vms] == ["ib01", "ib02"]
+    assert vms[0].vm.state is RunState.SHUTOFF
+    assert not any(r.kind == "restore-commit" for r in orch.journal.records)

@@ -262,32 +262,3 @@ def test_abort_before_migration_phase_has_empty_stats():
     assert result.aborted and result.failed_phase == "coordination"
     assert result.migration_stats == {}
     assert result.breakdown is not None
-
-
-# -- FT manager: aborted evacuation retries on alternate hosts ----------------
-
-
-def test_ft_evacuate_retries_on_alternate_hosts():
-    from repro.core.fault_tolerance import FaultToleranceManager, Health
-
-    cluster = build_agc_cluster(ib_nodes=2, eth_nodes=4)
-    vms = provision_vms(cluster, ["ib01", "ib02"], memory_bytes=1 * GiB)
-    job = create_job(cluster, vms, procs_per_vm=1)
-    drive(cluster.env, job.init(), name="init")
-    job.launch(_busy)
-    manager = FaultToleranceManager(cluster, job, vms)
-    # First evacuation attempt aborts mid-migration; the retry on the
-    # alternate host set must succeed.
-    cluster.faults.arm("ninja.migration")
-
-    manager.monitor.report("ib01", Health.WARNING, reason="ecc errors")
-    cluster.env.run(until=cluster.env.now + 600.0)
-
-    evacuations = [a for a in manager.actions if a.kind == "evacuate"]
-    assert [a.ok for a in evacuations] == [False, True]
-    assert "retrying on alternate hosts" in evacuations[0].detail
-    # The second attempt used hosts the first one never touched.
-    aborted, completed = manager.scheduler.ninja.history
-    assert aborted.aborted and not completed.aborted
-    assert not set(aborted.plan.dst_hostlist) & set(completed.plan.dst_hostlist)
-    assert job.live_ranks == job.size

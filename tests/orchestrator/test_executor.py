@@ -1,6 +1,9 @@
 """Fleet orchestrator end-to-end: completion, retry, evacuation, failure."""
 
-from repro.core.fault_tolerance import Health, HealthMonitor
+import math
+
+from repro.incident.manager import IncidentManager
+from repro.incident.telemetry import HOST_PHI, TelemetrySample
 from repro.orchestrator import FleetConfig, FleetOrchestrator
 from repro.testbed import create_job, provision_vms
 from repro.units import GiB, MiB
@@ -76,25 +79,37 @@ def test_retries_exhausted_leaves_job_at_origin(cluster44):
 
 
 def test_health_warning_enqueues_evacuation(cluster44):
+    """An operator warning is one infinite-phi telemetry sample: the
+    host-failure runbook submits a single evacuation for the node's job."""
     orch = FleetOrchestrator(cluster44)
-    monitor = HealthMonitor(cluster44)
-    orch.watch(monitor)
+    manager = IncidentManager(cluster44, orch).start()
     qemus = _register(orch, cluster44, "j0", ["ib01"])
     env = cluster44.env
 
+    def warn(reason):
+        manager.bus.publish(
+            TelemetrySample(env.now, HOST_PHI, "ib01", math.inf, {"reason": reason})
+        )
+
     def experiment():
         yield env.timeout(1.0)
-        monitor.report("ib01", Health.WARNING, reason="ecc-errors")
+        warn("ecc-errors")
+        yield env.timeout(1.0)
+        warn("again")  # while the evacuation is in flight
         yield orch.all_settled()
 
     drive(env, experiment(), name="exp")
+    [incident] = manager.incidents
+    assert incident.klass == "host-failure"
     [request] = orch.requests
     assert request.kind == "evacuate"
     assert request.priority == orch.config.evacuation_priority
+    assert request.incident_id == incident.incident_id
     assert request.status == "completed"
     assert qemus[0].node.name != "ib01"
-    # A second WARNING while the first evacuation is pending is deduped.
-    monitor.report("ib01", Health.WARNING, reason="again")
+    # Warning again once the node is empty adds no second request.
+    warn("still-rising")
+    env.run(until=env.now + 10.0)
     assert len(orch.requests) == 1
 
 

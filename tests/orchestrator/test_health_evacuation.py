@@ -1,12 +1,11 @@
-"""Heartbeat loss → phi-accrual suspicion → WARNING → fleet evacuation.
+"""Heartbeat loss → phi-accrual suspicion → host-failure incident → evacuation.
 
-Satellite coverage for the full detection-to-action chain: a node that
-stops heartbeating is suspected by the :class:`HeartbeatMonitor`, the
-resulting WARNING lands in the :class:`HealthMonitor` the orchestrator
-watches, and the orchestrator evacuates the node's VMs before the node
-is condemned."""
+Coverage for the full detection-to-action chain: a node that stops
+heartbeating is scored by the :class:`HeartbeatMonitor`, the incident
+probe samples its phi onto the telemetry bus, the phi-spike detector
+alerts, and the ``host-failure`` runbook evacuates the node's VMs."""
 
-from repro.core.fault_tolerance import Health, HealthMonitor
+from repro.incident.manager import IncidentManager
 from repro.network.degradation import DegradationEvent, NetworkChaos
 from repro.orchestrator.executor import FleetOrchestrator
 from repro.recovery.failure_detector import HeartbeatMonitor
@@ -30,13 +29,16 @@ def _register(orch, cluster, job_id, hosts):
     return qemus
 
 
+def _watched(cluster):
+    orch = FleetOrchestrator(cluster)
+    monitor = HeartbeatMonitor(cluster)
+    manager = IncidentManager(cluster, orch, heartbeats=monitor).start()
+    return orch, monitor, manager
+
+
 def test_heartbeat_loss_triggers_evacuation(cluster44):
     env = cluster44.env
-    orch = FleetOrchestrator(cluster44)
-    health = HealthMonitor(cluster44)
-    orch.watch(health)
-    monitor = HeartbeatMonitor(cluster44, health=health, warn_phi=8.0, fail_phi=16.0)
-    monitor.start()
+    orch, monitor, manager = _watched(cluster44)
     qemus = _register(orch, cluster44, "j0", ["ib01"])
 
     # ib01 beats 20 times then goes silent; everyone else stays chatty.
@@ -57,25 +59,23 @@ def test_heartbeat_loss_triggers_evacuation(cluster44):
     assert len(evacuations) == 1
     assert evacuations[0].status == "completed"
     assert evacuations[0].priority == orch.config.evacuation_priority
+    [incident] = manager.incidents
+    assert incident.klass == "host-failure"
+    assert evacuations[0].incident_id == incident.incident_id
     assert qemus[0].node.name != "ib01"
-    # The silent node was eventually condemned, and only that node moved.
+    # Only the silent node was ever suspected.
     env.run(until=env.now + 120.0)
-    assert health.state["ib01"] is Health.FAILED
-    assert all(s is Health.OK for n, s in health.state.items() if n != "ib01")
+    assert [a.key for a in manager.alerts] == ["ib01"]
 
 
 def test_evacuation_chain_survives_active_chaos(cluster44):
-    """The full chain — thinning heartbeats, then silence, then WARNING,
-    then evacuation — while chaos degrades the very links the evacuation
-    must cross.  The degraded network slows the move; it must not break
-    the chain or smear suspicion onto chatty-but-degraded nodes."""
+    """The full chain — thinning heartbeats, then silence, then a phi
+    spike, then evacuation — while chaos degrades the very links the
+    evacuation must cross.  The degraded network slows the move; it must
+    not break the chain or smear suspicion onto chatty-but-degraded
+    nodes."""
     env = cluster44.env
-    orch = FleetOrchestrator(cluster44)
-    health = HealthMonitor(cluster44)
-    orch.watch(health)
-    monitor = HeartbeatMonitor(cluster44, health=health, warn_phi=8.0,
-                               fail_phi=16.0)
-    monitor.start()
+    orch, monitor, manager = _watched(cluster44)
     qemus = _register(orch, cluster44, "j0", ["ib01"])
 
     chaos = NetworkChaos(
@@ -113,22 +113,22 @@ def test_evacuation_chain_survives_active_chaos(cluster44):
     evacuations = [r for r in orch.requests if r.kind == "evacuate"]
     assert len(evacuations) == 1
     assert evacuations[0].status == "completed"
+    assert evacuations[0].incident_id is not None
     assert qemus[0].node.name != "ib01"
     # Degraded-but-chatty nodes were never suspected: chaos on the data
-    # plane must not leak into the failure detector.
-    assert all(node == "ib01" for _, node, _, _ in monitor.transitions)
+    # plane must not leak into the failure detector.  (The injected loss
+    # rightly raises a link alert keyed on the link, not on a host.)
+    phi_alerts = [a for a in manager.alerts if a.kind == "phi-spike"]
+    assert [a.key for a in phi_alerts] == ["ib01"]
 
 
 def test_healthy_fleet_never_evacuates(cluster44):
     env = cluster44.env
-    orch = FleetOrchestrator(cluster44)
-    health = HealthMonitor(cluster44)
-    orch.watch(health)
-    monitor = HeartbeatMonitor(cluster44, health=health)
-    monitor.start()
+    orch, monitor, manager = _watched(cluster44)
     _register(orch, cluster44, "j0", ["ib01"])
     for name in cluster44.nodes:
         env.process(monitor.emit_heartbeats(name, period_s=1.0), name=f"hb.{name}")
     env.run(until=90.0)
     assert orch.requests == []
-    assert monitor.transitions == []
+    assert manager.alerts == []
+    assert manager.incidents == []

@@ -1,10 +1,11 @@
-"""Phi-accrual failure detection: suspicion growth, threshold
-transitions into the health monitor, and the no-resurrection rule."""
+"""Phi-accrual failure detection: suspicion growth, and phi-spike alerts
+from heartbeat phi sampled onto the incident telemetry bus."""
 
 import pytest
 
-from repro.core.fault_tolerance import Health, HealthMonitor
 from repro.hardware.cluster import build_agc_cluster
+from repro.incident.detectors import PhiSpikeDetector
+from repro.incident.telemetry import LinkTelemetryProbe, TelemetryBus
 from repro.recovery.failure_detector import (
     HeartbeatMonitor,
     PhiAccrualFailureDetector,
@@ -45,11 +46,28 @@ def _cluster():
     return build_agc_cluster(ib_nodes=2, eth_nodes=2)
 
 
-def test_monitor_reports_warning_then_failed_transitions():
+def _watch(cluster):
+    """Heartbeat phi → probe → bus → phi-spike detector; returns
+    (monitor, detector, alerts)."""
+    monitor = HeartbeatMonitor(cluster)
+    bus = TelemetryBus()
+    detector = PhiSpikeDetector()
+    alerts = []
+
+    def observe(sample):
+        alert = detector.observe(sample)
+        if alert is not None:
+            alerts.append(alert)
+
+    bus.subscribe(observe)
+    LinkTelemetryProbe(cluster, bus, heartbeats=monitor, period_s=0.5).start()
+    return monitor, detector, alerts
+
+
+def test_silence_fires_exactly_one_alert():
     cluster = _cluster()
     env = cluster.env
-    monitor = HeartbeatMonitor(cluster, warn_phi=8.0, fail_phi=16.0)
-    monitor.start()
+    monitor, detector, alerts = _watch(cluster)
     # Every node beats for 30 s; ib01 then goes silent.
     for name in cluster.nodes:
         count = 30 if name == "ib01" else 10**9
@@ -59,45 +77,13 @@ def test_monitor_reports_warning_then_failed_transitions():
         )
     env.run(until=120.0)
 
-    states = [(node, state) for _, node, _, state in monitor.transitions]
-    assert ("ib01", Health.WARNING) in states
-    assert ("ib01", Health.FAILED) in states
-    assert states.index(("ib01", Health.WARNING)) < states.index(
-        ("ib01", Health.FAILED)
-    )
-    assert monitor.health.state["ib01"] is Health.FAILED
-    # Nodes that kept beating never left OK (no transitions reported).
-    assert all(node == "ib01" for _, node, _, state in monitor.transitions)
-    assert "ib01" not in monitor.health.healthy_nodes()
-
-
-def test_monitor_recovers_warning_but_never_failed():
-    cluster = _cluster()
-    env = cluster.env
-    monitor = HeartbeatMonitor(cluster, warn_phi=8.0, fail_phi=16.0)
-    monitor.start()
-
-    def flaky():
-        # Beat, pause long enough to cross WARNING but not FAILED, resume.
-        for t in range(10):
-            monitor.beat("ib01")
-            yield env.timeout(1.0)
-        yield env.timeout(25.0)  # phi ≈ 10.9: WARNING territory
-        for _ in range(20):
-            monitor.beat("ib01")
-            yield env.timeout(1.0)
-
-    env.process(flaky(), name="hb.flaky")
-    env.run(until=60.0)
-    states = [state for _, node, _, state in monitor.transitions if node == "ib01"]
-    assert states == [Health.WARNING, Health.OK]
-
-    # Once FAILED, a resumed heartbeat must not resurrect the node.
-    env.run(until=200.0)
-    assert monitor.health.state["ib01"] is Health.FAILED
-    monitor.beat("ib01")
-    monitor.scan()
-    assert monitor.health.state["ib01"] is Health.FAILED
+    # One alert for the whole silence, only for the silent node, once
+    # phi crossed warn_phi (~18.4 s after the last beat at t=29).
+    [alert] = alerts
+    assert alert.key == "ib01" and alert.kind == "phi-spike"
+    assert alert.value >= detector.warn_phi
+    assert 47.0 <= alert.time <= 48.5
+    assert detector.active_keys() == ["ib01"]
 
 
 def test_backwards_clock_jump_is_clamped():
@@ -125,11 +111,11 @@ def test_queued_burst_does_not_collapse_the_mean():
 
 def test_thinned_heartbeats_adapt_without_transitions():
     """Partial delivery (2 of 3 beats lost) stretches the observed
-    interval; the detector adapts instead of alarming."""
+    interval; the detector adapts instead of alarming, and chatty nodes
+    never alert."""
     cluster = _cluster()
     env = cluster.env
-    monitor = HeartbeatMonitor(cluster, warn_phi=8.0, fail_phi=16.0)
-    monitor.start()
+    monitor, _, alerts = _watch(cluster)
 
     def thinning():
         for _ in range(20):
@@ -145,25 +131,24 @@ def test_thinned_heartbeats_adapt_without_transitions():
             env.process(monitor.emit_heartbeats(name, period_s=1.0),
                         name=f"hb.{name}")
     env.run(until=120.0)
-    assert monitor.transitions == []
+    assert alerts == []
 
 
 def test_pause_resume_cycles_do_not_storm():
     """Three identical pause/resume cycles: the first alarms once, and the
     detector's widening interval window absorbs the repeats.  Crucially the
-    scan loop (running ~50 times per pause) reports *transitions*, never a
-    WARNING per scan."""
+    probe (sampling ~50 times per pause) alerts once per episode, never
+    once per sample."""
     cluster = _cluster()
     env = cluster.env
-    monitor = HeartbeatMonitor(cluster, warn_phi=8.0, fail_phi=16.0)
-    monitor.start()
+    monitor, detector, alerts = _watch(cluster)
 
     def cyclic():
         for _ in range(3):
             for _ in range(15):
                 monitor.beat("ib01")
                 yield env.timeout(1.0)
-            yield env.timeout(25.0)  # WARNING territory, well below FAILED
+            yield env.timeout(25.0)  # phi ≈ 10.9: above warn_phi
         while True:
             monitor.beat("ib01")
             yield env.timeout(1.0)
@@ -174,25 +159,6 @@ def test_pause_resume_cycles_do_not_storm():
             env.process(monitor.emit_heartbeats(name, period_s=1.0),
                         name=f"hb.{name}")
     env.run(until=200.0)
-    states = [s for _, n, _, s in monitor.transitions if n == "ib01"]
-    assert states and states[0] is Health.WARNING
-    assert Health.FAILED not in states
-    assert states.count(Health.WARNING) <= 2  # adapted, not one per pause
-    assert len(states) <= 4  # and nothing like one per scan
-    assert monitor.health.state["ib01"] is Health.OK
-
-
-def test_monitor_feeds_existing_health_monitor():
-    cluster = _cluster()
-    health = HealthMonitor(cluster)
-    events = []
-    health.subscribe(events.append)
-    monitor = HeartbeatMonitor(cluster, health=health)
-    monitor.start()
-    env = cluster.env
-    env.process(monitor.emit_heartbeats("ib02", period_s=0.5, count=10), name="hb")
-    env.run(until=120.0)
-    assert any(
-        e.node == "ib02" and e.state is Health.FAILED and "phi=" in e.reason
-        for e in events
-    )
+    assert alerts and all(a.key == "ib01" for a in alerts)
+    assert len(alerts) <= 2  # adapted, not one per pause
+    assert detector.active_keys() == []  # resumed beats cleared suspicion
