@@ -13,11 +13,8 @@ controller" (Section III-B).  This module provides:
 * **trigger events** — scheduled maintenance / disaster / consolidation
   requests that fire at a simulated time and run a Ninja sequence.
 
-When constructed with a :class:`~repro.orchestrator.state.FleetStateStore`,
-the scheduler becomes *reservation-aware*: plans built by the factories
-claim their destination capacity in the store immediately (so
-concurrent planners can't double-book a host), and the claim is
-released when the triggered sequence finishes.
+Reservation-aware placement across concurrent plans is the fleet
+orchestrator's job (:class:`~repro.orchestrator.FleetOrchestrator`).
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from repro.sim.events import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.cluster import Cluster
     from repro.mpi.runtime import MpiJob
-    from repro.orchestrator.state import FleetStateStore
     from repro.vmm.qemu import QemuProcess
 
 
@@ -56,13 +52,10 @@ class TriggerEvent:
 class CloudScheduler:
     """Placement policy + trigger delivery for one cluster."""
 
-    def __init__(
-        self, cluster: "Cluster", state: Optional["FleetStateStore"] = None
-    ) -> None:
+    def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
         self.env = cluster.env
-        self.state = state
-        self.placement = PlacementEngine(cluster, state)
+        self.placement = PlacementEngine(cluster)
         self.ninja = NinjaMigration(cluster)
         self.triggers: List[TriggerEvent] = []
 
@@ -75,8 +68,7 @@ class CloudScheduler:
 
         ``consolidate_to=n`` packs the VMs onto ``n`` hosts (the paper's
         "2 hosts (TCP)" server-consolidation case); default is one VM per
-        host.  With a state store attached, hosts reserved by other
-        in-flight plans don't count as free.
+        host.
         """
         return self.placement.pick_packed(
             qemus,
@@ -94,15 +86,6 @@ class CloudScheduler:
 
     # -- plan factories ----------------------------------------------------------------
 
-    def _claim(self, plan: MigrationPlan) -> MigrationPlan:
-        if self.state is not None:
-            self.state.claim_plan(plan, owner=plan)
-        return plan
-
-    def _release(self, plan: MigrationPlan) -> None:
-        if self.state is not None:
-            self.state.release_owner(plan)
-
     def plan_fallback(
         self,
         qemus: Sequence["QemuProcess"],
@@ -110,17 +93,13 @@ class CloudScheduler:
         label: str = "fallback",
     ) -> MigrationPlan:
         hosts = self.pick_fallback_hosts(qemus, consolidate_to)
-        return self._claim(
-            MigrationPlan.build(self.cluster, qemus, hosts, attach_ib=False, label=label)
-        )
+        return MigrationPlan.build(self.cluster, qemus, hosts, attach_ib=False, label=label)
 
     def plan_recovery(
         self, qemus: Sequence["QemuProcess"], label: str = "recovery"
     ) -> MigrationPlan:
         hosts = self.pick_recovery_hosts(qemus)
-        return self._claim(
-            MigrationPlan.build(self.cluster, qemus, hosts, attach_ib=True, label=label)
-        )
+        return MigrationPlan.build(self.cluster, qemus, hosts, attach_ib=True, label=label)
 
     def plan_spread(
         self,
@@ -129,15 +108,9 @@ class CloudScheduler:
         label: str = "spread",
     ) -> MigrationPlan:
         """De-consolidate onto explicit hosts (attach auto-resolved)."""
-        return self._claim(
-            MigrationPlan.build(
-                self.cluster, qemus, list(dst_hosts), attach_ib=None, label=label
-            )
+        return MigrationPlan.build(
+            self.cluster, qemus, list(dst_hosts), attach_ib=None, label=label
         )
-
-    def release_plan(self, plan: MigrationPlan) -> None:
-        """Drop a claimed plan's reservations without running it."""
-        self._release(plan)
 
     # -- trigger delivery -----------------------------------------------------------------
 
@@ -161,8 +134,6 @@ class CloudScheduler:
                 trigger.done.succeed(None)
                 self.cluster.trace("scheduler", "trigger_failed", reason=reason, error=str(err))
                 return
-            finally:
-                self._release(plan)
             trigger.result = result
             trigger.done.succeed(result)
 
@@ -172,10 +143,7 @@ class CloudScheduler:
     def run_now(self, reason: str, plan: MigrationPlan, job: "MpiJob"):
         """Execute a Ninja sequence immediately (generator)."""
         self.cluster.trace("scheduler", "trigger", reason=reason, label=plan.label)
-        try:
-            result = yield from self.ninja.execute(job, plan)
-        finally:
-            self._release(plan)
+        result = yield from self.ninja.execute(job, plan)
         trigger = TriggerEvent(at_time=self.env.now, reason=reason, plan=plan, result=result)
         self.triggers.append(trigger)
         return result

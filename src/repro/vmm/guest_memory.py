@@ -17,6 +17,14 @@ Pages carry a :class:`PageClass`:
 
 The implementation is vectorized NumPy over per-page ``uint8``/``bool``
 arrays; a 20 GiB guest is ~5.2 M pages ≈ 10 MB of bookkeeping.
+
+Accounting costs what it touches: :meth:`GuestMemory.round_accounting`
+counts only the page indices it is given, and the whole-RAM class counts
+are cached until the next mutation (:meth:`~GuestMemory.write`,
+:meth:`~GuestMemory.clone_into` into this RAM,
+:meth:`~GuestMemory.restore_composition`), so repeated reads of
+:attr:`~GuestMemory.data_bytes` on an idle guest do not rescan RAM.
+Only this class writes the page-class array.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ class GuestMemory:
         self._class = np.zeros(self.npages, dtype=np.uint8)  # PageClass values
         self._dirty = np.zeros(self.npages, dtype=bool)
         self._dirty_logging = False
+        #: Whole-RAM class counts, valid until the next mutation.
+        self._counts: Optional[tuple[int, int, int]] = None
         #: Total pages ever written (diagnostics).
         self.total_writes = 0
 
@@ -82,6 +92,7 @@ class GuestMemory:
             return 0
         segment = self._class[first:last]
         np.maximum(segment, np.uint8(page_class), out=segment)
+        self._counts = None
         if self._dirty_logging:
             self._dirty[first:last] = True
         self.total_writes += last - first
@@ -99,21 +110,25 @@ class GuestMemory:
     def dirty_logging(self) -> bool:
         return self._dirty_logging
 
+    def _clear_dirty(self) -> None:
+        # A fresh calloc'd bitmap: no pass over the old one.
+        self._dirty = np.zeros(self.npages, dtype=bool)
+
     def start_dirty_logging(self) -> None:
         """Begin tracking writes (QEMU enables this at migration start)."""
         self._dirty_logging = True
-        self._dirty[:] = False
+        self._clear_dirty()
 
     def stop_dirty_logging(self) -> None:
         self._dirty_logging = False
-        self._dirty[:] = False
+        self._clear_dirty()
 
     def snapshot_dirty(self) -> np.ndarray:
         """Return the dirty bitmap and atomically clear it (sync round)."""
         if not self._dirty_logging:
             raise VmmError("dirty logging is not enabled")
-        snapshot = self._dirty.copy()
-        self._dirty[:] = False
+        snapshot = self._dirty
+        self._clear_dirty()
         return snapshot
 
     @property
@@ -122,37 +137,44 @@ class GuestMemory:
 
     # -- accounting -----------------------------------------------------------------
 
-    def class_counts(self, mask: Optional[np.ndarray] = None) -> dict[PageClass, int]:
-        """Page counts per class, optionally restricted to ``mask``."""
-        values = self._class if mask is None else self._class[mask]
-        counts = np.bincount(values, minlength=3)
-        return {
-            PageClass.ZERO: int(counts[PageClass.ZERO]),
-            PageClass.UNIFORM: int(counts[PageClass.UNIFORM]),
-            PageClass.DATA: int(counts[PageClass.DATA]),
-        }
+    def _tally(self, pages: Optional[np.ndarray]) -> tuple[int, int, int]:
+        """(ZERO, UNIFORM, DATA) page counts over ``pages`` (``None`` = all
+        of RAM).  The one place that indexes the class array for accounting.
+        """
+        values = self._class if pages is None else self._class[pages]
+        uniform = int(np.count_nonzero(values == PageClass.UNIFORM))
+        data = int(np.count_nonzero(values == PageClass.DATA))
+        return values.size - uniform - data, uniform, data
 
-    def dup_and_data_pages(self, mask: Optional[np.ndarray] = None) -> tuple[int, int]:
-        """(compressible pages, full-transfer pages) under ``mask``."""
-        counts = self.class_counts(mask)
+    def _whole_ram_counts(self) -> tuple[int, int, int]:
+        if self._counts is None:
+            self._counts = self._tally(None)
+        return self._counts
+
+    def class_counts(self) -> dict[PageClass, int]:
+        """Page counts per class over all of RAM (cached until a mutation)."""
+        return dict(zip(PageClass, self._whole_ram_counts(), strict=True))
+
+    def dup_and_data_pages(self) -> tuple[int, int]:
+        """(compressible pages, full-transfer pages) over all of RAM."""
+        counts = self.class_counts()
         dup = counts[PageClass.ZERO] + counts[PageClass.UNIFORM]
         return dup, counts[PageClass.DATA]
 
-    def round_accounting(self, mask: Optional[np.ndarray] = None) -> tuple[int, int, int]:
-        """(pages, compressible pages, full-transfer pages) under ``mask``.
+    def round_accounting(
+        self, pages: Optional[np.ndarray] = None
+    ) -> tuple[int, int, int]:
+        """(pages, compressible pages, full-transfer pages) over ``pages``.
 
-        One fused pass for the migration hot loop: a weighted bincount over
-        the class array avoids materializing the boolean-indexed copy that
-        :meth:`class_counts` takes, and the page total falls out of the
-        same counts instead of a second ``mask.sum()`` scan.
+        ``pages`` is a page-index array (the dirty pages of a precopy
+        round, one postcopy chunk of missing pages); ``None`` means all of
+        RAM and reads the cached whole-RAM counts.  The cost is
+        proportional to ``len(pages)``, not to the size of RAM.
         """
-        if mask is None:
-            counts = np.bincount(self._class, minlength=3)
-        else:
-            counts = np.bincount(self._class, weights=mask, minlength=3).astype(np.int64)
-        dup = int(counts[PageClass.ZERO]) + int(counts[PageClass.UNIFORM])
-        data = int(counts[PageClass.DATA])
-        return dup + data, dup, data
+        zero, uniform, data = (
+            self._whole_ram_counts() if pages is None else self._tally(pages)
+        )
+        return zero + uniform + data, zero + uniform, data
 
     @property
     def data_bytes(self) -> int:
@@ -169,7 +191,21 @@ class GuestMemory:
         if other.npages != self.npages or other.page_size != self.page_size:
             raise VmmError("migration between differently sized RAMs")
         other._class[:] = self._class
-        other._dirty[:] = False
+        other._counts = None
+        other._clear_dirty()
+
+    def restore_composition(self, uniform_pages: int, data_pages: int) -> None:
+        """Replace RAM content with a snapshot image's composition.
+
+        Page classes are laid out structurally: a uniform region from
+        page 0, then a data region, the rest ZERO.
+        """
+        self._class[:] = PageClass.ZERO
+        self._counts = None
+        if uniform_pages:
+            self.write_pages(0, uniform_pages, PageClass.UNIFORM)
+        if data_pages:
+            self.write_pages(uniform_pages, data_pages, PageClass.DATA)
 
     def __repr__(self) -> str:  # pragma: no cover
         dup, data = self.dup_and_data_pages()

@@ -204,17 +204,17 @@ class MigrationJob:
         return self.calibration.max_precopy_rounds
 
     def _round_cost(
-        self, mask: Optional[np.ndarray]
+        self, pages: Optional[np.ndarray]
     ) -> tuple[int, int, int, float, float]:
         """(pages, dup_pages, data_pages, wire_bytes, cpu_seconds) for a round.
 
-        One fused bincount over the page-class array (see
-        :meth:`~repro.vmm.guest_memory.GuestMemory.round_accounting`); the
-        page total rides along so callers never re-scan the mask.
+        ``pages`` is the page-index array the round sends (``None`` = all
+        of RAM); see
+        :meth:`~repro.vmm.guest_memory.GuestMemory.round_accounting`.
         """
         cal = self.calibration
         memory = self.qemu.vm.memory
-        npages, dup, data = memory.round_accounting(mask)
+        npages, dup, data = memory.round_accounting(pages)
         wire = dup * cal.dup_page_wire_bytes + data * (memory.page_size + cal.page_header_bytes)
         if self.rdma:
             # RDMA path: scan still costs memory bandwidth, transfer is
@@ -263,14 +263,21 @@ class MigrationJob:
         vm.cpu_throttle = value
         self.stats.throttle_pct = round(value * 100.0, 1)
 
-    def _account_round(self, mask: Optional[np.ndarray]) -> None:
+    def _account_round(self, pages: Optional[np.ndarray]) -> None:
         """Fold a sent round into the received-page bitmap."""
         if self.received is None:
             return
-        if mask is None:
+        if pages is None:
             self.received[:] = True
         else:
-            self.received |= mask
+            self.received[pages] = True
+
+    def _resend_dirty(self) -> np.ndarray:
+        """Sync the dirty bitmap: returns the dirty page indices and marks
+        them missing again at the destination."""
+        pages = np.flatnonzero(self.qemu.vm.memory.snapshot_dirty())
+        self.received[pages] = False
+        return pages
 
     def _run(self):
         try:
@@ -326,7 +333,7 @@ class MigrationJob:
 
         memory.start_dirty_logging()
         self.received = np.zeros(memory.npages, dtype=bool)
-        mask: Optional[np.ndarray] = None  # round 0: full RAM traversal
+        pages: Optional[np.ndarray] = None  # round 0: full RAM traversal
         forced_stop = False
         downtime_started: Optional[float] = None
         prev_est: Optional[float] = None
@@ -334,14 +341,14 @@ class MigrationJob:
         go_postcopy = policy.postcopy == "always"
 
         #: Cost of the upcoming round, when the convergence check at the
-        #: bottom of the loop already priced the same dirty mask (the
+        #: bottom of the loop already priced the same dirty pages (the
         #: estimate and the next round's cost are one computation).
         pending_cost: Optional[tuple[int, int, int, float, float]] = None
 
         while not go_postcopy:
             for round_index in range(self._max_rounds + 2):
                 if pending_cost is None:
-                    pending_cost = self._round_cost(mask)
+                    pending_cost = self._round_cost(pages)
                 npages, dup, data, wire, cpu_seconds = pending_cost
                 pending_cost = None
                 t_round = self.env.now
@@ -358,7 +365,7 @@ class MigrationJob:
                 self.stats.scanned_pages += npages
                 self.stats.dup_pages += dup
                 self.stats.data_pages += data
-                self._account_round(mask)
+                self._account_round(pages)
                 self.qemu.trace(
                     "migration",
                     "round",
@@ -377,16 +384,14 @@ class MigrationJob:
                         break
                     # Parked guest but pages dirtied before the park landed:
                     # one more (still quiescent) pass.
-                    mask = memory.snapshot_dirty()
-                    np.copyto(self.received, False, where=mask)
-                    if not mask.any():
+                    pages = self._resend_dirty()
+                    if pages.size == 0:
                         break
                     continue
 
                 # Guest still running: decide whether to enter stop-and-copy.
-                mask = memory.snapshot_dirty()
-                np.copyto(self.received, False, where=mask)
-                pending_cost = self._round_cost(mask)
+                pages = self._resend_dirty()
+                pending_cost = self._round_cost(pages)
                 remaining, _, _, _, est_cpu = pending_cost
                 if remaining == 0:
                     break
@@ -488,8 +493,7 @@ class MigrationJob:
         vm.set_state(RunState.PAUSED)
         # Device state + CPU state blob travels with the switchover.
         yield self.env.timeout(0.02)
-        final_dirty = memory.snapshot_dirty()
-        np.copyto(self.received, False, where=final_dirty)
+        self._resend_dirty()
         memory.stop_dirty_logging()
         self._origin_node = self.qemu.node
         self.qemu.relocate(self.dst_node)
@@ -503,9 +507,28 @@ class MigrationJob:
             "migration",
             "postcopy_switchover",
             dst=self.dst_node.name,
-            missing_pages=int((~self.received).sum()),
+            missing_pages=memory.npages - int(np.count_nonzero(self.received)),
             downtime_s=round(self.stats.downtime_s, 4),
         )
+
+    def _next_missing(self, start: int, count: int) -> np.ndarray:
+        """The first ``count`` missing page indices at or after ``start``.
+
+        Scans the received bitmap in windows that double in size, so a
+        sparse tail costs a few scans rather than one per page and a
+        dense one scans about ``count`` pages.
+        """
+        received = self.received
+        pieces = []
+        window = count
+        while count > 0 and start < received.size:
+            found = np.flatnonzero(~received[start:start + window])[:count]
+            found += start
+            pieces.append(found)
+            count -= found.size
+            start += window
+            window *= 2
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     def _postcopy_drain(self):
         """Pull missing pages origin→destination from the received bitmap.
@@ -514,19 +537,26 @@ class MigrationJob:
         backoff (``migrate-pause``/``migrate-recover``); each resumption
         continues from the bitmap, so already-received pages are never
         re-sent.  Exhausting the recovery budget raises — and loses the VM.
+
+        After the switchover only the drain writes the bitmap, so it walks
+        the bitmap once with a cursor: every page before the cursor is
+        received, each chunk is the next ``chunk_pages`` missing pages past
+        it, and only that chunk's page classes are accounted — O(pages) in
+        total.  A failed chunk is retried as-is.  Every page between a
+        chunk's first and last index is received once it lands, so the
+        bitmap update is one slice assignment.
         """
         policy = self.policy
         memory = self.qemu.vm.memory
         chunk_pages = max(1, POSTCOPY_CHUNK_BYTES // memory.page_size)
+        missing = memory.npages - int(np.count_nonzero(self.received))
+        cursor = 0
         attempt = 0
-        while True:
-            missing = np.flatnonzero(~self.received)
-            if missing.size == 0:
-                break
-            chunk_idx = missing[:chunk_pages]
-            chunk_mask = np.zeros(memory.npages, dtype=bool)
-            chunk_mask[chunk_idx] = True
-            _, dup, data, wire, cpu_seconds = self._round_cost(chunk_mask)
+        chunk_idx: Optional[np.ndarray] = None
+        while missing > 0:
+            if chunk_idx is None:
+                chunk_idx = self._next_missing(cursor, chunk_pages)
+            _, dup, data, wire, cpu_seconds = self._round_cost(chunk_idx)
             try:
                 flow = self._transfer(wire, cpu_seconds, src_node=self._origin_node)
                 yield flow.done
@@ -548,7 +578,7 @@ class MigrationJob:
                     "migration",
                     "postcopy_pause",
                     attempt=attempt,
-                    missing_pages=int(missing.size),
+                    missing_pages=missing,
                     retry_in_s=backoff,
                     error=str(err),
                 )
@@ -561,12 +591,15 @@ class MigrationJob:
                 self.qemu.trace(
                     "migration",
                     "postcopy_recover",
-                    missing_pages=int(missing.size),
+                    missing_pages=missing,
                     recoveries=self.stats.recoveries,
                 )
-            self.received[chunk_idx] = True
+            self.received[chunk_idx[0]:chunk_idx[-1] + 1] = True
+            cursor = int(chunk_idx[-1]) + 1
+            missing -= chunk_idx.size
             self.stats.wire_bytes += wire
             self.stats.postcopy_bytes += wire
             self.stats.scanned_pages += int(chunk_idx.size)
             self.stats.dup_pages += dup
             self.stats.data_pages += data
+            chunk_idx = None

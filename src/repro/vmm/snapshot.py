@@ -139,13 +139,8 @@ def restore_vm(
     # Rebuild the memory composition recorded at checkpoint time.  The
     # restore stream was already paid by read_image; page classes are
     # applied structurally (uniform region then data region).
-    memory = qemu.vm.memory
-    memory._class[:] = 0
-    uniform_pages = int(meta["uniform_pages"])
-    data_pages = int(meta["data_pages"])
-    if uniform_pages:
-        memory.write_pages(0, uniform_pages, PageClass.UNIFORM)
-    if data_pages:
-        memory.write_pages(uniform_pages, data_pages, PageClass.DATA)
+    qemu.vm.memory.restore_composition(
+        int(meta["uniform_pages"]), int(meta["data_pages"])
+    )
     qemu.trace("snapshot", "restored", image=image_name)
     return qemu

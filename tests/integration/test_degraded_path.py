@@ -65,7 +65,7 @@ def test_nonconvergent_migration_survives_stream_drop(cluster):
     # than a full RAM re-send.
     memory = qemu.vm.memory
     cal = qemu.calibration
-    dup, data = memory.dup_and_data_pages(None)
+    dup, data = memory.dup_and_data_pages()
     full_wire = dup * cal.dup_page_wire_bytes + data * (
         memory.page_size + cal.page_header_bytes
     )

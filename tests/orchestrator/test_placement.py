@@ -1,9 +1,11 @@
-"""Placement engine + the reservation-aware cloud scheduler."""
+"""Placement engine, plan claims in the fleet store, and the cloud scheduler."""
 
 import pytest
 
+from repro.core.plan import MigrationPlan
 from repro.core.scheduler import CloudScheduler
 from repro.errors import SchedulerError
+from repro.orchestrator import FleetOrchestrator
 from repro.orchestrator.placement import PlacementEngine
 from repro.orchestrator.state import FleetStateStore
 from repro.testbed import create_job, provision_vms
@@ -49,28 +51,30 @@ def test_hca_reservation_blocks_attach_placement(cluster44):
     assert hosts == ["ib02"]
 
 
-def test_scheduler_claims_through_the_store(cluster44):
+def test_plan_claims_hide_capacity_from_other_planners(cluster44):
     store = FleetStateStore(cluster44)
-    sched_a = CloudScheduler(cluster44, state=store)
-    sched_b = CloudScheduler(cluster44, state=store)
+    engine_a = PlacementEngine(cluster44, store)
+    engine_b = PlacementEngine(cluster44, store)
     _, qemus_a = _vms(cluster44, ["ib01"], prefix="a")
     _, qemus_b = _vms(cluster44, ["ib02"], prefix="b")
     # Leave exactly one VM slot on eth01 so the two plans *must* contend.
     node = cluster44.node("eth01")
     store.reserve("eth01", int(store.available_bytes(node)) - 4 * GiB, owner="hog")
-    plan_a = sched_a.plan_fallback(qemus_a, consolidate_to=1)
-    assert plan_a.dst_hostlist == ["eth01"]
-    # The second scheduler sees the first one's claim and picks elsewhere.
-    plan_b = sched_b.plan_fallback(qemus_b, consolidate_to=1)
-    assert plan_b.dst_hostlist == ["eth02"]
+    hosts_a = engine_a.pick_packed(qemus_a, cluster44.eth_only_nodes(), consolidate_to=1)
+    assert hosts_a == ["eth01"]
+    plan_a = MigrationPlan.build(cluster44, qemus_a, hosts_a, attach_ib=False)
+    store.claim_plan(plan_a, owner=plan_a)
+    # The second planner sees the first one's claim and picks elsewhere.
+    hosts_b = engine_b.pick_packed(qemus_b, cluster44.eth_only_nodes(), consolidate_to=1)
+    assert hosts_b == ["eth02"]
+    store.claim_plan(MigrationPlan.build(cluster44, qemus_b, hosts_b, attach_ib=False))
     assert store.reserved_bytes("eth02") == 4 * GiB
-    sched_a.release_plan(plan_a)
+    store.release_owner(plan_a)
     assert store.available_bytes(node) == 4 * GiB
 
 
-def test_scheduler_releases_claim_after_run(cluster44):
-    store = FleetStateStore(cluster44)
-    scheduler = CloudScheduler(cluster44, state=store)
+def test_orchestrator_releases_claim_after_run(cluster44):
+    orch = FleetOrchestrator(cluster44)
     job, qemus = _vms(cluster44, ["ib01"])
 
     def busy(proc, comm):
@@ -79,10 +83,21 @@ def test_scheduler_releases_claim_after_run(cluster44):
             yield from comm.barrier()
 
     job.launch(busy)
-    plan = scheduler.plan_fallback(qemus)
-    dst = plan.dst_hostlist[0]
-    assert store.reserved_bytes(dst) == 4 * GiB
-    drive(cluster44.env, scheduler.run_now("test", plan, job), name="mig")
+    orch.register_job("j0", job, qemus)
+    store = orch.store
+
+    def run(env):
+        request = orch.submit("j0", kind="fallback")
+        yield env.timeout(1.0)  # the sequence is mid-flight
+        assert request.status == "running"
+        (dst,) = [h for h in ("eth01", "eth02", "eth03", "eth04")
+                  if store.reserved_bytes(h)]
+        assert store.reserved_bytes(dst) == 4 * GiB
+        yield request.done
+        return request, dst
+
+    request, dst = drive(cluster44.env, run(cluster44.env), name="mig")
+    assert request.status == "completed"
     assert store.reserved_bytes(dst) == 0
     assert qemus[0].node.name == dst
 

@@ -1,5 +1,6 @@
 """Unit + property tests: the page-granular guest memory model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,17 +66,17 @@ def test_snapshot_without_logging_rejected():
         mem.snapshot_dirty()
 
 
-def test_class_counts_with_mask():
+def test_round_accounting_over_dirty_pages():
     mem = GuestMemory(1 * MiB)
     mem.write(0, 4 * KiB, PageClass.DATA)
     mem.start_dirty_logging()
     mem.write(0, 4 * KiB, PageClass.DATA)
     mem.write(8 * KiB, 4 * KiB, PageClass.UNIFORM)
-    mask = mem.snapshot_dirty()
-    counts = mem.class_counts(mask)
-    assert counts[PageClass.DATA] == 1
-    assert counts[PageClass.UNIFORM] == 1
-    assert counts[PageClass.ZERO] == 0
+    pages = np.flatnonzero(mem.snapshot_dirty())
+    assert mem.round_accounting(pages) == (2, 1, 1)
+    assert mem.round_accounting(pages[:0]) == (0, 0, 0)
+    # None is all of RAM: 256 pages, one of them DATA.
+    assert mem.round_accounting() == (mem.npages, mem.npages - 1, 1)
 
 
 def test_populate_resident():

@@ -4,11 +4,13 @@ migrate-pause/migrate-recover, and the VM-loss failure semantics."""
 import numpy as np
 import pytest
 
-from repro.errors import MigrationError
+from repro.errors import MigrationError, NetworkError
 from repro.guestos.process import MemoryWriter
+from repro.hardware.cluster import build_agc_cluster
 from repro.network.degradation import DegradationEvent, NetworkChaos
 from repro.units import GiB, MiB
 from repro.vmm.guest_memory import PageClass
+from repro.vmm.migration import POSTCOPY_CHUNK_BYTES, MigrationJob
 from repro.vmm.policy import MigrationPolicy
 from repro.vmm.qemu import QemuProcess
 from repro.vmm.vm import RunState
@@ -26,7 +28,7 @@ def qemu(cluster):
 def _full_wire_bytes(qemu):
     memory = qemu.vm.memory
     cal = qemu.calibration
-    dup, data = memory.dup_and_data_pages(None)
+    dup, data = memory.dup_and_data_pages()
     return dup * cal.dup_page_wire_bytes + data * (memory.page_size + cal.page_header_bytes)
 
 
@@ -170,3 +172,153 @@ def test_precopy_rounds_maintain_received_bitmap(cluster, qemu):
     # pages precopy had not already landed.
     assert bool(np.all(job.received))
     assert 0 < job.stats.postcopy_bytes < job.stats.wire_bytes
+
+
+# -- differential oracle: the one-pass drain vs the per-chunk rescan ---------------
+
+
+class RecordingMigrationJob(MigrationJob):
+    """Records ``(dup, data, wire)`` for every postcopy chunk it prices."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.chunks = []
+
+    def _round_cost(self, pages):
+        cost = super()._round_cost(pages)
+        if self._switched:
+            self.chunks.append((cost[1], cost[2], cost[3]))
+        return cost
+
+
+class ReferenceDrainJob(RecordingMigrationJob):
+    """The drain as it was before the missing-page cursor: every chunk
+    rebuilds ``flatnonzero(~received)``, a full-RAM chunk mask and a
+    full-RAM weighted bincount, O(pages x chunks)."""
+
+    def _reference_chunk_cost(self, chunk_mask):
+        cal = self.calibration
+        memory = self.qemu.vm.memory
+        counts = np.bincount(
+            memory._class, weights=chunk_mask, minlength=3
+        ).astype(np.int64)
+        dup = int(counts[PageClass.ZERO]) + int(counts[PageClass.UNIFORM])
+        data = int(counts[PageClass.DATA])
+        wire = dup * cal.dup_page_wire_bytes + data * (
+            memory.page_size + cal.page_header_bytes
+        )
+        cpu_seconds = (
+            dup * memory.page_size / cal.page_scan_Bps
+            + data * memory.page_size / self._transfer_cap_Bps
+        )
+        self.chunks.append((dup, data, wire))
+        return dup, data, wire, cpu_seconds
+
+    def _postcopy_drain(self):
+        policy = self.policy
+        memory = self.qemu.vm.memory
+        chunk_pages = max(1, POSTCOPY_CHUNK_BYTES // memory.page_size)
+        attempt = 0
+        while True:
+            missing = np.flatnonzero(~self.received)
+            if missing.size == 0:
+                break
+            chunk_idx = missing[:chunk_pages]
+            chunk_mask = np.zeros(memory.npages, dtype=bool)
+            chunk_mask[chunk_idx] = True
+            dup, data, wire, cpu_seconds = self._reference_chunk_cost(chunk_mask)
+            try:
+                flow = self._transfer(wire, cpu_seconds, src_node=self._origin_node)
+                yield flow.done
+            except NetworkError as err:
+                if attempt == 0:
+                    self.stats.stream_drops += 1
+                self.stats.status = "postcopy-paused"
+                attempt += 1
+                if attempt > policy.recover_max_attempts:
+                    raise MigrationError(f"{self.qemu.vm.name}: unrecoverable") from err
+                backoff = min(
+                    policy.recover_backoff_s * (2.0 ** (attempt - 1)),
+                    policy.recover_backoff_max_s,
+                )
+                self.qemu.trace(
+                    "migration", "postcopy_pause", attempt=attempt,
+                    missing_pages=int(missing.size), retry_in_s=backoff,
+                    error=str(err),
+                )
+                yield self.env.timeout(backoff)
+                continue
+            if attempt > 0:
+                attempt = 0
+                self.stats.recoveries += 1
+                self.stats.status = "postcopy-active"
+                self.qemu.trace(
+                    "migration", "postcopy_recover",
+                    missing_pages=int(missing.size),
+                    recoveries=self.stats.recoveries,
+                )
+            self.received[chunk_idx] = True
+            self.stats.wire_bytes += wire
+            self.stats.postcopy_bytes += wire
+            self.stats.scanned_pages += int(chunk_idx.size)
+            self.stats.dup_pages += dup
+            self.stats.data_pages += data
+
+
+def _drain_run(monkeypatch, job_cls, scenario):
+    """One migration under ``scenario``; returns (job, migration trace)."""
+    monkeypatch.setattr("repro.vmm.qemu.MigrationJob", job_cls)
+    cluster = build_agc_cluster(ib_nodes=2, eth_nodes=2)
+    qemu = QemuProcess(cluster, cluster.node("ib01"), "vm1", memory_bytes=4 * GiB)
+    qemu.boot()
+    qemu.vm.memory.write(1 * GiB, 1 * GiB, PageClass.DATA)
+    env = cluster.env
+    policy = MigrationPolicy(postcopy="always", recover_backoff_s=1.0)
+    writer = None
+    if scenario == "outage":
+        chaos = NetworkChaos(
+            cluster,
+            [DegradationEvent(at_time=0.0, kind="drop", duration_s=4.0,
+                              link_pattern="ib01*")],
+        )
+
+        def drop_later(env):
+            yield env.timeout(5.0)
+            chaos.start()
+
+        env.process(drop_later(env))
+    elif scenario == "after-precopy":
+        # Precopy rounds leave a scattered missing set for the drain.
+        writer = MemoryWriter(
+            qemu.vm, 512 * MiB, page_class=PageClass.DATA,
+            chunk_bytes=2 * MiB, write_Bps=2 * GiB,
+        )
+        env.process(writer.run())
+        policy = MigrationPolicy(postcopy="fallback", max_iterations=2)
+    job = _migrate(cluster, qemu, "ib02", policy)
+    if writer is not None:
+        writer.stop()
+    trace = [
+        (r.time, r.event, r.fields) for r in cluster.tracer.select("migration")
+    ]
+    return job, trace
+
+
+@pytest.mark.parametrize("scenario", ["clean", "outage", "after-precopy"])
+def test_one_pass_drain_matches_per_chunk_rescan(monkeypatch, scenario):
+    new, new_trace = _drain_run(monkeypatch, RecordingMigrationJob, scenario)
+    ref, ref_trace = _drain_run(monkeypatch, ReferenceDrainJob, scenario)
+
+    assert new.stats.mode == "postcopy" and new.stats.status == "completed"
+    assert len(new.chunks) > 1
+    assert new.chunks == ref.chunks
+    assert new.stats == ref.stats
+    assert np.array_equal(new.received, ref.received)
+    # Same records at the same sim times, including every pause/recover
+    # record's missing-page count.
+    assert new_trace == ref_trace
+    if scenario == "outage":
+        pauses = [f["missing_pages"] for _, e, f in new_trace if e == "postcopy_pause"]
+        recovers = [f["missing_pages"] for _, e, f in new_trace if e == "postcopy_recover"]
+        assert pauses and len(recovers) == 1
+        assert recovers[0] == pauses[-1]
