@@ -123,5 +123,5 @@ def test_degraded_wan_matrix(benchmark, record_result):
             f"{pre['downtime_s']:6.2f}   postcopy-fallback "
             f"{post['total_time_s']:8.1f} / {post['downtime_s']:6.4f}"
         )
-    lines.append(f"[artifact: {ARTIFACT}]")
+    lines.append(f"[artifact: {ARTIFACT.name}]")
     record_result("degraded_wan", "\n".join(lines))

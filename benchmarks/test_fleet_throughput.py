@@ -61,6 +61,6 @@ def test_sequenced_beats_naive_makespan(benchmark, record_result):
             f"  speedup:  {naive.makespan_s / sequenced.makespan_s:.2f}x "
             f"(swaps={sequenced.destination_swaps}, "
             f"deferred={sequenced.deferred_total})",
-            f"[artifact: {ARTIFACT}]",
+            f"[artifact: {ARTIFACT.name}]",
         ]),
     )

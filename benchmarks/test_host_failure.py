@@ -38,8 +38,7 @@ def test_host_failure_survived_from_checkpoints(benchmark, record_result):
             jobs=4, spares=2, autonomous=False
         )
         crash = run_host_failure_scenario(
-            jobs=4, spares=2,
-            crash_during_restore=True, crash_site=RESTORE_BOOT_SITE,
+            jobs=4, spares=2, crash_site=RESTORE_BOOT_SITE,
         )
         overlap = run_host_failure_scenario(jobs=4, spares=3, cut_at_s=6.0)
         return autonomous, baseline, crash, overlap
@@ -107,6 +106,6 @@ def test_host_failure_survived_from_checkpoints(benchmark, record_result):
             _line("baseline", baseline),
             _line("crash+resume", crash),
             _line("overlap", overlap),
-            f"[artifact: {ARTIFACT}]",
+            f"[artifact: {ARTIFACT.name}]",
         ]),
     )

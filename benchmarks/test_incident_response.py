@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.incident.scenario import run_incident_scenario
+from repro.incident.scenario import CRASH_SITE, run_incident_scenario
 
 from benchmarks.conftest import run_once
 
@@ -30,9 +30,7 @@ def test_fiber_cut_detected_and_remediated(benchmark, record_result):
     def experiment():
         autonomous = run_incident_scenario(jobs=4, autonomous=True)
         baseline = run_incident_scenario(jobs=4, autonomous=False)
-        crash = run_incident_scenario(
-            jobs=4, autonomous=True, crash_during_remediation=True
-        )
+        crash = run_incident_scenario(jobs=4, autonomous=True, crash_site=CRASH_SITE)
         return autonomous, baseline, crash
 
     autonomous, baseline, crash = run_once(benchmark, experiment)
@@ -78,6 +76,6 @@ def test_fiber_cut_detected_and_remediated(benchmark, record_result):
             _line("autonomous", autonomous),
             _line("baseline", baseline),
             _line("crash+resume", crash),
-            f"[artifact: {ARTIFACT}]",
+            f"[artifact: {ARTIFACT.name}]",
         ]),
     )

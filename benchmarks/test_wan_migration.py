@@ -21,18 +21,11 @@ from repro.analysis.report import render_table
 from repro.core.plan import MigrationPlan
 from repro.core.scheduler import CloudScheduler
 from repro.hardware.cluster import build_two_site_cluster
-from repro.testbed import create_job, provision_vms
+from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB, gbps
 from repro.vmm.guest_memory import PageClass
 
 from benchmarks.conftest import run_once
-
-
-def _busy(proc, comm):
-    for _ in range(1_000_000):
-        yield proc.vm.compute(0.2, nthreads=1)
-        yield from comm.barrier()
-    return None
 
 
 def _wan_fallback(nvms: int, wan_gbps: float, data_gib: int = 4):
@@ -50,7 +43,7 @@ def _wan_fallback(nvms: int, wan_gbps: float, data_gib: int = 4):
 
     def main():
         yield from job.init()
-        job.launch(_busy)
+        job.launch(busy_rank)
         scheduler = CloudScheduler(cluster)
         plan = MigrationPlan.build(cluster, vms, dst, attach_ib=False, label="wan")
         result = yield from scheduler.run_now("dr", plan, job)

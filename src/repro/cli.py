@@ -48,7 +48,10 @@ concurrency, and admission deferrals; ``--naive`` disables the
 bandwidth-aware planner for an all-at-once baseline.  ``--crash-at-time``
 runs the crash drill instead: the controller dies T simulated seconds
 into the drain, a recovery manager reconciles, and a successor
-orchestrator resubmits the orphaned requests.  ``--trace-out`` dumps the
+orchestrator resubmits the orphaned requests; the crash drill takes no
+``--naive``/``--inject-*``/``--degrade``/``--postcopy``/
+``--viability-floor-gbps``, and ``--no-recover`` needs ``--crash-at-time``
+(either mistake exits 2 with a usage error).  ``--trace-out`` dumps the
 full simulation trace as JSON Lines.
 
 ``incident`` runs the mid-drain fiber-cut drill: the WAN goes dark
@@ -70,7 +73,10 @@ leased spare capacity — the summary reports the measured RPO against
 the period bound and the restore RTO.  Adding ``--cut-at`` overlaps a
 fiber cut with the kill to exercise multi-incident spare arbitration;
 ``--crash-during-restore`` kills the controller mid-restore and the
-successor must converge without double-restoring.
+successor must converge without double-restoring.  Both drills run
+through one runner (:func:`repro.incident.scenario.run_drill`) and print
+one summary; ``--crash-during-remediation`` is rejected with any
+host-failure flag.
 
 Degraded-path flags (``demo``/``fleet``): ``--degrade`` schedules network
 chaos against the links matching ``--degrade-link`` — a comma-separated
@@ -415,53 +421,97 @@ def _cmd_fleet_crash(args: argparse.Namespace, tracer) -> int:
             print(f"  reservations re-seeded: {result.reseeded}; "
                   f"requests resubmitted: {result.resubmitted}")
     print(f"  outcomes: {result.completed} completed, {result.aborted} aborted, "
-          f"{result.failed} failed; {len(result.parked_vms)} VM(s) still parked")
+          f"{result.failed} failed; {len(result.lost_vms)} VM(s) still parked")
     print(f"  makespan: {result.makespan_s:.1f} s")
     rows = [[job, " ".join(hosts)] for job, hosts in sorted(result.final_hosts.items())]
     print(render_table(["job", "now on"], rows, title="final placement"))
     _save_trace(tracer, args.trace_out)
-    if result.parked_vms or (result.crashed and not result.recovered):
+    if result.lost_vms or (result.crashed and not result.recovered):
         return 2
     return 0 if result.aborted + result.failed == 0 else 1
 
 
 def _cmd_incident(args: argparse.Namespace) -> int:
-    if (args.kill_host is not None or args.kill_at is not None
-            or args.checkpoint_period is not None or args.crash_during_restore):
-        return _cmd_host_failure(args)
-
-    from repro.incident.scenario import run_incident_scenario
+    from repro.incident.scenario import (
+        CRASH_SITE,
+        RESTORE_CRASH_SITE,
+        crash_label,
+        run_host_failure_scenario,
+        run_incident_scenario,
+    )
     from repro.sim.trace import Tracer
 
     tracer = Tracer()
-    result = run_incident_scenario(
-        jobs=args.jobs,
-        vms_per_job=args.vms_per_job,
-        spares=args.spares,
-        cut_at_s=6.0 if args.cut_at is None else args.cut_at,
-        heal_after_s=args.heal_after,
-        autonomous=not args.no_autonomous,
-        crash_during_remediation=args.crash_during_remediation,
-        wan_gbps=args.wan_gbps,
-        tracer=tracer,
-    )
+    options = {
+        "jobs": args.jobs,
+        "vms_per_job": args.vms_per_job,
+        "spares": args.spares,
+        "heal_after_s": args.heal_after,
+        "autonomous": not args.no_autonomous,
+        "wan_gbps": args.wan_gbps,
+        "tracer": tracer,
+    }
+    if args.crash_during_remediation:
+        options["crash_site"] = CRASH_SITE
+    if args.crash_during_restore:
+        options["crash_site"] = RESTORE_CRASH_SITE
+    # Flags left unset take the preset's default.
+    for key, value in (("cut_at_s", args.cut_at), ("kill_at_s", args.kill_at),
+                       ("kill_host", args.kill_host),
+                       ("checkpoint_period_s", args.checkpoint_period)):
+        if value is not None:
+            options[key] = value
+    drill = (run_host_failure_scenario if _host_failure_drill(args)
+             else run_incident_scenario)
+    result = drill(**options)
+
     mode = "diagnosis only (baseline)" if args.no_autonomous else "autonomous"
-    print(f"incident drill — {result.jobs} jobs x {result.vms_per_job} VM(s), "
-          f"WAN cut at t+{result.cut_at_s:.0f}s for {result.heal_after_s:.0f}s, {mode}")
+    title = "incident drill" if result.kill_at_s is None else "host-failure drill"
+    print(f"{title} — {result.jobs} jobs x {result.vms_per_job} VM(s), {mode}")
+    if result.cut_at_s is not None:
+        print(f"  fiber cut: WAN dark at t+{result.cut_at_s:.0f}s "
+              f"for {result.heal_after_s:.0f}s")
+    if result.kill_at_s is not None:
+        killed = ("-" if result.killed_at_s is None
+                  else f"t+{result.killed_at_s:.1f}s")
+        print(f"  kill:      {result.kill_host or '(none)'} at {killed} "
+              f"({len(result.vms_lost_at_kill)} VM(s) down with the host)")
+    if result.checkpoint_period_s is not None:
+        rpo = "-" if result.rpo_s is None else f"{result.rpo_s:.2f}s"
+        rto = ("-" if result.restore_rto_s is None
+               else f"{result.restore_rto_s:.2f}s")
+        print(f"  checkpoints: {result.generations_committed} generation(s) "
+              f"committed every {result.checkpoint_period_s:.0f}s, "
+              f"{result.checkpoint_skips} skip(s)")
+        print(f"  RPO:       {rpo} (bound {result.rpo_bound_s:.0f}s)   "
+              f"restore RTO: {rto}")
     if result.crash_injected:
         crashed = "fired" if result.crashed else "never fired"
-        print(f"  controller crash armed mid-remediation: {crashed}; "
-              f"successor resumed {result.resumed_incidents} incident(s), "
-              f"double-executed steps: {result.double_executed or 'none'}")
-    print(f"  diagnosis: {result.incident_class or '(none)'}"
-          f"  MTTD={'-' if result.mttd_s is None else f'{result.mttd_s:.2f}s'}"
-          f"  MTTR={'-' if result.mttr_s is None else f'{result.mttr_s:.2f}s'}"
-          f"  alerts={result.alerts}")
-    if result.actions:
-        print(f"  runbook:   {' -> '.join(result.actions)}")
+        print(f"  controller crash armed {crash_label(result.crash_site)}: "
+              f"{crashed}; successor resumed {result.resumed_incidents} "
+              f"incident(s), double-executed steps: "
+              f"{result.double_executed or 'none'}, adopted VMs: "
+              f"{', '.join(result.adopted_vms) or 'none'}")
+    # Headline: the first incident an injected fault opened (drain
+    # congestion can open earlier ones), else the first incident.
+    headline = next(
+        (i for i in result.incidents if i["class"] in ("fiber-cut", "host-failure")),
+        result.incidents[0] if result.incidents else None,
+    )
+    if headline is None:
+        print(f"  diagnosis: (none)  alerts={result.alerts}")
+    else:
+        mttr = "-" if headline["mttr_s"] is None else f"{headline['mttr_s']:.2f}s"
+        print(f"  diagnosis: {headline['class']}  MTTD={headline['mttd_s']:.2f}s"
+              f"  MTTR={mttr}  alerts={result.alerts}")
+        if headline["actions"]:
+            print(f"  runbook:   {' -> '.join(headline['actions'])}")
     print(f"  outcomes:  {result.completed} completed, {result.aborted} aborted, "
-          f"{result.failed} failed, {result.cancelled} cancelled; "
+          f"{result.failed} failed, {result.cancelled} cancelled, "
+          f"{result.stranded} stranded; "
           f"evacuated: {', '.join(result.evacuated_jobs) or 'none'}")
+    if result.checkpoint_period_s is not None:
+        print(f"  restored:  {', '.join(result.restored_jobs) or 'none'}")
     print(f"  lost VMs:  {', '.join(result.lost_vms) or 'none'}")
     print(f"  makespan:  {result.makespan_s:.1f} s")
     rows = [
@@ -470,12 +520,13 @@ def _cmd_incident(args: argparse.Namespace) -> int:
             "-" if i["mttd_s"] is None else f"{i['mttd_s']:.2f}",
             "-" if i["mttr_s"] is None else f"{i['mttr_s']:.2f}",
             " ".join(sorted(i["links"])) or "-",
+            " ".join(sorted(set(i["hosts"]) | set(i["suspect_hosts"]))) or "-",
         ]
         for i in result.incidents
     ]
     if rows:
         print(render_table(
-            ["incident", "class", "status", "MTTD [s]", "MTTR [s]", "links"],
+            ["incident", "class", "status", "MTTD [s]", "MTTR [s]", "links", "hosts"],
             rows, title="incidents",
         ))
     print(render_table(
@@ -485,6 +536,12 @@ def _cmd_incident(args: argparse.Namespace) -> int:
     ))
     _save_trace(tracer, args.trace_out)
     return 0 if not result.lost_vms and result.failed == 0 else 1
+
+
+def _host_failure_drill(args: argparse.Namespace) -> bool:
+    """Any host-failure flag switches ``incident`` to the host-kill preset."""
+    return (args.kill_host is not None or args.kill_at is not None
+            or args.checkpoint_period is not None or args.crash_during_restore)
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
@@ -529,77 +586,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     if tracer is not None:
         _save_trace(tracer, args.trace_out)
     return 0
-
-
-def _cmd_host_failure(args: argparse.Namespace) -> int:
-    from repro.incident.scenario import run_host_failure_scenario
-    from repro.sim.trace import Tracer
-
-    tracer = Tracer()
-    result = run_host_failure_scenario(
-        jobs=args.jobs,
-        vms_per_job=args.vms_per_job,
-        spares=args.spares,
-        kill_at_s=12.0 if args.kill_at is None else args.kill_at,
-        kill_host=args.kill_host,
-        checkpoint_period_s=(
-            20.0 if args.checkpoint_period is None else args.checkpoint_period
-        ),
-        cut_at_s=args.cut_at,
-        heal_after_s=args.heal_after,
-        autonomous=not args.no_autonomous,
-        crash_during_restore=args.crash_during_restore,
-        wan_gbps=args.wan_gbps,
-        tracer=tracer,
-    )
-    mode = "diagnosis only (baseline)" if args.no_autonomous else "autonomous"
-    print(f"host-failure drill — {result.jobs} jobs x {result.vms_per_job} "
-          f"VM(s), checkpoint period {result.checkpoint_period_s:.0f}s, {mode}")
-    killed = ("-" if result.killed_at_s is None
-              else f"t+{result.killed_at_s:.1f}s")
-    print(f"  kill:      {result.kill_host or '(none)'} at {killed} "
-          f"({len(result.vms_lost_at_kill)} VM(s) down with the host)")
-    if result.cut_at_s is not None:
-        print(f"  overlap:   WAN fiber cut at t+{result.cut_at_s:.0f}s "
-              f"(two concurrent incidents share the spare pool)")
-    if result.crash_injected:
-        crashed = "fired" if result.crashed else "never fired"
-        print(f"  controller crash armed at {result.crash_site}: {crashed}; "
-              f"successor resumed {result.resumed_incidents} incident(s), "
-              f"adopted VMs: {', '.join(result.adopted_vms) or 'none'}")
-    print(f"  checkpoints: {result.generations_committed} generation(s) "
-          f"committed, {result.checkpoint_skips} skip(s)")
-    rpo = "-" if result.rpo_s is None else f"{result.rpo_s:.2f}s"
-    rto = ("-" if result.restore_rto_s is None
-           else f"{result.restore_rto_s:.2f}s")
-    print(f"  RPO:       {rpo} (bound {result.rpo_bound_s:.0f}s)   "
-          f"restore RTO: {rto}")
-    print(f"  restored:  {', '.join(result.restored_jobs) or 'none'}; "
-          f"lost VMs: {', '.join(result.lost_vms) or 'none'}")
-    print(f"  outcomes:  {result.completed} completed, {result.failed} failed, "
-          f"{result.cancelled} cancelled, {result.stranded} stranded")
-    print(f"  makespan:  {result.makespan_s:.1f} s")
-    rows = [
-        [
-            str(i["incident"]), str(i["class"]), str(i["status"]),
-            "-" if i["mttd_s"] is None else f"{i['mttd_s']:.2f}",
-            "-" if i["mttr_s"] is None else f"{i['mttr_s']:.2f}",
-            " ".join(sorted(set(i["hosts"]) | set(i["suspect_hosts"]))) or "-",
-        ]
-        for i in result.incidents
-    ]
-    if rows:
-        print(render_table(
-            ["incident", "class", "status", "MTTD [s]", "MTTR [s]", "hosts"],
-            rows, title="incidents",
-        ))
-    print(render_table(
-        ["job", "now on"],
-        [[job, " ".join(hosts)] for job, hosts in sorted(result.final_hosts.items())],
-        title="final placement",
-    ))
-    _save_trace(tracer, args.trace_out)
-    return 0 if not result.lost_vms and result.failed == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -827,9 +813,40 @@ def _add_degraded_path_flags(parser: argparse.ArgumentParser, default_link: str)
     )
 
 
+def _ignored_flags(args: argparse.Namespace) -> Optional[str]:
+    """Why the chosen drill would silently ignore some given flags, if so."""
+    if args.command == "fleet":
+        if args.crash_at_time is None:
+            return "--no-recover needs --crash-at-time" if args.no_recover else None
+        dropped = [
+            flag
+            for flag, given in (
+                ("--naive", args.naive),
+                ("--inject-site", args.inject_site is not None),
+                ("--inject-nth", args.inject_nth != 1),
+                ("--inject-transient", args.inject_transient),
+                ("--degrade", args.degrade is not None),
+                ("--postcopy", args.postcopy != "off"),
+                ("--viability-floor-gbps", args.viability_floor_gbps is not None),
+            )
+            if given
+        ]
+        if dropped:
+            return f"--crash-at-time runs the crash drill, which ignores {', '.join(dropped)}"
+    if (args.command == "incident" and args.crash_during_remediation
+            and _host_failure_drill(args)):
+        return ("--crash-during-remediation cannot be combined with the "
+                "host-failure drill (--kill-host/--kill-at/"
+                "--checkpoint-period/--crash-during-restore)")
+    return None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    ignored = _ignored_flags(args)
+    if ignored:
+        parser.error(ignored)
     profile_path = getattr(args, "profile", None)
     if not profile_path:
         return args.func(args)

@@ -14,7 +14,8 @@ operator intervention:
   table executed with timeouts/retries and journaled for crash recovery;
 * :mod:`repro.incident.manager` — the :class:`IncidentManager` wiring it
   all around a :class:`~repro.orchestrator.executor.FleetOrchestrator`;
-* :mod:`repro.incident.scenario` — the end-to-end fiber-cut drill.
+* :mod:`repro.incident.scenario` — the estate drill runner (fiber cut,
+  host kill, checkpointing, controller crash) and its two presets.
 """
 
 from repro.incident.correlator import (

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
@@ -33,8 +34,6 @@ from repro.incident.detectors import Alert
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.cluster import Cluster
     from repro.orchestrator.executor import FleetOrchestrator
-
-_incident_ids = count(1)
 
 #: Alert kinds whose key names a link.
 LINK_ALERT_KINDS = ("outage", "bw-collapse", "latency-spike", "loss")
@@ -122,6 +121,13 @@ class IncidentCorrelator:
         self.window_s = window_s
         self.backbone_patterns = tuple(backbone_patterns)
         self.incidents: List[Incident] = []
+        # Incident ids come from the journal a successor shares, so a
+        # successor never reuses them; a standalone correlator counts alone.
+        self._next_id = (
+            partial(orchestrator.journal.next_id, "incident")
+            if orchestrator is not None
+            else count(1).__next__
+        )
 
     # -- ingestion ---------------------------------------------------------------
 
@@ -132,7 +138,7 @@ class IncidentCorrelator:
             self._absorb(incident, alert)
             return None
         incident = Incident(
-            incident_id=next(_incident_ids),
+            incident_id=self._next_id(),
             opened_at=alert.time,
             first_anomaly_at=alert.first_anomaly_at,
             klass="",

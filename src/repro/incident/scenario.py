@@ -1,26 +1,38 @@
-"""The fiber-cut drill behind ``repro incident`` and BENCH_incident.json.
+"""One drill runner for the two-site estate: fiber cuts, host kills,
+controller crashes — behind ``repro incident``, BENCH_incident.json and
+BENCH_hostfail.json.
 
-Same two-site estate as the fleet scenario — IB blades draining onto an
-Ethernet estate whose far half sits behind a thin WAN pipe — plus a few
-*spare* hosts in the primary enclosure (evacuation headroom), a
-heartbeat mesh sampled by the incident telemetry probe, and the full
-incident-response stack.  ``cut_at_s`` seconds into the drain the WAN
-fiber goes dark for ``heal_after_s`` seconds, killing whatever migration
-is mid-flight over it.
+The estate is the fleet scenario's (IB blades draining onto an Ethernet
+estate whose far half sits behind a thin WAN pipe) plus ``spares`` empty
+primary-site hosts, a heartbeat mesh sampled by the incident telemetry
+probe, and the full incident-response stack.  :func:`run_drill` injects
+any mix of:
 
-With ``autonomous=True`` the :class:`~repro.incident.manager.IncidentManager`
-must detect the cut from telemetry, classify it ``fiber-cut``, and run
-the runbook: blacklist the severed links, switch retried sequences to
-postcopy-fallback, raise the viability floor, evacuate the stranded jobs
-around the cut, wait for the heal, and re-admit — with zero lost VMs.
-``autonomous=False`` is the baseline: same cut, diagnosis only, and the
-jobs whose destinations died stay failed.
+* a **fiber cut** — ``cut_at_s`` seconds into the drain the WAN fiber
+  goes dark for ``heal_after_s`` seconds, killing whatever migration is
+  mid-flight over it.  The runbook must blacklist the severed links,
+  switch retried sequences to postcopy-fallback, raise the viability
+  floor, evacuate the stranded jobs around the cut, wait for the heal,
+  and re-admit — with zero lost VMs;
+* a **host kill** — ``kill_at_s`` seconds into the drain ``kill_host``
+  (default: the first landed host whose jobs all hold a committed
+  checkpoint generation) dies hard, no warning, taking its VMs with it.
+  The stack must classify the heartbeat silence ``host-failure``, fall
+  through the impossible evacuation, and restore the dead jobs from
+  their last committed generation on spares leased through the
+  :class:`~repro.orchestrator.state.SpareArbiter`;
+* **checkpointing** — a :class:`~repro.recovery.checkpoints.FleetCheckpointService`
+  snapshots every eligible job each ``checkpoint_period_s`` onto NFS;
+* a **controller crash** at ``crash_site``: the dead manager (or
+  checkpoint service) hands over to a successor over the same journal,
+  which must finish without double-executing a committed step or
+  double-restoring a job.
 
-``crash_during_remediation=True`` additionally kills the controller at
-the evacuation step (after the journal intent, before the action); the
-driver then builds a *successor* manager over the same journal and
-:meth:`~repro.incident.manager.IncidentManager.resume` must finish the
-runbook without double-executing any committed step.
+``autonomous=False`` is the baseline: same faults, diagnosis only.
+
+:func:`run_incident_scenario` (the fiber cut) and
+:func:`run_host_failure_scenario` (the host kill with checkpointing) are
+the two default presets.
 """
 
 from __future__ import annotations
@@ -38,57 +50,104 @@ from repro.incident.runbook import (
     RunbookStep,
 )
 from repro.network.degradation import DegradationEvent, NetworkChaos
-from repro.orchestrator.executor import FleetConfig, FleetOrchestrator
-from repro.orchestrator.scenario import _busy, _provision_fleet
+from repro.orchestrator.executor import FleetConfig
+from repro.orchestrator.scenario import Estate, build_estate
 from repro.recovery.checkpoints import FleetCheckpointService
 from repro.recovery.failure_detector import HeartbeatMonitor
 from repro.sim.trace import Tracer
 from repro.storage.nfs import NfsServer
 from repro.units import gbps
-from repro.vmm.vm import RunState
 
-#: Crash-injection site used by ``crash_during_remediation`` (the
-#: evacuation is the long-running, most-interruptible runbook step).
+#: Crash site of the fiber-cut crash drill (the evacuation is the
+#: long-running, most-interruptible runbook step).
 CRASH_SITE = "incident.action.evacuate-affected"
 
-#: Default crash site for ``crash_during_restore``: after the restore
-#: intent is journaled, before the replacement VMs boot.
+#: Crash site of the host-kill crash drill: after the restore intent is
+#: journaled, before the replacement VMs boot.
 RESTORE_CRASH_SITE = RESTORE_BOOT_SITE
+
+#: Every node beats this often; the incident probe samples phi.
+HEARTBEAT_PERIOD_S = 0.5
+#: Telemetry probe sampling period.
+PROBE_PERIOD_S = 0.25
+#: Give up on convergence this long after the drain starts.
+MAX_RUNTIME_S = 900.0
+#: Arm a host kill only once the victim's jobs hold a committed
+#: checkpoint generation: the failure is still unannounced to the
+#: controller, the drill just measures the restore path rather than the
+#: (separately tested) no-checkpoint error path.
+KILL_AFTER_COMMIT = True
+#: The checkpoint store hangs off the enclosure's converged fabric, not
+#: the clients' 10 GbE links: a generation's write window must fit well
+#: inside the checkpoint period.
+NFS_GBPS = 40.0
 
 
 @dataclass
-class IncidentScenarioResult:
-    """Everything ``repro incident`` prints and BENCH_incident.json records."""
+class DrillResult:
+    """Everything ``repro incident`` prints and BENCH_incident.json /
+    BENCH_hostfail.json record."""
 
     jobs: int
     vms_per_job: int
     autonomous: bool
-    cut_at_s: float
-    heal_after_s: float
+    #: Fault injection (None = not injected).
+    cut_at_s: Optional[float] = None
+    heal_after_s: float = 0.0
+    kill_host: str = ""
+    kill_at_s: Optional[float] = None
+    #: When the host actually died (the coverage wait can push the kill
+    #: past ``kill_at_s``), relative to the drain start.
+    killed_at_s: Optional[float] = None
+    checkpoint_period_s: Optional[float] = None
     #: Diagnosis: the classified incidents (``Incident.to_dict`` payloads).
     incidents: List[Dict[str, object]] = field(default_factory=list)
+    #: Class, MTTD, MTTR and runbook actions of the first incident.
     incident_class: str = ""
     mttd_s: Optional[float] = None
     mttr_s: Optional[float] = None
+    actions: List[str] = field(default_factory=list)
+    incident_classes: List[str] = field(default_factory=list)
     alerts: int = 0
     all_resolved: bool = False
+    #: Proactive checkpointing accounting.
+    generations_committed: int = 0
+    checkpoint_skips: int = 0
+    #: RPO of the worst restored job (failure instant back to the restored
+    #: generation's consistency point) — must stay ≤ the checkpoint period.
+    rpo_s: Optional[float] = None
+    rpo_bound_s: Optional[float] = None
+    #: First anomaly to restore commit of the slowest restored job.
+    restore_rto_s: Optional[float] = None
+    restored_jobs: List[str] = field(default_factory=list)
+    #: Replacement VMs adopted (not re-booted) by a resumed restore.
+    adopted_vms: List[str] = field(default_factory=list)
+    #: VMs that died with the host at kill time.
+    vms_lost_at_kill: List[str] = field(default_factory=list)
     #: Request outcomes (spread drain + evacuations + retries).
     completed: int = 0
     aborted: int = 0
     failed: int = 0
     cancelled: int = 0
+    #: Requests never settled (baseline: work stranded behind dead VMs).
+    stranded: int = 0
     evacuated_jobs: List[str] = field(default_factory=list)
     outcomes: List[Dict[str, object]] = field(default_factory=list)
-    #: VMs left parked (lost) at the end — the headline must be empty.
+    #: VMs still dead or parked at the end — the headline must be empty.
     lost_vms: List[str] = field(default_factory=list)
-    actions: List[str] = field(default_factory=list)
     #: Crash drill bookkeeping.
     crash_injected: bool = False
+    crash_site: str = ""
     crashed: bool = False
     resumed_incidents: int = 0
     #: (incident, step, action) triples executed more than once across
     #: the dead and successor controllers — must stay empty.
     double_executed: List[List[object]] = field(default_factory=list)
+    #: (incident, job) pairs with more than one restore-commit — the
+    #: no-double-restore witness, must stay empty.
+    double_restored: List[List[object]] = field(default_factory=list)
+    #: Spare hosts ever leased to two incidents at once — must stay empty.
+    spare_double_leases: List[List[object]] = field(default_factory=list)
     makespan_s: float = 0.0
     final_hosts: Dict[str, List[str]] = field(default_factory=dict)
 
@@ -96,38 +155,10 @@ class IncidentScenarioResult:
         return asdict(self)
 
 
-def build_incident_cluster(
-    nvms: int,
-    spares: int = 2,
-    wan_gbps: float = 1.0,
-    seed: int = 0,
-    tracer: Optional[Tracer] = None,
-) -> Cluster:
-    """The fleet-scenario estate plus ``spares`` empty primary-site hosts.
-
-    The spares (``sp01``…) give the runbook somewhere local to evacuate
-    to while the WAN — and with it half the Ethernet estate — is dark.
-    """
-    if nvms < 2:
-        raise ValueError("incident scenario needs at least 2 VMs")
-    cluster = Cluster(seed=seed, tracer=tracer)
-    ib_names = [f"ib{i + 1:02d}" for i in range(nvms)]
-    eth_names = [f"eth{i + 1:02d}" for i in range(nvms)]
-    spare_names = [f"sp{i + 1:02d}" for i in range(spares)]
-    local_eth = eth_names[: (nvms + 1) // 2]
-    remote_eth = eth_names[(nvms + 1) // 2:]
-    for name in ib_names + eth_names + spare_names:
-        cluster.add_node(name)
-    cluster.wire_ethernet(
-        sites={
-            "primary": ib_names + local_eth + spare_names,
-            "backup": remote_eth,
-        },
-        wan_bandwidth_Bps=gbps(wan_gbps),
-        wan_latency_s=5e-3,
-    )
-    cluster.wire_infiniband(ib_names)
-    return cluster
+def crash_label(site: str) -> str:
+    """How a drill names its armed crash: ``mid-remediation`` for
+    :data:`CRASH_SITE`, ``at <site>`` otherwise."""
+    return "mid-remediation" if site == CRASH_SITE else f"at {site}"
 
 
 def _heartbeat_mesh(cluster: Cluster, period_s: float) -> HeartbeatMonitor:
@@ -153,202 +184,6 @@ def _all_incidents(managers: List[IncidentManager]) -> List[Incident]:
     return [by_id[iid] for iid in sorted(by_id)]
 
 
-def run_incident_scenario(
-    jobs: int = 4,
-    vms_per_job: int = 1,
-    spares: int = 2,
-    cut_at_s: float = 6.0,
-    heal_after_s: float = 120.0,
-    autonomous: bool = True,
-    crash_during_remediation: bool = False,
-    wan_gbps: float = 1.0,
-    tenants: int = 2,
-    link_budget_s: Optional[float] = 30.0,
-    heartbeat_period_s: float = 0.5,
-    probe_period_s: float = 0.25,
-    max_runtime_s: float = 900.0,
-    seed: int = 0,
-    tracer: Optional[Tracer] = None,
-    manager_out: Optional[list] = None,
-    orchestrator_out: Optional[list] = None,
-) -> IncidentScenarioResult:
-    """Drain the fleet, cut the WAN fiber mid-drain, and report how the
-    incident-response stack (or its absence) handled it.
-
-    ``manager_out``/``orchestrator_out``, when given, receive the live
-    :class:`IncidentManager` objects (dead then successor, in order) and
-    the :class:`FleetOrchestrator` for tests that inspect internals.
-    """
-    nvms = jobs * vms_per_job
-    cluster = build_incident_cluster(
-        nvms, spares=spares, wan_gbps=wan_gbps, seed=seed, tracer=tracer
-    )
-    env = cluster.env
-    if crash_during_remediation:
-        cluster.faults.arm(
-            CRASH_SITE,
-            error=ControllerCrashError("injected crash mid-remediation"),
-        )
-
-    config = FleetConfig(link_budget_s=link_budget_s)
-    orch = FleetOrchestrator(cluster, config=config)
-    if orchestrator_out is not None:
-        orchestrator_out.append(orch)
-
-    records = _provision_fleet(cluster, jobs, vms_per_job, tenants)
-    for job_id, tenant, job, qemus, _ in records:
-        orch.register_job(job_id, job, qemus, tenant=tenant)
-
-    monitor = _heartbeat_mesh(cluster, heartbeat_period_s)
-    manager = IncidentManager(
-        cluster,
-        orch,
-        heartbeats=monitor,
-        probe_period_s=probe_period_s,
-        autonomous=autonomous,
-    )
-    manager.start()  # pre-cut samples let EWMA baselines learn "healthy"
-    managers = [manager]
-    if manager_out is not None:
-        manager_out.append(manager)
-
-    chaos = NetworkChaos(
-        cluster,
-        [
-            DegradationEvent(
-                at_time=cut_at_s,
-                kind="drop",
-                duration_s=heal_after_s,
-                link_pattern="wan:*",
-            )
-        ],
-    )
-
-    start_at = env.now + 1.0
-
-    def _submit_all():
-        yield env.timeout(start_at - env.now)
-        # The chaos clock starts with the drain: the fiber dies
-        # ``cut_at_s`` seconds into the migration traffic.
-        chaos.start()
-        for job_id, _, _, _, dst_hosts in records:
-            orch.submit(job_id, kind="spread", dst_hosts=dst_hosts)
-
-    env.process(_submit_all(), name="incident.submit")
-    env.run(until=start_at + 0.001)
-
-    def _done() -> bool:
-        if not all(r.terminal for r in orch.requests):
-            return False
-        if crash_during_remediation and not manager.crashed:
-            return False  # the armed crash has not fired yet
-        incidents = _all_incidents(managers)
-        if autonomous:
-            # Converged once the cut was diagnosed and fully remediated.
-            return bool(incidents) and all(
-                i.status == RESOLVED for i in incidents
-            )
-        # Diagnosis-only baseline: give detection time to open the
-        # incident after the last request settles.
-        return bool(incidents) and env.now >= start_at + cut_at_s + 5.0
-
-    deadline = start_at + max_runtime_s
-    resumed_count = 0
-    while env.now < deadline and not _done():
-        if (
-            crash_during_remediation
-            and manager.crashed
-            and len(managers) == 1
-        ):
-            # The dead controller stops observing; a successor rebuilds
-            # the incident from the journal and finishes the runbook.
-            manager.stop()
-            successor = IncidentManager(
-                cluster,
-                orch,
-                heartbeats=monitor,
-                probe_period_s=probe_period_s,
-                autonomous=True,
-            )
-            successor.start()
-            resumed_count = len(successor.resume())
-            managers.append(successor)
-            if manager_out is not None:
-                manager_out.append(successor)
-        env.run(until=env.now + 0.5)
-
-    unique_incidents = _all_incidents(managers)
-
-    executed: List[tuple] = []
-    for m in managers:
-        executed.extend(m.executor.executed)
-    doubles = sorted(
-        {item for item in executed if executed.count(item) > 1}
-    )
-
-    primary = unique_incidents[0] if unique_incidents else None
-    statuses = [r.status for r in orch.requests]
-    all_qemus = [q for _, _, _, qemus, _ in records for q in qemus]
-    return IncidentScenarioResult(
-        jobs=jobs,
-        vms_per_job=vms_per_job,
-        autonomous=autonomous,
-        cut_at_s=cut_at_s,
-        heal_after_s=heal_after_s,
-        incidents=[i.to_dict() for i in unique_incidents],
-        incident_class=primary.klass if primary is not None else "",
-        mttd_s=round(primary.mttd_s, 4) if primary is not None else None,
-        mttr_s=(
-            round(primary.mttr_s, 4)
-            if primary is not None and primary.mttr_s is not None
-            else None
-        ),
-        alerts=sum(len(m.alerts) for m in managers),
-        all_resolved=bool(unique_incidents)
-        and all(i.status == RESOLVED for i in unique_incidents),
-        completed=statuses.count("completed"),
-        aborted=statuses.count("aborted"),
-        failed=statuses.count("failed"),
-        cancelled=statuses.count("cancelled"),
-        evacuated_jobs=sorted(
-            {
-                r.job_id
-                for r in orch.requests
-                if r.kind == "evacuate" and r.status == "completed"
-            }
-        ),
-        outcomes=[
-            {
-                "request": r.request_id,
-                "job": r.job_id,
-                "kind": r.kind,
-                "status": r.status,
-                "attempts": r.attempts,
-                "error": r.error,
-            }
-            for r in orch.requests
-        ],
-        lost_vms=sorted(
-            q.vm.name for q in all_qemus if q.vm.hypercall.parked
-        ),
-        actions=list(primary.actions) if primary is not None else [],
-        crash_injected=crash_during_remediation,
-        crashed=manager.crashed,
-        resumed_incidents=resumed_count,
-        double_executed=[list(item) for item in doubles],
-        makespan_s=round(env.now - start_at, 3),
-        final_hosts={
-            job_id: [q.node.name for q in qemus]
-            for job_id, _, _, qemus, _ in records
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# Host-failure drill (``repro incident --kill-host`` / BENCH_hostfail.json)
-# ---------------------------------------------------------------------------
-
-
 def _drill_runbook():
     """DEFAULT_RUNBOOK with restores pinned to the drill's spare hosts."""
     runbook = dict(DEFAULT_RUNBOOK)
@@ -363,187 +198,22 @@ def _drill_runbook():
 
 
 @dataclass
-class HostFailureScenarioResult:
-    """Everything the host-failure drill prints and BENCH_hostfail.json
-    records."""
+class _Kill:
+    """The armed host kill: victim, instant, and the VMs it took down."""
 
-    jobs: int
-    vms_per_job: int
-    autonomous: bool
-    kill_host: str
-    kill_at_s: float
-    #: When the host actually died (``kill_after_commit`` can push the
-    #: kill past ``kill_at_s``), relative to the drain start.
-    killed_at_s: Optional[float] = None
-    checkpoint_period_s: float = 0.0
-    #: Fiber cut overlapping the host failure (None = host failure only).
-    cut_at_s: Optional[float] = None
-    incidents: List[Dict[str, object]] = field(default_factory=list)
-    incident_classes: List[str] = field(default_factory=list)
-    alerts: int = 0
-    all_resolved: bool = False
-    #: Proactive checkpointing accounting.
-    generations_committed: int = 0
-    checkpoint_skips: int = 0
-    #: RPO of the worst restored job (failure instant back to the restored
-    #: generation's consistency point) — must stay ≤ the checkpoint period.
-    rpo_s: Optional[float] = None
-    rpo_bound_s: float = 0.0
-    #: First anomaly to restore commit of the slowest restored job.
-    restore_rto_s: Optional[float] = None
-    restored_jobs: List[str] = field(default_factory=list)
-    #: Replacement VMs adopted (not re-booted) by a resumed restore.
-    adopted_vms: List[str] = field(default_factory=list)
-    #: VMs that died with the host at kill time.
-    vms_lost_at_kill: List[str] = field(default_factory=list)
-    #: VMs still dead/parked at the end — the headline must be empty.
-    lost_vms: List[str] = field(default_factory=list)
-    completed: int = 0
-    aborted: int = 0
-    failed: int = 0
-    cancelled: int = 0
-    #: Requests never settled (baseline: work stranded behind dead VMs).
-    stranded: int = 0
-    evacuated_jobs: List[str] = field(default_factory=list)
-    crash_injected: bool = False
-    crash_site: str = ""
-    crashed: bool = False
-    resumed_incidents: int = 0
-    double_executed: List[List[object]] = field(default_factory=list)
-    #: (incident, job) pairs with more than one restore-commit — the
-    #: no-double-restore witness, must stay empty.
-    double_restored: List[List[object]] = field(default_factory=list)
-    #: Spare hosts ever leased to two incidents at once — must stay empty.
-    spare_double_leases: List[List[object]] = field(default_factory=list)
-    makespan_s: float = 0.0
-    outcomes: List[Dict[str, object]] = field(default_factory=list)
-    final_hosts: Dict[str, List[str]] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
+    victim: Optional[str] = None
+    at: Optional[float] = None
+    vms: List[str] = field(default_factory=list)
 
 
-def run_host_failure_scenario(
-    jobs: int = 4,
-    vms_per_job: int = 1,
-    spares: int = 2,
-    kill_at_s: float = 12.0,
-    kill_host: Optional[str] = None,
-    kill_after_commit: bool = True,
-    checkpoint_period_s: float = 20.0,
-    nfs_gbps: float = 40.0,
-    cut_at_s: Optional[float] = None,
-    heal_after_s: float = 120.0,
-    autonomous: bool = True,
-    crash_during_restore: bool = False,
-    crash_site: str = RESTORE_CRASH_SITE,
-    wan_gbps: float = 1.0,
-    tenants: int = 2,
-    link_budget_s: Optional[float] = 30.0,
-    heartbeat_period_s: float = 0.5,
-    probe_period_s: float = 0.25,
-    max_runtime_s: float = 900.0,
-    seed: int = 0,
-    tracer: Optional[Tracer] = None,
-    manager_out: Optional[list] = None,
-    orchestrator_out: Optional[list] = None,
-    service_out: Optional[list] = None,
-) -> HostFailureScenarioResult:
-    """Kill a host without warning mid-drain; report how proactive
-    checkpointing + checkpoint-restore remediation handled it.
-
-    The fleet checkpoint service snapshots every eligible job each
-    ``checkpoint_period_s`` onto an NFS store with a dedicated
-    ``nfs_gbps`` link.  ``kill_at_s`` seconds into the drain
-    ``kill_host`` (default: the first job's landing host — that job
-    drains fast and sits still while the WAN jobs are mid-flight) dies
-    hard — no WARNING, no drain window — taking its VMs with it.  With
-    ``kill_after_commit`` the kill additionally waits until the victim's
-    jobs hold a committed checkpoint generation: the failure is still
-    unannounced to the controller, the *drill* just arms it where the
-    restore path (rather than the no-checkpoint error path) is
-    exercised.  The incident stack must classify the heartbeat silence
-    as ``host-failure``, fall through the (impossible) evacuation, and
-    restore the dead jobs from their last committed checkpoint
-    generation on spare capacity leased through the
-    :class:`~repro.orchestrator.state.SpareArbiter`.
-
-    ``cut_at_s`` additionally cuts the WAN fiber (a second incident whose
-    evacuations compete for the same spares); ``crash_during_restore``
-    kills the controller at ``crash_site`` and a successor must resume to
-    the same outcome without double-restoring.
-    """
-    nvms = jobs * vms_per_job
-    cluster = build_incident_cluster(
-        nvms, spares=spares, wan_gbps=wan_gbps, seed=seed, tracer=tracer
-    )
+def _spawn_kill(
+    estate: Estate, kill: _Kill, kill_at_s: float, checkpointing: bool
+) -> None:
+    """Spawn the process that kills a host ``kill_at_s`` into the drain."""
+    cluster, orch = estate.cluster, estate.orch
     env = cluster.env
-    if crash_during_restore:
-        cluster.faults.arm(
-            crash_site,
-            error=ControllerCrashError(f"injected crash at {crash_site}"),
-        )
-
-    config = FleetConfig(link_budget_s=link_budget_s)
-    orch = FleetOrchestrator(cluster, config=config)
-    if orchestrator_out is not None:
-        orchestrator_out.append(orch)
-    # The checkpoint store hangs off the enclosure's converged fabric,
-    # not the clients' 10 GbE links: a generation's write window must fit
-    # well inside the checkpoint period.
-    nfs = NfsServer(env, bandwidth_Bps=gbps(nfs_gbps) * 0.7)
-    service = FleetCheckpointService(
-        cluster, orch.store, nfs, orch.journal, period_s=checkpoint_period_s
-    )
-    services = [service]
-    if service_out is not None:
-        service_out.append(service)
-
-    records = _provision_fleet(cluster, jobs, vms_per_job, tenants)
-    for job_id, tenant, job, qemus, _ in records:
-        # rank_main lets a checkpoint restore relaunch the SPMD program.
-        orch.register_job(job_id, job, qemus, tenant=tenant, rank_main=_busy)
-
-    monitor = _heartbeat_mesh(cluster, heartbeat_period_s)
-
-    runbook = _drill_runbook()
-    manager = IncidentManager(
-        cluster,
-        orch,
-        heartbeats=monitor,
-        probe_period_s=probe_period_s,
-        autonomous=autonomous,
-        checkpoints=service,
-        runbook=runbook,
-    )
-    manager.start()
-    managers = [manager]
-    if manager_out is not None:
-        manager_out.append(manager)
-    service.start()
-
-    chaos = None
-    if cut_at_s is not None:
-        chaos = NetworkChaos(
-            cluster,
-            [
-                DegradationEvent(
-                    at_time=cut_at_s,
-                    kind="drop",
-                    duration_s=heal_after_s,
-                    link_pattern="wan:*",
-                )
-            ],
-        )
-
-    victim_ref: List[str] = []
-    if kill_host is not None:
-        cluster.node(kill_host)  # existence check before the drill starts
-        victim_ref.append(kill_host)
-
-    start_at = env.now + 1.0
-    vms_lost_at_kill: List[str] = []
-    killed_at: List[float] = []
+    if kill.victim is not None:
+        cluster.node(kill.victim)  # existence check before the drill starts
 
     def _committed_jobs() -> set:
         return {
@@ -583,39 +253,132 @@ def run_host_failure_scenario(
                 return host
         return None
 
-    def _submit_all():
-        yield env.timeout(start_at - env.now)
-        if chaos is not None:
-            chaos.start()
-        for job_id, _, _, _, dst_hosts in records:
-            orch.submit(job_id, kind="spread", dst_hosts=dst_hosts)
+    fallback_victim = estate.records[0][4][0]
 
     def _kill():
-        yield env.timeout(start_at + kill_at_s - env.now)
-        if kill_after_commit:
-            # Arm the failure only once the victim's jobs are coverable:
-            # the drill measures the restore path, not the (separately
-            # tested) no-checkpoint error path.  Give up at half the
-            # runtime budget so a broken schedule still kills and fails
-            # the run visibly instead of hanging.
-            give_up = start_at + max_runtime_s / 2.0
-            if victim_ref:
-                while not _victim_covered(victim_ref[0]) and env.now < give_up:
+        yield env.timeout(estate.start_at + kill_at_s - env.now)
+        if KILL_AFTER_COMMIT and checkpointing:
+            # Give up at half the runtime budget so a broken schedule
+            # still kills and fails the run visibly instead of hanging.
+            give_up = estate.start_at + MAX_RUNTIME_S / 2.0
+            if kill.victim is not None:
+                while not _victim_covered(kill.victim) and env.now < give_up:
                     yield env.timeout(0.5)
             else:
                 while _pick_victim() is None and env.now < give_up:
                     yield env.timeout(0.5)
-                picked = _pick_victim()
-                victim_ref.append(picked if picked else records[0][4][0])
+                kill.victim = _pick_victim() or fallback_victim
             yield env.timeout(1.0)
-        elif not victim_ref:
-            victim_ref.append(records[0][4][0])
-        killed_at.append(env.now)
-        vms_lost_at_kill.extend(cluster.fail_host(victim_ref[0]))
+        elif kill.victim is None:
+            kill.victim = fallback_victim
+        kill.at = env.now
+        kill.vms.extend(cluster.fail_host(kill.victim))
 
-    env.process(_submit_all(), name="hostfail.submit")
-    env.process(_kill(), name="hostfail.kill")
+    env.process(_kill(), name="drill.kill")
+
+
+def run_drill(
+    jobs: int = 4,
+    vms_per_job: int = 1,
+    spares: int = 2,
+    cut_at_s: Optional[float] = None,
+    heal_after_s: float = 120.0,
+    kill_at_s: Optional[float] = None,
+    kill_host: Optional[str] = None,
+    checkpoint_period_s: Optional[float] = None,
+    autonomous: bool = True,
+    crash_site: Optional[str] = None,
+    wan_gbps: float = 1.0,
+    tenants: int = 2,
+    link_budget_s: Optional[float] = 30.0,
+    seed: int = 0,
+    tracer: Optional[Tracer] = None,
+) -> DrillResult:
+    """Drain the estate, inject the requested faults, and report how the
+    incident-response stack (or its absence) handled them.
+
+    At least one of ``cut_at_s`` (fiber cut) and ``kill_at_s`` (host
+    kill) must be given; ``kill_host`` names the victim of a kill.
+    ``checkpoint_period_s`` runs the fleet checkpoint service (without
+    it a killed host's VMs cannot be restored).  ``crash_site`` kills
+    the controller at that fault site (e.g. :data:`CRASH_SITE`,
+    :data:`RESTORE_CRASH_SITE`, or a checkpoint site).
+    """
+    if cut_at_s is None and kill_at_s is None:
+        raise ValueError("a drill needs a fiber cut (cut_at_s), a host kill (kill_at_s) or both")
+    if kill_host is not None and kill_at_s is None:
+        raise ValueError("kill_host needs kill_at_s")
+    estate = build_estate(
+        jobs, vms_per_job, FleetConfig(link_budget_s=link_budget_s),
+        spares=spares, wan_gbps=wan_gbps, tenants=tenants, seed=seed,
+        tracer=tracer,
+    )
+    cluster, orch, start_at = estate.cluster, estate.orch, estate.start_at
+    env = cluster.env
+    if crash_site is not None:
+        cluster.faults.arm(
+            crash_site,
+            error=ControllerCrashError(f"injected crash {crash_label(crash_site)}"),
+        )
+
+    services: List[FleetCheckpointService] = []
+    nfs = NfsServer(env, bandwidth_Bps=gbps(NFS_GBPS) * 0.7)
+
+    def _new_service() -> FleetCheckpointService:
+        # A successor resumes the generation numbering from the journal;
+        # the open intent of a dead service never commits.
+        service = FleetCheckpointService(
+            cluster, orch.store, nfs, orch.journal, period_s=checkpoint_period_s
+        )
+        services.append(service)
+        return service
+
+    if checkpoint_period_s is not None:
+        _new_service()
+
+    monitor = _heartbeat_mesh(cluster, HEARTBEAT_PERIOD_S)
+    runbook = _drill_runbook()
+
+    def _new_manager(autonomous_: bool) -> IncidentManager:
+        manager = IncidentManager(
+            cluster,
+            orch,
+            heartbeats=monitor,
+            probe_period_s=PROBE_PERIOD_S,
+            autonomous=autonomous_,
+            checkpoints=services[-1] if services else None,
+            runbook=runbook,
+        )
+        manager.start()  # pre-fault samples let EWMA baselines learn "healthy"
+        return manager
+
+    managers = [_new_manager(autonomous)]
+    for service in services:
+        service.start()
+
+    chaos = None
+    if cut_at_s is not None:
+        chaos = NetworkChaos(
+            cluster,
+            [
+                DegradationEvent(
+                    at_time=cut_at_s,
+                    kind="drop",
+                    duration_s=heal_after_s,
+                    link_pattern="wan:*",
+                )
+            ],
+        )
+    # The chaos clock starts with the drain: the fiber dies ``cut_at_s``
+    # seconds into the migration traffic.
+    estate.submit_drain(on_start=chaos.start if chaos is not None else None)
+    kill = _Kill(victim=kill_host)
+    if kill_at_s is not None:
+        _spawn_kill(estate, kill, kill_at_s, bool(services))
     env.run(until=start_at + 0.001)
+
+    def _crashed() -> bool:
+        return any(m.crashed for m in managers) or any(s.crashed for s in services)
 
     def _settled(request) -> bool:
         # The baseline has no restore path: a request stuck behind a dead
@@ -625,195 +388,175 @@ def run_host_failure_scenario(
         )
 
     def _done() -> bool:
-        if not killed_at:
+        if kill_at_s is not None and kill.at is None:
             return False
         if not all(_settled(r) for r in orch.requests):
             return False
-        if crash_during_restore and not (
-            any(m.crashed for m in managers)
-            or any(s.crashed for s in services)
-        ):
+        if crash_site is not None and not _crashed():
             return False  # the armed crash has not fired yet
         incidents = _all_incidents(managers)
         if not incidents:
             return False
         if autonomous:
             # An unrelated earlier incident (e.g. drain congestion) being
-            # resolved must not end the drill before the heartbeat
+            # resolved must not end a kill drill before the heartbeat
             # silence is even detectable: require the victim's own
             # host-failure incident.
-            victim = victim_ref[0]
-            if not any(
+            if kill_at_s is not None and not any(
                 i.klass == "host-failure"
-                and victim in (i.suspect_hosts | i.hosts)
+                and kill.victim in (i.suspect_hosts | i.hosts)
                 for i in incidents
             ):
                 return False
             return all(i.status == RESOLVED for i in incidents)
-        return env.now >= killed_at[0] + 15.0
+        # Diagnosis-only baseline: give detection time to open the
+        # incident after the fault.
+        if kill.at is not None:
+            return env.now >= kill.at + 15.0
+        return env.now >= start_at + cut_at_s + 5.0
 
-    deadline = start_at + max_runtime_s
+    deadline = start_at + MAX_RUNTIME_S
     resumed_count = 0
     while env.now < deadline and not _done():
-        if manager.crashed and len(managers) == 1:
-            # Controller succession: rebuild incidents from the journal
-            # and finish the runbooks without double-restoring.
-            manager.stop()
-            successor = IncidentManager(
-                cluster,
-                orch,
-                heartbeats=monitor,
-                probe_period_s=probe_period_s,
-                autonomous=True,
-                checkpoints=services[-1],
-                runbook=runbook,
-            )
-            successor.start()
+        if managers[0].crashed and len(managers) == 1:
+            # Controller succession: the dead manager stops observing; a
+            # successor rebuilds its incidents from the journal and
+            # finishes the runbooks without double-executing a step.
+            managers[0].stop()
+            successor = _new_manager(True)
             resumed_count = len(successor.resume())
             managers.append(successor)
-            if manager_out is not None:
-                manager_out.append(successor)
-        if services[-1].crashed:
-            # Checkpoint-service succession: a fresh service resumes the
-            # generation numbering from the journal; the open intent of
-            # the dead one never commits.
-            dead = services[-1]
-            dead.stop()
-            successor_service = FleetCheckpointService(
-                cluster, orch.store, nfs, orch.journal,
-                period_s=checkpoint_period_s,
-            )
-            successor_service.start()
-            services.append(successor_service)
-            if service_out is not None:
-                service_out.append(successor_service)
+        if services and services[-1].crashed:
+            services[-1].stop()
+            _new_service().start()
         env.run(until=env.now + 0.5)
 
-    # Let an in-flight checkpoint tick finish before folding final VM
-    # state: its parked VMs resume at tick end and must not read as lost.
-    drain_until = env.now + 120.0
-    while (
-        any(rec.busy for rec in orch.store.jobs.values())
-        and env.now < drain_until
-    ):
-        env.run(until=env.now + 0.5)
-    # Sim time has not advanced since the busy check, so no new tick can
-    # have started: stopping here never interrupts a parked fleet.
-    for s in services:
-        s.stop()
+    if services:
+        # Let an in-flight checkpoint tick finish before folding final VM
+        # state: its parked VMs resume at tick end and must not read as
+        # lost.
+        drain_until = env.now + 120.0
+        while (
+            any(rec.busy for rec in orch.store.jobs.values())
+            and env.now < drain_until
+        ):
+            env.run(until=env.now + 0.5)
+        # Sim time has not advanced since the busy check, so no new tick
+        # can have started: stopping here never interrupts a parked fleet.
+        for s in services:
+            s.stop()
 
-    unique_incidents = _all_incidents(managers)
-    executed: List[tuple] = []
-    for m in managers:
-        executed.extend(m.executor.executed)
-    doubles = sorted({item for item in executed if executed.count(item) > 1})
-
-    restore_commits = [
-        r.payload
-        for r in orch.journal.records
-        if r.kind == "restore-commit"
-    ]
-    commit_counts: Dict[tuple, int] = {}
-    for payload in restore_commits:
-        key = (payload.get("incident"), payload.get("job"))
-        commit_counts[key] = commit_counts.get(key, 0) + 1
-    # True RPO: the drill knows the exact failure instant; measure lost
-    # work from there back to the restored generation's consistency
-    # point.  (The journal's per-restore ``rpo_s`` is the controller's
-    # conservative estimate from the first detected anomaly instead.)
-    consistency_by_gen = {
-        (r.payload.get("job"), r.payload.get("generation")):
-            float(r.payload.get("consistency_at", 0.0))
-        for r in orch.journal.records
-        if r.kind == "checkpoint-commit"
-    }
-    rpos = []
-    for payload in restore_commits:
-        consistency = consistency_by_gen.get(
-            (payload.get("job"), payload.get("generation"))
-        )
-        if consistency is not None and killed_at:
-            rpos.append(max(killed_at[0] - consistency, 0.0))
-        else:
-            rpos.append(float(payload.get("rpo_s", 0.0)))
-    rtos = [float(p.get("rto_s", 0.0)) for p in restore_commits]
-
-    lost: List[str] = []
-    for job_id in sorted(orch.store.jobs):
-        for q in orch.store.jobs[job_id].qemus:
-            if q.vm.state is RunState.SHUTOFF or (
-                q.vm.hypercall is not None and q.vm.hypercall.parked
-            ):
-                lost.append(q.vm.name)
-
-    statuses = [r.status for r in orch.requests]
-    return HostFailureScenarioResult(
+    return DrillResult(
         jobs=jobs,
         vms_per_job=vms_per_job,
         autonomous=autonomous,
-        kill_host=victim_ref[0] if victim_ref else "",
-        kill_at_s=kill_at_s,
-        killed_at_s=(
-            round(killed_at[0] - start_at, 3) if killed_at else None
-        ),
-        checkpoint_period_s=checkpoint_period_s,
         cut_at_s=cut_at_s,
-        incidents=[i.to_dict() for i in unique_incidents],
-        incident_classes=sorted({i.klass for i in unique_incidents}),
-        alerts=sum(len(m.alerts) for m in managers),
-        all_resolved=bool(unique_incidents)
-        and all(i.status == RESOLVED for i in unique_incidents),
-        generations_committed=sum(
-            1 for r in orch.journal.records if r.kind == "checkpoint-commit"
-        ),
-        checkpoint_skips=sum(len(s.skips) for s in services),
-        rpo_s=round(max(rpos), 4) if rpos else None,
+        heal_after_s=heal_after_s,
+        kill_host=kill.victim or "",
+        kill_at_s=kill_at_s,
+        killed_at_s=round(kill.at - start_at, 3) if kill.at is not None else None,
+        checkpoint_period_s=checkpoint_period_s,
         rpo_bound_s=checkpoint_period_s,
-        restore_rto_s=round(max(rtos), 4) if rtos else None,
-        restored_jobs=sorted(
-            {str(p.get("job")) for p in restore_commits}
+        vms_lost_at_kill=sorted(kill.vms),
+        checkpoint_skips=sum(len(s.skips) for s in services),
+        crash_injected=crash_site is not None,
+        crash_site=crash_site or "",
+        crashed=_crashed(),
+        resumed_incidents=resumed_count,
+        **estate.fold(orch.requests),
+        **_fold_incidents(orch, managers),
+        **_fold_restores(orch.journal, kill.at),
+    )
+
+
+def _fold_incidents(orch, managers: List[IncidentManager]) -> Dict[str, object]:
+    """Diagnosis, evacuation and succession witnesses of a drill."""
+    incidents = _all_incidents(managers)
+    primary = incidents[0] if incidents else None
+    executed = [item for m in managers for item in m.executor.executed]
+    doubles = sorted({item for item in executed if executed.count(item) > 1})
+    return {
+        "incidents": [i.to_dict() for i in incidents],
+        "incident_class": primary.klass if primary is not None else "",
+        "mttd_s": round(primary.mttd_s, 4) if primary is not None else None,
+        "mttr_s": (
+            round(primary.mttr_s, 4)
+            if primary is not None and primary.mttr_s is not None
+            else None
         ),
-        adopted_vms=sorted(
-            {str(v) for p in restore_commits for v in p.get("adopted", ())}
-        ),
-        vms_lost_at_kill=sorted(vms_lost_at_kill),
-        lost_vms=sorted(lost),
-        completed=statuses.count("completed"),
-        aborted=statuses.count("aborted"),
-        failed=statuses.count("failed"),
-        cancelled=statuses.count("cancelled"),
-        stranded=sum(1 for r in orch.requests if not r.terminal),
-        evacuated_jobs=sorted(
+        "actions": list(primary.actions) if primary is not None else [],
+        "incident_classes": sorted({i.klass for i in incidents}),
+        "alerts": sum(len(m.alerts) for m in managers),
+        "all_resolved": bool(incidents)
+        and all(i.status == RESOLVED for i in incidents),
+        "stranded": sum(1 for r in orch.requests if not r.terminal),
+        "evacuated_jobs": sorted(
             {
                 r.job_id
                 for r in orch.requests
                 if r.kind == "evacuate" and r.status == "completed"
             }
         ),
-        crash_injected=crash_during_restore,
-        crash_site=crash_site if crash_during_restore else "",
-        crashed=any(m.crashed for m in managers)
-        or any(s.crashed for s in services),
-        resumed_incidents=resumed_count,
-        double_executed=[list(item) for item in doubles],
-        double_restored=sorted(
+        "double_executed": [list(item) for item in doubles],
+        "spare_double_leases": [list(d) for d in orch.arbiter.double_leases],
+    }
+
+
+def _fold_restores(journal, killed_at: Optional[float]) -> Dict[str, object]:
+    """Checkpoint generations and restore RPO/RTO from the journal."""
+    checkpoint_commits = [
+        r.payload for r in journal.records if r.kind == "checkpoint-commit"
+    ]
+    restore_commits = [
+        r.payload for r in journal.records if r.kind == "restore-commit"
+    ]
+    # True RPO: the drill knows the exact failure instant; measure lost
+    # work from there back to the restored generation's consistency
+    # point.  (The journal's per-restore ``rpo_s`` is the controller's
+    # conservative estimate from the first detected anomaly instead.)
+    consistency_by_gen = {
+        (p.get("job"), p.get("generation")): float(p.get("consistency_at", 0.0))
+        for p in checkpoint_commits
+    }
+    rpos = []
+    commit_counts: Dict[tuple, int] = {}
+    for payload in restore_commits:
+        key = (payload.get("incident"), payload.get("job"))
+        commit_counts[key] = commit_counts.get(key, 0) + 1
+        consistency = consistency_by_gen.get(
+            (payload.get("job"), payload.get("generation"))
+        )
+        if consistency is not None and killed_at is not None:
+            rpos.append(max(killed_at - consistency, 0.0))
+        else:
+            rpos.append(float(payload.get("rpo_s", 0.0)))
+    rtos = [float(p.get("rto_s", 0.0)) for p in restore_commits]
+    return {
+        "generations_committed": len(checkpoint_commits),
+        "rpo_s": round(max(rpos), 4) if rpos else None,
+        "restore_rto_s": round(max(rtos), 4) if rtos else None,
+        "restored_jobs": sorted({str(p.get("job")) for p in restore_commits}),
+        "adopted_vms": sorted(
+            {str(v) for p in restore_commits for v in p.get("adopted", ())}
+        ),
+        "double_restored": sorted(
             [list(k) for k, v in commit_counts.items() if v > 1]
         ),
-        spare_double_leases=[list(d) for d in orch.arbiter.double_leases],
-        makespan_s=round(env.now - start_at, 3),
-        outcomes=[
-            {
-                "request": r.request_id,
-                "job": r.job_id,
-                "kind": r.kind,
-                "status": r.status,
-                "attempts": r.attempts,
-                "error": r.error,
-            }
-            for r in orch.requests
-        ],
-        final_hosts={
-            job_id: [q.node.name for q in record.qemus]
-            for job_id, record in sorted(orch.store.jobs.items())
-        },
+    }
+
+
+def run_incident_scenario(cut_at_s: float = 6.0, **options) -> DrillResult:
+    """The fiber-cut preset: the WAN fiber goes dark ``cut_at_s`` seconds
+    into the drain (``options`` as for :func:`run_drill`)."""
+    return run_drill(cut_at_s=cut_at_s, **options)
+
+
+def run_host_failure_scenario(
+    kill_at_s: float = 12.0, checkpoint_period_s: float = 20.0, **options
+) -> DrillResult:
+    """The host-kill preset: checkpoints every ``checkpoint_period_s`` and
+    an unannounced host kill ``kill_at_s`` seconds into the drain
+    (``options`` as for :func:`run_drill`)."""
+    return run_drill(
+        kill_at_s=kill_at_s, checkpoint_period_s=checkpoint_period_s, **options
     )

@@ -29,8 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.orchestrator.state import FleetJob
     from repro.sim.events import Event
 
-_request_ids = count(1)
-
 #: Request lifecycle states.
 PENDING = "pending"
 RUNNING = "running"
@@ -53,7 +51,8 @@ class MigrationRequest:
     consolidate_to: Optional[int] = None
     #: Explicit destinations ("spread" kind); other kinds auto-place.
     dst_hosts: Optional[List[str]] = None
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    #: Assigned by :meth:`FleetOrchestrator.submit` from the journal.
+    request_id: int = 0
     submitted_at: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None

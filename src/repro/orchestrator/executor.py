@@ -195,6 +195,7 @@ class FleetOrchestrator:
         record = self.store.job(job_id)
         request = MigrationRequest(
             fleet_job=record,
+            request_id=self.journal.next_id("request"),
             kind=kind,
             priority=priority,
             consolidate_to=consolidate_to,

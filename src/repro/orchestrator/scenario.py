@@ -1,4 +1,4 @@
-"""The canned fleet experiment behind ``repro fleet`` and the benchmark.
+"""The two-site estate every fleet drill runs on, and the fleet drains.
 
 A two-site estate: the IB-cabled primary runs one single-VM-group MPI
 job per blade; the operator drains the whole IB sub-cluster onto the
@@ -13,15 +13,18 @@ site.  Each job arrives with a naive round-robin destination (job *i* →
   WAN hop), and wave sequencing serialises the migrations that still
   share the WAN bottleneck.
 
-The function returns a :class:`FleetScenarioResult` with the makespan,
-per-wave concurrency, and deferral counts — the benchmark artifact's
-payload.
+Every estate drill — these fleet drains, the controller-crash drain, and
+the fiber-cut / host-kill drills in :mod:`repro.incident.scenario` —
+shares one setup path (:func:`build_estate`: cluster, orchestrator,
+provisioned and registered jobs, :meth:`Estate.submit_drain`) and one
+outcome fold (:meth:`Estate.fold`: per-request rows, status counts,
+lost VMs, final placement, makespan).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.hardware.cluster import Cluster
 from repro.network.degradation import chaos_from_spec
@@ -29,10 +32,14 @@ from repro.orchestrator.executor import FleetConfig, FleetOrchestrator
 from repro.orchestrator.state import FleetStateStore
 from repro.recovery.recovery import RecoveryManager
 from repro.sim.trace import Tracer
-from repro.testbed import create_job, provision_vms
+from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB, MiB, gbps
 from repro.vmm.guest_memory import PageClass
 from repro.vmm.policy import MigrationPolicy
+from repro.vmm.vm import RunState
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.orchestrator.admission import MigrationRequest
 
 #: Guest-RAM size for fleet-scenario VMs (smaller than the paper's
 #: 20 GiB so destination hosts can absorb several).
@@ -41,6 +48,171 @@ FLEET_VM_MEMORY = 4 * GiB
 SMALL_DATA_BYTES = 256 * MiB
 #: Resident data set of a "large" job's VM.
 LARGE_DATA_BYTES = 1536 * MiB
+
+
+def build_fleet_cluster(
+    nvms: int,
+    spares: int = 0,
+    wan_gbps: float = 1.0,
+    seed: int = 0,
+    tracer: Optional[Tracer] = None,
+) -> Cluster:
+    """Primary site (IB blades + local Ethernet) plus a WAN-attached backup.
+
+    ``nvms`` IB-cabled source blades, ``ceil(nvms/2)`` Ethernet hosts in
+    the primary enclosure, and ``floor(nvms/2)`` (at least one) behind
+    the WAN — so a one-for-one drain *must* push half the fleet through
+    the bottleneck unless the planner re-maps destinations.  ``spares``
+    empty primary-site hosts (``sp01``…) give incident remediation
+    somewhere local to evacuate or restore to while the WAN is dark.
+    """
+    if nvms < 2:
+        raise ValueError("fleet scenario needs at least 2 VMs")
+    cluster = Cluster(seed=seed, tracer=tracer)
+    ib_names = [f"ib{i + 1:02d}" for i in range(nvms)]
+    eth_names = [f"eth{i + 1:02d}" for i in range(nvms)]
+    spare_names = [f"sp{i + 1:02d}" for i in range(spares)]
+    local_eth = eth_names[: (nvms + 1) // 2]
+    remote_eth = eth_names[(nvms + 1) // 2:]
+    for name in ib_names + eth_names + spare_names:
+        cluster.add_node(name)
+    cluster.wire_ethernet(
+        sites={
+            "primary": ib_names + local_eth + spare_names,
+            "backup": remote_eth,
+        },
+        wan_bandwidth_Bps=gbps(wan_gbps),
+        wan_latency_s=5e-3,
+    )
+    cluster.wire_infiniband(ib_names)
+    return cluster
+
+
+def _provision_fleet(cluster, jobs: int, vms_per_job: int, tenants: int):
+    """Provision + launch the scenario's MPI jobs; returns records of
+    (job_id, tenant, job, qemus, naive round-robin dst_hosts)."""
+    env = cluster.env
+    nvms = jobs * vms_per_job
+    eth_names = [f"eth{i + 1:02d}" for i in range(nvms)]
+    records = []
+    for i in range(jobs):
+        src_hosts = [f"ib{i * vms_per_job + k + 1:02d}" for k in range(vms_per_job)]
+        qemus = provision_vms(
+            cluster, src_hosts, memory_bytes=FLEET_VM_MEMORY, name_prefix=f"j{i}"
+        )
+        job = create_job(cluster, qemus)
+        done = env.process(job.init(), name=f"fleet.init.j{i}")
+        env.run(until=done)
+        data = SMALL_DATA_BYTES if i < jobs // 2 else LARGE_DATA_BYTES
+        for q in qemus:
+            q.vm.memory.write(0, data, PageClass.DATA)
+        job.launch(busy_rank)
+        dst_hosts = [
+            eth_names[(i * vms_per_job + k) % nvms] for k in range(vms_per_job)
+        ]
+        records.append((f"j{i}", f"t{i % max(tenants, 1)}", job, qemus, dst_hosts))
+    return records
+
+
+@dataclass
+class Estate:
+    """A provisioned estate with every job registered, ready to drain.
+
+    The drain starts at ``start_at``, one simulated second after
+    provisioning; makespans count from there.
+    """
+
+    cluster: Cluster
+    orch: FleetOrchestrator
+    #: (job_id, tenant, job, qemus, naive round-robin dst_hosts) per job.
+    records: List[tuple]
+    start_at: float
+
+    def submit_drain(self, on_start: Optional[Callable[[], None]] = None) -> None:
+        """Spawn the process that submits every job's spread drain at
+        ``start_at``, right after ``on_start`` (e.g. starting a chaos
+        clock whose offsets are relative to the drain)."""
+        env = self.cluster.env
+
+        def _submit_all():
+            yield env.timeout(self.start_at - env.now)
+            if on_start is not None:
+                on_start()
+            for job_id, _, _, _, dst_hosts in self.records:
+                self.orch.submit(job_id, kind="spread", dst_hosts=dst_hosts)
+
+        env.process(_submit_all(), name="estate.submit")
+
+    def fold(
+        self,
+        requests: Sequence["MigrationRequest"],
+        store: Optional[FleetStateStore] = None,
+    ) -> Dict[str, object]:
+        """Outcome fields every drill result shares, over ``requests``
+        and the placement in ``store`` (default: the orchestrator's)."""
+        store = store if store is not None else self.orch.store
+        statuses = [r.status for r in requests]
+        qemus = [q for record in store.jobs.values() for q in record.qemus]
+        return {
+            "completed": statuses.count("completed"),
+            "aborted": statuses.count("aborted"),
+            "failed": statuses.count("failed"),
+            "cancelled": statuses.count("cancelled"),
+            "outcomes": [
+                {
+                    "request": r.request_id,
+                    "job": r.job_id,
+                    "kind": r.kind,
+                    "status": r.status,
+                    "attempts": r.attempts,
+                    "duration_s": (
+                        round(r.finished_at - r.submitted_at, 3)
+                        if r.finished_at is not None
+                        else None
+                    ),
+                    "error": r.error,
+                }
+                for r in requests
+            ],
+            # Lost: shut off with a dead host, or left parked by a crash.
+            "lost_vms": sorted(
+                q.vm.name
+                for q in qemus
+                if q.vm.state is RunState.SHUTOFF
+                or (q.vm.hypercall is not None and q.vm.hypercall.parked)
+            ),
+            "makespan_s": round(self.cluster.env.now - self.start_at, 3),
+            "final_hosts": {
+                job_id: [q.node.name for q in record.qemus]
+                for job_id, record in store.jobs.items()
+            },
+        }
+
+
+def build_estate(
+    jobs: int,
+    vms_per_job: int,
+    config: FleetConfig,
+    spares: int = 0,
+    wan_gbps: float = 1.0,
+    tenants: int = 2,
+    seed: int = 0,
+    tracer: Optional[Tracer] = None,
+) -> Estate:
+    """Cluster, orchestrator, and the provisioned jobs registered with it.
+
+    Jobs register with :func:`~repro.testbed.busy_rank` as their rank
+    body so a checkpoint restore can relaunch the SPMD program.
+    """
+    cluster = build_fleet_cluster(
+        jobs * vms_per_job, spares=spares, wan_gbps=wan_gbps, seed=seed,
+        tracer=tracer,
+    )
+    orch = FleetOrchestrator(cluster, config=config)
+    records = _provision_fleet(cluster, jobs, vms_per_job, tenants)
+    for job_id, tenant, job, qemus, _ in records:
+        orch.register_job(job_id, job, qemus, tenant=tenant, rank_main=busy_rank)
+    return Estate(cluster, orch, records, start_at=cluster.env.now + 1.0)
 
 
 @dataclass
@@ -62,74 +234,11 @@ class FleetScenarioResult:
     failed: int = 0
     outcomes: List[Dict[str, object]] = field(default_factory=list)
     final_hosts: Dict[str, List[str]] = field(default_factory=dict)
+    cancelled: int = 0
+    lost_vms: List[str] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
-
-
-def build_fleet_cluster(
-    nvms: int,
-    wan_gbps: float = 1.0,
-    seed: int = 0,
-    tracer: Optional[Tracer] = None,
-) -> Cluster:
-    """Primary site (IB blades + local Ethernet) plus a WAN-attached backup.
-
-    ``nvms`` IB-cabled source blades, ``ceil(nvms/2)`` Ethernet hosts in
-    the primary enclosure, and ``floor(nvms/2)`` (at least one) behind
-    the WAN — so a one-for-one drain *must* push half the fleet through
-    the bottleneck unless the planner re-maps destinations.
-    """
-    if nvms < 2:
-        raise ValueError("fleet scenario needs at least 2 VMs")
-    cluster = Cluster(seed=seed, tracer=tracer)
-    ib_names = [f"ib{i + 1:02d}" for i in range(nvms)]
-    eth_names = [f"eth{i + 1:02d}" for i in range(nvms)]
-    local_eth = eth_names[: (nvms + 1) // 2]
-    remote_eth = eth_names[(nvms + 1) // 2:]
-    for name in ib_names + eth_names:
-        cluster.add_node(name)
-    cluster.wire_ethernet(
-        sites={"primary": ib_names + local_eth, "backup": remote_eth},
-        wan_bandwidth_Bps=gbps(wan_gbps),
-        wan_latency_s=5e-3,
-    )
-    cluster.wire_infiniband(ib_names)
-    return cluster
-
-
-def _busy(proc, comm):
-    """Compute/barrier loop — keeps ranks inside MPI calls so the
-    SymVirt coordinator can service checkpoint requests."""
-    for _ in range(1_000_000):
-        yield proc.vm.compute(0.2, nthreads=1)
-        yield from comm.barrier()
-
-
-def _provision_fleet(cluster, jobs: int, vms_per_job: int, tenants: int):
-    """Provision + launch the scenario's MPI jobs; returns records of
-    (job_id, tenant, job, qemus, naive round-robin dst_hosts)."""
-    env = cluster.env
-    nvms = jobs * vms_per_job
-    eth_names = [f"eth{i + 1:02d}" for i in range(nvms)]
-    records = []
-    for i in range(jobs):
-        src_hosts = [f"ib{i * vms_per_job + k + 1:02d}" for k in range(vms_per_job)]
-        qemus = provision_vms(
-            cluster, src_hosts, memory_bytes=FLEET_VM_MEMORY, name_prefix=f"j{i}"
-        )
-        job = create_job(cluster, qemus)
-        done = env.process(job.init(), name=f"fleet.init.j{i}")
-        env.run(until=done)
-        data = SMALL_DATA_BYTES if i < jobs // 2 else LARGE_DATA_BYTES
-        for q in qemus:
-            q.vm.memory.write(0, data, PageClass.DATA)
-        job.launch(_busy)
-        dst_hosts = [
-            eth_names[(i * vms_per_job + k) % nvms] for k in range(vms_per_job)
-        ]
-        records.append((f"j{i}", f"t{i % max(tenants, 1)}", job, qemus, dst_hosts))
-    return records
 
 
 def run_fleet_scenario(
@@ -141,11 +250,9 @@ def run_fleet_scenario(
     link_budget_s: Optional[float] = 30.0,
     seed: int = 0,
     tracer: Optional[Tracer] = None,
-    orchestrator_out: Optional[list] = None,
     inject_site: Optional[str] = None,
     inject_nth: int = 1,
     inject_transient: bool = False,
-    inject_times: int = 1,
     degrade_spec: Optional[str] = None,
     degrade_link: str = "wan:*",
     postcopy: str = "off",
@@ -154,8 +261,6 @@ def run_fleet_scenario(
     """Drain ``jobs`` MPI jobs off the IB sub-cluster through the fleet
     orchestrator; return makespan + concurrency + deferral metrics.
 
-    ``orchestrator_out``, when given, receives the live
-    :class:`FleetOrchestrator` (for tests that want to poke at state).
     ``inject_site`` arms the deterministic fault injector (e.g.
     ``ninja.migration``) so fleet runs exercise the abort → blacklist →
     retry path; ``inject_transient`` makes the fault a retryable
@@ -169,8 +274,18 @@ def run_fleet_scenario(
     ``viability_floor_Bps`` makes the orchestrator defer requests whose
     migration path has degraded below that bottleneck bandwidth.
     """
-    nvms = jobs * vms_per_job
-    cluster = build_fleet_cluster(nvms, wan_gbps=wan_gbps, seed=seed, tracer=tracer)
+    config = (
+        FleetConfig(link_budget_s=link_budget_s)
+        if sequenced
+        else FleetConfig.naive()
+    )
+    if viability_floor_Bps is not None:
+        config.viability_floor_Bps = viability_floor_Bps
+    estate = build_estate(
+        jobs, vms_per_job, config, wan_gbps=wan_gbps, tenants=tenants,
+        seed=seed, tracer=tracer,
+    )
+    cluster, orch = estate.cluster, estate.orch
     env = cluster.env
     if inject_site:
         from repro.errors import QmpError
@@ -180,80 +295,29 @@ def run_fleet_scenario(
             if inject_transient
             else None  # default FaultInjectionError → abort + rollback
         )
-        cluster.faults.arm(
-            inject_site, error=error, nth=inject_nth, times=inject_times
-        )
-    config = (
-        FleetConfig(link_budget_s=link_budget_s)
-        if sequenced
-        else FleetConfig.naive()
-    )
-    if viability_floor_Bps is not None:
-        config.viability_floor_Bps = viability_floor_Bps
-    orch = FleetOrchestrator(cluster, config=config)
+        cluster.faults.arm(inject_site, error=error, nth=inject_nth)
     if postcopy != "off":
         orch.ninja.migration_policy = MigrationPolicy.adaptive(postcopy=postcopy)
+    # Chaos clock starts with the drain, so ``t=`` offsets in the spec
+    # are relative to the first submission.
     chaos = (
         chaos_from_spec(cluster, degrade_spec, link_pattern=degrade_link)
         if degrade_spec
         else None
     )
-    if orchestrator_out is not None:
-        orchestrator_out.append(orch)
-
-    records = _provision_fleet(cluster, jobs, vms_per_job, tenants)
-    for job_id, tenant, job, qemus, _ in records:
-        orch.register_job(job_id, job, qemus, tenant=tenant)
-
-    start_at = env.now + 1.0
-    requests = []
-
-    def _submit_all():
-        yield env.timeout(start_at - env.now)
-        # Chaos clock starts with the drain, so ``t=`` offsets in the
-        # spec are relative to the first submission.
-        if chaos is not None:
-            chaos.start()
-        for job_id, _, _, _, dst_hosts in records:
-            requests.append(orch.submit(job_id, kind="spread", dst_hosts=dst_hosts))
-
-    env.process(_submit_all(), name="fleet.submit")
-    env.run(until=start_at + 0.001)  # requests now queued; loop running
+    estate.submit_drain(on_start=chaos.start if chaos is not None else None)
+    env.run(until=estate.start_at + 0.001)  # requests now queued; loop running
     env.run(until=orch.all_settled())
 
-    outcomes = [
-        {
-            "request": r.request_id,
-            "job": r.job_id,
-            "status": r.status,
-            "attempts": r.attempts,
-            "duration_s": (
-                round(r.finished_at - r.submitted_at, 3)
-                if r.finished_at is not None
-                else None
-            ),
-            "error": r.error,
-        }
-        for r in requests
-    ]
-    statuses = [r.status for r in requests]
     return FleetScenarioResult(
         sequenced=sequenced,
         jobs=jobs,
         vms_per_job=vms_per_job,
-        makespan_s=round(env.now - start_at, 3),
         wave_concurrency=list(orch.wave_log),
         deferred=dict(orch.admission.stats.deferred),
         deferred_total=orch.admission.stats.deferred_total,
         destination_swaps=orch.swaps_applied,
-        completed=statuses.count("completed"),
-        aborted=statuses.count("aborted"),
-        failed=statuses.count("failed"),
-        outcomes=outcomes,
-        final_hosts={
-            job_id: [q.node.name for q in qemus]
-            for job_id, _, _, qemus, _ in records
-        },
+        **estate.fold(orch.requests),
     )
 
 
@@ -276,10 +340,13 @@ class FleetCrashResult:
     completed: int = 0
     aborted: int = 0
     failed: int = 0
-    #: VMs still parked at the end (the leak recovery must prevent).
-    parked_vms: List[str] = field(default_factory=list)
+    #: VMs lost at the end: still parked (the leak recovery must
+    #: prevent) or shut off.
+    lost_vms: List[str] = field(default_factory=list)
     makespan_s: float = 0.0
     final_hosts: Dict[str, List[str]] = field(default_factory=dict)
+    cancelled: int = 0
+    outcomes: List[Dict[str, object]] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -309,65 +376,34 @@ def run_fleet_crash_scenario(
     fresh :class:`~repro.orchestrator.state.FleetStateStore` for the
     successor orchestrator.
     """
-    nvms = jobs * vms_per_job
-    cluster = build_fleet_cluster(nvms, wan_gbps=wan_gbps, seed=seed, tracer=tracer)
-    env = cluster.env
     config = (
         FleetConfig(link_budget_s=link_budget_s)
         if link_budget_s is not None
         else FleetConfig.naive()
     )
-    orch = FleetOrchestrator(cluster, config=config)
-    records = _provision_fleet(cluster, jobs, vms_per_job, tenants)
-    for job_id, tenant, job, qemus, _ in records:
-        orch.register_job(job_id, job, qemus, tenant=tenant)
-
-    start_at = env.now + 1.0
-    cluster.faults.arm("controller.crash.*", at_time=start_at + crash_at_time)
-    requests = []
-
-    def _submit_all():
-        yield env.timeout(start_at - env.now)
-        for job_id, _, _, _, dst_hosts in records:
-            requests.append(orch.submit(job_id, kind="spread", dst_hosts=dst_hosts))
-
-    env.process(_submit_all(), name="fleet.submit")
-    env.run(until=start_at + 0.001)
+    estate = build_estate(
+        jobs, vms_per_job, config, wan_gbps=wan_gbps, tenants=tenants,
+        seed=seed, tracer=tracer,
+    )
+    cluster, orch = estate.cluster, estate.orch
+    env = cluster.env
+    cluster.faults.arm("controller.crash.*", at_time=estate.start_at + crash_at_time)
+    estate.submit_drain()
+    env.run(until=estate.start_at + 0.001)
     env.run(until=env.any_of([orch.crash_event, orch.all_settled()]))
 
-    result = FleetCrashResult(
-        jobs=jobs,
-        vms_per_job=vms_per_job,
-        crash_requested_at=crash_at_time,
-        crashed=orch.crashed,
-        crash_time=round(env.now - start_at, 3) if orch.crashed else None,
-        crash_error=orch.crash_error,
-    )
-
-    all_qemus = [q for _, _, _, qemus, _ in records for q in qemus]
-
-    def _parked() -> List[str]:
-        return sorted(q.vm.name for q in all_qemus if q.vm.hypercall.parked)
-
-    def _finalise(count_requests=None) -> FleetCrashResult:
-        statuses = [
-            r.status for r in (requests if count_requests is None else count_requests)
-        ]
-        result.completed = statuses.count("completed")
-        result.aborted = statuses.count("aborted")
-        result.failed = statuses.count("failed")
-        result.parked_vms = _parked()
-        result.makespan_s = round(env.now - start_at, 3)
-        result.final_hosts = {
-            job_id: [q.node.name for q in qemus]
-            for job_id, _, _, qemus, _ in records
-        }
-        return result
-
+    crash = {
+        "jobs": jobs,
+        "vms_per_job": vms_per_job,
+        "crash_requested_at": crash_at_time,
+        "crashed": orch.crashed,
+        "crash_time": round(env.now - estate.start_at, 3) if orch.crashed else None,
+        "crash_error": orch.crash_error,
+    }
     if not orch.crashed or not recover:
         # Either the drain finished before the deadline, or the operator
         # asked to see the wreckage: report the world as-is.
-        return _finalise()
+        return FleetCrashResult(**crash, **estate.fold(orch.requests))
 
     # Let the zombie sequences die at their next boundary before
     # reconciling, then hand the journal to recovery with a *fresh*
@@ -384,10 +420,7 @@ def run_fleet_crash_scenario(
     done = env.process(_recover(), name="recovery")
     env.run(until=done)
     report = box[0]
-    result.recovered = report.clean
-    result.recovery_epoch = report.epoch
-    result.reseeded = report.reseeded
-    result.decisions = [
+    decisions = [
         {
             "mid": d.mid,
             "decision": d.decision,
@@ -402,8 +435,8 @@ def run_fleet_crash_scenario(
 
     # Successor orchestrator: same journal, the recovery-seeded store.
     orch2 = FleetOrchestrator(cluster, config=config, state=store, journal=orch.journal)
-    for job_id, tenant, job, qemus, _ in records:
-        orch2.register_job(job_id, job, qemus, tenant=tenant)
+    for job_id, tenant, job, qemus, _ in estate.records:
+        orch2.register_job(job_id, job, qemus, tenant=tenant, rank_main=busy_rank)
     resumed = []
     for spec in report.resubmit:
         resumed.append(
@@ -414,11 +447,18 @@ def run_fleet_crash_scenario(
                 dst_hosts=spec.get("dst_hosts"),  # type: ignore[arg-type]
             )
         )
-    result.resubmitted = len(resumed)
     if resumed:
         env.run(until=orch2.all_settled())
 
     # Requests the dead orchestrator never finished are superseded by
     # the resubmissions; count outcomes over what actually terminated.
-    finished = [r for r in requests if r.terminal]
-    return _finalise(count_requests=[*finished, *resumed])
+    finished = [r for r in orch.requests if r.terminal]
+    return FleetCrashResult(
+        **crash,
+        recovered=report.clean,
+        recovery_epoch=report.epoch,
+        decisions=decisions,
+        reseeded=report.reseeded,
+        resubmitted=len(resumed),
+        **estate.fold([*finished, *resumed], store=store),
+    )

@@ -96,6 +96,9 @@ JOURNALLED_PHASES = (
 #: Record kinds that end a migration sequence.
 TERMINAL_KINDS = ("complete", "aborted", "recovered")
 
+#: Record kinds that carry an allocated id → the id kind (payload key).
+_ID_RECORDS = {"request": "request", "incident-open": "incident"}
+
 
 @dataclass
 class JournalRecord:
@@ -229,6 +232,8 @@ class MigrationJournal:
         self.records: List[JournalRecord] = []
         self._seq = 0
         self._mids = 0
+        #: Last id handed out per kind (see :meth:`next_id`).
+        self._ids: Dict[str, int] = {}
         self._fh: Optional[IO[str]] = None
         if path is not None:
             self._fh = open(path, "a", encoding="utf-8")
@@ -263,6 +268,17 @@ class MigrationJournal:
             self._fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
             self._fh.flush()
         return record
+
+    def next_id(self, kind: str) -> int:
+        """Allocate the next ``kind`` id (``"request"``, ``"incident"``).
+
+        Ids are numbered per journal, so each run starts at 1 and a
+        successor controller sharing the journal continues the numbering
+        instead of reusing a dead controller's ids (spare-host leases are
+        keyed by incident id).
+        """
+        self._ids[kind] = self._ids.get(kind, 0) + 1
+        return self._ids[kind]
 
     def begin_sequence(
         self,
@@ -464,6 +480,11 @@ class MigrationJournal:
             record = JournalRecord.from_dict(json.loads(line))
             journal.records.append(record)
             journal._seq = max(journal._seq, record.seq + 1)
+            id_kind = _ID_RECORDS.get(record.kind)
+            if id_kind is not None:
+                journal._ids[id_kind] = max(
+                    journal._ids.get(id_kind, 0), int(record.payload[id_kind])  # type: ignore[arg-type]
+                )
             if record.kind == "begin" and "@" in record.mid:
                 try:
                     journal._mids = max(journal._mids, int(record.mid.rsplit("@", 1)[1]))

@@ -87,3 +87,14 @@ def create_job(
     )
     SymVirtCoordinator.install(job)
     return job
+
+
+def busy_rank(proc, comm):
+    """SPMD rank body that loops on compute (0.2 s, one thread) + barrier.
+
+    Ranks spend their time inside MPI calls, so the SymVirt coordinator
+    can service migration and checkpoint requests at any moment.
+    """
+    for _ in range(1_000_000):
+        yield proc.vm.compute(0.2, nthreads=1)
+        yield from comm.barrier()

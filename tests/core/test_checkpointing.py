@@ -6,7 +6,7 @@ from repro.core.checkpointing import ProactiveCheckpoint
 from repro.errors import HardwareError, VmmError
 from repro.hardware.cluster import build_agc_cluster
 from repro.storage.nfs import NfsServer
-from repro.testbed import create_job, provision_vms
+from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB, MiB
 from repro.vmm.guest_memory import PageClass
 from repro.vmm.qemu import QemuProcess
@@ -163,19 +163,12 @@ def test_snapshot_and_restore_roundtrip(setup):
 # -- ProactiveCheckpoint over a live job ----------------------------------------------------
 
 
-def _busy(proc, comm):
-    for _ in range(100_000):
-        yield proc.vm.compute(0.2, nthreads=1)
-        yield from comm.barrier()
-    return None
-
-
 def test_proactive_checkpoint_and_restore():
     cluster = build_agc_cluster(ib_nodes=2, eth_nodes=2)
     vms = provision_vms(cluster, ["ib01", "ib02"], memory_bytes=4 * GiB)
     job = create_job(cluster, vms, procs_per_vm=1)
     drive(cluster.env, job.init(), name="init")
-    job.launch(_busy)
+    job.launch(busy_rank)
     store = NfsServer(cluster.env)
     ckpt = ProactiveCheckpoint(cluster, store)
 

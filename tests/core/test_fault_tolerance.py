@@ -17,17 +17,10 @@ from repro.incident.manager import IncidentManager
 from repro.incident.telemetry import HOST_PHI, TelemetrySample
 from repro.orchestrator import FleetOrchestrator
 from repro.recovery.failure_detector import HeartbeatMonitor
-from repro.testbed import create_job, provision_vms
+from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB
 from repro.vmm.vm import RunState
 from tests.conftest import drive
-
-
-def _busy(proc, comm):
-    for _ in range(1_000_000):
-        yield proc.vm.compute(0.2, nthreads=1)
-        yield from comm.barrier()
-    return None
 
 
 def _setup(ib=2, eth=4, heartbeats=False):
@@ -36,7 +29,7 @@ def _setup(ib=2, eth=4, heartbeats=False):
     vms = provision_vms(cluster, hosts, memory_bytes=4 * GiB)
     job = create_job(cluster, vms, procs_per_vm=1)
     drive(cluster.env, job.init(), name="init")
-    job.launch(_busy)
+    job.launch(busy_rank)
     orch = FleetOrchestrator(cluster)
     orch.register_job("j0", job, vms)
     monitor = None

@@ -5,7 +5,7 @@ import pytest
 from repro.core.ninja import NinjaMigration
 from repro.core.plan import MigrationPlan
 from repro.hardware.cluster import build_agc_cluster
-from repro.testbed import create_job, provision_vms
+from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB
 from tests.conftest import drive
 
@@ -17,13 +17,6 @@ def _setup(ib=2, eth=2, ppv=1, vm_gib=4):
     job = create_job(cluster, vms, procs_per_vm=ppv)
     drive(cluster.env, job.init(), name="init")
     return cluster, vms, job
-
-
-def _busy(proc, comm):
-    for _ in range(100_000):
-        yield proc.vm.compute(0.2, nthreads=1)
-        yield from comm.barrier()
-    return None
 
 
 def _execute(cluster, job, plan):
@@ -38,7 +31,7 @@ def _execute(cluster, job, plan):
 
 def test_fallback_sequence(cluster44=None):
     cluster, vms, job = _setup()
-    job.launch(_busy)
+    job.launch(busy_rank)
     plan = MigrationPlan.build(cluster, vms, ["eth01", "eth02"], attach_ib=False, label="fb")
     result = _execute(cluster, job, plan)
     b = result.breakdown
@@ -59,7 +52,7 @@ def test_fallback_sequence(cluster44=None):
 
 def test_recovery_sequence_restores_ib():
     cluster, vms, job = _setup()
-    job.launch(_busy)
+    job.launch(busy_rank)
     # First fall back…
     fb = MigrationPlan.build(cluster, vms, ["eth01", "eth02"], attach_ib=False)
     _execute(cluster, job, fb)
@@ -85,7 +78,7 @@ def test_recovery_without_continue_like_restart_stays_on_tcp():
         cluster, vms, procs_per_vm=1, ft=FtSettings(continue_like_restart=False)
     )
     drive(cluster.env, job.init(), name="init")
-    job.launch(_busy)
+    job.launch(busy_rank)
     fb = MigrationPlan.build(cluster, vms, ["eth01", "eth02"], attach_ib=False)
     _execute(cluster, job, fb)
     rc = MigrationPlan.build(cluster, vms, ["ib01", "ib02"], attach_ib=True)
@@ -98,7 +91,7 @@ def test_recovery_without_continue_like_restart_stays_on_tcp():
 
 def test_self_migration_table2_shape():
     cluster, vms, job = _setup()
-    job.launch(_busy)
+    job.launch(busy_rank)
     ninja = NinjaMigration(cluster)
     plan = ninja.self_migration_plan(vms, attach_ib=True)
     result = _execute(cluster, job, plan)
@@ -113,7 +106,7 @@ def test_self_migration_table2_shape():
 
 def test_noise_factor_reset_after_execute():
     cluster, vms, job = _setup()
-    job.launch(_busy)
+    job.launch(busy_rank)
     plan = MigrationPlan.build(cluster, vms, ["eth01", "eth02"], attach_ib=False)
     _execute(cluster, job, plan)
     assert all(q.hotplug.noise_factor == 1.0 for q in vms)
@@ -121,7 +114,7 @@ def test_noise_factor_reset_after_execute():
 
 def test_history_records_results():
     cluster, vms, job = _setup()
-    job.launch(_busy)
+    job.launch(busy_rank)
     ninja = NinjaMigration(cluster)
     plan = ninja.fallback_plan(vms, ["eth01", "eth02"])
 
@@ -135,7 +128,7 @@ def test_history_records_results():
 
 def test_migration_stats_per_vm():
     cluster, vms, job = _setup()
-    job.launch(_busy)
+    job.launch(busy_rank)
     plan = MigrationPlan.build(cluster, vms, ["eth01", "eth02"], attach_ib=False)
     result = _execute(cluster, job, plan)
     assert set(result.migration_stats) == {q.vm.name for q in vms}

@@ -11,7 +11,7 @@ from repro.core.faults import RetryPolicy
 from repro.core.ninja import NinjaMigration
 from repro.errors import QmpError
 from repro.sim.rng import RngRegistry
-from repro.testbed import create_job, provision_vms
+from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB
 from repro.hardware.cluster import build_agc_cluster
 from tests.conftest import drive
@@ -19,19 +19,12 @@ from tests.conftest import drive
 pytestmark = pytest.mark.faults
 
 
-def _busy(proc, comm):
-    for _ in range(100_000):
-        yield proc.vm.compute(0.2, nthreads=1)
-        yield from comm.barrier()
-    return None
-
-
 def _setup(seed=0):
     cluster = build_agc_cluster(ib_nodes=2, eth_nodes=2, seed=seed)
     vms = provision_vms(cluster, ["ib01", "ib02"], memory_bytes=1 * GiB)
     job = create_job(cluster, vms, procs_per_vm=1)
     drive(cluster.env, job.init(), name="init")
-    job.launch(_busy)
+    job.launch(busy_rank)
     return cluster, vms, job
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core.scheduler import CloudScheduler
 from repro.errors import SchedulerError
 from repro.hardware.cluster import build_agc_cluster
-from repro.testbed import create_job, provision_vms
+from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB
 from tests.conftest import drive
 
@@ -17,13 +17,6 @@ def _setup(ib=2, eth=2):
     job = create_job(cluster, vms, procs_per_vm=1)
     drive(cluster.env, job.init(), name="init")
     return cluster, vms, job
-
-
-def _busy(proc, comm):
-    for _ in range(100_000):
-        yield proc.vm.compute(0.2, nthreads=1)
-        yield from comm.barrier()
-    return None
 
 
 def test_fallback_placement_spreads():
@@ -69,7 +62,7 @@ def test_recovery_excludes_occupied_ib_hosts():
 def test_scheduled_trigger_runs_ninja():
     cluster, vms, job = _setup()
     env = cluster.env
-    job.launch(_busy)
+    job.launch(busy_rank)
     scheduler = CloudScheduler(cluster)
     plan = scheduler.plan_fallback(vms)
     trigger = scheduler.schedule(5.0, "maintenance", plan, job)

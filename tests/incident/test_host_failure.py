@@ -92,7 +92,7 @@ class TestCrashResume:
     @pytest.mark.parametrize("site", ALL_CRASH_SITES)
     def test_crash_at_every_journal_site_converges(self, site):
         r = run_host_failure_scenario(
-            jobs=2, spares=1, crash_during_restore=True, crash_site=site
+            jobs=2, spares=1, crash_site=site
         )
         assert r.crashed
         assert r.all_resolved
@@ -106,7 +106,7 @@ class TestCrashResume:
     def test_restore_site_crashes_resume_via_successor(self):
         r = run_host_failure_scenario(
             jobs=2, spares=1,
-            crash_during_restore=True, crash_site=RESTORE_BOOT_SITE,
+            crash_site=RESTORE_BOOT_SITE,
         )
         assert r.resumed_incidents >= 1
 
@@ -115,7 +115,7 @@ class TestCrashResume:
         # record: the successor must adopt them, not boot a second set.
         r = run_host_failure_scenario(
             jobs=2, spares=1,
-            crash_during_restore=True, crash_site=RESTORE_COMMIT_SITE,
+            crash_site=RESTORE_COMMIT_SITE,
         )
         assert r.adopted_vms
         assert r.double_restored == []
@@ -124,7 +124,7 @@ class TestCrashResume:
         clean = run_host_failure_scenario(jobs=2, spares=1)
         crashed = run_host_failure_scenario(
             jobs=2, spares=1,
-            crash_during_restore=True, crash_site=RESTORE_INTENT_SITE,
+            crash_site=RESTORE_INTENT_SITE,
         )
         assert crashed.restored_jobs == clean.restored_jobs
         assert crashed.lost_vms == clean.lost_vms == []

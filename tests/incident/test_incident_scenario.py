@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.incident.scenario import (
-    build_incident_cluster,
-    run_incident_scenario,
-)
+from repro.incident.scenario import CRASH_SITE, run_incident_scenario
+from repro.orchestrator.scenario import build_fleet_cluster
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +60,7 @@ class TestCrashDuringRemediation:
     @pytest.fixture(scope="class")
     def crash_result(self):
         return run_incident_scenario(
-            jobs=4, autonomous=True, crash_during_remediation=True
+            jobs=4, autonomous=True, crash_site=CRASH_SITE
         )
 
     def test_controller_crashed_and_successor_resumed(self, crash_result):
@@ -101,7 +99,7 @@ class TestNonAutonomousBaseline:
 
 class TestIncidentCluster:
     def test_spares_sit_in_the_primary_site(self):
-        cluster = build_incident_cluster(4, spares=2)
+        cluster = build_fleet_cluster(4, spares=2)
         assert {"sp01", "sp02"}.issubset(set(cluster.nodes))
         topo = cluster.eth_fabric.topology
         # A spare is reachable from an IB blade without the WAN.
@@ -110,4 +108,4 @@ class TestIncidentCluster:
 
     def test_too_small_estate_rejected(self):
         with pytest.raises(ValueError):
-            build_incident_cluster(1)
+            build_fleet_cluster(1)

@@ -18,7 +18,7 @@ import pytest
 from repro.core.faults import RetryPolicy
 from repro.core.ninja import PHASES, NinjaMigration
 from repro.errors import QmpError
-from repro.testbed import create_job, provision_vms
+from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB
 from repro.vmm.vm import RunState
 from tests.conftest import drive
@@ -30,19 +30,12 @@ pytestmark = pytest.mark.faults
 PLAN_KINDS = ("fallback", "recovery", "self")
 
 
-def _busy(proc, comm):
-    for _ in range(100_000):
-        yield proc.vm.compute(0.2, nthreads=1)
-        yield from comm.barrier()
-    return None
-
-
 def _setup(vm_gib=1):
     cluster = build_agc_cluster(ib_nodes=2, eth_nodes=2)
     vms = provision_vms(cluster, ["ib01", "ib02"], memory_bytes=vm_gib * GiB)
     job = create_job(cluster, vms, procs_per_vm=1)
     drive(cluster.env, job.init(), name="init")
-    job.launch(_busy)
+    job.launch(busy_rank)
     return cluster, vms, job
 
 

@@ -5,17 +5,11 @@ import math
 from repro.incident.manager import IncidentManager
 from repro.incident.telemetry import HOST_PHI, TelemetrySample
 from repro.orchestrator import FleetConfig, FleetOrchestrator
-from repro.testbed import create_job, provision_vms
+from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB, MiB
 from repro.vmm.guest_memory import PageClass
 
 from tests.conftest import drive
-
-
-def _busy(proc, comm):
-    for _ in range(100_000):
-        yield proc.vm.compute(0.2, nthreads=1)
-        yield from comm.barrier()
 
 
 def _register(orch, cluster, job_id, hosts, tenant="default", data=32 * MiB):
@@ -24,7 +18,7 @@ def _register(orch, cluster, job_id, hosts, tenant="default", data=32 * MiB):
     drive(cluster.env, job.init(), name=f"init.{job_id}")
     for q in qemus:
         q.vm.memory.write(0, data, PageClass.DATA)
-    job.launch(_busy)
+    job.launch(busy_rank)
     orch.register_job(job_id, job, qemus, tenant=tenant)
     return qemus
 

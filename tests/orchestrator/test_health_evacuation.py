@@ -9,22 +9,16 @@ from repro.incident.manager import IncidentManager
 from repro.network.degradation import DegradationEvent, NetworkChaos
 from repro.orchestrator.executor import FleetOrchestrator
 from repro.recovery.failure_detector import HeartbeatMonitor
-from repro.testbed import create_job, provision_vms
+from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB
 from tests.conftest import drive
-
-
-def _busy(proc, comm):
-    for _ in range(100_000):
-        yield proc.vm.compute(0.2, nthreads=1)
-        yield from comm.barrier()
 
 
 def _register(orch, cluster, job_id, hosts):
     qemus = provision_vms(cluster, hosts, memory_bytes=1 * GiB)
     job = create_job(cluster, qemus, procs_per_vm=1)
     drive(cluster.env, job.init(), name=f"init.{job_id}")
-    job.launch(_busy)
+    job.launch(busy_rank)
     orch.register_job(job_id, job, qemus)
     return qemus
 

@@ -25,7 +25,7 @@ from repro.guestos.process import MemoryWriter
 from repro.hardware.cluster import build_agc_cluster
 from repro.network.degradation import DegradationEvent, NetworkChaos
 from repro.recovery.recovery import RecoveryManager
-from repro.testbed import create_job, provision_vms
+from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB, MiB
 from repro.vmm.guest_memory import PageClass
 from repro.vmm.policy import MigrationPolicy
@@ -128,13 +128,6 @@ def test_no_schedule_breaks_a_single_migration(events, postcopy):
     _assert_safety(cluster, [qemu])
 
 
-def _busy(proc, comm):
-    for _ in range(100_000):
-        yield proc.vm.compute(0.2, nthreads=1)
-        yield from comm.barrier()
-    return None
-
-
 @given(events=degradation_events(patterns=("*", "eth01*")))
 @settings(max_examples=8, deadline=None)
 def test_no_schedule_wedges_a_ninja_sequence(events):
@@ -143,7 +136,7 @@ def test_no_schedule_wedges_a_ninja_sequence(events):
     vms = provision_vms(cluster, ["ib01", "ib02"], memory_bytes=1 * GiB)
     job = create_job(cluster, vms, procs_per_vm=1)
     drive(env, job.init(), name="init")
-    job.launch(_busy)
+    job.launch(busy_rank)
     ninja = NinjaMigration(
         cluster, migration_policy=MigrationPolicy.adaptive(postcopy="fallback")
     )

@@ -18,17 +18,11 @@ from hypothesis import strategies as st
 
 from repro.hardware.cluster import build_agc_cluster
 from repro.orchestrator import FleetConfig, FleetOrchestrator
-from repro.testbed import create_job, provision_vms
+from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB, MiB
 from repro.vmm.guest_memory import PageClass
 
 from tests.conftest import drive
-
-
-def _busy(proc, comm):
-    for _ in range(100_000):
-        yield proc.vm.compute(0.2, nthreads=1)
-        yield from comm.barrier()
 
 
 job_strategy = st.lists(
@@ -64,7 +58,7 @@ def test_no_oversubscription_and_clean_settlement(jobs, max_per_tenant, inject_f
         job = create_job(cluster, qemus)
         drive(env, job.init(), name=f"init.j{i}")
         qemus[0].vm.memory.write(0, data_mib * MiB, PageClass.DATA)
-        job.launch(_busy)
+        job.launch(busy_rank)
         orch.register_job(f"j{i}", job, qemus, tenant=f"t{tenant}")
         origins[f"j{i}"] = host
 
@@ -149,7 +143,7 @@ def test_crash_recovery_leaves_no_wreckage(point, data_mib, vm_count):
     drive(env, job.init(), name="init")
     for q in vms:
         q.vm.memory.write(0, data_mib * MiB, PageClass.DATA)
-    job.launch(_busy)
+    job.launch(busy_rank)
 
     ninja = NinjaMigration(cluster)
     plan = ninja.fallback_plan(vms, ["eth01", "eth02"][:vm_count])

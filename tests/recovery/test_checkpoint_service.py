@@ -5,26 +5,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.incident.scenario import build_incident_cluster
-from repro.orchestrator.executor import FleetOrchestrator
-from repro.orchestrator.scenario import _busy, _provision_fleet
+from repro.orchestrator.executor import FleetConfig
+from repro.orchestrator.scenario import build_estate
 from repro.recovery.checkpoints import FleetCheckpointService
 from repro.storage.nfs import NfsServer
 from repro.units import gbps
 
 
 def _mini_fleet(jobs=2, period_s=10.0, keep_generations=2):
-    cluster = build_incident_cluster(jobs, spares=1)
-    env = cluster.env
-    orch = FleetOrchestrator(cluster)
-    nfs = NfsServer(env, bandwidth_Bps=gbps(40.0) * 0.7)
+    estate = build_estate(jobs, 1, FleetConfig(), spares=1, tenants=1)
+    cluster, orch = estate.cluster, estate.orch
+    nfs = NfsServer(cluster.env, bandwidth_Bps=gbps(40.0) * 0.7)
     service = FleetCheckpointService(
         cluster, orch.store, nfs, orch.journal,
         period_s=period_s, keep_generations=keep_generations,
     )
-    records = _provision_fleet(cluster, jobs, 1, 1)
-    for job_id, tenant, job, qemus, _ in records:
-        orch.register_job(job_id, job, qemus, tenant=tenant, rank_main=_busy)
     return cluster, orch, nfs, service
 
 

@@ -22,7 +22,7 @@ from repro.core.ninja import NinjaMigration
 from repro.errors import ControllerCrashError, StaleEpochError
 from repro.recovery.recovery import RecoveryManager
 from repro.symvirt.controller import Controller
-from repro.testbed import create_job, provision_vms
+from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB
 from repro.vmm.vm import RunState
 from tests.conftest import drive
@@ -60,19 +60,12 @@ ORIGINS = {"vm1": "ib01", "vm2": "ib02"}
 DESTINATIONS = {"vm1": "eth01", "vm2": "eth02"}
 
 
-def _busy(proc, comm):
-    for _ in range(100_000):
-        yield proc.vm.compute(0.2, nthreads=1)
-        yield from comm.barrier()
-    return None
-
-
 def _setup():
     cluster = build_agc_cluster(ib_nodes=2, eth_nodes=2)
     vms = provision_vms(cluster, ["ib01", "ib02"], memory_bytes=1 * GiB)
     job = create_job(cluster, vms, procs_per_vm=1)
     drive(cluster.env, job.init(), name="init")
-    job.launch(_busy)
+    job.launch(busy_rank)
     return cluster, vms, job
 
 

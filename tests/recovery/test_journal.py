@@ -109,6 +109,21 @@ def test_jsonl_round_trip(tmp_path):
     ]
 
 
+def test_ids_are_per_journal_and_survive_a_reload(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    journal = MigrationJournal(path=str(path))
+    for _ in range(2):
+        journal.append("request", request=journal.next_id("request"), job="j0")
+    journal.append("incident-open", incident=journal.next_id("incident"))
+    journal.close()
+
+    assert MigrationJournal().next_id("request") == 1  # fresh run, fresh ids
+    # A successor that reloads the journal continues the numbering.
+    loaded = MigrationJournal.load(str(path))
+    assert loaded.next_id("request") == 3
+    assert loaded.next_id("incident") == 2
+
+
 def test_prefix_replay_never_overstates_progress():
     """Replaying any journal prefix claims at most what the full journal
     does — the crash-at-any-record safety property."""

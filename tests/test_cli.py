@@ -175,7 +175,7 @@ def test_incident_host_failure_drill(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "host-failure drill" in out
     assert "RPO:" in out and "restore RTO" in out
-    assert "lost VMs: none" in out
+    assert "lost VMs:  none" in out
     assert "restored:  j0" in out
     assert trace.exists()
 
@@ -187,7 +187,43 @@ def test_incident_host_failure_crash_during_restore(capsys):
     out = capsys.readouterr().out
     assert "host-failure drill" in out
     assert "crash armed at incident.restore" in out
-    assert "lost VMs: none" in out
+    assert "lost VMs:  none" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--naive"],
+    ["--inject-site", "ninja.attach"],
+    ["--inject-nth", "2"],
+    ["--inject-transient"],
+    ["--degrade", "drop@t=1+5"],
+    ["--postcopy", "fallback"],
+    ["--viability-floor-gbps", "0.5"],
+])
+def test_fleet_crash_drill_rejects_flags_it_ignores(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["fleet", "--crash-at-time", "5", *flags])
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+
+
+def test_fleet_no_recover_needs_crash_at_time(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fleet", "--no-recover"])
+    assert exc.value.code == 2
+    assert "--no-recover needs --crash-at-time" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kill-host", "eth01"],
+    ["--kill-at", "12"],
+    ["--checkpoint-period", "20"],
+    ["--crash-during-restore"],
+])
+def test_incident_host_failure_flags_reject_remediation_crash(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["incident", "--crash-during-remediation", *flags])
+    assert exc.value.code == 2
+    assert "--crash-during-remediation" in capsys.readouterr().err
 
 
 def test_demo_postcopy_always_flag(capsys):

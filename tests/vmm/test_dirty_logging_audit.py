@@ -13,7 +13,7 @@ from repro.core.ninja import NinjaMigration
 from repro.errors import ReproError
 from repro.guestos.process import MemoryWriter
 from repro.network.degradation import DegradationEvent, NetworkChaos
-from repro.testbed import create_job, provision_vms
+from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB, MiB
 from repro.vmm.guest_memory import PageClass
 from repro.vmm.policy import MigrationPolicy
@@ -127,13 +127,6 @@ def test_postcopy_vm_loss_is_the_only_parked_exception(cluster, qemu):
     assert vm.cpu_throttle == 0.0
 
 
-def _busy(proc, comm):
-    for _ in range(100_000):
-        yield proc.vm.compute(0.2, nthreads=1)
-        yield from comm.barrier()
-    return None
-
-
 @pytest.mark.parametrize("site", ["ninja.migration", "ninja.attach", "ninja.confirm"])
 def test_ninja_abort_rollback_leaves_memory_clean(site):
     """An aborted + rolled-back Ninja sequence leaves every guest with
@@ -144,7 +137,7 @@ def test_ninja_abort_rollback_leaves_memory_clean(site):
     vms = provision_vms(cluster, ["ib01", "ib02"], memory_bytes=1 * GiB)
     job = create_job(cluster, vms, procs_per_vm=1)
     drive(cluster.env, job.init(), name="init")
-    job.launch(_busy)
+    job.launch(busy_rank)
     cluster.faults.arm(site)
 
     ninja = NinjaMigration(cluster)
