@@ -1,22 +1,50 @@
 """Point-to-point plumbing: message matching and outstanding-send tracking.
 
-The matching engine is a filtered mailbox per process: envelopes deposited
-by BTL modules wait until a matching receive is posted (source/tag
-wildcards supported).  Receives are *cancellable* so the progress engine
-can abandon a blocked receive to service a checkpoint request — without
-this, a rank blocked in ``MPI_Recv`` would deadlock the CRCP quiesce.
+The matching engine keeps, per process, the posted receives that wait
+for a message and the unexpected messages that wait for a receive.
+Unexpected messages sit in one FIFO bucket per ``(comm_id, src, tag)``,
+so a fully specified receive matches in O(1); a wildcard receive
+(``ANY_SOURCE`` / ``ANY_TAG``) takes, among the heads of the matching
+buckets, the message that arrived first.  Either way a receive gets the
+earliest-arrived matching message, and a message goes to the earliest
+posted matching receive.  Receives are *cancellable* so the progress
+engine can abandon a blocked receive to service a checkpoint request —
+without this, a rank blocked in ``MPI_Recv`` would deadlock the CRCP
+quiesce.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Set
+from collections import deque
+from itertools import count
+from typing import TYPE_CHECKING, Optional
 
-from repro.mpi.datatypes import Message
+from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, Message
 from repro.sim.events import Event
-from repro.sim.resources import Store, StoreGet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
+
+#: Bucket key of an unexpected message: (comm_id, src, tag).
+_Key = tuple[int, int, int]
+
+
+class PostedRecv(Event):
+    """A posted receive; fires with the matched :class:`Message`."""
+
+    __slots__ = ("src", "tag", "comm_id", "_engine")
+
+    def __init__(self, engine: "MatchingEngine", src: int, tag: int, comm_id: int) -> None:
+        super().__init__(engine.env)
+        self.src = src
+        self.tag = tag
+        self.comm_id = comm_id
+        self._engine = engine
+
+    def cancel(self) -> None:
+        """Withdraw an unmatched receive (it will never steal a message)."""
+        if not self.triggered and self in self._engine._posted:
+            self._engine._posted.remove(self)
 
 
 class MatchingEngine:
@@ -24,27 +52,60 @@ class MatchingEngine:
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
-        self._mailbox = Store(env)
-        #: Envelopes delivered / matched (diagnostics).
+        #: Unexpected messages per bucket, each tagged with its arrival number.
+        self._unexpected: dict[_Key, deque[tuple[int, Message]]] = {}
+        #: Unmatched posted receives, in posting order.
+        self._posted: list[PostedRecv] = []
+        self._arrivals = count()
+        #: Envelopes delivered (diagnostics).
         self.delivered = 0
-        self.matched = 0
 
     def deliver(self, message: Message) -> None:
-        """Transport completed: enqueue the envelope for matching."""
+        """Transport completed: hand the envelope to a posted receive or queue it."""
         self.delivered += 1
-        self._mailbox.put(message)
+        for recv in self._posted:
+            if message.comm_id == recv.comm_id and message.matches(recv.src, recv.tag):
+                self._posted.remove(recv)
+                recv.succeed(message)
+                return
+        key = (message.comm_id, message.src, message.tag)
+        bucket = self._unexpected.get(key)
+        if bucket is None:
+            bucket = self._unexpected[key] = deque()
+        bucket.append((next(self._arrivals), message))
 
-    def post_recv(self, src: int, tag: int, comm_id: int) -> StoreGet:
+    def post_recv(self, src: int, tag: int, comm_id: int) -> PostedRecv:
         """Post a receive; the returned (cancellable) event yields the message."""
+        recv = PostedRecv(self, src, tag, comm_id)
+        key = self._earliest_match(src, tag, comm_id)
+        if key is None:
+            self._posted.append(recv)
+            return recv
+        bucket = self._unexpected[key]
+        _, message = bucket.popleft()
+        if not bucket:
+            del self._unexpected[key]
+        recv.succeed(message)
+        return recv
 
-        def _match(message: Message) -> bool:
-            return message.comm_id == comm_id and message.matches(src, tag)
-
-        return self._mailbox.get(_match)
+    def _earliest_match(self, src: int, tag: int, comm_id: int) -> Optional[_Key]:
+        """Bucket holding the earliest-arrived message a receive would match."""
+        if src != ANY_SOURCE and tag != ANY_TAG:
+            key = (comm_id, src, tag)
+            return key if key in self._unexpected else None
+        best: Optional[_Key] = None
+        best_arrival = 0
+        for key, bucket in self._unexpected.items():
+            c, s, t = key
+            if c == comm_id and src in (ANY_SOURCE, s) and tag in (ANY_TAG, t):
+                arrival = bucket[0][0]
+                if best is None or arrival < best_arrival:
+                    best, best_arrival = key, arrival
+        return best
 
     def pending_count(self) -> int:
         """Unexpected messages currently queued."""
-        return len(self._mailbox)
+        return sum(len(bucket) for bucket in self._unexpected.values())
 
 
 class SendTracker:
@@ -52,11 +113,14 @@ class SendTracker:
 
     The CRCP coordination protocol must reach a state with no in-flight
     traffic before checkpointing; :meth:`drain` is the event it waits on.
+    A blocking send runs inside its rank, which cannot quiesce until the
+    send returns, so only non-blocking sends are tracked.
     """
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
-        self._outstanding: Set[Event] = set()
+        self._outstanding: set[Event] = set()
+        #: Sends issued, blocking and non-blocking (diagnostics).
         self.total_sends = 0
 
     def track(self, done: Event) -> Event:

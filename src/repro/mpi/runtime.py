@@ -26,7 +26,7 @@ from repro.mpi.crcp import CrcpCoordinator
 from repro.mpi.crs import OpalCrs
 from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, Message
 from repro.mpi.ft import FtSettings
-from repro.mpi.p2p import MatchingEngine, SendTracker
+from repro.mpi.p2p import MatchingEngine, PostedRecv, SendTracker
 from repro.sim.events import Event
 from repro.sim.process import Interrupt
 from repro.vmm.guest_memory import PageClass
@@ -37,6 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
     from repro.vmm.qemu import QemuProcess
     from repro.vmm.vm import VirtualMachine
+
+#: What :meth:`MpiProcess._notify_cr` fires a parked receive with.
+_CR_WAKE = object()
 
 
 class MpiProcess:
@@ -52,7 +55,8 @@ class MpiProcess:
         self.btl = BtlSelection(self, registry=job.btl_registry)
         #: CR round bookkeeping.
         self._serviced_round = 0
-        self._cr_waiters: List[Event] = []
+        #: The receive a blocking ``recv`` is parked on (a CR request wakes it).
+        self._posted_recv: Optional[PostedRecv] = None
         #: Set while the rank is inside the CR sequence.
         self.in_checkpoint = False
 
@@ -78,20 +82,18 @@ class MpiProcess:
     def cr_pending(self) -> bool:
         return self.job.cr_round > self._serviced_round and not self.in_checkpoint
 
-    def cr_event(self) -> Event:
-        """Event firing when a CR request is (or becomes) pending."""
-        event = Event(self.env)
-        if self.cr_pending:
-            event.succeed()
-        else:
-            self._cr_waiters.append(event)
-        return event
-
     def _notify_cr(self) -> None:
-        waiters, self._cr_waiters = self._cr_waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.succeed()
+        """Wake the rank if it is parked in a blocking receive.
+
+        The posted receive is withdrawn from matching and fired with
+        :data:`_CR_WAKE`, so :meth:`recv` services the request and
+        re-posts.  A receive that already matched keeps its message; the
+        request then waits for the rank's next MPI call.
+        """
+        recv, self._posted_recv = self._posted_recv, None
+        if recv is not None and not recv.triggered:
+            recv.cancel()
+            recv.succeed(_CR_WAKE)
 
     def maybe_service_cr(self):
         """Entry-point hook: run the CR sequence if a request is pending."""
@@ -135,19 +137,8 @@ class MpiProcess:
             value=value, page_class=page_class,
         )
         module = self.btl.route(peer)
-        done = Event(self.env)
-        self.sends.track(done)
-
-        def _runner():
-            try:
-                yield from module.send(peer, message)
-            except Exception as err:
-                done.fail(err)
-                return
-            done.succeed()
-
-        self.env.process(_runner(), name=f"send.{self.rank}->{dst}")
-        yield done
+        self.sends.total_sends += 1
+        yield from module.send(peer, message)
 
     def isend(
         self,
@@ -163,19 +154,10 @@ class MpiProcess:
             src=self.rank, dst=dst, tag=tag, nbytes=int(nbytes), comm_id=comm_id, value=value
         )
         module = self.btl.route(peer)
-        done = Event(self.env)
-        self.sends.track(done)
-
-        def _runner():
-            try:
-                yield from module.send(peer, message)
-            except Exception as err:
-                done.fail(err)
-                return
-            done.succeed()
-
-        self.env.process(_runner(), name=f"isend.{self.rank}->{dst}")
-        return done
+        # A process of its own, so the send overlaps the caller's receive.
+        return self.sends.track(
+            self.env.process(module.send(peer, message), name=f"isend.{self.rank}->{dst}")
+        )
 
     def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG, comm_id: int = 0):
         """Blocking receive, interruptible by checkpoint requests.
@@ -185,15 +167,14 @@ class MpiProcess:
         receive is re-posted afterwards (the message, sent before or after
         the migration, is matched whenever it arrives).
         """
-        yield from self.maybe_service_cr()
         while True:
-            get = self.matching.post_recv(src, tag, comm_id)
-            cr = self.cr_event()
-            yield self.env.any_of([get, cr])
-            if get.triggered:
-                return get.value
-            get.cancel()
-            yield from self.service_cr()
+            yield from self.maybe_service_cr()
+            recv = self.matching.post_recv(src, tag, comm_id)
+            self._posted_recv = recv
+            message = yield recv
+            self._posted_recv = None
+            if message is not _CR_WAKE:
+                return message
 
     def sendrecv(
         self,

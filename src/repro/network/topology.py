@@ -45,12 +45,6 @@ class Topology:
         self.graph.add_edge(a, b, link=link)
         self._path_cache.clear()
 
-    def remove_endpoint(self, name: str) -> None:
-        """Drop a node and its links (decommissioning)."""
-        if name in self.graph:
-            self.graph.remove_node(name)
-            self._path_cache.clear()
-
     # -- queries -----------------------------------------------------------------
 
     def has(self, name: str) -> bool:

@@ -26,7 +26,7 @@ Quick example::
 from repro.sim.core import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Container, PriorityResource, Resource
 from repro.sim.fairshare import FairShare, FairShareTask, maxmin_rates
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecord, Tracer
@@ -44,7 +44,6 @@ __all__ = [
     "Process",
     "Resource",
     "RngRegistry",
-    "Store",
     "Timeout",
     "TraceRecord",
     "Tracer",

@@ -1,11 +1,9 @@
 """Shared resources for simulation processes.
 
-* :class:`Resource` — a counted semaphore (e.g. PCI hotplug slot lock,
-  QEMU monitor serialization).
+* :class:`Resource` — a counted semaphore with FIFO waiters.
 * :class:`PriorityResource` — same, with priority-ordered waiters.
-* :class:`Container` — continuous quantity (e.g. bytes of free host RAM).
-* :class:`Store` — FIFO queue of Python objects (e.g. QMP command channel,
-  the MPI out-of-band channel, hypercall mailboxes).
+* :class:`Container` — continuous quantity with FIFO ``get`` requests
+  (a host's free RAM).
 
 All acquire/release operations are events; processes ``yield`` them.
 """
@@ -14,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
@@ -188,74 +186,3 @@ class Container:
             amount, event = self._getters.pop(0)
             self._level -= amount
             event.succeed(amount)
-
-
-class StoreGet(Event):
-    """Pending retrieval from a :class:`Store`."""
-
-    __slots__ = ("filter", "_store")
-
-    def __init__(self, store: "Store", filter: Optional[Callable[[Any], bool]]) -> None:
-        super().__init__(store.env)
-        self.filter = filter
-        self._store = store
-        store._getters.append(self)
-        store._serve()
-
-    def cancel(self) -> None:
-        """Withdraw an unfulfilled get (it will never steal an item)."""
-        if not self.triggered and self in self._store._getters:
-            self._store._getters.remove(self)
-
-
-class Store:
-    """FIFO queue of arbitrary items with blocking ``get``.
-
-    ``get(filter=...)`` retrieves the first item matching a predicate,
-    which is how tagged mailboxes (MPI message matching, QMP replies)
-    are built.
-    """
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        self.env = env
-        self.capacity = capacity
-        self.items: list[Any] = []
-        self._getters: list[StoreGet] = []
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> None:
-        """Append an item (stores are unbounded by default)."""
-        if len(self.items) >= self.capacity:
-            raise SimulationError("store is full")
-        self.items.append(item)
-        self._serve()
-
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        """Return an event that fires with the next (matching) item."""
-        return StoreGet(self, filter)
-
-    def _serve(self) -> None:
-        # Repeatedly try to satisfy waiting getters in arrival order.
-        progress = True
-        while progress:
-            progress = False
-            for getter in list(self._getters):
-                if getter.triggered:
-                    self._getters.remove(getter)
-                    continue
-                index = self._find(getter.filter)
-                if index is not None:
-                    item = self.items.pop(index)
-                    self._getters.remove(getter)
-                    getter.succeed(item)
-                    progress = True
-
-    def _find(self, filter: Optional[Callable[[Any], bool]]) -> Optional[int]:
-        if filter is None:
-            return 0 if self.items else None
-        for i, item in enumerate(self.items):
-            if filter(item):
-                return i
-        return None

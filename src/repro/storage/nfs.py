@@ -68,15 +68,6 @@ class NfsServer:
     def images(self) -> list[StoredImage]:
         return sorted(self._images.values(), key=lambda i: i.name)
 
-    def images_with_prefix(self, prefix: str) -> list[StoredImage]:
-        """All stored images whose name starts with ``prefix`` (sorted).
-
-        Checkpoint generations share a per-VM prefix
-        (``vm.memsnap@g1``, ``@g2``, …); retention pruning and restore
-        lookups both enumerate them this way.
-        """
-        return [i for i in self.images() if i.name.startswith(prefix)]
-
     def delete(self, name: str) -> None:
         image = self.image(name)
         self.used_bytes -= image.nbytes

@@ -49,11 +49,6 @@ class HypercallChannel:
             raise SymVirtError("register count must be positive")
         self._registered += count
 
-    def unregister(self, count: int = 1) -> None:
-        self._registered -= count
-        if self._registered < 0:
-            raise SymVirtError("unregistered more contexts than registered")
-
     def symvirt_wait(self):
         """Guest context blocks until the VMM signals (generator).
 

@@ -136,32 +136,34 @@ class VirtualMachine:
     def compute(self, cpu_seconds: float, nthreads: Optional[int] = None) -> Event:
         """Run a compute phase on the VM's vCPUs (host-CPU fair share).
 
-        Blocks first on the run gate, so paused VMs make no progress.
-        Returns an event; workload processes ``yield`` it.
+        A paused VM makes no progress: the phase starts when the run gate
+        reopens.  Returns an event; workload processes ``yield`` it.
         """
         threads = self.vcpus if nthreads is None else min(nthreads, self.vcpus)
-        done = Event(self.env)
+        if self.run_gate.is_open:
+            return self._run_parallel(cpu_seconds, threads)
+        return self.env.process(
+            self._compute_after_gate(cpu_seconds, threads), name=f"{self.name}.compute"
+        )
 
-        def _run():
-            yield self.run_gate.passage()
-            node = self.host_node()
-            factor = 1.0
-            if self.qemu is not None:
-                factor = node.contention_factor(
-                    self.qemu.calibration.busy_poll_overcommit_exponent
-                )
-            # Auto-converge throttling stretches guest CPU time: a guest
-            # keeping cpu_share of its vCPUs takes 1/cpu_share as long.
-            barrier = node.cpu.run_parallel(
-                cpu_seconds * factor / self.cpu_share,
-                threads,
-                label=f"{self.name}.compute",
+    def _compute_after_gate(self, cpu_seconds: float, threads: int):
+        yield self.run_gate.passage()
+        yield self._run_parallel(cpu_seconds, threads)
+
+    def _run_parallel(self, cpu_seconds: float, threads: int) -> Event:
+        node = self.host_node()
+        factor = 1.0
+        if self.qemu is not None:
+            factor = node.contention_factor(
+                self.qemu.calibration.busy_poll_overcommit_exponent
             )
-            yield barrier
-            done.succeed()
-
-        self.env.process(_run(), name=f"{self.name}.compute")
-        return done
+        # Auto-converge throttling stretches guest CPU time: a guest
+        # keeping cpu_share of its vCPUs takes 1/cpu_share as long.
+        return node.cpu.run_parallel(
+            cpu_seconds * factor / self.cpu_share,
+            threads,
+            label=f"{self.name}.compute",
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         host = self.qemu.node.name if self.qemu else "-"

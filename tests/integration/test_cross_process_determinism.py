@@ -4,11 +4,11 @@ Directed links hash by their link's id, drawn from a process-wide
 counter, so a ``frozenset`` of them (the fleet planner's link
 footprints) iterates in an order that depends on how many links the
 process built before.  These runs prove no output depends on that order
-or on string hashing: a scale campaign and a fleet drain, each run in
-two fresh interpreters with different ``PYTHONHASHSEED`` and different
-padding (throwaway links built before each run shift the id, hence the
-set position, of every later directed link), produce byte-identical
-traces and results.
+or on string hashing: a scale campaign, a fleet drain and a Figure 7
+MPI pair (CG class C), each run in two fresh interpreters with different
+``PYTHONHASHSEED`` and different padding (throwaway links built before
+each run shift the id, hence the set position, of every later directed
+link), produce byte-identical traces and results.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
 _CHILD = """
-import hashlib, json, sys
+import dataclasses, hashlib, json, sys
+from repro.analysis.experiments import run_fig7_npb
 from repro.network.links import Link
 from repro.orchestrator.continuous import ScaleConfig, run_scale_scenario
 from repro.orchestrator.scenario import run_fleet_scenario
@@ -59,6 +60,9 @@ print("scale", *digest(scale, result))
 pad()
 fleet = Tracer()
 print("fleet", *digest(fleet, run_fleet_scenario(jobs=2, tracer=fleet)))
+pad()
+fig7 = dataclasses.asdict(run_fig7_npb("CG", class_name="C", migrate_after_s=20.0, seed=0))
+print("mpi", hashlib.sha256(repr(sorted(fig7.items())).encode()).hexdigest(), len(fig7))
 """
 
 
@@ -82,7 +86,7 @@ def test_scale_and_fleet_traces_are_identical_across_hash_seeds():
         assert child.returncode == 0, err
         outputs.append(out.split())
     assert outputs[0] == outputs[1]
-    # Two non-empty traces were digested: (name, digest, record count) x 2.
+    # Three non-empty outcomes were digested: (name, digest, size) x 3.
     names, counts = outputs[0][0::3], outputs[0][2::3]
-    assert names == ["scale", "fleet"]
+    assert names == ["scale", "fleet", "mpi"]
     assert all(int(n) > 0 for n in counts)

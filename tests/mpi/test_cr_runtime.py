@@ -5,6 +5,7 @@ import pytest
 from repro.errors import CheckpointError, MpiError
 from repro.hardware.cluster import build_agc_cluster
 from repro.mpi.crs import CrsCallbacks
+from repro.mpi.datatypes import Message
 from repro.mpi.ft import FtSettings
 from repro.mpi.runtime import MpiJob
 from repro.testbed import create_job, provision_vms
@@ -200,3 +201,97 @@ def test_continue_like_restart_forces_reconstruct(pair):
     env.process(trigger(env))
     env.run(until=job.wait())
     assert [p.btl.generations for p in job.procs] == [g + 1 for g in gen_before]
+
+
+def _held_entries(proc):
+    """Entries in the rank's own containers (where CR bookkeeping lives)."""
+    return sum(len(v) for v in vars(proc).values() if isinstance(v, (list, set, dict)))
+
+
+def test_blocking_receives_leave_constant_cr_state(pair):
+    """Receives without a checkpoint leave nothing behind per call."""
+    cluster, job = pair
+    held_before = [_held_entries(p) for p in job.procs]
+
+    def rank_main(proc, comm):
+        for i in range(200):
+            if comm.rank == i % 2:
+                yield from comm.send(1 - comm.rank, 64, tag=i)
+            else:
+                yield from comm.recv(1 - comm.rank, tag=i)
+        return None
+
+    job.launch(rank_main)
+    cluster.env.run(until=job.wait())
+    assert [_held_entries(p) for p in job.procs] == held_before
+    for proc in job.procs:
+        assert proc.sends.in_flight == 0
+        # No stale posted receive is left to swallow a later message.
+        assert proc.matching.pending_count() == 0
+        proc.deliver(Message(src=1 - proc.rank, dst=proc.rank, tag=0, nbytes=1))
+        assert proc.matching.pending_count() == 1
+
+
+def test_parked_recv_checkpoints_then_takes_message_sent_meanwhile(pair):
+    """The request wakes a parked receive at once; a message that lands
+    during the checkpoint waits unmatched until the receive is re-posted."""
+    cluster, job = pair
+    env = cluster.env
+    seen = {}
+
+    def checkpoint_cb(proc):
+        seen.setdefault("cr", {})[proc.rank] = env.now
+        yield env.timeout(2.0)
+
+    job.crs.register_callbacks(CrsCallbacks(checkpoint=checkpoint_cb))
+
+    def rank_main(proc, comm):
+        if comm.rank == 0:
+            msg = yield from comm.recv(1, tag=9)
+            seen["recv"] = (msg.value, env.now)
+        else:
+            yield proc.vm.compute(1.5, nthreads=1)
+            yield comm.isend(0, 1024, tag=9, value="meanwhile")
+            seen["pending_mid_cr"] = job.proc(0).matching.pending_count()
+            yield from proc.maybe_service_cr()
+        return None
+
+    t0 = env.now  # after MPI_Init
+    job.launch(rank_main)
+
+    def trigger(env):
+        yield env.timeout(1.0)
+        job.request_checkpoint()
+
+    env.process(trigger(env))
+    env.run(until=job.wait())
+    assert seen["cr"][0] < t0 + 1.5
+    assert seen["pending_mid_cr"] == 1
+    value, at = seen["recv"]
+    assert value == "meanwhile" and at >= seen["cr"][0] + 2.0
+    assert job.proc(0).matching.pending_count() == 0
+
+
+def test_rank_terminated_mid_blocking_send_exits_cleanly(pair):
+    cluster, job = pair
+    env = cluster.env
+
+    def rank_main(proc, comm):
+        if comm.rank == 0:
+            yield from comm.send(1, 8 * GiB, tag=1)
+        else:
+            yield from comm.recv(0, tag=1)
+        return None
+
+    ranks = job.launch(rank_main)
+
+    def killer(env):
+        yield env.timeout(0.5)
+        assert all(p.is_alive for p in ranks)
+        job.terminate("host died")
+
+    env.process(killer(env))
+    env.run(until=job.wait())
+    assert [(p.ok, p.value) for p in ranks] == [(True, None), (True, None)]
+    # The abandoned transfer drains without surfacing a failure.
+    env.run(until=env.now + 60.0)
