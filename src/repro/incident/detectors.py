@@ -105,10 +105,12 @@ class Detector:
         if episode is None:
             episode = self._episodes[sample.key] = _Episode()
         if verdict == TRIGGER:
-            episode.count += 1
-            if episode.first is None:
-                episode.first = sample.time
             if not episode.active:
+                # Count toward the debounce only; a latched episode's
+                # count is frozen until a clear resets it.
+                episode.count += 1
+                if episode.first is None:
+                    episode.first = sample.time
                 if episode.count >= self.debounce_samples:
                     episode.active = True
                     episode.last_fire = sample.time
@@ -125,6 +127,24 @@ class Detector:
             episode.active = False
             episode.first = None
         return None
+
+    def idle(self, key: str, value: float) -> bool:
+        """True when observing ``value`` on ``key`` once more would fire no
+        alert and change no state (episode, baseline).
+
+        ``value`` must be the value this detector last observed on
+        ``key``: a sample that merely repeats it may then be withheld
+        without changing any later alert.  The base rule holds for
+        detectors whose verdict depends on the value alone: a settled
+        series (``count == 0``) re-clears, a latched one with no refire
+        re-triggers into a frozen episode.
+        """
+        episode = self._episodes.get(key)
+        if episode is None:
+            return False
+        return episode.count == 0 or (
+            episode.active and self.refire_interval_s is None
+        )
 
     def active_keys(self) -> List[str]:
         return sorted(k for k, e in self._episodes.items() if e.active)
@@ -155,12 +175,28 @@ class OutageDetector(Detector):
 
 
 class _EwmaBaseline:
-    """EWMA that only learns while the series is healthy."""
+    """EWMA that only learns while the series is healthy.
 
-    def __init__(self, alpha: float) -> None:
+    ``samples`` counts warm-up samples only, so once warm an update at
+    the fixed point (:meth:`absorbs`) leaves the baseline bit-identical.
+    """
+
+    def __init__(self, alpha: float, warmup: int) -> None:
         self.alpha = alpha
+        self.warmup = warmup
         self.mean: Optional[float] = None
         self.samples = 0
+
+    @property
+    def warm(self) -> bool:
+        return self.mean is not None and self.samples >= self.warmup
+
+    def absorbs(self, value: float) -> bool:
+        """Learning ``value`` would leave the mean exactly where it is."""
+        return (
+            self.mean is not None
+            and self.alpha * value + (1.0 - self.alpha) * self.mean == self.mean
+        )
 
     def update(self, value: float) -> None:
         self.mean = (
@@ -168,10 +204,62 @@ class _EwmaBaseline:
             if self.mean is None
             else self.alpha * value + (1.0 - self.alpha) * self.mean
         )
-        self.samples += 1
+        if self.samples < self.warmup:
+            self.samples += 1
 
 
-class BandwidthCollapseDetector(Detector):
+class _EwmaDetector(Detector):
+    """A detector that judges each sample against its series' EWMA
+    baseline, learned from the first ``warmup_samples`` samples and then
+    from healthy ones only."""
+
+    def __init__(
+        self,
+        alpha: float,
+        warmup_samples: int,
+        debounce_samples: int,
+        refire_interval_s: Optional[float],
+    ) -> None:
+        super().__init__(debounce_samples, refire_interval_s)
+        self.alpha = alpha
+        self.warmup_samples = warmup_samples
+        self._baselines: Dict[str, _EwmaBaseline] = {}
+
+    def baseline(self, key: str) -> Optional[float]:
+        base = self._baselines.get(key)
+        return base.mean if base is not None else None
+
+    def anomalous(self, mean: float, value: float) -> bool:
+        """``value`` is a trigger against baseline ``mean``."""
+        raise NotImplementedError
+
+    def _warm_baseline(self, sample: TelemetrySample) -> Optional[_EwmaBaseline]:
+        """The series' baseline once warm; until then it learns ``sample``
+        and this returns ``None``."""
+        base = self._baselines.get(sample.key)
+        if base is None:
+            base = self._baselines[sample.key] = _EwmaBaseline(
+                self.alpha, self.warmup_samples
+            )
+        if not base.warm:
+            base.update(sample.value)
+            return None
+        return base
+
+    def idle(self, key: str, value: float) -> bool:
+        # Re-observing must neither learn (warm-up over, EWMA at its fixed
+        # point) nor trigger.
+        base = self._baselines.get(key)
+        return (
+            super().idle(key, value)
+            and base is not None
+            and base.warm
+            and not self.anomalous(base.mean, value)
+            and base.absorbs(value)
+        )
+
+
+class BandwidthCollapseDetector(_EwmaDetector):
     """Goodput collapsed below ``collapse_ratio`` of its EWMA baseline.
 
     The baseline learns only from healthy samples, so a sustained
@@ -191,25 +279,18 @@ class BandwidthCollapseDetector(Detector):
         debounce_samples: int = 2,
         refire_interval_s: Optional[float] = None,
     ) -> None:
-        super().__init__(debounce_samples, refire_interval_s)
+        super().__init__(alpha, warmup_samples, debounce_samples, refire_interval_s)
         self.collapse_ratio = collapse_ratio
         self.restore_ratio = restore_ratio
-        self.alpha = alpha
-        self.warmup_samples = warmup_samples
-        self._baselines: Dict[str, _EwmaBaseline] = {}
 
-    def baseline(self, key: str) -> Optional[float]:
-        base = self._baselines.get(key)
-        return base.mean if base is not None else None
+    def anomalous(self, mean: float, value: float) -> bool:
+        return value < self.collapse_ratio * mean
 
     def evaluate(self, sample: TelemetrySample) -> Optional[str]:
-        base = self._baselines.get(sample.key)
+        base = self._warm_baseline(sample)
         if base is None:
-            base = self._baselines[sample.key] = _EwmaBaseline(self.alpha)
-        if base.samples < self.warmup_samples or base.mean is None:
-            base.update(sample.value)
             return None
-        if sample.value < self.collapse_ratio * base.mean:
+        if self.anomalous(base.mean, sample.value):
             return TRIGGER
         if sample.value >= self.restore_ratio * base.mean:
             base.update(sample.value)
@@ -219,7 +300,7 @@ class BandwidthCollapseDetector(Detector):
         return None
 
 
-class LatencySpikeDetector(Detector):
+class LatencySpikeDetector(_EwmaDetector):
     """Latency exceeds ``spike_factor`` x EWMA baseline (+ guard band)."""
 
     stream = LINK_LATENCY
@@ -234,24 +315,18 @@ class LatencySpikeDetector(Detector):
         debounce_samples: int = 2,
         refire_interval_s: Optional[float] = None,
     ) -> None:
-        super().__init__(debounce_samples, refire_interval_s)
+        super().__init__(alpha, warmup_samples, debounce_samples, refire_interval_s)
         self.spike_factor = spike_factor
         self.min_extra_s = min_extra_s
-        self.alpha = alpha
-        self.warmup_samples = warmup_samples
-        self._baselines: Dict[str, _EwmaBaseline] = {}
+
+    def anomalous(self, mean: float, value: float) -> bool:
+        return value > max(self.spike_factor * mean, mean + self.min_extra_s)
 
     def evaluate(self, sample: TelemetrySample) -> Optional[str]:
-        base = self._baselines.get(sample.key)
+        base = self._warm_baseline(sample)
         if base is None:
-            base = self._baselines[sample.key] = _EwmaBaseline(self.alpha)
-        if base.samples < self.warmup_samples or base.mean is None:
-            base.update(sample.value)
             return None
-        threshold = max(
-            self.spike_factor * base.mean, base.mean + self.min_extra_s
-        )
-        if sample.value > threshold:
+        if self.anomalous(base.mean, sample.value):
             return TRIGGER
         base.update(sample.value)
         return CLEAR
@@ -330,6 +405,10 @@ class NonConvergenceDetector(Detector):
                          refire_interval_s=refire_interval_s)
         self.min_shrink = min_shrink
         self._last: Dict[str, tuple] = {}  # key -> (index, wire_bytes)
+
+    def idle(self, key: str, value: float) -> bool:
+        # Every round is remembered with its index, which ``value`` lacks.
+        return False
 
     def evaluate(self, sample: TelemetrySample) -> Optional[str]:
         index = sample.fields.get("index")

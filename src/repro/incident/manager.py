@@ -7,8 +7,14 @@
   fabric (and heartbeat phi) onto a :class:`TelemetryBus`;
 * a :class:`~repro.incident.telemetry.TracerBridge` republishes live
   migration-round trace records;
-* every published sample runs through the detector set synchronously;
-  alerts feed the :class:`~repro.incident.correlator.IncidentCorrelator`;
+* every published sample runs synchronously through the detectors of
+  its stream; alerts feed the
+  :class:`~repro.incident.correlator.IncidentCorrelator`;
+* after each link-state sample the manager notes whether every detector
+  on its stream is :meth:`~repro.incident.detectors.Detector.idle` at
+  that value, and its probe withholds repeats of such a value — so
+  link-state telemetry costs work in proportion to change, not to
+  links x ticks;
 * each newly opened incident spawns a journaled
   :class:`~repro.incident.runbook.RunbookExecutor` remediation process
   (when ``autonomous`` — otherwise incidents are only diagnosed).
@@ -29,6 +35,7 @@ from repro.incident.correlator import RESOLVED, Incident, IncidentCorrelator
 from repro.incident.detectors import Alert, Detector, default_detectors
 from repro.incident.runbook import RunbookExecutor, RunbookStep
 from repro.incident.telemetry import (
+    LINK_STATE_STREAMS,
     LinkTelemetryProbe,
     TelemetryBus,
     TelemetrySample,
@@ -118,6 +125,14 @@ class IncidentManager:
         self.probe = LinkTelemetryProbe(
             cluster, self.bus, heartbeats=heartbeats, period_s=probe_period_s
         )
+        #: Per link-state stream, each key's last delivered value while
+        #: every detector on the stream is idle at it (the probe withholds
+        #: a repeat of it).
+        self._idle_values: Dict[str, Dict[str, float]] = {
+            stream: {} for stream in LINK_STATE_STREAMS
+        }
+        self.probe.idle_values = self._idle_values
+        self._routes: Dict[str, List[Detector]] = {}
         self.bridge = (
             TracerBridge(cluster.tracer, self.bus)
             if cluster.tracer is not None
@@ -135,6 +150,11 @@ class IncidentManager:
 
     def start(self) -> "IncidentManager":
         """Attach producers/detectors and begin sampling."""
+        self._routes = {}
+        for detector in self.detectors:
+            self._routes.setdefault(detector.stream, []).append(detector)
+        for idle_at in self._idle_values.values():
+            idle_at.clear()  # detectors must see the next sample of every series
         if self._unsub is None:
             self._unsub = self.bus.subscribe(self._on_sample)
         if self.bridge is not None:
@@ -173,7 +193,8 @@ class IncidentManager:
     # -- pipeline ----------------------------------------------------------------
 
     def _on_sample(self, sample: TelemetrySample) -> None:
-        for detector in self.detectors:
+        detectors = self._routes.get(sample.stream, ())
+        for detector in detectors:
             alert = detector.observe(sample)
             if alert is None:
                 continue
@@ -194,6 +215,13 @@ class IncidentManager:
             )
             if self.autonomous and not self.crashed:
                 self._spawn_remediation(incident)
+        idle_at = self._idle_values.get(sample.stream)
+        if idle_at is not None:
+            key, value = sample.key, sample.value
+            if all(d.idle(key, value) for d in detectors):
+                idle_at[key] = value
+            else:
+                idle_at.pop(key, None)
 
     def _spawn_remediation(self, incident: Incident) -> None:
         self._procs.append(

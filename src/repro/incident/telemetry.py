@@ -5,7 +5,13 @@ Three producers feed one :class:`TelemetryBus`:
 * :class:`LinkTelemetryProbe` — a periodic sampler over one fabric's
   links (goodput, loss, latency, outage flag) and, when wired to a
   :class:`~repro.recovery.failure_detector.HeartbeatMonitor`, every
-  node's heartbeat phi;
+  node's heartbeat phi.  Under an
+  :class:`~repro.incident.manager.IncidentManager` link state publishes
+  on change: a repeated up/loss/latency value is withheld while no
+  detector on its stream needs it (all are
+  :meth:`~repro.incident.detectors.Detector.idle` at that value), so
+  :meth:`TelemetryBus.latest` still holds the current value, only with
+  the time it was last published;
 * :class:`TracerBridge` — a live :meth:`~repro.sim.trace.Tracer.subscribe`
   consumer that republishes per-migration round statistics (the raw
   material of the non-convergence detector) without ever re-scanning
@@ -49,6 +55,10 @@ LINK_LATENCY = "link.latency_s"
 LINK_UP = "link.up"
 HOST_PHI = "host.phi"
 MIGRATION_ROUND = "migration.round"
+
+#: The per-link state streams whose unchanged values a manager-owned
+#: probe may withhold.
+LINK_STATE_STREAMS = (LINK_UP, LINK_LOSS, LINK_LATENCY)
 
 
 @dataclass(frozen=True)
@@ -124,8 +134,12 @@ class LinkTelemetryProbe:
 
     Goodput is the summed rate of in-flight flows crossing each link, so
     idle links publish no goodput sample (an EWMA baseline must not learn
-    zeros from silence); loss / latency / up are link state and sampled
-    every tick for every link.
+    zeros from silence).  Loss / latency / up are link state, read every
+    tick for every link.  A standalone probe publishes them all; an
+    :class:`~repro.incident.manager.IncidentManager` sets
+    :attr:`idle_values`, and then a value equal to the one its key is
+    idle at is withheld — the detectors would do nothing with it.
+    Goodput and phi always publish.
     """
 
     def __init__(
@@ -146,6 +160,9 @@ class LinkTelemetryProbe:
         #: Mirror every sample into the cluster tracer (batched appends).
         self.trace = trace
         self.ticks = 0
+        #: Per link-state stream, the value at which each key's detectors
+        #: are all idle; ``None`` publishes every link-state sample.
+        self.idle_values: Optional[Dict[str, Dict[str, float]]] = None
         self._proc = None
 
     def start(self):
@@ -178,18 +195,27 @@ class LinkTelemetryProbe:
                 for dlink in flow.path:
                     name = dlink.link.name
                     goodput[name] = goodput.get(name, 0.0) + flow.rate_Bps
+            if self.idle_values is None:
+                idle_up = idle_loss = idle_latency = {}
+            else:
+                idle_up, idle_loss, idle_latency = (
+                    self.idle_values[stream] for stream in LINK_STATE_STREAMS
+                )
             for link in self.fabric.topology.links():
-                samples.append(
-                    TelemetrySample(now, LINK_UP, link.name, 1.0 if link.up else 0.0)
-                )
-                samples.append(TelemetrySample(now, LINK_LOSS, link.name, link.loss))
-                samples.append(
-                    TelemetrySample(now, LINK_LATENCY, link.name, link.latency_s)
-                )
-                if link.name in goodput:
+                name = link.name
+                up = 1.0 if link.up else 0.0
+                if idle_up.get(name) != up:
+                    samples.append(TelemetrySample(now, LINK_UP, name, up))
+                if idle_loss.get(name) != link.loss:
+                    samples.append(TelemetrySample(now, LINK_LOSS, name, link.loss))
+                if idle_latency.get(name) != link.latency_s:
+                    samples.append(
+                        TelemetrySample(now, LINK_LATENCY, name, link.latency_s)
+                    )
+                if name in goodput:
                     samples.append(
                         TelemetrySample(
-                            now, LINK_GOODPUT, link.name, goodput[link.name],
+                            now, LINK_GOODPUT, name, goodput[name],
                             {"capacity_Bps": link.capacity_Bps},
                         )
                     )
@@ -266,4 +292,5 @@ __all__ = [
     "LINK_UP",
     "HOST_PHI",
     "MIGRATION_ROUND",
+    "LINK_STATE_STREAMS",
 ]

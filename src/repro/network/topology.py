@@ -26,6 +26,8 @@ class Topology:
         self.name = name
         self.graph = nx.Graph()
         self._path_cache: Dict[tuple[str, str], list[DirectedLink]] = {}
+        #: :meth:`links`, sorted once per graph change.
+        self._links: Optional[list[Link]] = None
 
     # -- construction ------------------------------------------------------------
 
@@ -44,6 +46,7 @@ class Topology:
                 raise NetworkError(f"{self.name}: unknown endpoint {endpoint!r}")
         self.graph.add_edge(a, b, link=link)
         self._path_cache.clear()
+        self._links = None
 
     # -- queries -----------------------------------------------------------------
 
@@ -58,8 +61,10 @@ class Topology:
 
     def links(self) -> list[Link]:
         """Every link in the graph (stable order: by link id)."""
-        found = {d["link"] for _, _, d in self.graph.edges(data=True)}
-        return sorted(found, key=lambda link: link.link_id)
+        if self._links is None:
+            found = {d["link"] for _, _, d in self.graph.edges(data=True)}
+            self._links = sorted(found, key=lambda link: link.link_id)
+        return list(self._links)
 
     def link_between(self, a: str, b: str) -> Link:
         """The link directly joining ``a`` and ``b``."""

@@ -13,6 +13,8 @@ from repro.incident.telemetry import (
     TelemetrySample,
     TracerBridge,
 )
+from repro.incident.manager import IncidentManager
+from repro.orchestrator import FleetOrchestrator
 from repro.recovery.failure_detector import HeartbeatMonitor
 from repro.units import gbps
 
@@ -120,6 +122,36 @@ class TestLinkTelemetryProbe:
         env.run(until=5.0)
         assert set(bus.keys(HOST_PHI)) == set(cluster.nodes)
         assert bus.latest(HOST_PHI, "n1").value < 1.0  # beating healthily
+
+
+class TestChangeDrivenLinkState:
+    """Under an incident manager, link state publishes on change."""
+
+    def test_repeats_withheld_but_latest_stays_current(self):
+        cluster = _tiny_cluster()
+        manager = IncidentManager(cluster, FleetOrchestrator(cluster)).start()
+        probe, bus = manager.probe, manager.bus
+        links = cluster.eth_fabric.topology.links()
+        assert probe.sample_once() == 3 * len(links)
+        # Past the latency baseline's warm-up, nothing changed and every
+        # detector is idle: nothing to publish.
+        cluster.env.run(until=1.0)
+        first = bus.published
+        assert probe.sample_once() == 0 and bus.published == first
+        wan = next(link for link in links if link.name.startswith("wan:"))
+        wan.fail()
+        assert probe.sample_once() == 1
+        assert bus.latest(LINK_UP, wan.name).value == 0.0
+        # Still dark: the latched outage episode needs no repeat.
+        assert probe.sample_once() == 0
+        assert bus.latest(LINK_UP, wan.name).value == 0.0
+        manager.stop()
+
+    def test_standalone_probe_publishes_every_tick(self):
+        cluster = _tiny_cluster()
+        probe = LinkTelemetryProbe(cluster, TelemetryBus())
+        links = cluster.eth_fabric.topology.links()
+        assert probe.sample_once() == probe.sample_once() == 3 * len(links)
 
 
 class TestTracerBridge:

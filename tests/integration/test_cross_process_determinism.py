@@ -4,8 +4,10 @@ Directed links hash by their link's id, drawn from a process-wide
 counter, so a ``frozenset`` of them (the fleet planner's link
 footprints) iterates in an order that depends on how many links the
 process built before.  These runs prove no output depends on that order
-or on string hashing: a scale campaign, a fleet drain and a Figure 7
-MPI pair (CG class C), each run in two fresh interpreters with different
+or on string hashing: a scale campaign, a fleet drain, the fiber-cut and
+host-kill drills (whose telemetry withholds repeats through per-series
+caches) and a Figure 7 MPI pair (CG class C), each run in two fresh
+interpreters with different
 ``PYTHONHASHSEED`` and different padding (throwaway links built before
 each run shift the id, hence the set position, of every later directed
 link), produce byte-identical traces and results.
@@ -23,6 +25,7 @@ REPO = pathlib.Path(__file__).resolve().parents[2]
 _CHILD = """
 import dataclasses, hashlib, json, sys
 from repro.analysis.experiments import run_fig7_npb
+from repro.incident.scenario import run_host_failure_scenario, run_incident_scenario
 from repro.network.links import Link
 from repro.orchestrator.continuous import ScaleConfig, run_scale_scenario
 from repro.orchestrator.scenario import run_fleet_scenario
@@ -61,6 +64,12 @@ pad()
 fleet = Tracer()
 print("fleet", *digest(fleet, run_fleet_scenario(jobs=2, tracer=fleet)))
 pad()
+cut = Tracer()
+print("cut", *digest(cut, run_incident_scenario(seed=0, tracer=cut)))
+pad()
+kill = Tracer()
+print("kill", *digest(kill, run_host_failure_scenario(seed=0, tracer=kill)))
+pad()
 fig7 = dataclasses.asdict(run_fig7_npb("CG", class_name="C", migrate_after_s=20.0, seed=0))
 print("mpi", hashlib.sha256(repr(sorted(fig7.items())).encode()).hexdigest(), len(fig7))
 """
@@ -86,7 +95,7 @@ def test_scale_and_fleet_traces_are_identical_across_hash_seeds():
         assert child.returncode == 0, err
         outputs.append(out.split())
     assert outputs[0] == outputs[1]
-    # Three non-empty outcomes were digested: (name, digest, size) x 3.
+    # Five non-empty outcomes were digested: (name, digest, size) x 5.
     names, counts = outputs[0][0::3], outputs[0][2::3]
-    assert names == ["scale", "fleet", "mpi"]
+    assert names == ["scale", "fleet", "cut", "kill", "mpi"]
     assert all(int(n) > 0 for n in counts)

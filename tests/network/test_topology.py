@@ -26,6 +26,17 @@ def test_path_via_switch():
     assert {d.link.name for d in path} == {"a--sw", "b--sw"}
 
 
+def test_links_cached_until_a_link_is_added():
+    topo = _star()
+    links = topo.links()
+    assert [link.name for link in links] == ["a--sw", "b--sw", "c--sw"]
+    links.pop()  # callers get a copy
+    assert topo.links() == topo.links() != links
+    topo.add_host("d")
+    topo.add_link("d", "sw", Link("d--sw", capacity_Bps=100.0))
+    assert [link.name for link in topo.links()] == ["a--sw", "b--sw", "c--sw", "d--sw"]
+
+
 def test_loopback_path_empty():
     topo = _star()
     assert topo.path("a", "a") == []
