@@ -26,7 +26,7 @@
     python -m repro scale  [--vms 256] [--k 8] [--vms-per-host 4]
                            [--duration 600] [--rate 8] [--rack-local 0.9]
                            [--max-concurrent 128] [--seed 0]
-                           [--global-solver] [--trace-out PATH]
+                           [--trace-out PATH]
 
 ``demo``, ``fleet``, ``incident``, and ``scale`` also accept
 ``--profile PATH``: the whole run executes under :mod:`cProfile` and the
@@ -92,8 +92,7 @@ that bottleneck bandwidth until it heals.
 ``scale`` runs the continuous-arrival campaign: open Poisson traffic
 (churn / consolidation / drains) over a k-ary fat-tree for hundreds to
 thousands of VMs, reporting simulator throughput (events/s), wall clock
-per simulated hour, and flow-solver p50/p99 — ``--global-solver``
-selects the pre-incremental kernel as the measured baseline arm.
+per simulated hour, and flow-solver p50/p99.
 """
 
 from __future__ import annotations
@@ -558,14 +557,12 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         rack_local_frac=args.rack_local,
         max_concurrent=args.max_concurrent,
         seed=args.seed,
-        incremental=not args.global_solver,
     )
     tracer = Tracer() if args.trace_out else None
     result = run_scale_scenario(config, tracer=tracer)
-    arm = "global-resolve (baseline)" if args.global_solver else "incremental"
     requests = ", ".join(f"{k}={v}" for k, v in sorted(result.requests.items()))
     print(f"scale campaign — {result.n_vms} VMs on {result.n_hosts} hosts "
-          f"(k={result.k} fat-tree), {arm} solver")
+          f"(k={result.k} fat-tree), incremental solver")
     print(f"  simulated:       {result.duration_s:.0f} s "
           f"({sum(result.requests.values())} requests: {requests})")
     print(f"  wall clock:      {result.wall_s:.2f} s "
@@ -772,10 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission cap on concurrent migrations",
     )
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument(
-        "--global-solver", action="store_true",
-        help="use the pre-incremental global-resolve flow kernel (baseline arm)",
-    )
     ps.add_argument(
         "--trace-out", metavar="PATH",
         help="write the simulation trace to PATH as JSON Lines",

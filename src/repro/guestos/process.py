@@ -38,10 +38,6 @@ class GuestProcess:
         yield self.vm.run_gate.passage()
         yield self.env.timeout(seconds)
 
-    def barrier_gate(self):
-        """Wait until the VM is runnable (no time cost when it is)."""
-        yield self.vm.run_gate.passage()
-
 
 class MemoryWriter(GuestProcess):
     """Sequentially (re)writes a guest-memory array — the paper's memtest.

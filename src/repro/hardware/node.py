@@ -98,10 +98,6 @@ class PhysicalNode:
             raise HardwareError(f"{self.name}: no Ethernet NIC")
         return devices[0]  # type: ignore[return-value]
 
-    def network_devices(self) -> list[NetworkDevice]:
-        """All seated network devices."""
-        return [d for d in self.pci.devices() if isinstance(d, NetworkDevice)]
-
     @property
     def has_infiniband(self) -> bool:
         """True when an IB HCA is seated **and** cabled into a fabric."""

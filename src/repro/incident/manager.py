@@ -257,10 +257,6 @@ class IncidentManager:
     # -- reporting ---------------------------------------------------------------
 
     @property
-    def resolved_incidents(self) -> List[Incident]:
-        return [i for i in self.incidents if i.status == RESOLVED]
-
-    @property
     def settled(self) -> bool:
         """Every known incident fully remediated (or none ever opened)."""
         return all(i.status == RESOLVED for i in self.incidents)

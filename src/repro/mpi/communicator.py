@@ -68,9 +68,6 @@ class CommView:
         except IndexError:
             raise MpiError(f"rank {comm_rank} outside communicator of size {self.size}") from None
 
-    def _comm_rank_of_world(self, world_rank: int) -> int:
-        return self.comm._index[world_rank]
-
     # -- point-to-point ---------------------------------------------------------------
 
     def send(self, dst: int, nbytes: int, tag: int = 0, value: object = None):
@@ -149,9 +146,3 @@ class CommView:
     def alltoall(self, nbytes: int):
         """Pairwise-exchange all-to-all (``nbytes`` per peer)."""
         yield from collectives.alltoall(self, nbytes)
-
-    # -- checkpoint hook -----------------------------------------------------------------------
-
-    def service_pending_checkpoint(self):
-        """Explicit CR poll (workloads call this between phases)."""
-        yield from self.proc.maybe_service_cr()

@@ -16,11 +16,6 @@ component the changed flow touches; every other flow keeps its rate, its
 credited progress, and its scheduled completion.  Progress is credited
 *lazily* (per flow, at its last rate change) and completions come off a
 per-flow heap, so one churn event costs O(component), not O(all flows).
-
-``FlowNetwork(..., incremental=False)`` keeps the pre-incremental kernel —
-global re-solve plus an O(F) progress/min scan on every event — as the
-measured baseline arm of ``benchmarks/test_scale.py`` and as the oracle
-the Hypothesis equivalence property compares against.
 """
 
 from __future__ import annotations
@@ -83,7 +78,7 @@ def compute_maxmin_flow_rates(flows: List[Flow]) -> None:
     per-link active weight is maintained incrementally (O(rounds · F · L)
     instead of O(rounds · F² · L)).  Iteration follows the input order, so
     the result is deterministic for a given flow list — this function is
-    both the legacy-mode solver and the from-scratch oracle the
+    both the per-component solver and the from-scratch oracle the
     incremental engine is property-tested against.
     """
     residual: Dict[DirectedLink, float] = {}
@@ -157,22 +152,11 @@ class SolverStats:
 
 
 class FlowNetwork:
-    """Manages active flows and completes them at fluid-model times.
+    """Manages active flows and completes them at fluid-model times."""
 
-    Parameters
-    ----------
-    incremental:
-        ``True`` (default) uses the contention-scoped incremental solver;
-        ``False`` re-solves globally on every event (the pre-incremental
-        kernel, kept as the benchmark baseline and differential oracle).
-    """
-
-    def __init__(
-        self, env: "Environment", name: str = "flows", incremental: bool = True
-    ) -> None:
+    def __init__(self, env: "Environment", name: str = "flows") -> None:
         self.env = env
         self.name = name
-        self.incremental = incremental
         #: Active flows (insertion-ordered; dict-as-ordered-set).
         self._flows: Dict[Flow, None] = {}
         #: Per-link active-flow sets — the adjacency of the contention graph.
@@ -185,7 +169,6 @@ class FlowNetwork:
         self._nprogress = 0
         self._wakeup: Optional[Event] = None
         self._wakeup_at = float("inf")
-        self._last_update = env.now  # legacy (incremental=False) mode only
         #: Running counters for diagnostics.
         self.total_started = 0
         self.total_completed = 0
@@ -380,10 +363,6 @@ class FlowNetwork:
 
     def _resolve_after_change(self, seeds: List[Flow], scope_all: bool = False) -> None:
         """Re-solve rates for the contention component(s) of ``seeds``."""
-        if not self.incremental:
-            # Legacy kernel: the global re-solve lives in the reschedule.
-            self._reschedule_legacy()
-            return
         affected = list(self._flows) if scope_all else self._component(seeds)
         if affected:
             self._solve(affected)
@@ -425,9 +404,6 @@ class FlowNetwork:
 
     def _settle(self, now: float) -> None:
         """Complete every flow whose scheduled finish time is due at ``now``."""
-        if not self.incremental:
-            self._advance_progress_legacy()
-            return
         heap = self._completions
         finished: List[Flow] = []
         horizon = now + _MIN_DT
@@ -459,9 +435,6 @@ class FlowNetwork:
         self._schedule_wakeup()
 
     def _schedule_wakeup(self) -> None:
-        if not self.incremental:
-            self._reschedule_legacy()
-            return
         heap = self._completions
         while heap:
             entry = heap[0]
@@ -491,55 +464,3 @@ class FlowNetwork:
         self._wakeup_at = float("inf")
         self._settle(self.env.now)
         self._schedule_wakeup()
-
-    # -- legacy global kernel (incremental=False) ------------------------------
-
-    def _advance_progress_legacy(self) -> None:
-        """Pre-incremental kernel: credit every flow, complete the due ones."""
-        now = self.env.now
-        elapsed = now - self._last_update
-        self._last_update = now
-        if elapsed <= 0 or not self._flows:
-            return
-        finished = []
-        for flow in self._flows:
-            flow.remaining -= flow.rate_Bps * elapsed
-            flow._updated_at = now
-            if flow.remaining <= _EPS * max(1.0, flow.nbytes) or (
-                flow.rate_Bps > 0 and flow.remaining <= flow.rate_Bps * _MIN_DT
-            ):
-                flow.remaining = 0.0
-                finished.append(flow)
-        for flow in finished:
-            self._remove(flow)
-            flow.finished_at = now
-            self.total_completed += 1
-            flow.done.succeed(flow)
-
-    def _reschedule_legacy(self) -> None:
-        """Pre-incremental kernel: global re-solve + single-min wakeup."""
-        self._wakeup = None
-        if not self._flows:
-            return
-        flows = list(self._flows)
-        stats = self.solver_stats
-        t0 = _time.perf_counter() if stats is not None else 0.0
-        compute_maxmin_flow_rates(flows)
-        if stats is not None:
-            stats.calls += 1
-            stats.flows_touched += len(flows)
-            stats.samples_s.append(_time.perf_counter() - t0)
-        self._nprogress = sum(1 for f in flows if f.rate_Bps > _EPS)
-        for flow in flows:
-            flow._progressing = flow.rate_Bps > _EPS
-        next_dt = min(
-            (f.remaining / f.rate_Bps for f in flows if f.rate_Bps > _EPS),
-            default=None,
-        )
-        if next_dt is None:
-            raise SimulationError(
-                f"FlowNetwork {self.name!r}: flows present but none can progress"
-            )
-        wakeup = self.env.timeout(max(next_dt, _MIN_DT))
-        self._wakeup = wakeup
-        wakeup.callbacks.append(self._on_wakeup)

@@ -113,10 +113,6 @@ class QueuePair:
         self._check()
         return self.fabric.transfer(self.local, self.remote, nbytes, label=label or f"qp{self.qpn:#x}")
 
-    def rdma_write(self, nbytes: float, label: str = "") -> Flow:
-        """RDMA WRITE — same fluid cost as SEND at this abstraction level."""
-        return self.post_send(nbytes, label=label or f"qp{self.qpn:#x}.w")
-
     def rdma_read(self, nbytes: float, label: str = "") -> Flow:
         """RDMA READ — data flows remote→local."""
         self._check()
@@ -180,6 +176,3 @@ class InfiniBandFabric(Fabric):
         qp = QueuePair(self, local, remote)
         self._qps.append(qp)
         return qp
-
-    def active_qps(self) -> list[QueuePair]:
-        return [qp for qp in self._qps if qp.alive]

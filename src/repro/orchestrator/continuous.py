@@ -26,8 +26,7 @@ exactly the shape of :mod:`repro.vmm.migration`, minus the per-page
 bookkeeping that does not survive multiplication by a thousand.
 
 ``run_scale_scenario`` is the entry point for ``repro scale`` and
-``benchmarks/test_scale.py``; the ``incremental`` flag selects the flow
-kernel arm, making the before/after comparison a one-line change.
+``benchmarks/test_scale.py``.
 """
 
 from __future__ import annotations
@@ -86,8 +85,6 @@ class ScaleConfig:
     max_rounds: int = 8
     downtime_s: float = 0.03
     seed: int = 0
-    #: Flow-kernel arm: contention-scoped incremental vs global re-solve.
-    incremental: bool = True
 
 
 @dataclass(eq=False)
@@ -109,7 +106,6 @@ class ScaleResult:
     n_vms: int
     n_hosts: int
     k: int
-    incremental: bool
     #: Simulated span actually covered (horizon + in-flight drain).
     duration_s: float
     wall_s: float
@@ -173,7 +169,7 @@ class ContinuousFleet:
                 f"{c.n_vms} VMs need free slots on {self.tree.n_hosts} hosts "
                 f"x {c.vms_per_host} slots = {capacity} (leave headroom to move into)"
             )
-        self.flows = FlowNetwork(env, name="scale.flows", incremental=c.incremental)
+        self.flows = FlowNetwork(env, name="scale.flows")
         self.rng = RngRegistry(c.seed)
         self._place = self.rng.stream("scale.placement")
 
@@ -444,7 +440,6 @@ def run_scale_scenario(
         n_vms=config.n_vms,
         n_hosts=fleet.tree.n_hosts,
         k=config.k,
-        incremental=config.incremental,
         duration_s=env.now,
         wall_s=wall_s,
         requests=dict(fleet.requests),

@@ -251,9 +251,6 @@ class FleetStateStore:
         self.inflight.pop(owner, None)
         self.release_owner(owner)
 
-    def inflight_plans(self) -> List["MigrationPlan"]:
-        return list(self.inflight.values())
-
     # -- invariants ---------------------------------------------------------------
 
     def check_invariants(self) -> None:

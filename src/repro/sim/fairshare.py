@@ -174,10 +174,6 @@ class FairShare:
         self.capacity = float(capacity)
         self._reschedule()
 
-    def current_rate(self, task: FairShareTask) -> float:
-        """The task's currently allocated rate (0 if not in service)."""
-        return task.rate if task in self._tasks else 0.0
-
     # -- internals ---------------------------------------------------------------
 
     def _advance_progress(self) -> None:

@@ -61,16 +61,6 @@ class Resource:
         self._users: list[Request] = []
         self._waiters: list[Request] = []
 
-    @property
-    def in_use(self) -> int:
-        """Number of currently granted slots."""
-        return len(self._users)
-
-    @property
-    def queue_len(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiters)
-
     def request(self) -> Request:
         """Ask for one slot; the returned event fires when granted."""
         return Request(self)

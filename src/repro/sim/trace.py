@@ -28,17 +28,7 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` entries, optionally filtered.
-
-    Parameters
-    ----------
-    enabled:
-        When ``False`` the tracer drops everything (zero overhead paths
-        keep calling :meth:`emit`; it returns immediately).
-    categories:
-        If given, only these categories are recorded.
-    sink:
-        Optional callable invoked with each record (e.g. ``print``).
+    """Collects :class:`TraceRecord` entries.
 
     Live consumers (the incident-response :class:`~repro.incident.telemetry.TelemetryBus`)
     attach via :meth:`subscribe` and receive each record as it is emitted,
@@ -47,15 +37,7 @@ class Tracer:
     write path a bare list append.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        categories: Optional[set[str]] = None,
-        sink: Optional[Callable[[TraceRecord], None]] = None,
-    ) -> None:
-        self.enabled = enabled
-        self.categories = categories
-        self.sink = sink
+    def __init__(self) -> None:
         self.records: list[TraceRecord] = []
         # (pattern, callback) pairs; patterns glob against "category.event".
         self._subscribers: list[tuple[str, Callable[[TraceRecord], None]]] = []
@@ -91,32 +73,22 @@ class Tracer:
         return unsubscribe
 
     def emit(self, time: float, category: str, event: str, **fields: Any) -> None:
-        """Record one entry (no-op when disabled or filtered out)."""
-        if not self.enabled:
-            return
-        if self.categories is not None and category not in self.categories:
-            return
+        """Record one entry and deliver it to matching subscribers."""
         record = TraceRecord(time=time, category=category, event=event, fields=fields)
         self.records.append(record)
         if self._subscribers:
             self._dispatch(record)
-        if self.sink is not None:
-            self.sink(record)
 
     def emit_batch(
         self, time: float, category: str, entries: Iterable[tuple[str, dict]]
     ) -> int:
         """Record many same-category entries in one call; returns the count.
 
-        Batching amortizes the per-call filter checks for hot producers
+        Batching amortizes the per-call overhead for hot producers
         (per-link telemetry probes sample every link each tick).  Each
         entry is an ``(event, fields)`` pair; subscribers still see every
         record individually.
         """
-        if not self.enabled:
-            return 0
-        if self.categories is not None and category not in self.categories:
-            return 0
         batch = [
             TraceRecord(time=time, category=category, event=event, fields=fields)
             for event, fields in entries
@@ -125,9 +97,6 @@ class Tracer:
         if self._subscribers:
             for record in batch:
                 self._dispatch(record)
-        if self.sink is not None:
-            for record in batch:
-                self.sink(record)
         return len(batch)
 
     def _dispatch(self, record: TraceRecord) -> None:
@@ -191,14 +160,6 @@ class Tracer:
             for record in self.select(category, event)
             if field in record.fields
         ]
-
-    def span(self, category: str, start_event: str, end_event: str) -> Optional[float]:
-        """Duration between the first ``start_event`` and first ``end_event``."""
-        start = self.first(category, start_event)
-        end = self.first(category, end_event)
-        if start is None or end is None:
-            return None
-        return end.time - start.time
 
     def clear(self) -> None:
         """Drop all collected records."""

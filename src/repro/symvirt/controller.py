@@ -93,10 +93,6 @@ class Controller:
             yield from self.wait_all()
             yield from self.signal()
 
-    def parked_count(self) -> int:
-        """How many controlled VMs are currently parked (diagnostics)."""
-        return sum(1 for q in self.vms if q.vm.hypercall.parked)
-
     def device_detach(self, tag: str):
         """Hot-detach the tagged device from every VM that has it."""
         self._check_open()

@@ -19,6 +19,7 @@ from repro.orchestrator.continuous import (
 )
 from repro.sim.core import Environment
 from repro.sim.trace import Tracer
+from tests.network.global_resolve import GlobalResolveFlowNetwork
 
 #: Small, fast campaign shared by most tests (~0.1 s wall).
 _SMALL = dict(n_vms=24, k=4, vms_per_host=4, duration_s=60.0,
@@ -53,16 +54,19 @@ def test_campaign_is_deterministic_per_seed():
     assert a.duration_s == b.duration_s
 
 
-def test_kernel_arms_agree_on_fleet_outcomes():
+def test_kernel_arms_agree_on_fleet_outcomes(monkeypatch):
     """The incremental and global-resolve kernels are different engines
     for the same fluid model: identical traffic, identical outcomes."""
-    inc = run_scale_scenario(ScaleConfig(**_SMALL, incremental=True))
-    leg = run_scale_scenario(ScaleConfig(**_SMALL, incremental=False))
+    inc = run_scale_scenario(ScaleConfig(**_SMALL))
+    monkeypatch.setattr(continuous, "FlowNetwork", GlobalResolveFlowNetwork)
+    leg = run_scale_scenario(ScaleConfig(**_SMALL))
     assert inc.moves_requested == leg.moves_requested
     assert inc.migrations_completed == leg.migrations_completed
     assert inc.flows_started == leg.flows_started
     assert inc.bytes_moved == pytest.approx(leg.bytes_moved, rel=1e-9)
     assert inc.duration_s == pytest.approx(leg.duration_s, rel=1e-6)
+    # The oracle re-solves every active flow per event: proof it ran.
+    assert leg.solver_flows_touched > inc.solver_flows_touched
 
 
 def test_slot_accounting_survives_churn():
@@ -113,7 +117,7 @@ def test_result_to_dict_is_json_ready():
 
 def test_zero_division_guards():
     empty = ScaleResult(
-        n_vms=0, n_hosts=0, k=0, incremental=True, duration_s=0.0, wall_s=0.0,
+        n_vms=0, n_hosts=0, k=0, duration_s=0.0, wall_s=0.0,
         requests={}, moves_requested=0, migrations_completed=0, rejected=0,
         starved=0, rounds_total=0, bytes_moved=0.0, sim_events=0,
         flows_started=0, flows_completed=0, solver_calls=0,

@@ -8,8 +8,9 @@ churn (starts, cancels, cap changes, link degradation + ``recompute()``,
 time advancement) and check, after **every** operation, that the rates
 the incremental engine carries are exactly what a from-scratch
 :func:`compute_maxmin_flow_rates` over the active set would assign — and
-that a side-by-side legacy (``incremental=False``) network completes the
-same flows at the same times with the same bytes.
+that a side-by-side global-resolve network (the pre-incremental kernel,
+``tests/network/global_resolve.py``) completes the same flows at the same
+times with the same bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from repro.network.flows import Flow, FlowNetwork, compute_maxmin_flow_rates
 from repro.network.links import DirectedLink, Link
 from repro.sim.core import Environment
+from tests.network.global_resolve import GlobalResolveFlowNetwork
 
 #: Operation kinds mutating the network mid-run.
 _START, _CANCEL, _SETCAP, _LINKCAP, _WAIT = range(5)
@@ -94,7 +96,7 @@ def test_incremental_rates_equal_global_oracle(caps, ops):
     from-scratch global max-min solve would assign."""
     env = Environment()
     links = [Link(name=f"l{i}", capacity_Bps=float(c)) for i, c in enumerate(caps)]
-    net = FlowNetwork(env, incremental=True)
+    net = FlowNetwork(env)
     started: list[Flow] = []
     for op in ops:
         _apply(op, env, net, links, started)
@@ -112,10 +114,10 @@ def test_incremental_matches_legacy_kernel_end_to_end(caps, ops):
     sequence, finish the same flows at the same times with the same
     transferred byte counts."""
     runs = []
-    for incremental in (True, False):
+    for kernel in (FlowNetwork, GlobalResolveFlowNetwork):
         env = Environment()
         links = [Link(name=f"l{i}", capacity_Bps=float(c)) for i, c in enumerate(caps)]
-        net = FlowNetwork(env, incremental=incremental)
+        net = kernel(env)
         started: list[Flow] = []
         for op in ops:
             _apply(op, env, net, links, started)

@@ -275,15 +275,6 @@ def test_scale_command(capsys, tmp_path):
     assert trace.exists()
 
 
-def test_scale_global_solver_arm(capsys):
-    assert main([
-        "scale", "--vms", "16", "--k", "4", "--vms-per-host", "4",
-        "--duration", "60", "--rate", "2", "--seed", "3", "--global-solver",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "global-resolve (baseline) solver" in out
-
-
 def test_profile_flag_dumps_stats(capsys, tmp_path):
     import pstats
 
