@@ -152,8 +152,9 @@ class FatTree:
     def _dlink(self, a: str, b: str) -> DirectedLink:
         lo, hi = (a, b) if a <= b else (b, a)
         # Direction 0 == (min, max) name order — same convention as
-        # Topology.path, so the two routers share DirectedLink identities.
-        return DirectedLink(self._links[(lo, hi)], 0 if a <= b else 1)
+        # Topology.path, so the two routers return the same interned
+        # DirectedLink objects.
+        return self._links[(lo, hi)].directed[0 if a <= b else 1]
 
     def path(self, src: str, dst: str) -> List[DirectedLink]:
         """Directed links along the ECMP-pinned route ``src`` → ``dst``.

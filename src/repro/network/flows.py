@@ -123,6 +123,23 @@ def compute_maxmin_flow_rates(flows: List[Flow]) -> None:
             del active[flow]
 
 
+def lone_flow_rate(flow: Flow) -> float:
+    """Max-min rate of a flow that shares none of its links.
+
+    Progressive filling freezes a lone flow in its first round at the
+    smaller of its cap and its tightest link, so this is exactly the rate
+    :func:`compute_maxmin_flow_rates` assigns to ``[flow]``: the same
+    products in the same order, without the per-link dictionaries.
+    """
+    best = flow.cap_Bps
+    weight = flow.weight
+    for dlink in flow.path:
+        share = dlink.link.capacity_Bps * (weight / weight)
+        if share < best:
+            best = share
+    return best if best > 0.0 else 0.0
+
+
 class SolverStats:
     """Wall-clock accounting of solver invocations (perf instrumentation).
 
@@ -211,6 +228,10 @@ class FlowNetwork:
         """Begin a transfer; ``flow.done`` fires when the last byte lands."""
         if nbytes < 0:
             raise NetworkError("nbytes must be non-negative")
+        if not 0.0 < weight < float("inf"):
+            raise NetworkError(f"weight must be positive and finite, got {weight}")
+        if len(set(path)) != len(path):
+            raise NetworkError(f"{self.name}: path repeats a directed link")
         for dlink in path:
             if not dlink.up:
                 raise NetworkError(f"{self.name}: link {dlink.link.name} is down")
@@ -286,8 +307,8 @@ class FlowNetwork:
         now = self.env.now
         self._settle(now)
         victims: Dict[Flow, None] = {}
-        for direction in (0, 1):
-            for flow in self._link_flows.get(DirectedLink(link, direction), ()):
+        for dlink in link.directed:
+            for flow in self._link_flows.get(dlink, ()):
                 victims[flow] = None
         neighbors: Dict[Flow, None] = {}
         for flow in victims:
@@ -376,7 +397,10 @@ class FlowNetwork:
         now = self.env.now
         for flow in affected:
             self._credit(flow, now)
-        compute_maxmin_flow_rates(affected)
+        if len(affected) == 1:
+            affected[0].rate_Bps = lone_flow_rate(affected[0])
+        else:
+            compute_maxmin_flow_rates(affected)
         for flow in affected:
             progressing = flow.rate_Bps > _EPS
             if progressing != flow._progressing:

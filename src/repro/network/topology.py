@@ -92,7 +92,7 @@ class Topology:
                 link = self.graph.edges[a, b]["link"]
                 # Direction 0 == (min, max) node-name order, stable per link.
                 direction = 0 if a <= b else 1
-                cached.append(DirectedLink(link, direction))
+                cached.append(link.directed[direction])
             self._path_cache[(src, dst)] = cached
         for dlink in cached:
             if not dlink.up:

@@ -1,16 +1,16 @@
 """Same seed, same trace — across interpreters with different hash seeds.
 
-Directed links hash by their link's id, drawn from a process-wide
-counter, so a ``frozenset`` of them (the fleet planner's link
-footprints) iterates in an order that depends on how many links the
-process built before.  These runs prove no output depends on that order
-or on string hashing: a scale campaign, a fleet drain, the fiber-cut and
+Directed links are interned and hash by identity, so a ``frozenset`` of
+them (the fleet planner's link footprints) iterates in an order set by
+their memory addresses, which depend on everything the process
+allocated before.  These runs prove no output depends on that order or
+on string hashing: a scale campaign, a fleet drain, the fiber-cut and
 host-kill drills (whose telemetry withholds repeats through per-series
 caches) and a Figure 7 MPI pair (CG class C), each run in two fresh
-interpreters with different
-``PYTHONHASHSEED`` and different padding (throwaway links built before
-each run shift the id, hence the set position, of every later directed
-link), produce byte-identical traces and results.
+interpreters with different ``PYTHONHASHSEED`` and different padding
+(throwaway links, each with its two directed views, built before each
+run shift the addresses, hence the set positions, of every later
+directed link), produce byte-identical traces and results.
 """
 
 from __future__ import annotations

@@ -82,14 +82,15 @@ def test_down_link_on_pinned_route_raises():
 
 
 def test_direction_convention_matches_topology_router():
-    """FatTree ECMP and Topology.path agree on DirectedLink identity for
-    a shared link, so flows from either router contend correctly."""
+    """FatTree ECMP and Topology.path return the same interned
+    DirectedLink objects for a shared link, so flows from either router
+    contend correctly."""
     tree = FatTree(4)
-    ecmp = tree.path("h00-00-00", "h00-00-01")
-    nx_route = tree.topology.path("h00-00-00", "h00-00-01")
-    assert [(d.link.name, d.direction) for d in ecmp] == [
-        (d.link.name, d.direction) for d in nx_route
-    ]
+    for src, dst in (("h00-00-00", "h00-00-01"), ("h00-00-01", "h00-00-00")):
+        ecmp = tree.path(src, dst)
+        nx_route = tree.topology.path(src, dst)
+        assert len(ecmp) == len(nx_route) == 2
+        assert all(a is b for a, b in zip(ecmp, nx_route))
 
 
 def test_oversubscribed_fabric_capacity():

@@ -112,6 +112,21 @@ def test_separately_built_directed_links_share_capacity(env):
     assert c.finished_at == pytest.approx(5.0)
 
 
+def test_directed_links_are_interned():
+    link = Link(name="l", capacity_Bps=100.0)
+    assert DirectedLink(link, 0) is link.directed[0]
+    assert DirectedLink(link, 1) is link.directed[1]
+    assert DirectedLink(link, 0) is not DirectedLink(link, 1)
+    assert DirectedLink(link, 1).direction == 1
+    assert DirectedLink(link, 0).link is link
+
+
+def test_directed_link_repr_names_link_not_address():
+    dlink = DirectedLink(Link(name="h0--sw", capacity_Bps=100.0), 1)
+    assert repr(dlink) == "<DirectedLink h0--sw/1>"
+    assert "0x" not in repr(dlink)
+
+
 # -- FlowNetwork dynamics -------------------------------------------------------------
 
 
@@ -167,6 +182,39 @@ def test_down_link_rejected(env):
     link.link.fail()
     with pytest.raises(NetworkError):
         net.start([link], 100.0)
+
+
+def test_path_repeating_a_directed_link_rejected(env):
+    """A repeated hop would count the flow twice on one link (half rate)
+    and break its removal; start refuses it before touching any state."""
+    net = FlowNetwork(env)
+    link = _dlink(100.0)
+    with pytest.raises(NetworkError, match="repeats"):
+        net.start([link, link], 500.0)
+    assert net.active_count == 0
+    assert net.total_started == 0
+    env.run()
+    # The reverse direction is a different directed link: allowed.
+    flow = net.start([link, DirectedLink(link.link, 1)], 500.0)
+    assert flow.rate_Bps == 100.0
+    env.run()
+    assert flow.finished_at == pytest.approx(5.0)
+    assert net.active_count == 0
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, float("inf"), float("nan")])
+def test_non_positive_or_non_finite_weight_rejected(env, weight):
+    """Weight 0 used to divide by zero in the solver and leave a zombie
+    flow behind; start refuses it before touching any state."""
+    net = FlowNetwork(env)
+    link = _dlink(100.0)
+    with pytest.raises(NetworkError, match="weight"):
+        net.start([link], 500.0, weight=weight)
+    assert net.active_count == 0
+    assert net.total_started == 0
+    flow = net.start([link], 500.0)
+    env.run()
+    assert flow.finished_at == pytest.approx(5.0)
 
 
 def test_cancel_frees_bandwidth(env):
