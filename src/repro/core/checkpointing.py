@@ -9,7 +9,9 @@ provides that path:
 * :meth:`ProactiveCheckpoint.execute` — park the job (two SymVirt
   rounds, like Ninja), detach the VMM-bypass devices, snapshot every VM
   to the NFS store in parallel, re-attach, resume.  The job continues —
-  the snapshot is insurance.
+  the snapshot is insurance, so a failure part-way re-attaches the
+  HCAs and resumes the job through :mod:`repro.recovery.undo` before
+  the error is re-raised.
 * :meth:`ProactiveCheckpoint.restore` — boot fresh VMs from the stored
   images on (possibly interconnect-different) destination nodes after a
   failure.  The MPI job is then *relaunched from the checkpoint
@@ -23,8 +25,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.phases import PhaseTimeline
-from repro.errors import SymVirtError
+from repro.errors import ReproError, SymVirtError
 from repro.network.fabric import PortState
+from repro.recovery import undo
 from repro.symvirt.controller import Controller
 from repro.vmm.snapshot import SnapshotStats, checkpoint_vm, restore_vm
 
@@ -97,58 +100,73 @@ class ProactiveCheckpoint:
         timeline = PhaseTimeline()
         t0 = env.now
         ctl = Controller(self.cluster, qemus)
+        had_attached = {a.qemu.vm.name: a.has_attached(detach_tag) for a in ctl.agents}
+        #: SymVirt rounds released so far (of the two a request owes).
+        signals = 0
 
         timeline.begin("coordination", env.now)
         if request_checkpoint:
             job.request_checkpoint()
-        yield from ctl.wait_all()
-        timeline.end("coordination", env.now)
-        consistency_at = env.now
+        try:
+            yield from ctl.wait_all()
+            timeline.end("coordination", env.now)
+            consistency_at = env.now
 
-        # Round A: release VMM-bypass devices (snapshots are blocked on
-        # assigned devices, exactly like migration).
-        timeline.begin("detach", env.now)
-        yield from ctl.device_detach(detach_tag)
-        timeline.end("detach", env.now)
-        yield from ctl.signal()
-        yield from ctl.wait_all()
+            # Round A: release VMM-bypass devices (snapshots are blocked on
+            # assigned devices, exactly like migration).
+            timeline.begin("detach", env.now)
+            yield from ctl.device_detach(detach_tag)
+            timeline.end("detach", env.now)
+            yield from ctl.signal()
+            signals += 1
+            yield from ctl.wait_all()
 
-        # Round B: snapshot every VM in parallel (NFS-bandwidth bound),
-        # then re-attach where the hardware exists.
-        timeline.begin("snapshot", env.now)
-        snapshots: Dict[str, SnapshotStats] = {}
+            # Round B: snapshot every VM in parallel (NFS-bandwidth bound),
+            # then re-attach where the hardware exists.
+            timeline.begin("snapshot", env.now)
+            snapshots: Dict[str, SnapshotStats] = {}
 
-        def _snap(qemu: "QemuProcess"):
-            image_name = f"{qemu.vm.name}.memsnap{image_suffix}"
-            stats = yield from checkpoint_vm(
-                qemu, self.store, image_name=image_name, extra_meta=extra_meta
-            )
-            snapshots[qemu.vm.name] = stats
+            def _snap(qemu: "QemuProcess"):
+                image_name = f"{qemu.vm.name}.memsnap{image_suffix}"
+                stats = yield from checkpoint_vm(
+                    qemu, self.store, image_name=image_name, extra_meta=extra_meta
+                )
+                snapshots[qemu.vm.name] = stats
 
-        yield ctl._parallel(_snap(q) for q in qemus)
-        timeline.end("snapshot", env.now)
+            yield ctl._parallel(_snap(q) for q in qemus)
+            timeline.end("snapshot", env.now)
 
-        timeline.begin("attach", env.now)
-        reattach = [q for q in qemus if q.node.has_infiniband]
-        if reattach:
-            yield ctl._parallel(
-                agent.device_attach(host="04:00.0", tag=detach_tag)
-                for agent in ctl.agents
-                if agent.qemu in reattach
-            )
-        timeline.end("attach", env.now)
+            timeline.begin("attach", env.now)
+            reattach = [q for q in qemus if q.node.has_infiniband]
+            if reattach:
+                yield ctl._parallel(
+                    agent.device_attach(host="04:00.0", tag=detach_tag)
+                    for agent in ctl.agents
+                    if agent.qemu in reattach
+                )
+            timeline.end("attach", env.now)
 
-        linkup_events = []
-        for qemu in reattach:
-            assignment = qemu.assignments.get(detach_tag)
-            if assignment is None or assignment.function.port is None:
-                raise SymVirtError(f"{qemu.vm.name}: re-attach left no port")
-            port = assignment.function.port
-            if warm_reattach and port.state is not PortState.ACTIVE:
-                port.fabric.force_active(port)
-            linkup_events.append(port.wait_active())
+            linkup_events = []
+            for qemu in reattach:
+                assignment = qemu.assignments.get(detach_tag)
+                if assignment is None or assignment.function.port is None:
+                    raise SymVirtError(f"{qemu.vm.name}: re-attach left no port")
+                port = assignment.function.port
+                if warm_reattach and port.state is not PortState.ACTIVE:
+                    port.fabric.force_active(port)
+                linkup_events.append(port.wait_active())
 
-        yield from ctl.signal()
+            yield from ctl.signal()
+            signals += 1
+        except ReproError:
+            # The job is insurance-checkpointed, never held hostage: put
+            # back the HCAs and hand back the owed rounds, then let the
+            # caller record the failed generation.
+            yield from undo.settle(env, qemus)
+            undo.finish_partial_ejects(self.cluster, qemus, detach_tag)
+            yield from undo.reattach_origin(ctl, detach_tag, had_attached)
+            yield from undo.resume_guests(ctl, 2 - signals)
+            raise
         timeline.begin("linkup", env.now)
         if linkup_events:
             yield env.all_of(linkup_events)

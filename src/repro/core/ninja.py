@@ -24,20 +24,13 @@ Failure semantics
 -----------------
 
 The sequence is a *transaction* over guest-visible state.  Before each
-risky phase the orchestrator pushes a compensation onto an undo stack;
-a mid-phase failure (``SymVirtError``/``MigrationError``/``NetworkError``
+risky phase the orchestrator journals a compensation; a mid-phase
+failure (``SymVirtError``/``MigrationError``/``NetworkError``
 /``QmpError``/:class:`~repro.errors.PhaseTimeoutError`) triggers
-**rollback** — the stack unwinds in LIFO order:
-
-``detach-stray``
-    eject HCAs this sequence attached on VMs away from their origin;
-``migrate-back``
-    precopy every relocated VM back to its origin host;
-``reattach-origin``
-    re-attach the original HCA on every VM that started with one;
-``resume-guests``
-    release whichever of the two SymVirt wait rounds are still owed so
-    every coordinator returns and the job keeps running.
+**rollback**: the journalled compensations unwind in LIFO order,
+``detach-stray`` → ``migrate-back`` → ``reattach-origin`` →
+``resume-guests``, each defined once in :mod:`repro.recovery.undo` and
+fed from the same journal fold a crash successor reads.
 
 Transient errors (QMP RTT loss, migration-socket resets — anything in
 ``TRANSIENT_ERRORS`` except :class:`~repro.errors.MigrationBlockedError`)
@@ -94,7 +87,7 @@ from repro.errors import (
     ReproError,
     SymVirtError,
 )
-from repro.network.fabric import PortState
+from repro.recovery import undo
 from repro.recovery.journal import MigrationJournal
 from repro.symvirt.controller import Controller
 
@@ -195,12 +188,6 @@ class NinjaMigration:
         #: Set once a ``controller.crash.*`` fault fires; every sibling
         #: sequence of this controller dies at its next phase boundary.
         self.crashed = False
-        #: Poll interval while waiting for in-flight work to settle.
-        self.settle_poll_s = 0.05
-        #: Upper bound on settling before rollback gives up (a migration
-        #: stream that never resolves is indistinguishable from a crashed
-        #: QEMU; surfacing MigrationAbortedError beats deadlocking).
-        self.settle_timeout_s = 3600.0
         #: Completed sequences (most recent last).
         self.history: list[NinjaResult] = []
 
@@ -233,30 +220,6 @@ class NinjaMigration:
             raise ControllerCrashError(
                 f"controller crashed at {point} ({label}): {err}"
             ) from err
-
-    def _settle(self, qemus):
-        """Wait until no controlled VM has an in-flight migration or
-        hotplug primitive (generator).
-
-        A failed parallel phase fails *fast* — sibling operations are
-        still running when the barrier collapses.  Retrying or rolling
-        back before they land would race their state transitions.
-        """
-        deadline = self.env.now + self.settle_timeout_s
-
-        def busy() -> bool:
-            for qemu in qemus:
-                if qemu.hotplug.active_ops:
-                    return True
-                job = qemu.current_migration
-                if job is not None and job.stats.in_flight:
-                    return True
-            return False
-
-        while busy():
-            if self.env.now >= deadline:
-                raise PhaseTimeoutError("settle", self.settle_timeout_s)
-            yield self.env.timeout(self.settle_poll_s)
 
     def _with_timeout(self, phase: str, body):
         """Drive ``body`` (a generator), bounded by the phase's budget."""
@@ -301,15 +264,7 @@ class NinjaMigration:
         retries: Dict[str, int] = {}
         #: Phase currently executing (for abort attribution).
         current_phase: List[Optional[str]] = [None]
-        #: SymVirt rounds already released via ``signal`` (of the two owed).
-        rounds_released = [0]
-        #: VMs that crossed the postcopy switchover — per-VM points of no
-        #: return (their only runnable image is on the destination).
-        postcopy_switched: set[str] = set()
-        #: LIFO compensation stack: (action name, generator factory).
-        compensations: List[tuple] = []
         rollback_actions: List[str] = []
-        committed = False
 
         # What the world looked like before the transaction started.
         origin = {q.vm.name: q.node.name for q in plan.qemus}
@@ -372,14 +327,14 @@ class NinjaMigration:
             # the world but absent from the journal (journal lags world),
             # and recovery's roll-back path handles the completed drain.
             switched = sorted(
-                name
-                for name, vm_stats in stats.items()
-                if vm_stats.mode == "postcopy" and name not in postcopy_switched
+                name for name, vm_stats in stats.items() if vm_stats.mode == "postcopy"
             )
+            if switched:
+                journalled = journal.snapshot(mid).postcopy_vms
+                switched = [name for name in switched if name not in journalled]
             if switched:
                 self._guard(plan.label, "postcopy.intent")
                 journal.append("postcopy-switchover", mid=mid, vms=switched)
-                postcopy_switched.update(switched)
                 self._guard(plan.label, "postcopy.commit")
 
         def attach_body():
@@ -408,117 +363,28 @@ class NinjaMigration:
             yield from faults.perturb("ninja.confirm")
             yield ctl._parallel(agent.qemu.hotplug.confirm() for agent in ctl.agents)
 
-        # -- compensations (run in reverse push order on rollback) ----------------
+        # -- undo: the journal's own fold drives it ---------------------------------
 
-        def finish_partial_ejects() -> None:
-            """Complete hotplug primitives that were interrupted mid-flight.
-
-            A seated function with no guest driver is the signature of an
-            interrupted attach (driver never probed) or detach (driver
-            unbound, eject unfinished); either way the safe terminal state
-            is "ejected".
-            """
-            for agent in ctl.agents:
-                assignment = agent.qemu.assignments.get(tag)
-                kernel = agent.qemu.vm.kernel
-                if (
-                    assignment is not None
-                    and assignment.attached
-                    and kernel is not None
-                    and not kernel.has_driver(assignment.function)
-                ):
-                    assignment.unseat()
-                    self.cluster.trace(
-                        "ninja", "rollback_finish_eject", vm=agent.qemu.vm.name, tag=tag
-                    )
-
-        def detach_stray():
-            """Eject HCAs this sequence attached on VMs away from home."""
-            stray = [
-                agent
-                for agent in ctl.agents
-                if agent.has_attached(tag)
-                and agent.qemu.node.name != origin[agent.qemu.vm.name]
-            ]
-            if stray:
-                yield ctl._parallel(agent.device_detach(tag) for agent in stray)
-
-        def migrate_back():
-            """Return every relocated VM to its origin host.
-
-            VMs that crossed the postcopy switchover stay put: their
-            journalled per-VM commit point makes the move irreversible,
-            so rollback leaves them on the destination.
-            """
-            back = {
-                agent.qemu.vm.name: origin[agent.qemu.vm.name]
-                for agent in ctl.agents
-                if agent.qemu.node.name != origin[agent.qemu.vm.name]
-                and agent.qemu.vm.name not in postcopy_switched
-            }
-            if back:
-                yield from ctl.migration(
-                    plan.dst_hostlist, plan.src_hostlist, mapping=back
+        def undo_sequence(cause: BaseException, snap):
+            """Roll back before the commit point, degrade after it."""
+            if snap.committed:
+                self.cluster.trace("ninja", "degrade_begin", label=plan.label, error=str(cause))
+            else:
+                self.cluster.trace(
+                    "ninja",
+                    "rollback_begin",
+                    label=plan.label,
+                    phase=current_phase[0],
+                    error=str(cause),
                 )
-
-        def reattach_origin():
-            """Re-attach the original HCA on every VM that started with one."""
-            pending = [
-                agent
-                for agent in ctl.agents
-                if had_attached[agent.qemu.vm.name] and not agent.has_attached(tag)
-            ]
-            if pending:
-                yield ctl._parallel(
-                    agent.device_attach(host="", tag=tag) for agent in pending
-                )
-
-        def resume_guests():
-            """Release whichever of the two wait rounds are still owed."""
-            yield from ctl.release(2 - rounds_released[0])
-            rounds_released[0] = 2
-
-        def rollback(cause: BaseException):
-            self.cluster.trace(
-                "ninja",
-                "rollback_begin",
-                label=plan.label,
-                phase=current_phase[0],
-                error=str(cause),
-            )
             timeline.begin("rollback", env.now)
             try:
-                yield from self._settle(plan.qemus)
-                finish_partial_ejects()
-                while compensations:
-                    name, factory = compensations.pop()
-                    rollback_actions.append(name)
-                    journal.append("rollback-action", mid=mid, action=name)
-                    self.cluster.trace("ninja", "rollback_action", action=name)
-                    yield from factory()
-            finally:
-                timeline.end("rollback", env.now)
-
-        def degrade(cause: BaseException):
-            """Past the commit point: keep the move, shed dead devices."""
-            self.cluster.trace(
-                "ninja", "degrade_begin", label=plan.label, error=str(cause)
-            )
-            timeline.begin("rollback", env.now)
-            try:
-                yield from self._settle(plan.qemus)
-                finish_partial_ejects()
-                dead = []
-                for agent in ctl.agents:
-                    if not agent.has_attached(tag):
-                        continue
-                    port = agent.qemu.assignments[tag].function.port
-                    if port is None or port.state is not PortState.ACTIVE:
-                        dead.append(agent)
-                if dead:
-                    rollback_actions.append("detach-dead-hca")
-                    journal.append("rollback-action", mid=mid, action="detach-dead-hca")
-                    yield ctl._parallel(agent.device_detach(tag) for agent in dead)
+                yield from undo.settle(env, plan.qemus)
+                undo.finish_partial_ejects(self.cluster, plan.qemus, tag)
+                if snap.committed:
+                    yield from undo.roll_forward(ctl, snap, journal, rollback_actions)
+                else:
+                    yield from undo.unwind(ctl, snap, journal, rollback_actions)
             finally:
                 timeline.end("rollback", env.now)
 
@@ -549,7 +415,7 @@ class NinjaMigration:
                             error=str(err),
                         )
                         yield env.timeout(delay)
-                        yield from self._settle(plan.qemus)
+                        yield from undo.settle(env, plan.qemus)
                         attempt += 1
                     else:
                         return
@@ -566,7 +432,6 @@ class NinjaMigration:
                     job.request_checkpoint()
 
                 # -- 1. coordination: quiesce + park (round A) -----------
-                compensations.append(("resume-guests", resume_guests))
                 journal.append("compensation", mid=mid, action="resume-guests")
                 self._guard(plan.label, "coordination.intent")
                 journal.append("intent", mid=mid, phase="coordination")
@@ -575,7 +440,6 @@ class NinjaMigration:
                 journal.append("commit", mid=mid, phase="coordination")
 
                 # -- 2. detach -------------------------------------------
-                compensations.append(("reattach-origin", reattach_origin))
                 journal.append("compensation", mid=mid, action="reattach-origin")
                 self._guard(plan.label, "detach.intent")
                 journal.append("intent", mid=mid, phase="detach")
@@ -586,13 +450,11 @@ class NinjaMigration:
                 # -- 3. round A → round B --------------------------------
                 self._guard(plan.label, "signal.intent")
                 yield from ctl.signal()
-                rounds_released[0] += 1
                 journal.append("signal", mid=mid, round=1)
                 self._guard(plan.label, "signal.commit")
                 yield from ctl.wait_all()
 
                 # -- 4. migration ----------------------------------------
-                compensations.append(("migrate-back", migrate_back))
                 journal.append("compensation", mid=mid, action="migrate-back")
                 self._guard(plan.label, "migration.intent")
                 journal.append("intent", mid=mid, phase="migration")
@@ -601,7 +463,6 @@ class NinjaMigration:
                 journal.append("commit", mid=mid, phase="migration")
 
                 # -- 5. attach + confirm ---------------------------------
-                compensations.append(("detach-stray", detach_stray))
                 journal.append("compensation", mid=mid, action="detach-stray")
                 self._guard(plan.label, "attach.intent")
                 journal.append("intent", mid=mid, phase="attach")
@@ -629,9 +490,6 @@ class NinjaMigration:
                 self._guard(plan.label, "resume.intent")
                 journal.append("intent", mid=mid, phase="resume")
                 yield from ctl.signal()
-                rounds_released[0] += 1
-                committed = True
-                compensations.clear()
                 journal.append("commit-point", mid=mid)
                 self._guard(plan.label, "commit-point.commit")
 
@@ -648,7 +506,9 @@ class NinjaMigration:
 
                 yield from ctl.quit()
             except ReproError as err:
-                if current_phase[0] is None and not compensations:
+                snap = journal.snapshot(mid)
+                committed = snap.committed
+                if not snap.compensations:
                     # Failed before the transaction opened (trigger path).
                     journal.append("aborted", mid=mid, phase="trigger", error=str(err))
                     raise
@@ -662,10 +522,7 @@ class NinjaMigration:
                     kind=type(err).__name__,
                 )
                 try:
-                    if committed:
-                        yield from degrade(err)
-                    else:
-                        yield from rollback(err)
+                    yield from undo_sequence(err, snap)
                 except ReproError as rollback_err:
                     # A failed rollback is not a settled outcome: VMs may
                     # be split across hosts or still parked.  The flag

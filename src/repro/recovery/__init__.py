@@ -1,6 +1,6 @@
 """Controller crash-recovery: journal, reconciliation, failure detection.
 
-Three pieces close the control plane's single point of failure:
+Four pieces close the control plane's single point of failure:
 
 * :mod:`repro.recovery.journal` — the write-ahead migration journal
   every Ninja sequence and fleet request appends to;
@@ -8,6 +8,9 @@ Three pieces close the control plane's single point of failure:
   replays the journal after a controller crash, reconciles it against
   observed VMM/agent/HCA state, and rolls each in-flight sequence
   forward or back;
+* :mod:`repro.recovery.undo` — the one definition of every undo step,
+  shared by the live controller's rollback/degrade, crash recovery and
+  a failed proactive checkpoint;
 * :mod:`repro.recovery.failure_detector` — phi-accrual heartbeats, the
   ``host.phi`` source the incident pipeline's telemetry probe samples,
   with fencing epochs (:mod:`repro.symvirt.fencing`) so a superseded

@@ -148,9 +148,10 @@ class FleetCheckpointService:
             try:
                 yield from self.checkpoint_job(record)
             except ReproError as err:
-                # A failed generation is a skipped generation: the job
-                # keeps running, the next tick tries again, and the
-                # journal shows intent-without-commit.
+                # A failed generation is a skipped generation: the
+                # checkpointer has already re-attached and resumed the
+                # job through the undo path, the next tick tries again,
+                # and the journal shows intent-without-commit.
                 self.skips.append((self.env.now, job_id, f"error:{err}"))
                 self.cluster.trace(
                     "checkpoint", "failed", job=job_id, error=str(err),

@@ -18,19 +18,24 @@ world back into a safe one:
    ``resume`` intent plus zero parked VMs means the commit-point signal
    landed even if its record did not).
 4. **Decide** — per sequence: *roll-forward* past the commit point
-   (guests already run at their destinations; finish link-up, shed dead
-   HCAs), *roll-back* before it (detach stray HCAs, migrate relocated
-   VMs home, re-attach origin HCAs, release the owed SymVirt rounds).
+   (guests already run at their destinations; deliver a missing resume,
+   give link-up a bounded wait, shed dead HCAs), *roll-back* before it
+   (unwind the journalled compensations in LIFO order, exactly as the
+   live controller would have).
 5. **Re-seed** — moved-but-rolling-back VMs get their *origin* capacity
    reserved in the (fresh) :class:`~repro.orchestrator.state.FleetStateStore`
-   while they travel home, so a resumed orchestrator cannot book the
-   slot out from under them; the reservations are released once the VM
-   lands.
+   just before ``migrate-back``, so a resumed orchestrator cannot book
+   the slot out from under them; the reservations are released once the
+   VMs land.
+
+Every step comes from :mod:`repro.recovery.undo`, shared with the live
+controller.  A VM that died with its host is named in the decision's
+``error``; its siblings and the rest of the pass are still recovered.
 
 Every action recovery takes is itself journalled (``recovery-begin`` /
-``recovery-decision`` / ``rollback-action`` / ``recovered`` /
-``recovery-complete``) — recovery of a crashed recovery replays cleanly
-because the fold is idempotent.
+``recovery-decision`` / ``rollback-action`` before each step /
+``recovered`` / ``recovery-complete``) — recovery of a crashed recovery
+replays cleanly because the fold is idempotent.
 """
 
 from __future__ import annotations
@@ -39,14 +44,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import FleetError, ReproError
-from repro.network.fabric import PortState
+from repro.recovery import undo
 from repro.recovery.journal import MigrationJournal, MigrationSnapshot
 from repro.symvirt.controller import Controller
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.cluster import Cluster
     from repro.orchestrator.state import FleetStateStore
-    from repro.vmm.qemu import QemuProcess
 
 
 @dataclass
@@ -106,83 +110,11 @@ class RecoveryManager:
         cluster: "Cluster",
         journal: MigrationJournal,
         store: Optional["FleetStateStore"] = None,
-        park_timeout_s: float = 120.0,
-        linkup_timeout_s: float = 120.0,
-        settle_poll_s: float = 0.05,
-        settle_timeout_s: float = 3600.0,
-        settle_quiet_polls: int = 3,
     ) -> None:
         self.cluster = cluster
         self.env = cluster.env
         self.journal = journal
         self.store = store
-        #: Bound on waiting for coordinators to (re)park during rollback.
-        #: A crash before the checkpoint request means nobody will ever
-        #: park — recovery must not deadlock on a round that is not owed.
-        self.park_timeout_s = park_timeout_s
-        self.linkup_timeout_s = linkup_timeout_s
-        self.settle_poll_s = settle_poll_s
-        self.settle_timeout_s = settle_timeout_s
-        self.settle_quiet_polls = settle_quiet_polls
-
-    # -- world lookups ------------------------------------------------------------
-
-    def _qemu(self, vm_name: str) -> Optional["QemuProcess"]:
-        for node in self.cluster.nodes.values():
-            for qemu in node.vms:
-                if qemu.vm.name == vm_name:
-                    return qemu
-        return None
-
-    def _qemus(self, snap: MigrationSnapshot) -> List["QemuProcess"]:
-        qemus = []
-        for name in snap.vms:
-            qemu = self._qemu(name)
-            if qemu is None:
-                raise ReproError(f"recovery: VM {name!r} vanished from the cluster")
-            qemus.append(qemu)
-        return qemus
-
-    # -- bounded waits -------------------------------------------------------------
-
-    def _settle(self, qemus):
-        """Wait until no orphaned migration stream or hotplug primitive
-        is in flight (they are independent simulation processes and run
-        to completion with the controller dead).
-
-        "Quiet" must hold for several consecutive polls: a command the
-        dead controller issued just before dying is still on the wire for
-        one QMP round-trip and only then shows up as an active stream, so
-        a single instantaneous check would reconcile against state that
-        is about to change under us.
-        """
-        deadline = self.env.now + self.settle_timeout_s
-
-        def busy() -> bool:
-            for qemu in qemus:
-                if qemu.hotplug.active_ops:
-                    return True
-                job = qemu.current_migration
-                if job is not None and job.stats.in_flight:
-                    return True
-            return False
-
-        quiet = 0
-        while quiet < self.settle_quiet_polls:
-            if self.env.now >= deadline:
-                raise ReproError("recovery: in-flight work never settled")
-            quiet = quiet + 1 if not busy() else 0
-            yield self.env.timeout(self.settle_poll_s)
-
-    def _bounded(self, events, timeout_s: float):
-        """Wait for all ``events`` or the timeout; returns True if they
-        all fired (generator)."""
-        if not events:
-            return True
-        barrier = self.env.all_of(events)
-        clock = self.env.timeout(timeout_s)
-        yield self.env.any_of([barrier, clock])
-        return bool(barrier.triggered)
 
     # -- the recovery pass -----------------------------------------------------------
 
@@ -236,10 +168,12 @@ class RecoveryManager:
         return "roll-back", "no commit-point record"
 
     def _recover_one(self, snap: MigrationSnapshot, report: RecoveryReport):
-        qemus = self._qemus(snap)
-        ctl = Controller(self.cluster, qemus)  # fresh epoch: passes fencing
-        tag = snap.tag
-        yield from self._settle(qemus)
+        running = {
+            qemu.vm.name: qemu for node in self.cluster.nodes.values() for qemu in node.vms
+        }
+        qemus = [running[name] for name in snap.vms if name in running]
+        lost = [name for name in snap.vms if name not in running]
+        yield from undo.settle(self.env, qemus, undo.SUCCESSOR_QUIET_POLLS)
         decision_kind, basis = self._decide(snap, qemus)
         decision = RecoveryDecision(
             mid=snap.mid,
@@ -255,166 +189,60 @@ class RecoveryManager:
             "recovery", "decision", mid=snap.mid, decision=decision_kind,
             basis=basis, phase=snap.phase_reached,
         )
-        try:
-            if decision_kind == "roll-forward":
-                yield from self._roll_forward(snap, ctl, decision)
-            else:
-                yield from self._roll_back(snap, ctl, decision, report)
-        except ReproError as err:
-            decision.error = str(err)
-        ctl.close()
+        errors = [f"VM {name!r} lost with its host" for name in lost]
+        if qemus:
+            ctl = Controller(self.cluster, qemus)  # fresh epoch: passes fencing
+            try:
+                undo.finish_partial_ejects(self.cluster, qemus, snap.tag)
+                if decision_kind == "roll-forward":
+                    yield from undo.roll_forward(
+                        ctl, snap, self.journal, decision.actions, undo.ROLL_FORWARD_STEPS
+                    )
+                else:
+                    yield from self._roll_back(snap, ctl, decision, report)
+            except ReproError as err:
+                errors.append(str(err))
+            ctl.close()
+        decision.error = "; ".join(errors)
         decision.final_hosts = {q.vm.name: q.node.name for q in qemus}
-        decision.parked_after = [
-            q.vm.name for q in qemus if q.vm.hypercall.parked
-        ]
+        decision.parked_after = [q.vm.name for q in qemus if q.vm.hypercall.parked]
         self.journal.append(
             "recovered", mid=snap.mid, decision=decision_kind,
             actions=list(decision.actions), error=decision.error,
         )
         return decision
 
-    def _finish_partial_ejects(self, qemus, tag: str, decision: RecoveryDecision) -> None:
-        """A seated function with no guest driver is an interrupted
-        attach/detach; the safe terminal state is "ejected"."""
-        for qemu in qemus:
-            assignment = qemu.assignments.get(tag)
-            kernel = qemu.vm.kernel
-            if (
-                assignment is not None
-                and assignment.attached
-                and kernel is not None
-                and not kernel.has_driver(assignment.function)
-            ):
-                assignment.unseat()
-                decision.actions.append(f"finish-eject:{qemu.vm.name}")
-                self.cluster.trace(
-                    "recovery", "finish_eject", vm=qemu.vm.name, tag=tag
-                )
+    def _roll_back(self, snap: MigrationSnapshot, ctl: Controller, decision, report):
+        """Before the commit point: unwind the journalled compensations,
+        with each relocated VM's origin slot re-seeded in the store so a
+        resumed orchestrator cannot book it while the VM travels home
+        (only a successor lacks that reservation: the dead orchestrator's
+        died with it)."""
 
-    # -- roll-forward ----------------------------------------------------------------
-
-    def _roll_forward(self, snap: MigrationSnapshot, ctl: Controller, decision):
-        """Past the commit point: the move stands.  Finish link-up (or
-        shed HCAs whose port never trains) and close out the sequence."""
-        tag = snap.tag
-        self._finish_partial_ejects([a.qemu for a in ctl.agents], tag, decision)
-        # The crash may have landed before the second signal's record but
-        # after its delivery; if any VM is somehow still parked (crash at
-        # resume intent resolved forward by journal), deliver the resume.
-        parked = [a for a in ctl.agents if a.qemu.vm.hypercall.parked]
-        if parked:
-            yield ctl._parallel(a.signal() for a in parked)
-            decision.actions.append("deliver-resume")
-        waiting = []
-        for agent in ctl.agents:
-            name = agent.qemu.vm.name
-            if snap.attach.get(name) and agent.has_attached(tag):
-                port = agent.qemu.assignments[tag].function.port
-                if port is not None and port.state is not PortState.ACTIVE:
-                    waiting.append((agent, port))
-        if waiting:
-            trained = yield from self._bounded(
-                [port.wait_active() for _, port in waiting], self.linkup_timeout_s
-            )
-            decision.actions.append("await-linkup")
-            if not trained:
-                dead = [
-                    agent for agent, port in waiting
-                    if port.state is not PortState.ACTIVE
-                ]
-                if dead:
-                    yield ctl._parallel(a.device_detach(tag) for a in dead)
-                    decision.actions.append("detach-dead-hca")
-                    self.journal.append(
-                        "rollback-action", mid=snap.mid, action="detach-dead-hca"
+        def reseed() -> None:
+            moved = undo.relocated(ctl, snap.origin, snap.postcopy_vms)
+            for agent in ctl.agents:
+                name = agent.qemu.vm.name
+                if name not in moved:
+                    continue
+                try:
+                    self.store.reserve(
+                        moved[name], agent.qemu.vm.memory.size_bytes, owner=snap.mid
+                    )
+                    report.reseeded += 1
+                except FleetError as err:
+                    # The slot is contested; the migrate-back is the
+                    # physical claim and must proceed regardless.
+                    self.cluster.trace(
+                        "recovery", "reseed_failed", vm=name, error=str(err)
                     )
 
-    # -- roll-back -------------------------------------------------------------------
-
-    def _roll_back(self, snap: MigrationSnapshot, ctl: Controller, decision, report):
-        """Before the commit point: undo, mirroring the compensation
-        stack the dead controller would have unwound (LIFO)."""
-        tag = snap.tag
-        qemus = [a.qemu for a in ctl.agents]
-        self._finish_partial_ejects(qemus, tag, decision)
-
-        # detach-stray: HCAs this sequence attached away from home.
-        stray = [
-            a for a in ctl.agents
-            if a.has_attached(tag)
-            and a.qemu.node.name != snap.origin[a.qemu.vm.name]
-        ]
-        if stray:
-            yield ctl._parallel(a.device_detach(tag) for a in stray)
-            decision.actions.append("detach-stray")
-            self.journal.append("rollback-action", mid=snap.mid, action="detach-stray")
-
-        # migrate-back, with the origin slot re-seeded in the store so a
-        # resumed orchestrator cannot book it while the VM travels home.
-        # Defensive: VMs with a journalled postcopy switchover never
-        # travel home even when the rest of the sequence rolls back.
-        moved = {
-            a.qemu.vm.name: snap.origin[a.qemu.vm.name]
-            for a in ctl.agents
-            if a.qemu.node.name != snap.origin[a.qemu.vm.name]
-            and a.qemu.vm.name not in snap.postcopy_vms
-        }
-        if moved:
-            if self.store is not None:
-                for agent in ctl.agents:
-                    name = agent.qemu.vm.name
-                    if name not in moved:
-                        continue
-                    try:
-                        self.store.reserve(
-                            moved[name],
-                            agent.qemu.vm.memory.size_bytes,
-                            owner=snap.mid,
-                        )
-                        report.reseeded += 1
-                    except FleetError as err:
-                        # The slot is contested; the migrate-back is the
-                        # physical claim and must proceed regardless.
-                        self.cluster.trace(
-                            "recovery", "reseed_failed", vm=name, error=str(err)
-                        )
-            yield from ctl.migration([], [], mapping=moved)
-            decision.actions.append("migrate-back")
-            self.journal.append("rollback-action", mid=snap.mid, action="migrate-back")
-
-        # reattach-origin: restore the pre-transaction HCA state.
-        pending = [
-            a for a in ctl.agents
-            if snap.had_attached.get(a.qemu.vm.name) and not a.has_attached(tag)
-        ]
-        if pending:
-            yield ctl._parallel(a.device_attach(host="", tag=tag) for a in pending)
-            decision.actions.append("reattach-origin")
-            self.journal.append(
-                "rollback-action", mid=snap.mid, action="reattach-origin"
-            )
-
-        # resume-guests: hand back the owed SymVirt rounds.  Bounded —
-        # a crash before round A means the coordinators may still be on
-        # their way to the park (wait for them), while a crash before
-        # the checkpoint request means they never will be (time out and
-        # owe nothing).
-        owed = max(2 - snap.signals, 0)
-        for _ in range(owed):
-            parked = yield from self._bounded(
-                [a.qemu.vm.hypercall.wait_parked() for a in ctl.agents],
-                self.park_timeout_s,
-            )
-            if not parked:
-                break
-            yield ctl._parallel(a.signal() for a in ctl.agents)
-            decision.actions.append("resume-guests")
-        if owed:
-            self.journal.append(
-                "rollback-action", mid=snap.mid, action="resume-guests"
-            )
-
-        if self.store is not None and moved:
+        yield from undo.unwind(
+            ctl, snap, self.journal, decision.actions,
+            park_timeout_s=undo.PARK_TIMEOUT_S,
+            before={"migrate-back": reseed} if self.store is not None else None,
+        )
+        if self.store is not None:
             self.store.release_owner(snap.mid)
 
     # -- fleet resubmission ------------------------------------------------------------

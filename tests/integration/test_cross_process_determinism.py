@@ -4,8 +4,9 @@ Directed links are interned and hash by identity, so a ``frozenset`` of
 them (the fleet planner's link footprints) iterates in an order set by
 their memory addresses, which depend on everything the process
 allocated before.  These runs prove no output depends on that order or
-on string hashing: a scale campaign, a fleet drain, the fiber-cut and
-host-kill drills (whose telemetry withholds repeats through per-series
+on string hashing: a scale campaign, a fleet drain, a fleet drain whose
+controller crashes (the one scenario that runs crash recovery end to
+end), the fiber-cut and host-kill drills (whose telemetry withholds repeats through per-series
 caches) and a Figure 7 MPI pair (CG class C), each run in two fresh
 interpreters with different ``PYTHONHASHSEED`` and different padding
 (throwaway links, each with its two directed views, built before each
@@ -28,7 +29,7 @@ from repro.analysis.experiments import run_fig7_npb
 from repro.incident.scenario import run_host_failure_scenario, run_incident_scenario
 from repro.network.links import Link
 from repro.orchestrator.continuous import ScaleConfig, run_scale_scenario
-from repro.orchestrator.scenario import run_fleet_scenario
+from repro.orchestrator.scenario import run_fleet_crash_scenario, run_fleet_scenario
 from repro.sim.trace import Tracer
 
 WALL = {"wall_s", "solver_p50_s", "solver_p99_s", "solver_total_s",
@@ -64,6 +65,9 @@ pad()
 fleet = Tracer()
 print("fleet", *digest(fleet, run_fleet_scenario(jobs=2, tracer=fleet)))
 pad()
+crash = Tracer()
+print("crash", *digest(crash, run_fleet_crash_scenario(jobs=2, tracer=crash)))
+pad()
 cut = Tracer()
 print("cut", *digest(cut, run_incident_scenario(seed=0, tracer=cut)))
 pad()
@@ -95,7 +99,7 @@ def test_scale_and_fleet_traces_are_identical_across_hash_seeds():
         assert child.returncode == 0, err
         outputs.append(out.split())
     assert outputs[0] == outputs[1]
-    # Five non-empty outcomes were digested: (name, digest, size) x 5.
+    # Six non-empty outcomes were digested: (name, digest, size) x 6.
     names, counts = outputs[0][0::3], outputs[0][2::3]
-    assert names == ["scale", "fleet", "cut", "kill", "mpi"]
+    assert names == ["scale", "fleet", "crash", "cut", "kill", "mpi"]
     assert all(int(n) > 0 for n in counts)

@@ -156,3 +156,37 @@ class TestEpochFencing:
         # The fenced writer records errors instead of committing.
         assert len(_commits(orch)) == before
         assert any(reason.startswith("error:") for _, _, reason in service.skips)
+
+
+class TestFailedTick:
+    """A generation that fails mid-hotplug re-attaches and resumes the job
+    it parked: a skipped generation, never a lost job."""
+
+    @pytest.mark.parametrize(
+        "site", ["hotplug.detach", "qmp.device_del", "hotplug.attach", "qmp.device_add"]
+    )
+    def test_failed_hotplug_leaves_job_running(self, site):
+        estate = build_estate(1, 2, FleetConfig(), tenants=1)
+        cluster, orch = estate.cluster, estate.orch
+        nfs = NfsServer(cluster.env, bandwidth_Bps=gbps(40.0) * 0.7)
+        service = FleetCheckpointService(cluster, orch.store, nfs, orch.journal)
+        record = orch.store.jobs["j0"]
+        assert len(record.qemus) == 2
+        assert service.ineligible_reason(record) is None
+        cluster.faults.arm(site)
+
+        done = cluster.env.process(service.checkpoint_fleet())
+        cluster.env.run(until=done)
+        assert [(j, r.startswith("error:")) for _, j, r in service.skips] == [("j0", True)]
+
+        cluster.env.run(until=cluster.env.now + 90.0)
+        for qemu in record.qemus:
+            assert not qemu.vm.hypercall.parked, qemu.vm.name
+            assignment = qemu.assignments.get(service.detach_tag)
+            assert assignment is not None and assignment.attached, qemu.vm.name
+            assert qemu.vm.kernel.has_driver(assignment.function)
+            assert assignment.backing.slot.bus is qemu.node.pci
+        assert record.job.live_ranks == record.job.size
+        assert not record.busy
+        kinds = [r.kind for r in orch.journal.records if r.payload.get("job") == "j0"]
+        assert "checkpoint-intent" in kinds and "checkpoint-commit" not in kinds

@@ -174,3 +174,32 @@ def test_recovery_is_idempotent_and_terminal():
     second = _recover(cluster, ninja, reason="second")
     assert second.clean and len(second.decisions) == 0
     _assert_settled(cluster, vms, ORIGINS)
+
+
+def test_vm_lost_with_its_host_does_not_stop_the_pass():
+    """One VM dies with its host mid-sequence: recovery still repairs the
+    survivor, reports the loss, and closes the pass."""
+    cluster, vms, job = _setup()
+    ninja = NinjaMigration(cluster)
+    plan = ninja.fallback_plan(vms, ["eth01", "eth02"])
+    assert _crash(cluster, ninja, job, plan, "detach.commit") == "crashed"
+    assert cluster.fail_host("ib01") == ["vm1"]
+
+    report = _recover(cluster, ninja, reason="host lost")
+    assert not report.clean
+    (decision,) = report.decisions
+    assert decision.decision == "roll-back"
+    assert "vm1" in decision.error
+    assert decision.final_hosts == {"vm2": "ib02"}
+    assert decision.parked_after == []
+    assert ninja.journal.records[-1].kind == "recovery-complete"
+    assert ninja.journal.unfinished() == []
+
+    vm2 = vms[1]
+    cluster.env.run(until=cluster.env.now + 90.0)
+    assert vm2.node.name == "ib02"
+    assert vm2.vm.state is RunState.RUNNING
+    assert not vm2.vm.hypercall.parked
+    assignment = vm2.assignments.get(plan.detach_tag)
+    assert assignment is not None and assignment.attached
+    assert vm2.vm.kernel.has_driver(assignment.function)
