@@ -72,10 +72,13 @@ class HostCpu:
         """Run ``nthreads`` threads of ``cpu_seconds`` each; barrier event.
 
         Models an OpenMP-style region or one compute phase of ``nthreads``
-        MPI ranks pinned to this host.
+        MPI ranks pinned to this host.  A single thread needs no barrier:
+        its own ``done`` event is returned.
         """
         if nthreads <= 0:
             raise HardwareError("nthreads must be positive")
+        if nthreads == 1:
+            return self.run_thread(cpu_seconds, label=f"{label}[0]").done
         tasks = [
             self.run_thread(cpu_seconds, label=f"{label}[{i}]") for i in range(nthreads)
         ]

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import count
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, Message
-from repro.sim.events import Event
+from repro.sim.events import AllOf, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
@@ -109,7 +109,7 @@ class MatchingEngine:
 
 
 class SendTracker:
-    """Tracks in-flight (non-blocking) sends so quiesce can drain them.
+    """Runs non-blocking sends and tracks them so quiesce can drain them.
 
     The CRCP coordination protocol must reach a state with no in-flight
     traffic before checkpointing; :meth:`drain` is the event it waits on.
@@ -123,11 +123,22 @@ class SendTracker:
         #: Sends issued, blocking and non-blocking (diagnostics).
         self.total_sends = 0
 
-    def track(self, done: Event) -> Event:
-        """Register an in-flight send completion event."""
+    def start(self, send: Generator[Event, Any, Any]) -> Event:
+        """Run the BTL send generator ``send``; returns its completion event.
+
+        The send is driven from event callbacks, not by a process: its
+        first step runs now, inside the caller, and each later step when
+        the event it yielded is processed.  The completion event succeeds
+        when the generator returns, or fails with what it raised, and is
+        scheduled where a send process would have scheduled itself, so
+        waiters resume in the same order.  A failure nobody waits on
+        stops the run like any unhandled failed event.
+        """
         self.total_sends += 1
+        done = Event(self.env)
         self._outstanding.add(done)
-        done.wait(lambda ev: self._outstanding.discard(ev))
+        done.callbacks.append(self._outstanding.discard)
+        _SendDriver(send, done).resume(None)
         return done
 
     @property
@@ -140,6 +151,37 @@ class SendTracker:
             event = Event(self.env)
             event.succeed()
             return event
-        from repro.sim.events import AllOf
-
         return AllOf(self.env, list(self._outstanding))
+
+
+class _SendDriver:
+    """Advances one send generator from the callbacks of what it yields."""
+
+    __slots__ = ("_send", "_done")
+
+    def __init__(self, send: Generator[Event, Any, Any], done: Event) -> None:
+        self._send = send
+        self._done = done
+
+    def resume(self, event: Optional[Event]) -> None:
+        """Feed ``event``'s outcome (nothing, to start) into the generator."""
+        send = self._send
+        while True:
+            try:
+                if event is None:
+                    target = send.send(None)
+                elif event._ok:
+                    target = send.send(event._value)
+                else:
+                    event._defused = True  # the send takes the failure
+                    target = send.throw(event._value)
+            except StopIteration as stop:
+                self._done.succeed(stop.value)
+                return
+            except Exception as err:
+                self._done.fail(err)
+                return
+            if target.callbacks is not None:
+                target.callbacks.append(self.resume)
+                return
+            event = target  # already processed: continue at once

@@ -154,10 +154,8 @@ class MpiProcess:
             src=self.rank, dst=dst, tag=tag, nbytes=int(nbytes), comm_id=comm_id, value=value
         )
         module = self.btl.route(peer)
-        # A process of its own, so the send overlaps the caller's receive.
-        return self.sends.track(
-            self.env.process(module.send(peer, message), name=f"isend.{self.rank}->{dst}")
-        )
+        # Driven from callbacks, so the send overlaps the caller's receive.
+        return self.sends.start(module.send(peer, message))
 
     def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG, comm_id: int = 0):
         """Blocking receive, interruptible by checkpoint requests.

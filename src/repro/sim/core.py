@@ -46,7 +46,11 @@ class Environment:
         return self._active_process
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the queue is empty."""
+        """Time of the next queue entry, or ``inf`` if the queue is empty.
+
+        The entry may be a cancelled timer: cancelled entries stay queued
+        until their time comes, and the clock still passes over them.
+        """
         return self._queue[0][0] if self._queue else float("inf")
 
     # -- factories -------------------------------------------------------------
@@ -84,7 +88,12 @@ class Environment:
         )
 
     def step(self) -> None:
-        """Process the single next event in the queue.
+        """Process the single next queue entry.
+
+        A cancelled timer (:meth:`Timeout.cancel
+        <repro.sim.events.Timeout.cancel>`) is popped and dropped: the
+        clock moves to its time, but no callback runs and it is not
+        counted in :attr:`events_processed`.
 
         Raises
         ------
@@ -95,11 +104,11 @@ class Environment:
             self._now, _, _, event = heapq.heappop(self._queue)
         except IndexError:
             raise SimulationError("no scheduled events left") from None
-        self.events_processed += 1
 
         callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:  # pragma: no cover - defensive
-            raise SimulationError(f"event {event!r} processed twice")
+        if callbacks is None:
+            return  # a cancelled timer
+        self.events_processed += 1
         for callback in callbacks:
             callback(event)
 
@@ -120,6 +129,10 @@ class Environment:
             * a number — run until the clock reaches that time;
             * an :class:`Event` — run until that event is processed, and
               return its value (re-raising its exception on failure).
+
+        A drained run leaves :attr:`now` at the last queue entry's time,
+        cancelled timers included, exactly as if a cancelled timer were
+        an event whose callbacks do nothing.
         """
         if until is not None and not isinstance(until, Event):
             at = float(until)
@@ -155,15 +168,15 @@ class Environment:
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         """Drain the queue completely; return the number of events processed.
 
-        ``max_events`` guards against runaway loops in tests.
+        Cancelled timers are not counted.  ``max_events`` guards against
+        runaway loops in tests.
         """
-        processed = 0
+        start = self.events_processed
         while self._queue:
             self.step()
-            processed += 1
-            if processed > max_events:
+            if self.events_processed - start > max_events:
                 raise SimulationError(f"exceeded {max_events} events — runaway loop?")
-        return processed
+        return self.events_processed - start
 
 
 def _stop_simulation(event: Event) -> None:

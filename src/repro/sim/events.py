@@ -151,6 +151,17 @@ class Timeout(Event):
         self._value = value
         env.schedule(self, delay=self.delay)
 
+    def cancel(self) -> None:
+        """Withdraw a timeout that has not fired yet.
+
+        Its callbacks never run and the kernel does not count it as an
+        event; anything still waiting on it waits forever, so cancel only
+        timers that nothing else waits on (a service's own wakeup).  The
+        timeout then reads as processed.  Cancelling a processed timeout
+        does nothing.
+        """
+        self.callbacks = None
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Timeout delay={self.delay!r}>"
 

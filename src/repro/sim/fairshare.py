@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
@@ -115,7 +115,7 @@ class FairShare:
         self.capacity = float(capacity)
         self.name = name
         self._tasks: list[FairShareTask] = []
-        self._wakeup: Optional[Event] = None
+        self._wakeup: Optional[Timeout] = None
         self._last_update = env.now
 
     # -- public API ------------------------------------------------------------
@@ -197,11 +197,16 @@ class FairShare:
             task.done.succeed(task)
 
     def _reschedule(self) -> None:
-        """Recompute rates and schedule a wakeup at the next completion."""
-        if self._wakeup is not None and not self._wakeup.triggered:
-            # Invalidate the stale wakeup; its callback checks identity.
-            self._wakeup._defused = True
-        self._wakeup = None
+        """Recompute rates and schedule a wakeup at the next completion.
+
+        The wakeup this one supersedes is cancelled, so the kernel never
+        processes it.  Progress is still credited only at rate changes
+        and completions: an extra wakeup would split ``rate * elapsed``
+        and move the floats.
+        """
+        if self._wakeup is not None:
+            self._wakeup.cancel()
+            self._wakeup = None
         if not self._tasks:
             return
 
@@ -226,8 +231,6 @@ class FairShare:
         wakeup.callbacks.append(self._on_wakeup)
 
     def _on_wakeup(self, event: Event) -> None:
-        if event is not self._wakeup:
-            return  # stale wakeup from before a reschedule
         self._wakeup = None
         self._advance_progress()
         self._reschedule()

@@ -80,6 +80,44 @@ def test_quiesce_drains_outstanding_sends(pair):
     assert order == [("quiesced", True)]
 
 
+def test_quiesce_drains_the_send_of_a_sendrecv_parked_in_its_receive(pair):
+    """The request wakes a rank parked in ``sendrecv``'s receive while
+    its own send is on the wire; quiesce waits for that send to land."""
+    cluster, job = pair
+    env = cluster.env
+    checkpoints = []
+
+    def checkpoint_cb(proc):
+        checkpoints.append(
+            (proc.rank, proc.sends.in_flight, job.proc(1 - proc.rank).matching.delivered)
+        )
+        yield env.timeout(0)
+
+    job.crs.register_callbacks(CrsCallbacks(checkpoint=checkpoint_cb))
+
+    def rank_main(proc, comm):
+        if comm.rank == 0:
+            # 256 MiB: ~83 ms on the wire, well past the request.
+            yield from comm.sendrecv(1, 256 * MiB, src=1, tag=1)
+        else:
+            yield proc.vm.compute(1.0, nthreads=1)
+            yield from comm.sendrecv(0, 8, src=0, tag=1)
+        return None
+
+    job.launch(rank_main)
+
+    def trigger(env):
+        yield env.timeout(0.02)
+        job.request_checkpoint()
+
+    env.process(trigger(env))
+    env.run(until=job.wait())
+    # Rank 0 checkpointed with nothing in flight and its message already
+    # delivered to rank 1, which was still computing.
+    assert checkpoints[0] == (0, 0, 1)
+    assert [rank for rank, _, _ in checkpoints] == [0, 1]
+
+
 def test_cr_serviced_at_mpi_call(pair):
     """A rank in a long compute phase services the CR at its next call."""
     cluster, job = pair

@@ -55,8 +55,17 @@ def test_comm_id_isolation(env):
 def test_send_tracker_drain(env):
     tracker = SendTracker(env)
     a, b = env.event(), env.event()
-    tracker.track(a)
-    tracker.track(b)
+    steps = []
+
+    def send(name, wire):
+        steps.append((name, "start", env.now))
+        yield wire
+        steps.append((name, "landed", env.now))
+
+    done_a = tracker.start(send("a", a))
+    done_b = tracker.start(send("b", b))
+    # Each send ran to its first yield inside start(), with no process.
+    assert steps == [("a", "start", 0.0), ("b", "start", 0.0)]
     assert tracker.in_flight == 2
     done_at = []
 
@@ -75,6 +84,9 @@ def test_send_tracker_drain(env):
     env.run()
     assert done_at == [2.0]
     assert tracker.in_flight == 0
+    assert done_a.ok and done_b.ok
+    assert steps[2:] == [("a", "landed", 1.0), ("b", "landed", 2.0)]
+    assert tracker.total_sends == 2
 
 
 def test_drain_empty_immediate(env):
