@@ -2,11 +2,14 @@
 
 ``trace_pins.json`` holds, for each drill the fleet benchmark runs (the
 8-job sequenced WAN drain, the fiber cut, the host kill) plus the fleet
-drain whose controller crashes, a sha256 of the drill's tracer JSONL, its
-record count and a sha256 of its outcome (``to_dict``).  A change to how
-the event kernel, the MPI runtime or the fair-share service schedule work
-must leave all three exactly as pinned: floats alone would not show two
-same-instant records trading places.
+drain whose controller crashes and a small scale campaign, a sha256 of
+the drill's tracer JSONL, its record count and a sha256 of its outcome
+(``to_dict``, less wall-clock fields).  A change to how the event kernel,
+the MPI runtime or the fair-share service schedule work must leave all
+three exactly as pinned: floats alone would not show two same-instant
+records trading places.  Every ``scale.migrated`` record carries the
+migration's ``rounds`` and ``bytes``, so the scale entry also pins each
+decision of the precopy stop rule on the fluid fleet.
 
 Regenerate (only when a simulated result is meant to change) with
 ``PYTHONPATH=src python -m tests.integration.test_trace_pins``.
@@ -21,8 +24,10 @@ import pathlib
 import pytest
 
 from repro.incident.scenario import run_host_failure_scenario, run_incident_scenario
+from repro.orchestrator.continuous import ScaleConfig, run_scale_scenario
 from repro.orchestrator.scenario import run_fleet_crash_scenario, run_fleet_scenario
 from repro.sim.trace import Tracer
+from tests.orchestrator.test_continuous import _SMALL
 
 PINS = pathlib.Path(__file__).with_name("trace_pins.json")
 
@@ -31,7 +36,12 @@ DRILLS = {
     "fleet-crash": lambda tracer: run_fleet_crash_scenario(tracer=tracer),
     "fiber-cut": lambda tracer: run_incident_scenario(tracer=tracer),
     "host-kill": lambda tracer: run_host_failure_scenario(tracer=tracer),
+    "scale-small": lambda tracer: run_scale_scenario(ScaleConfig(**_SMALL), tracer=tracer),
 }
+
+#: Wall-clock fields of a ``ScaleResult``: the outcome digest skips them.
+WALL = {"wall_s", "solver_p50_s", "solver_p99_s", "solver_total_s",
+        "events_per_s", "wall_s_per_sim_hour"}
 
 
 def trace_sha256(tracer: Tracer) -> str:
@@ -45,7 +55,8 @@ def trace_sha256(tracer: Tracer) -> str:
 def pin(drill: str) -> dict:
     tracer = Tracer()
     result = DRILLS[drill](tracer)
-    outcome = json.dumps(result.to_dict(), sort_keys=True, default=str)
+    outcome = {k: v for k, v in result.to_dict().items() if k not in WALL}
+    outcome = json.dumps(outcome, sort_keys=True, default=str)
     return {
         "trace_sha256": trace_sha256(tracer),
         "records": len(tracer.records),
