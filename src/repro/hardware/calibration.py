@@ -81,7 +81,8 @@ class Calibration:
     #: QEMU downtime limit: remaining dirty data must transfer within this
     #: budget before the final stop-and-copy round (QEMU 1.1 default 30 ms).
     max_downtime_s: float = msec(30)
-    #: Cap on precopy iterations before forcing stop-and-copy.
+    #: Cap on dirty re-send rounds after the bulk pass (round 0); precopy
+    #: that has not converged by then stops and copies (or escalates).
     max_precopy_rounds: int = 30
     #: Fixed migration setup/teardown (QMP negotiation, NFS handoff).
     migration_setup_s: float = 0.45

@@ -20,10 +20,12 @@ kinds:
 
 Each VM migration runs the iterative-precopy loop in fluid form: round
 ``n+1`` retransmits the bytes dirtied during round ``n`` (a per-VM dirty
-rate, heterogeneous across the fleet), converging when the residual fits
-the downtime budget at the achieved rate or the round cap trips —
-exactly the shape of :mod:`repro.vmm.migration`, minus the per-page
-bookkeeping that does not survive multiplication by a thousand.
+rate, heterogeneous across the fleet).  After each round the shared
+:class:`~repro.vmm.policy.PrecopyRule` — the one
+:mod:`repro.vmm.migration` runs — decides on the downtime estimate
+dirtied bytes / achieved rate, under :data:`FLUID_PRECOPY`: stop when it
+fits the budget or the round cap trips.  Only the per-page bookkeeping,
+which does not survive multiplication by a thousand, is left out.
 
 ``run_scale_scenario`` is the entry point for ``repro scale`` and
 ``benchmarks/test_scale.py``.
@@ -44,6 +46,7 @@ from repro.sim.arrivals import Arrival, ArrivalProcess, PoissonProcess
 from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
 from repro.units import GiB, MiB, gbps
+from repro.vmm.policy import STOP, MigrationPolicy, PrecopyRule
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import Tracer
@@ -52,6 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover
 CHURN = "churn"
 CONSOLIDATE = "consolidate"
 DRAIN = "drain"
+
+#: Plain precopy with a 30 ms downtime budget and 7 dirty re-send rounds
+#: after the bulk pass (8 rounds at most).
+FLUID_PRECOPY = MigrationPolicy(downtime_limit_s=0.03, max_iterations=7)
 
 
 @dataclass
@@ -82,8 +89,6 @@ class ScaleConfig:
     max_concurrent: int = 64
     #: VMs a consolidation request moves off the emptiest host at most.
     consolidate_batch: int = 4
-    max_rounds: int = 8
-    downtime_s: float = 0.03
     seed: int = 0
 
 
@@ -381,9 +386,9 @@ class ContinuousFleet:
         return True
 
     def _migrate(self, vm: VmState, dst: str):
-        c = self.config
         src = vm.host
         path = self.tree.path(src, dst)
+        rule = PrecopyRule(FLUID_PRECOPY)
         bytes_left = vm.ram_bytes
         rounds = 0
         moved = 0.0
@@ -392,14 +397,17 @@ class ContinuousFleet:
             t0 = self.env.now
             yield flow.done
             dt = max(self.env.now - t0, 1e-9)
-            rounds += 1
             moved += flow.nbytes
             achieved_Bps = flow.nbytes / dt
             dirtied = min(vm.dirty_rate_Bps * dt, vm.ram_bytes)
-            if rounds >= c.max_rounds or dirtied <= achieved_Bps * c.downtime_s:
+            # The fluid guest is never throttled, and the policy never
+            # escalates: the rule says stop or continue.
+            action = rule.after_round(rounds, dirtied / achieved_Bps, 0.0)
+            rounds += 1
+            if action.kind == STOP:
                 break
             bytes_left = dirtied
-        yield self.env.timeout(c.downtime_s)
+        yield self.env.timeout(rule.downtime_limit_s)
 
         del self._host_vms[src][vm]
         self._host_vms[dst][vm] = None
@@ -464,6 +472,7 @@ __all__ = [
     "CHURN",
     "CONSOLIDATE",
     "DRAIN",
+    "FLUID_PRECOPY",
     "ContinuousFleet",
     "ScaleConfig",
     "ScaleResult",

@@ -19,7 +19,9 @@ Degraded-path extensions (all gated on :class:`~repro.vmm.policy.MigrationPolicy
 the default policy reproduces plain precopy exactly):
 
 * **non-convergence detection** — the estimated stop-and-copy downtime is
-  tracked per round; when it stops shrinking the policy escalates;
+  tracked per round; when it stops shrinking the policy escalates (the
+  decision is :class:`~repro.vmm.policy.PrecopyRule`, shared with the
+  fluid scale fleet);
 * **auto-converge** — QEMU-style vCPU throttling (initial 20 %, +10 % per
   kick, capped) written to ``vm.cpu_throttle``, which feeds back into the
   guest's dirtying rate via the run-gate'd workload primitives;
@@ -45,7 +47,7 @@ import numpy as np
 from repro.errors import MigrationBlockedError, MigrationError, NetworkError
 from repro.sim.events import Event
 from repro.units import MiB
-from repro.vmm.policy import MigrationPolicy
+from repro.vmm.policy import POSTCOPY, STOP, THROTTLE, MigrationPolicy, PrecopyRule
 from repro.vmm.vm import RunState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -189,20 +191,6 @@ class MigrationJob:
             cap = min(cap, self.qemu.migration_speed_Bps)
         return cap
 
-    @property
-    def _max_downtime_s(self) -> float:
-        if self.policy.downtime_limit_s is not None:
-            return self.policy.downtime_limit_s
-        if self.qemu.migration_max_downtime_s is not None:
-            return self.qemu.migration_max_downtime_s
-        return self.calibration.max_downtime_s
-
-    @property
-    def _max_rounds(self) -> int:
-        if self.policy.max_iterations is not None:
-            return self.policy.max_iterations
-        return self.calibration.max_precopy_rounds
-
     def _round_cost(
         self, pages: Optional[np.ndarray]
     ) -> tuple[int, int, int, float, float]:
@@ -333,120 +321,86 @@ class MigrationJob:
 
         memory.start_dirty_logging()
         self.received = np.zeros(memory.npages, dtype=bool)
-        pages: Optional[np.ndarray] = None  # round 0: full RAM traversal
-        forced_stop = False
-        downtime_started: Optional[float] = None
-        prev_est: Optional[float] = None
-        no_progress = 0
+        downtime = self.qemu.migration_max_downtime_s
+        rule = PrecopyRule(
+            policy,
+            cal.max_downtime_s if downtime is None else downtime,
+            cal.max_precopy_rounds,
+        )
         go_postcopy = policy.postcopy == "always"
-
-        #: Cost of the upcoming round, when the convergence check at the
-        #: bottom of the loop already priced the same dirty pages (the
-        #: estimate and the next round's cost are one computation).
-        pending_cost: Optional[tuple[int, int, int, float, float]] = None
+        downtime_started: Optional[float] = None
+        pages: Optional[np.ndarray] = None  # round 0: full RAM traversal
+        # Cost of the upcoming round: the estimate after a round prices
+        # the same dirty pages the next round sends.
+        cost = None if go_postcopy else self._round_cost(pages)
+        round_index = 0
 
         while not go_postcopy:
-            for round_index in range(self._max_rounds + 2):
-                if pending_cost is None:
-                    pending_cost = self._round_cost(pages)
-                npages, dup, data, wire, cpu_seconds = pending_cost
-                pending_cost = None
-                t_round = self.env.now
-                if npages > 0:
-                    flow = self._transfer(wire, cpu_seconds)
-                    yield flow.done
-                duration = self.env.now - t_round
-                round_stats = RoundStats(
-                    round_index, npages, dup, data, wire, duration, t_round,
-                    throttle=vm.cpu_throttle,
-                )
-                self.stats.rounds.append(round_stats)
-                self.stats.wire_bytes += wire
-                self.stats.scanned_pages += npages
-                self.stats.dup_pages += dup
-                self.stats.data_pages += data
-                self._account_round(pages)
+            npages, dup, data, wire, cpu_seconds = cost
+            t_round = self.env.now
+            if npages > 0:
+                flow = self._transfer(wire, cpu_seconds)
+                yield flow.done
+            duration = self.env.now - t_round
+            round_stats = RoundStats(
+                round_index, npages, dup, data, wire, duration, t_round,
+                throttle=vm.cpu_throttle,
+            )
+            self.stats.rounds.append(round_stats)
+            self.stats.wire_bytes += wire
+            self.stats.scanned_pages += npages
+            self.stats.dup_pages += dup
+            self.stats.data_pages += data
+            self._account_round(pages)
+            self.qemu.trace(
+                "migration",
+                "round",
+                index=round_index,
+                pages=npages,
+                wire_bytes=int(wire),
+                seconds=round(duration, 4),
+                throttle=vm.cpu_throttle,
+            )
+            round_index += 1
+
+            if downtime_started is not None:
+                break  # that was the stop-and-copy pass
+            if self._guest_parked():
+                # Parked guest: pages dirtied before the park landed take
+                # one more, still quiescent, pass.
+                if memory.dirty_page_count == 0:
+                    break
+                pages = self._resend_dirty()
+                if pages.size == 0:
+                    break
+                cost = self._round_cost(pages)
+                continue
+
+            # Guest still running: the rule decides on the downtime estimate.
+            pages = self._resend_dirty()
+            cost = self._round_cost(pages)
+            remaining, _, _, _, est_time = cost
+            if remaining == 0:
+                break
+            est_time = max(est_time, 0.0)
+            round_stats.est_downtime_s = est_time
+            action = rule.after_round(round_stats.index, est_time, vm.cpu_throttle)
+            if action.kind == THROTTLE:
+                self._set_throttle(action.throttle)
+                self.stats.auto_converge_kicks += 1
                 self.qemu.trace(
                     "migration",
-                    "round",
-                    index=round_index,
-                    pages=npages,
-                    wire_bytes=int(wire),
-                    seconds=round(duration, 4),
-                    throttle=vm.cpu_throttle,
+                    "auto_converge",
+                    throttle=action.throttle,
+                    est_downtime_s=round(est_time, 3),
                 )
-
-                if forced_stop or self._guest_parked():
-                    # Final pass already ran with the guest quiescent.
-                    if self._guest_parked() and memory.dirty_page_count == 0:
-                        break
-                    if forced_stop:
-                        break
-                    # Parked guest but pages dirtied before the park landed:
-                    # one more (still quiescent) pass.
-                    pages = self._resend_dirty()
-                    if pages.size == 0:
-                        break
-                    continue
-
-                # Guest still running: decide whether to enter stop-and-copy.
-                pages = self._resend_dirty()
-                pending_cost = self._round_cost(pages)
-                remaining, _, _, _, est_cpu = pending_cost
-                if remaining == 0:
-                    break
-                est_time = max(est_cpu, 0.0)
-                round_stats.est_downtime_s = est_time
-
-                if est_time <= self._max_downtime_s:
-                    # Converged: pause the guest for the final round.
-                    downtime_started = self.env.now
-                    vm.set_state(RunState.PAUSED)
-                    forced_stop = True
-                    continue
-
-                # Non-convergence tracking: is the downtime estimate shrinking?
-                if prev_est is not None and est_time >= policy.convergence_ratio * prev_est:
-                    no_progress += 1
-                else:
-                    no_progress = 0
-                prev_est = est_time
-
-                stuck = no_progress >= policy.non_convergence_rounds
-                at_cap = round_index >= self._max_rounds
-                if stuck and policy.auto_converge and vm.cpu_throttle < policy.throttle_max:
-                    # QEMU auto-converge: 20 % first kick, +10 % per kick.
-                    if vm.cpu_throttle == 0.0:
-                        throttle = policy.throttle_initial
-                    else:
-                        throttle = min(
-                            vm.cpu_throttle + policy.throttle_increment,
-                            policy.throttle_max,
-                        )
-                    self._set_throttle(throttle)
-                    self.stats.auto_converge_kicks += 1
-                    no_progress = 0
-                    prev_est = None  # re-baseline under the new throttle
-                    self.qemu.trace(
-                        "migration",
-                        "auto_converge",
-                        throttle=throttle,
-                        est_downtime_s=round(est_time, 3),
-                    )
-                    continue
-                if (stuck or at_cap) and policy.postcopy_enabled:
-                    go_postcopy = True
-                    break
-                if at_cap:
-                    # SLA exhausted with no escalation available: stop-and-copy
-                    # anyway (the pre-policy behaviour) and flag the violation.
-                    self.stats.sla_violated = est_time > self._max_downtime_s
-                    downtime_started = self.env.now
-                    vm.set_state(RunState.PAUSED)
-                    forced_stop = True
-            else:  # pragma: no cover - loop always breaks
-                pass
-            break
+            elif action.kind == POSTCOPY:
+                go_postcopy = True
+            elif action.kind == STOP:
+                # Pause the guest for the final round.
+                self.stats.sla_violated = action.sla_violated
+                downtime_started = self.env.now
+                vm.set_state(RunState.PAUSED)
 
         if go_postcopy:
             yield from self._postcopy_switchover()

@@ -8,6 +8,10 @@ The default policy reproduces the pre-existing plain-precopy behaviour
 bit-for-bit; :meth:`MigrationPolicy.adaptive` turns the whole escalation
 ladder on (precopy → auto-converge throttling → postcopy fallback).
 
+:class:`PrecopyRule` climbs that ladder after each precopy round.  The
+page-granular :class:`~repro.vmm.migration.MigrationJob` and the fluid
+scale fleet share it; each prices the next round its own way.
+
 Postcopy is *opt-in* because its failure semantics differ fundamentally
 from precopy: after the switchover the only complete copy of the guest's
 RAM is split across two hosts, so losing the origin (or exhausting stream
@@ -17,7 +21,7 @@ recovery) loses the VM instead of falling back to the source.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 #: Valid ``postcopy`` settings (mirrors the CLI flag).
 POSTCOPY_MODES = ("off", "fallback", "always")
@@ -41,7 +45,8 @@ class MigrationPolicy:
     throttle_max: float = 0.99
     #: Overrides the QMP/calibration downtime limit when set.
     downtime_limit_s: Optional[float] = None
-    #: Overrides ``calibration.max_precopy_rounds`` when set.
+    #: Overrides ``calibration.max_precopy_rounds`` when set: the cap on
+    #: dirty re-send rounds after the bulk pass (round 0).
     max_iterations: Optional[int] = None
     #: A round "made no progress" when its estimated downtime is at least
     #: this fraction of the previous round's estimate.
@@ -79,3 +84,81 @@ class MigrationPolicy:
 
 
 DEFAULT_POLICY = MigrationPolicy()
+
+
+#: :class:`PrecopyRule` actions.
+CONTINUE = "continue"
+STOP = "stop"
+THROTTLE = "throttle"
+POSTCOPY = "postcopy"
+
+
+class PrecopyAction(NamedTuple):
+    """What precopy does after a round."""
+
+    kind: str
+    #: ``STOP``: the guest pauses with its downtime estimate over the limit.
+    sla_violated: bool = False
+    #: ``THROTTLE``: the new vCPU throttle.
+    throttle: float = 0.0
+
+
+class PrecopyRule:
+    """Precopy's stop/continue decision for one migration.
+
+    ``downtime_limit_s`` and ``max_rounds`` are the caller's limits; the
+    policy's own ``downtime_limit_s``/``max_iterations`` override them.
+    Round 0 is the bulk pass, so the cap trips on round ``max_rounds``.
+    """
+
+    def __init__(
+        self,
+        policy: MigrationPolicy,
+        downtime_limit_s: Optional[float] = None,
+        max_rounds: Optional[int] = None,
+    ) -> None:
+        if policy.downtime_limit_s is not None:
+            downtime_limit_s = policy.downtime_limit_s
+        if policy.max_iterations is not None:
+            max_rounds = policy.max_iterations
+        if downtime_limit_s is None or max_rounds is None:
+            raise ValueError("precopy needs a downtime limit and a round cap")
+        self.policy = policy
+        self.downtime_limit_s = downtime_limit_s
+        self.max_rounds = max_rounds
+        self._prev_est: Optional[float] = None
+        self._no_progress = 0
+
+    def after_round(self, index: int, est_downtime_s: float, throttle: float) -> PrecopyAction:
+        """The action after round ``index``, whose remaining dirty set
+        would take ``est_downtime_s`` to stop-and-copy; ``throttle`` is the
+        guest's current vCPU throttle."""
+        if est_downtime_s <= self.downtime_limit_s:
+            return PrecopyAction(STOP)
+        policy = self.policy
+        # Non-convergence tracking: is the downtime estimate shrinking?
+        prev = self._prev_est
+        if prev is not None and est_downtime_s >= policy.convergence_ratio * prev:
+            self._no_progress += 1
+        else:
+            self._no_progress = 0
+        self._prev_est = est_downtime_s
+
+        stuck = self._no_progress >= policy.non_convergence_rounds
+        at_cap = index >= self.max_rounds
+        if stuck and policy.auto_converge and throttle < policy.throttle_max:
+            # QEMU auto-converge: 20 % first kick, +10 % per kick; then
+            # re-baseline under the new throttle.
+            self._no_progress = 0
+            self._prev_est = None
+            if throttle == 0.0:
+                throttle = policy.throttle_initial
+            else:
+                throttle = min(throttle + policy.throttle_increment, policy.throttle_max)
+            return PrecopyAction(THROTTLE, throttle=throttle)
+        if (stuck or at_cap) and policy.postcopy_enabled:
+            return PrecopyAction(POSTCOPY)
+        if at_cap:
+            # SLA exhausted with no escalation left: stop-and-copy anyway.
+            return PrecopyAction(STOP, sla_violated=True)
+        return PrecopyAction(CONTINUE)

@@ -158,3 +158,26 @@ def test_default_policy_preserves_plain_precopy(cluster, qemu):
     assert stats.auto_converge_kicks == 0
     assert stats.switchover_at is None
     assert stats.postcopy_bytes == 0.0
+
+
+@pytest.mark.parametrize("max_iterations", [1, 2, 3])
+def test_stop_and_copy_runs_when_a_kick_lands_on_the_round_cap(cluster, qemu, max_iterations):
+    """An auto-converge kick at the round cap buys one more round; the rule
+    then stops at the cap, and the guest still gets its stop-and-copy pass
+    before it relocates — whatever the cap's parity."""
+    writer = _hot_writer(qemu)
+    cluster.env.process(writer.run())
+    policy = MigrationPolicy.adaptive(
+        postcopy="off", non_convergence_rounds=1, max_iterations=max_iterations
+    )
+    stats = _migrate(cluster, qemu, "ib02", policy)
+    writer.stop()
+
+    assert stats.status == "completed"
+    assert stats.sla_violated
+    assert stats.auto_converge_kicks >= 1
+    # The last round is the stop-and-copy: it ran with the guest paused,
+    # inside the measured downtime.
+    assert stats.downtime_s > PAPER_CALIBRATION.max_downtime_s
+    assert stats.downtime_s >= stats.rounds[-1].duration_s
+    assert qemu.node.name == "ib02"
