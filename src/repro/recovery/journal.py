@@ -39,6 +39,9 @@ Record kinds
     and becomes recovery work after a crash.
 ``request`` / ``request-started`` / ``request-finished``
     Fleet-executor request lifecycle (used to resubmit queued work).
+    Recovery closes a dead orchestrator's open requests itself:
+    ``superseded`` when it hands the job to a successor, ``completed``
+    when the last attempt rolled forward (``recovered`` in the payload).
 ``reservation`` / ``release``
     FleetStateStore capacity claims keyed by request id and plan label.
 ``recovery-begin`` / ``recovery-decision`` / ``recovery-complete``

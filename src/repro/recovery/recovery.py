@@ -252,13 +252,21 @@ class RecoveryManager:
 
         A request whose last attempt rolled *forward* is effectively
         completed (the VMs moved); one that rolled back — or never
-        started — is resubmitted to the successor orchestrator.
+        started — is resubmitted to the successor orchestrator.  Either
+        way the dead orchestrator's request is closed in the journal
+        (``completed`` or ``superseded``), so a later recovery pass over
+        the same journal resubmits nothing twice.
         """
         forward_labels = {d.label for d in report.rolled_forward}
         specs: List[Dict[str, object]] = []
         for state in self.journal.unfinished_requests():
             labels = [lbl for lbl in state.get("labels", []) if lbl]
-            if labels and labels[-1] in forward_labels:
+            forward = bool(labels) and labels[-1] in forward_labels
+            self.journal.append(
+                "request-finished", request=state["request"],
+                status="completed" if forward else "superseded", recovered=True,
+            )
+            if forward:
                 continue
             specs.append(
                 {
