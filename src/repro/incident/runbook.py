@@ -151,13 +151,11 @@ class RunbookExecutor:
         #: restoring, in which case it fails loudly.
         self.checkpoints = checkpoints
         #: (incident_id, step_index, action) tuples actually executed by
-        #: *this* executor — the no-double-execution assertion's witness.
+        #: *this* executor (across executors, a step committed twice is
+        #: the invariant checker's ``double-action``).
         self.executed: List[Tuple[int, int, str]] = []
         #: Evacuation requests submitted per incident.
         self.evacuations: Dict[int, List[MigrationRequest]] = {}
-        #: (incident_id, job_id, generation) restores committed by *this*
-        #: executor — the no-double-restore assertion's witness.
-        self.restores: List[Tuple[int, str, int]] = []
         self._saved_floor: Dict[int, object] = {}
         self._saved_policy: Dict[int, object] = {}
         self.actions = {
@@ -537,7 +535,6 @@ class RunbookExecutor:
                 rpo_s=round(rpo_s, 6), rto_s=round(rto_s, 6),
                 epoch=service.epoch,
             )
-            self.restores.append((iid, record.job_id, gen_no))
             self.cluster.trace(
                 "incident", "job_restored", incident=iid, job=record.job_id,
                 generation=gen_no, hosts=sorted(hosts),

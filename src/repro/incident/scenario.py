@@ -49,6 +49,7 @@ from repro.incident.runbook import (
     RESTORE_BOOT_SITE,
     RunbookStep,
 )
+from repro.invariants import Violation
 from repro.network.degradation import DegradationEvent, NetworkChaos
 from repro.orchestrator.executor import FleetConfig
 from repro.orchestrator.scenario import Estate, build_estate
@@ -140,8 +141,9 @@ class DrillResult:
     crash_site: str = ""
     crashed: bool = False
     resumed_incidents: int = 0
-    #: (incident, step, action) triples executed more than once across
-    #: the dead and successor controllers — must stay empty.
+    #: (incident, step, action) triples committed more than once across
+    #: the dead and successor controllers — must stay empty.  This and
+    #: the next two fields are :func:`repro.invariants.check` findings.
     double_executed: List[List[object]] = field(default_factory=list)
     #: (incident, job) pairs with more than one restore-commit — the
     #: no-double-restore witness, must stay empty.
@@ -446,6 +448,7 @@ def run_drill(
         for s in services:
             s.stop()
 
+    outcome, violations = estate.fold(orch.requests)
     return DrillResult(
         jobs=jobs,
         vms_per_job=vms_per_job,
@@ -463,18 +466,24 @@ def run_drill(
         crash_site=crash_site or "",
         crashed=_crashed(),
         resumed_incidents=resumed_count,
-        **estate.fold(orch.requests),
+        double_executed=_witnesses(violations, "double-action"),
+        double_restored=_witnesses(violations, "double-restore"),
+        spare_double_leases=_witnesses(violations, "double-lease"),
+        **outcome,
         **_fold_incidents(orch, managers),
         **_fold_restores(orch.journal, kill.at),
     )
 
 
+def _witnesses(violations: List[Violation], rule: str) -> List[List[object]]:
+    """The key of every ``rule`` violation, as a result row."""
+    return [list(v.subject) for v in violations if v.rule == rule]  # type: ignore[call-overload]
+
+
 def _fold_incidents(orch, managers: List[IncidentManager]) -> Dict[str, object]:
-    """Diagnosis, evacuation and succession witnesses of a drill."""
+    """Diagnosis and evacuation outcomes of a drill."""
     incidents = _all_incidents(managers)
     primary = incidents[0] if incidents else None
-    executed = [item for m in managers for item in m.executor.executed]
-    doubles = sorted({item for item in executed if executed.count(item) > 1})
     return {
         "incidents": [i.to_dict() for i in incidents],
         "incident_class": primary.klass if primary is not None else "",
@@ -497,8 +506,6 @@ def _fold_incidents(orch, managers: List[IncidentManager]) -> Dict[str, object]:
                 if r.kind == "evacuate" and r.status == "completed"
             }
         ),
-        "double_executed": [list(item) for item in doubles],
-        "spare_double_leases": [list(d) for d in orch.arbiter.double_leases],
     }
 
 
@@ -519,10 +526,7 @@ def _fold_restores(journal, killed_at: Optional[float]) -> Dict[str, object]:
         for p in checkpoint_commits
     }
     rpos = []
-    commit_counts: Dict[tuple, int] = {}
     for payload in restore_commits:
-        key = (payload.get("incident"), payload.get("job"))
-        commit_counts[key] = commit_counts.get(key, 0) + 1
         consistency = consistency_by_gen.get(
             (payload.get("job"), payload.get("generation"))
         )
@@ -538,9 +542,6 @@ def _fold_restores(journal, killed_at: Optional[float]) -> Dict[str, object]:
         "restored_jobs": sorted({str(p.get("job")) for p in restore_commits}),
         "adopted_vms": sorted(
             {str(v) for p in restore_commits for v in p.get("adopted", ())}
-        ),
-        "double_restored": sorted(
-            [list(k) for k, v in commit_counts.items() if v > 1]
         ),
     }
 

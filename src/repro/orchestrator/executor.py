@@ -390,9 +390,7 @@ class FleetOrchestrator:
                 # A proactive checkpoint (or an externally driven
                 # sequence) holds the job's SymVirt exclusivity right
                 # now; admission only sees *requests*, so re-check here.
-                request.defer_reason = "job-busy"
-                self.admission.stats.defer("job-busy")
-                self.admission.submit(request, requeue=True)
+                self._defer(request, "job-busy")
                 continue
             if any(
                 q.vm.state is RunState.SHUTOFF for q in request.fleet_job.qemus
@@ -400,32 +398,22 @@ class FleetOrchestrator:
                 # A host died under this job: migration would park dead
                 # guests.  Hold the request until checkpoint restore
                 # replaces the VMs (or the wait budget expires).
-                request.defer_reason = "vm-down"
-                self.admission.stats.defer("vm-down")
-                self.admission.submit(request, requeue=True)
+                self._defer(request, "vm-down")
                 continue
             try:
                 plan = self._build_plan(request)
             except (SchedulerError, PlanError, FleetError) as err:
-                request.defer_reason = "no-placement"
-                request.error = str(err)
-                self.admission.stats.defer("no-placement")
-                self.admission.submit(request, requeue=True)
+                self._defer(request, "no-placement", error=str(err))
                 continue
             if self._below_viability(plan) or self._crosses_blacklist(plan):
-                request.defer_reason = "degraded-link"
-                self.admission.stats.defer("degraded-link")
-                self.admission.submit(request, requeue=True)
+                self._defer(request, "degraded-link")
                 continue
             try:
                 item = PlannedMigration(plan).refresh(self.cluster)
             except NetworkError as err:
                 # No route mid-outage (and no viability floor armed to
                 # catch it earlier): defer, don't crash the scan loop.
-                request.defer_reason = "degraded-link"
-                request.error = str(err)
-                self.admission.stats.defer("degraded-link")
-                self.admission.submit(request, requeue=True)
+                self._defer(request, "degraded-link", error=str(err))
                 continue
             planned.append(item)
             by_item[item] = request
@@ -452,10 +440,7 @@ class FleetOrchestrator:
         else:
             startable, held = list(planned), []
         for item in held:
-            request = by_item[item]
-            request.defer_reason = "link-conflict"
-            self.admission.stats.defer("link-conflict")
-            self.admission.submit(request, requeue=True)
+            self._defer(by_item[item], "link-conflict")
 
         # 4. link budget + reservation claims, then launch.
         started = 0
@@ -463,17 +448,12 @@ class FleetOrchestrator:
         for item in startable:
             request = by_item[item]
             if self._over_budget(item, inflight_loads):
-                request.defer_reason = "link-budget"
-                self.admission.stats.defer("link-budget")
-                self.admission.submit(request, requeue=True)
+                self._defer(request, "link-budget")
                 continue
             try:
                 reservations = self.store.claim_plan(item.plan, owner=request)
             except FleetError as err:
-                request.defer_reason = "reservation"
-                request.error = str(err)
-                self.admission.stats.defer("reservation")
-                self.admission.submit(request, requeue=True)
+                self._defer(request, "reservation", error=str(err))
                 continue
             for reservation in reservations:
                 self.journal.append(
@@ -490,6 +470,16 @@ class FleetOrchestrator:
         return started
 
     # -- gates & helpers ---------------------------------------------------------------
+
+    def _defer(
+        self, request: MigrationRequest, reason: str, error: Optional[str] = None
+    ) -> None:
+        """Requeue ``request`` for a later scan, counting ``reason``."""
+        request.defer_reason = reason
+        if error is not None:
+            request.error = error
+        self.admission.stats.defer(reason)
+        self.admission.submit(request, requeue=True)
 
     def _inflight_link_loads(self) -> Dict[object, float]:
         loads: Dict[object, float] = {}

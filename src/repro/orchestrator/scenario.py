@@ -18,15 +18,17 @@ the fiber-cut / host-kill drills in :mod:`repro.incident.scenario` —
 shares one setup path (:func:`build_estate`: cluster, orchestrator,
 provisioned and registered jobs, :meth:`Estate.submit_drain`) and one
 outcome fold (:meth:`Estate.fold`: per-request rows, status counts,
-lost VMs, final placement, makespan).
+lost VMs, final placement, makespan), which runs
+:func:`repro.invariants.check` over the end state.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.cluster import Cluster
+from repro.invariants import Violation, check
 from repro.network.degradation import chaos_from_spec
 from repro.orchestrator.executor import FleetConfig, FleetOrchestrator
 from repro.orchestrator.state import FleetStateStore
@@ -36,7 +38,6 @@ from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB, MiB, gbps
 from repro.vmm.guest_memory import PageClass
 from repro.vmm.policy import MigrationPolicy
-from repro.vmm.vm import RunState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.orchestrator.admission import MigrationRequest
@@ -147,12 +148,28 @@ class Estate:
         self,
         requests: Sequence["MigrationRequest"],
         store: Optional[FleetStateStore] = None,
-    ) -> Dict[str, object]:
+    ) -> Tuple[Dict[str, object], List[Violation]]:
         """Outcome fields every drill result shares, over ``requests``
-        and the placement in ``store`` (default: the orchestrator's)."""
+        and the placement in ``store`` (default: the orchestrator's),
+        plus the end state's invariant violations.
+
+        Each violation is also traced as an ``invariants``/``violation``
+        record, so a clean run's trace carries none.
+        """
         store = store if store is not None else self.orch.store
         statuses = [r.status for r in requests]
-        qemus = [q for record in store.jobs.values() for q in record.qemus]
+        violations = check(
+            self.cluster,
+            self.orch.journal,
+            qemus=[q for record in store.jobs.values() for q in record.qemus],
+            store=store,
+            arbiter=self.orch.arbiter,
+        )
+        for v in violations:
+            self.cluster.trace(
+                "invariants", "violation", rule=v.rule, subject=v.subject,
+                detail=v.detail,
+            )
         return {
             "completed": statuses.count("completed"),
             "aborted": statuses.count("aborted"),
@@ -175,18 +192,13 @@ class Estate:
                 for r in requests
             ],
             # Lost: shut off with a dead host, or left parked by a crash.
-            "lost_vms": sorted(
-                q.vm.name
-                for q in qemus
-                if q.vm.state is RunState.SHUTOFF
-                or (q.vm.hypercall is not None and q.vm.hypercall.parked)
-            ),
+            "lost_vms": sorted(v.subject for v in violations if v.rule == "lost"),
             "makespan_s": round(self.cluster.env.now - self.start_at, 3),
             "final_hosts": {
                 job_id: [q.node.name for q in record.qemus]
                 for job_id, record in store.jobs.items()
             },
-        }
+        }, violations
 
 
 def build_estate(
@@ -309,6 +321,7 @@ def run_fleet_scenario(
     env.run(until=estate.start_at + 0.001)  # requests now queued; loop running
     env.run(until=orch.all_settled())
 
+    outcome, _ = estate.fold(orch.requests)
     return FleetScenarioResult(
         sequenced=sequenced,
         jobs=jobs,
@@ -317,7 +330,7 @@ def run_fleet_scenario(
         deferred=dict(orch.admission.stats.deferred),
         deferred_total=orch.admission.stats.deferred_total,
         destination_swaps=orch.swaps_applied,
-        **estate.fold(orch.requests),
+        **outcome,
     )
 
 
@@ -403,7 +416,8 @@ def run_fleet_crash_scenario(
     if not orch.crashed or not recover:
         # Either the drain finished before the deadline, or the operator
         # asked to see the wreckage: report the world as-is.
-        return FleetCrashResult(**crash, **estate.fold(orch.requests))
+        outcome, _ = estate.fold(orch.requests)
+        return FleetCrashResult(**crash, **outcome)
 
     # Let the zombie sequences die at their next boundary before
     # reconciling, then hand the journal to recovery with a *fresh*
@@ -453,6 +467,7 @@ def run_fleet_crash_scenario(
     # Requests the dead orchestrator never finished are superseded by
     # the resubmissions; count outcomes over what actually terminated.
     finished = [r for r in orch.requests if r.terminal]
+    outcome, _ = estate.fold([*finished, *resumed], store=store)
     return FleetCrashResult(
         **crash,
         recovered=report.clean,
@@ -460,5 +475,5 @@ def run_fleet_crash_scenario(
         decisions=decisions,
         reseeded=report.reseeded,
         resubmitted=len(resumed),
-        **estate.fold([*finished, *resumed], store=store),
+        **outcome,
     )

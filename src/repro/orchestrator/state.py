@@ -149,6 +149,10 @@ class FleetStateStore:
 
     # -- capacity reservations --------------------------------------------------
 
+    def reservations(self) -> List[Reservation]:
+        """Every active reservation, host by host."""
+        return [r for bucket in self._reservations.values() for r in bucket]
+
     def reserved_bytes(self, host: str) -> int:
         return sum(r.nbytes for r in self._reservations.get(host, ()))
 
@@ -165,7 +169,7 @@ class FleetStateStore:
         """Claim ``nbytes`` of ``host`` RAM (and its HCA when asked).
 
         Raises :class:`~repro.errors.FleetError` when the claim would
-        oversubscribe the host — the invariant the property tests pin.
+        oversubscribe the host (:func:`repro.invariants.check` audits it).
         """
         node = self.cluster.node(host)
         if nbytes > self.available_bytes(node):
@@ -250,19 +254,6 @@ class FleetStateStore:
     def end_migration(self, owner: object) -> None:
         self.inflight.pop(owner, None)
         self.release_owner(owner)
-
-    # -- invariants ---------------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Assert no host is oversubscribed (free memory covers claims)."""
-        for host, bucket in self._reservations.items():
-            node = self.cluster.node(host)
-            claimed = sum(r.nbytes for r in bucket)
-            if claimed > node.free_memory:
-                raise FleetError(
-                    f"{host}: {claimed} B reserved exceeds "
-                    f"{node.free_memory:.0f} B free"
-                )
 
 
 @dataclass(eq=False)

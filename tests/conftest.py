@@ -10,6 +10,7 @@ import pytest
 
 from repro.hardware.calibration import PAPER_CALIBRATION
 from repro.hardware.cluster import build_agc_cluster
+from repro.invariants import check
 from repro.sim.core import Environment
 
 try:
@@ -88,6 +89,20 @@ def drive(env: Environment, generator, name: str = "test"):
     """Run ``generator`` as a process to completion; return its value."""
     process = env.process(generator, name=name)
     return env.run(until=process)
+
+
+def assert_safe(cluster, journal=None, *, qemus, hosts=None, **books) -> None:
+    """Fail on any :func:`repro.invariants.check` violation over
+    ``qemus`` (``books``: ``store=``/``arbiter=``); with ``hosts`` (VM
+    name → host), also pin where each VM ended up."""
+    assert [str(v) for v in check(cluster, journal, qemus=qemus, **books)] == []
+    if hosts is not None:
+        assert {q.vm.name: q.node.name for q in qemus} == hosts
+
+
+def traced_violations(tracer) -> list:
+    """Fields of every ``invariants``/``violation`` record a drill traced."""
+    return [r.fields for r in tracer.records if r.category == "invariants"]
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from repro.recovery.checkpoints import (
     CHECKPOINT_INTENT_SITE,
 )
 from repro.sim.trace import Tracer
+from tests.conftest import traced_violations
 
 ALL_CRASH_SITES = (
     CHECKPOINT_INTENT_SITE,
@@ -74,9 +75,10 @@ class TestAutonomousHostFailure:
         assert any("host-failed" in str(rec.fields) for rec in falls)
 
     def test_no_double_restore_or_double_lease(self, autonomous_result):
-        r, _ = autonomous_result
+        r, tracer = autonomous_result
         assert r.double_restored == []
         assert r.spare_double_leases == []
+        assert traced_violations(tracer) == []
 
 
 class TestBaseline:
@@ -91,9 +93,11 @@ class TestBaseline:
 class TestCrashResume:
     @pytest.mark.parametrize("site", ALL_CRASH_SITES)
     def test_crash_at_every_journal_site_converges(self, site):
+        tracer = Tracer()
         r = run_host_failure_scenario(
-            jobs=2, spares=1, crash_site=site
+            jobs=2, spares=1, crash_site=site, tracer=tracer
         )
+        assert traced_violations(tracer) == []
         assert r.crashed
         assert r.all_resolved
         assert r.lost_vms == []
@@ -119,6 +123,14 @@ class TestCrashResume:
         )
         assert r.adopted_vms
         assert r.double_restored == []
+
+    def test_late_kill_restores_the_newest_generation(self):
+        # By t+90 s the victim's job holds three committed generations:
+        # the restore must take the newest, never an older one.
+        tracer = Tracer()
+        r = run_host_failure_scenario(jobs=2, spares=1, kill_at_s=90.0, tracer=tracer)
+        assert traced_violations(tracer) == []
+        assert r.restored_jobs == ["j0"]
 
     def test_crash_and_clean_runs_restore_identically(self):
         clean = run_host_failure_scenario(jobs=2, spares=1)

@@ -6,6 +6,8 @@ import pytest
 
 from repro.incident.scenario import CRASH_SITE, run_incident_scenario
 from repro.orchestrator.scenario import build_fleet_cluster
+from repro.sim.trace import Tracer
+from tests.conftest import traced_violations
 
 
 @pytest.fixture(scope="module")
@@ -58,27 +60,31 @@ class TestAutonomousFiberCut:
 
 class TestCrashDuringRemediation:
     @pytest.fixture(scope="class")
-    def crash_result(self):
-        return run_incident_scenario(
-            jobs=4, autonomous=True, crash_site=CRASH_SITE
+    def crash_run(self):
+        tracer = Tracer()
+        result = run_incident_scenario(
+            jobs=4, autonomous=True, crash_site=CRASH_SITE, tracer=tracer
         )
+        return result, tracer
 
-    def test_controller_crashed_and_successor_resumed(self, crash_result):
-        r = crash_result
+    def test_controller_crashed_and_successor_resumed(self, crash_run):
+        r, _ = crash_run
         assert r.crash_injected and r.crashed
         assert r.resumed_incidents >= 1
 
-    def test_remediation_completed_without_double_execution(self, crash_result):
-        r = crash_result
+    def test_remediation_completed_without_double_execution(self, crash_run):
+        r, tracer = crash_run
+        assert traced_violations(tracer) == []
         assert r.double_executed == []
         assert r.all_resolved
         assert r.lost_vms == []
         assert r.failed == 0
         assert r.mttr_s is not None
 
-    def test_same_outcome_as_uncrashed_run(self, crash_result, autonomous_result):
-        assert crash_result.incident_class == autonomous_result.incident_class
-        assert crash_result.evacuated_jobs == autonomous_result.evacuated_jobs
+    def test_same_outcome_as_uncrashed_run(self, crash_run, autonomous_result):
+        r, _ = crash_run
+        assert r.incident_class == autonomous_result.incident_class
+        assert r.evacuated_jobs == autonomous_result.evacuated_jobs
 
 
 class TestNonAutonomousBaseline:

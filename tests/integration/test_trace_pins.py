@@ -27,6 +27,7 @@ from repro.incident.scenario import run_host_failure_scenario, run_incident_scen
 from repro.orchestrator.continuous import ScaleConfig, run_scale_scenario
 from repro.orchestrator.scenario import run_fleet_crash_scenario, run_fleet_scenario
 from repro.sim.trace import Tracer
+from tests.conftest import traced_violations
 from tests.orchestrator.test_continuous import _SMALL
 
 PINS = pathlib.Path(__file__).with_name("trace_pins.json")
@@ -52,9 +53,13 @@ def trace_sha256(tracer: Tracer) -> str:
     return h.hexdigest()
 
 
-def pin(drill: str) -> dict:
+def run(drill: str):
+    """(tracer, result) of one traced drill run."""
     tracer = Tracer()
-    result = DRILLS[drill](tracer)
+    return tracer, DRILLS[drill](tracer)
+
+
+def pin(tracer: Tracer, result) -> dict:
     outcome = {k: v for k, v in result.to_dict().items() if k not in WALL}
     outcome = json.dumps(outcome, sort_keys=True, default=str)
     return {
@@ -66,10 +71,13 @@ def pin(drill: str) -> dict:
 
 @pytest.mark.parametrize("drill", sorted(DRILLS))
 def test_drill_trace_matches_pin(drill):
-    assert pin(drill) == json.loads(PINS.read_text())[drill]
+    tracer, result = run(drill)
+    # Every drill ends safe: the estate fold traced no invariant violation.
+    assert traced_violations(tracer) == []
+    assert pin(tracer, result) == json.loads(PINS.read_text())[drill]
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point
-    pins = {drill: pin(drill) for drill in sorted(DRILLS)}
+    pins = {drill: pin(*run(drill)) for drill in sorted(DRILLS)}
     PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print(f"wrote {PINS}")

@@ -9,7 +9,7 @@ from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB, MiB
 from repro.vmm.guest_memory import PageClass
 
-from tests.conftest import drive
+from tests.conftest import assert_safe, drive
 
 
 def _register(orch, cluster, job_id, hosts, tenant="default", data=32 * MiB):
@@ -109,12 +109,14 @@ def test_health_warning_enqueues_evacuation(cluster44):
 
 def test_infeasible_request_fails_instead_of_hanging(cluster44):
     orch = FleetOrchestrator(cluster44)
-    _register(orch, cluster44, "j0", ["ib01"])
+    qemus = _register(orch, cluster44, "j0", ["ib01"])
     for name in ("eth01", "eth02", "eth03", "eth04"):
         node = cluster44.node(name)
         orch.store.reserve(name, int(orch.store.available_bytes(node)), owner="hog")
     request = orch.submit("j0", kind="fallback")
     _settle(orch, request)
+    # The hog's claims stay on purpose: audit the store without a journal.
+    assert_safe(cluster44, qemus=qemus, store=orch.store, hosts={"j01": "ib01"})
     assert request.status == "failed"
     assert "no feasible placement" in request.error
 
@@ -152,3 +154,8 @@ def test_recovery_lands_back_on_ib_with_attach(cluster44):
     assert recovery.status == "completed"
     assert qemus[0].node.name in cluster44.ib_cabled
     assert qemus[0].node.has_bypass_fabric
+    # The HCA it runs on is the new host's, with a bound guest driver.
+    orch.env.run(until=orch.env.now + 90.0)
+    assert_safe(
+        cluster44, orch.journal, qemus=qemus, store=orch.store, arbiter=orch.arbiter
+    )

@@ -5,6 +5,7 @@ no double-reservation."""
 from __future__ import annotations
 
 from repro.hardware.cluster import Cluster
+from repro.invariants import check
 from repro.orchestrator.state import SpareArbiter
 
 
@@ -53,7 +54,7 @@ class TestLeases:
         cluster.env.run(until=2.0)
         assert [o[1] for o in out] == [1, 2]
         assert arbiter.held_by(2) == ["sp02", "sp03"]
-        assert arbiter.double_leases == []
+        assert check(cluster, arbiter=arbiter) == []
 
     def test_reacquire_same_incident_is_free(self):
         cluster = _cluster()
@@ -89,7 +90,7 @@ class TestOrdering:
         arbiter.release(3)
         cluster.env.run(until=4.0)
         assert [o[1] for o in out] == [1, 3, 2]
-        assert arbiter.double_leases == []
+        assert check(cluster, arbiter=arbiter) == []
 
     def test_fifo_within_equal_radius(self):
         cluster = _cluster()
@@ -137,7 +138,7 @@ class TestNoDeadlockNoDoubleLease:
         cluster.env.run(until=10.0)
         assert sorted(o[1] for o in out) == [1, 2]
         assert arbiter.leases == {}
-        assert arbiter.double_leases == []
+        assert check(cluster, arbiter=arbiter) == []
 
     def test_no_host_ever_leased_to_two_incidents(self):
         cluster = _cluster()
@@ -154,4 +155,4 @@ class TestNoDeadlockNoDoubleLease:
         cluster.env.process(_churn(2, ["sp02", "sp03"], 0.5), name="c2")
         cluster.env.process(_churn(3, ["sp03", "sp01"], 0.3), name="c3")
         cluster.env.run(until=60.0)
-        assert arbiter.double_leases == []
+        assert check(cluster, arbiter=arbiter) == []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.plan import MigrationPlan
 from repro.errors import FleetError
+from repro.invariants import check
 from repro.orchestrator.state import FleetStateStore
 from repro.testbed import create_job, provision_vms
 from repro.units import GiB
@@ -41,7 +42,7 @@ def test_reserve_rejects_oversubscription(cluster44, store):
     store.reserve("eth01", free - GiB, owner="a")
     with pytest.raises(FleetError):
         store.reserve("eth01", 2 * GiB, owner="b")
-    store.check_invariants()
+    assert check(cluster44, store=store) == []
 
 
 def test_hca_single_booking(store):

@@ -6,6 +6,7 @@ records and an arbitrary failure time, the selected generation must be
 committed, committed before the failure, and never older than any other
 generation that was restorable at that instant — i.e. a restore never
 resurrects state older than the last committed checkpoint generation.
+The invariant checker's ``stale-restore`` rule must agree with the fold.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hardware.cluster import Cluster
+from repro.invariants import check
 from repro.recovery.journal import JournalRecord, MigrationJournal
 
 # One generation: (coordination delay before the consistency point,
@@ -56,6 +59,18 @@ def _build_journal(gens):
     return journal, rows
 
 
+def _restore_rules(journal, at, generation):
+    """Checker rules a restore of ``generation`` at ``at`` breaks."""
+    payload = {"incident": 1, "job": "j0", "generation": generation}
+    restored = MigrationJournal()
+    restored.records = [
+        *journal.records,
+        JournalRecord(seq=-1, time=at, kind="restore-intent", payload=payload),
+        JournalRecord(seq=-1, time=at, kind="restore-commit", payload=payload),
+    ]
+    return [v.rule for v in check(Cluster(), restored)]
+
+
 @given(
     gens=st.lists(_GEN, min_size=1, max_size=12),
     failure_frac=st.floats(min_value=0.0, max_value=1.2, allow_nan=False),
@@ -90,6 +105,13 @@ def test_restore_never_resurrects_older_than_last_commit(gens, failure_frac):
     # RPO from this fold is the failure-to-consistency distance and is
     # never negative.
     assert failure_at - float(selected["consistency_at"]) >= 0.0
+    # The checker accepts restoring the selected generation and flags
+    # restoring any older one that was also restorable.
+    assert _restore_rules(journal, failure_at, gen) == []
+    oldest = min(g for g, _, _ in restorable)
+    assert _restore_rules(journal, failure_at, oldest) == (
+        ["stale-restore"] if oldest < gen else []
+    )
 
 
 @given(gens=st.lists(_GEN, min_size=1, max_size=12))

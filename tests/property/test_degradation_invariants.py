@@ -2,12 +2,12 @@
 
 Whatever the chaos schedule does to the links — bandwidth collapse,
 packet loss, latency spikes, outages at arbitrary times — the system
-must never end with:
-
-* a VM parked in ``symvirt_wait`` (a wedged application),
-* a guest with dirty logging still enabled (a permanent write tax),
-* a leaked auto-converge throttle (a permanently slow guest), or
-* zero or two hosts claiming the same running VM (a split brain).
+must end in a state :func:`repro.invariants.check` accepts: among
+others, no VM parked in ``symvirt_wait`` (a wedged application), no
+guest with dirty logging still enabled (a permanent write tax), no
+leaked auto-converge throttle (a permanently slow guest), and no VM
+claimed by zero or two hosts (a split brain).  A VM may end PAUSED only
+in the documented postcopy VM-loss case.
 
 The migration-layer property checks a single (possibly postcopy)
 migration under chaos; the sequence-layer property drives a full
@@ -30,8 +30,7 @@ from repro.units import GiB, MiB
 from repro.vmm.guest_memory import PageClass
 from repro.vmm.policy import MigrationPolicy
 from repro.vmm.qemu import QemuProcess
-from repro.vmm.vm import RunState
-from tests.conftest import drive
+from tests.conftest import assert_safe, drive
 
 pytestmark = pytest.mark.faults
 
@@ -64,26 +63,6 @@ def degradation_events(kinds=("drop", "bw", "loss", "lat"), patterns=("*", "ib01
         min_size=1,
         max_size=5,
     )
-
-
-def _assert_safety(cluster, qemus):
-    for q in qemus:
-        vm = q.vm
-        assert not vm.memory.dirty_logging, f"{vm.name} leaked dirty logging"
-        assert vm.cpu_throttle == 0.0, f"{vm.name} leaked a cpu throttle"
-        assert not vm.hypercall.parked, f"{vm.name} left parked"
-        owners = [
-            name for name in sorted(cluster.nodes)
-            if q in cluster.node(name).vms
-        ]
-        assert owners == [q.node.name], (
-            f"{vm.name}: hosts {owners} claim the VM, node says {q.node.name}"
-        )
-        assert vm.state in (RunState.RUNNING, RunState.PAUSED)
-        if vm.state is RunState.PAUSED:
-            # Only the documented postcopy VM-loss case may pause.
-            assert q.current_migration is not None
-            assert q.current_migration.stats.mode == "postcopy"
 
 
 @given(
@@ -125,7 +104,7 @@ def test_no_schedule_breaks_a_single_migration(events, postcopy):
     drive(env, main(env))
     writer.stop()
     env.run(until=env.now + SCHEDULE_HORIZON_S)  # let the schedule expire
-    _assert_safety(cluster, [qemu])
+    assert_safe(cluster, qemus=[qemu])
 
 
 @given(events=degradation_events(patterns=("*", "eth01*")))
@@ -166,4 +145,4 @@ def test_no_schedule_wedges_a_ninja_sequence(events):
         report = drive(env, recover(), name="recover")
         assert report.clean, [d.error for d in report.decisions]
     env.run(until=env.now + 60.0)
-    _assert_safety(cluster, vms)
+    assert_safe(cluster, ninja.journal, qemus=vms)

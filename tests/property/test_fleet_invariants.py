@@ -5,12 +5,13 @@ The properties the state store + admission controller must uphold for
 
 1. **no oversubscription** — reservations never exceed a host's free
    memory (a violation raises FleetError out of the store, failing the
-   test), and the store's own invariant check passes at every
-   settlement;
+   test);
 2. **clean settlement** — every submitted request reaches a terminal
    state: ``completed`` jobs run at their destinations, ``aborted`` jobs
-   run at their origins (transactional rollback), and the orchestrator
-   holds no leaked reservations or in-flight entries afterwards.
+   run at their origins (transactional rollback);
+3. **safe end state** — :func:`repro.invariants.check` finds nothing:
+   no leaked reservation or in-flight entry, no open journal intent, no
+   parked or misplaced VM.
 """
 
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB, MiB
 from repro.vmm.guest_memory import PageClass
 
-from tests.conftest import drive
+from tests.conftest import assert_safe, drive
 
 
 job_strategy = st.lists(
@@ -77,14 +78,13 @@ def test_no_oversubscription_and_clean_settlement(jobs, max_per_tenant, inject_f
 
     drive(env, submit_all(), name="submit")
 
-    # Property 1: the store never oversubscribed a host, and holds
-    # nothing after settlement.
-    orch.store.check_invariants()
-    assert orch.store.total_released == orch.store.total_reserved
-    assert not orch.store.inflight
-
-    # Property 2: every request is terminal; completed jobs moved off
-    # the IB sub-cluster, aborted ones rolled back to their origin.
+    assert_safe(
+        cluster, orch.journal,
+        qemus=[q for record in orch.store.jobs.values() for q in record.qemus],
+        store=orch.store, arbiter=orch.arbiter,
+    )
+    # Every request is terminal; completed jobs moved off the IB
+    # sub-cluster, aborted ones rolled back to their origin.
     assert len(requests) == len(jobs)
     for request in requests:
         assert request.terminal, request
@@ -95,11 +95,6 @@ def test_no_oversubscription_and_clean_settlement(jobs, max_per_tenant, inject_f
             assert hosts == [origins[request.job_id]], request
         else:  # "failed" is reachable only via no-placement here
             assert "no feasible placement" in request.error, request
-
-    # Physical truth backs the book-keeping: no node holds more guest
-    # RAM than it has.
-    for node in cluster.nodes.values():
-        assert node.free_memory >= 0
 
 
 # -- crash-recovery properties ------------------------------------------------
@@ -133,7 +128,6 @@ def test_crash_recovery_leaves_no_wreckage(point, data_mib, vm_count):
     from repro.errors import ControllerCrashError
     from repro.orchestrator.state import FleetStateStore
     from repro.recovery.recovery import RecoveryManager
-    from repro.vmm.vm import RunState
 
     cluster = build_agc_cluster(ib_nodes=2, eth_nodes=2)
     env = cluster.env
@@ -177,20 +171,11 @@ def test_crash_recovery_leaves_no_wreckage(point, data_mib, vm_count):
     snap = ninja.journal.snapshot(decision.mid)
     assert snap == ninja.journal.snapshot(decision.mid)
     assert snap.terminal == "recovered"
-    assert ninja.journal.unfinished() == []
 
-    # No parked VM, definite placement, RUNNING.
+    # Nothing parked, nothing open, no dangling reservation (whatever
+    # recovery re-seeded it released), and each VM at a definite host.
     expected = origins if decision.decision == "roll-back" else plan.mapping
-    for q in vms:
-        assert not q.vm.hypercall.parked, f"{q.vm.name} leaked parked at {point}"
-        assert q.vm.state is RunState.RUNNING
-        assert q.node.name == expected[q.vm.name]
-
-    # No dangling reservation: whatever recovery re-seeded it released.
-    store.check_invariants()
-    assert store.total_released == store.total_reserved
-    assert not store.inflight
-
-    # No oversubscribed host, physically.
-    for node in cluster.nodes.values():
-        assert node.free_memory >= 0
+    assert_safe(
+        cluster, ninja.journal, qemus=vms, store=store,
+        hosts={q.vm.name: expected[q.vm.name] for q in vms},
+    )

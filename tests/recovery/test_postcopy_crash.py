@@ -25,8 +25,7 @@ from repro.recovery.recovery import RecoveryManager
 from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB
 from repro.vmm.policy import MigrationPolicy
-from repro.vmm.vm import RunState
-from tests.conftest import drive
+from tests.conftest import assert_safe, drive
 
 pytestmark = pytest.mark.faults
 
@@ -70,15 +69,6 @@ def _recover(cluster, ninja, reason):
     return drive(cluster.env, main(), name="recover")
 
 
-def _assert_settled(cluster, vms, expected_hosts):
-    cluster.env.run(until=cluster.env.now + 90.0)
-    for q in vms:
-        assert q.node.name == expected_hosts[q.vm.name]
-        assert q.vm.state is RunState.RUNNING
-        assert not q.vm.hypercall.parked, f"{q.vm.name} leaked parked"
-        assert not q.vm.memory.dirty_logging, f"{q.vm.name} leaked dirty logging"
-
-
 def test_crash_before_switchover_record_rolls_back():
     cluster, vms, job, ninja, plan = _setup()
     assert _crash(cluster, ninja, job, plan, "postcopy.intent") == "crashed"
@@ -94,7 +84,8 @@ def test_crash_before_switchover_record_rolls_back():
     assert len(report.decisions) == 1
     assert report.decisions[0].decision == "roll-back"
 
-    _assert_settled(cluster, vms, ORIGINS)
+    cluster.env.run(until=cluster.env.now + 90.0)
+    assert_safe(cluster, ninja.journal, qemus=vms, hosts=ORIGINS)
 
 
 def test_crash_after_switchover_record_rolls_forward():
@@ -112,7 +103,8 @@ def test_crash_after_switchover_record_rolls_forward():
     assert decision.decision == "roll-forward"
     assert "postcopy-switchover" in decision.basis
 
-    _assert_settled(cluster, vms, DESTINATIONS)
+    cluster.env.run(until=cluster.env.now + 90.0)
+    assert_safe(cluster, ninja.journal, qemus=vms, hosts=DESTINATIONS)
 
 
 def test_switchover_journal_survives_into_snapshot():
