@@ -29,6 +29,9 @@ the default policy reproduces plain precopy exactly):
   pages the *received-page bitmap* says are still missing.  A dropped
   stream pauses the drain (``postcopy-paused``) and recovers from the
   bitmap instead of restarting — QEMU's ``migrate-pause``/``migrate-recover``.
+  The bitmap is stored as :class:`~repro.vmm.guest_memory.PageRuns`, so
+  folding in a round, marking redirtied pages missing and finding the
+  next chunk cost O(runs), not O(pages).
   After the switchover the origin no longer has a runnable VM: exhausting
   recovery *loses* the VM (left PAUSED on the destination), which is why
   postcopy is an explicit opt-in.
@@ -42,11 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.errors import MigrationBlockedError, MigrationError, NetworkError
 from repro.sim.events import Event
 from repro.units import MiB
+from repro.vmm.guest_memory import PageRuns
 from repro.vmm.policy import POSTCOPY, STOP, THROTTLE, MigrationPolicy, PrecopyRule
 from repro.vmm.vm import RunState
 
@@ -144,9 +146,10 @@ class MigrationJob:
         self.stats = MigrationStats()
         self.done = Event(self.env)
         self._process = None
-        #: Pages the destination holds a current copy of (received-page
-        #: bitmap); the postcopy drain and migrate-recover resume from it.
-        self.received: Optional[np.ndarray] = None
+        #: Pages the destination holds a current copy of (QEMU's
+        #: received-page bitmap, stored as runs); the postcopy drain and
+        #: migrate-recover resume from it.
+        self.received: Optional[PageRuns] = None
         self._switched = False
         self._origin_node: Optional["PhysicalNode"] = None
 
@@ -192,12 +195,12 @@ class MigrationJob:
         return cap
 
     def _round_cost(
-        self, pages: Optional[np.ndarray]
+        self, pages: Optional[PageRuns]
     ) -> tuple[int, int, int, float, float]:
         """(pages, dup_pages, data_pages, wire_bytes, cpu_seconds) for a round.
 
-        ``pages`` is the page-index array the round sends (``None`` = all
-        of RAM); see
+        ``pages`` is the page set the round sends (``None`` = all of RAM);
+        see
         :meth:`~repro.vmm.guest_memory.GuestMemory.round_accounting`.
         """
         cal = self.calibration
@@ -251,20 +254,18 @@ class MigrationJob:
         vm.cpu_throttle = value
         self.stats.throttle_pct = round(value * 100.0, 1)
 
-    def _account_round(self, pages: Optional[np.ndarray]) -> None:
+    def _account_round(self, pages: Optional[PageRuns]) -> None:
         """Fold a sent round into the received-page bitmap."""
-        if self.received is None:
-            return
         if pages is None:
-            self.received[:] = True
+            self.received.add(0, self.qemu.vm.memory.npages)
         else:
-            self.received[pages] = True
+            self.received.update(pages)
 
-    def _resend_dirty(self) -> np.ndarray:
-        """Sync the dirty bitmap: returns the dirty page indices and marks
-        them missing again at the destination."""
-        pages = np.flatnonzero(self.qemu.vm.memory.snapshot_dirty())
-        self.received[pages] = False
+    def _resend_dirty(self) -> PageRuns:
+        """Sync the dirty log: returns the dirty pages and marks them
+        missing again at the destination."""
+        pages = self.qemu.vm.memory.snapshot_dirty()
+        self.received.subtract(pages)
         return pages
 
     def _run(self):
@@ -320,7 +321,7 @@ class MigrationJob:
         yield from self.qemu.cluster.faults.perturb("migration.stream")
 
         memory.start_dirty_logging()
-        self.received = np.zeros(memory.npages, dtype=bool)
+        self.received = PageRuns()
         downtime = self.qemu.migration_max_downtime_s
         rule = PrecopyRule(
             policy,
@@ -329,7 +330,7 @@ class MigrationJob:
         )
         go_postcopy = policy.postcopy == "always"
         downtime_started: Optional[float] = None
-        pages: Optional[np.ndarray] = None  # round 0: full RAM traversal
+        pages: Optional[PageRuns] = None  # round 0: full RAM traversal
         # Cost of the upcoming round: the estimate after a round prices
         # the same dirty pages the next round sends.
         cost = None if go_postcopy else self._round_cost(pages)
@@ -368,8 +369,6 @@ class MigrationJob:
             if self._guest_parked():
                 # Parked guest: pages dirtied before the park landed take
                 # one more, still quiescent, pass.
-                if memory.dirty_page_count == 0:
-                    break
                 pages = self._resend_dirty()
                 if pages.size == 0:
                     break
@@ -461,28 +460,9 @@ class MigrationJob:
             "migration",
             "postcopy_switchover",
             dst=self.dst_node.name,
-            missing_pages=memory.npages - int(np.count_nonzero(self.received)),
+            missing_pages=memory.npages - self.received.size,
             downtime_s=round(self.stats.downtime_s, 4),
         )
-
-    def _next_missing(self, start: int, count: int) -> np.ndarray:
-        """The first ``count`` missing page indices at or after ``start``.
-
-        Scans the received bitmap in windows that double in size, so a
-        sparse tail costs a few scans rather than one per page and a
-        dense one scans about ``count`` pages.
-        """
-        received = self.received
-        pieces = []
-        window = count
-        while count > 0 and start < received.size:
-            found = np.flatnonzero(~received[start:start + window])[:count]
-            found += start
-            pieces.append(found)
-            count -= found.size
-            start += window
-            window *= 2
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     def _postcopy_drain(self):
         """Pull missing pages origin→destination from the received bitmap.
@@ -495,22 +475,22 @@ class MigrationJob:
         After the switchover only the drain writes the bitmap, so it walks
         the bitmap once with a cursor: every page before the cursor is
         received, each chunk is the next ``chunk_pages`` missing pages past
-        it, and only that chunk's page classes are accounted — O(pages) in
-        total.  A failed chunk is retried as-is.  Every page between a
-        chunk's first and last index is received once it lands, so the
-        bitmap update is one slice assignment.
+        it, and only that chunk's page classes are accounted — O(runs) per
+        chunk, independent of the size of RAM.  A failed chunk is retried
+        as-is.  Every page between a chunk's first and last page is received
+        once it lands, so the bitmap update is one run added.
         """
         policy = self.policy
         memory = self.qemu.vm.memory
         chunk_pages = max(1, POSTCOPY_CHUNK_BYTES // memory.page_size)
-        missing = memory.npages - int(np.count_nonzero(self.received))
+        missing = memory.npages - self.received.size
         cursor = 0
         attempt = 0
-        chunk_idx: Optional[np.ndarray] = None
+        chunk: Optional[PageRuns] = None
         while missing > 0:
-            if chunk_idx is None:
-                chunk_idx = self._next_missing(cursor, chunk_pages)
-            _, dup, data, wire, cpu_seconds = self._round_cost(chunk_idx)
+            if chunk is None:
+                chunk = self.received.first_missing(cursor, chunk_pages, memory.npages)
+            chunk_size, dup, data, wire, cpu_seconds = self._round_cost(chunk)
             try:
                 flow = self._transfer(wire, cpu_seconds, src_node=self._origin_node)
                 yield flow.done
@@ -548,12 +528,12 @@ class MigrationJob:
                     missing_pages=missing,
                     recoveries=self.stats.recoveries,
                 )
-            self.received[chunk_idx[0]:chunk_idx[-1] + 1] = True
-            cursor = int(chunk_idx[-1]) + 1
-            missing -= chunk_idx.size
+            cursor = chunk.ends[-1]
+            self.received.add(chunk.starts[0], cursor)
+            missing -= chunk_size
             self.stats.wire_bytes += wire
             self.stats.postcopy_bytes += wire
-            self.stats.scanned_pages += int(chunk_idx.size)
+            self.stats.scanned_pages += chunk_size
             self.stats.dup_pages += dup
             self.stats.data_pages += data
-            chunk_idx = None
+            chunk = None

@@ -1,13 +1,12 @@
 """Unit + property tests: the page-granular guest memory model."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import VmmError
 from repro.units import GiB, KiB, MiB, PAGE_SIZE
-from repro.vmm.guest_memory import GuestMemory, PageClass
+from repro.vmm.guest_memory import GuestMemory, PageClass, PageRuns
 
 
 def test_fresh_memory_all_zero():
@@ -56,7 +55,8 @@ def test_dirty_logging_cycle():
     mem.write(16 * KiB, 8 * KiB)
     assert mem.dirty_page_count == 2
     snapshot = mem.snapshot_dirty()
-    assert int(snapshot.sum()) == 2
+    assert snapshot.size == 2
+    assert list(snapshot) == [(4, 6)]
     assert mem.dirty_page_count == 0  # cleared atomically
 
 
@@ -72,9 +72,10 @@ def test_round_accounting_over_dirty_pages():
     mem.start_dirty_logging()
     mem.write(0, 4 * KiB, PageClass.DATA)
     mem.write(8 * KiB, 4 * KiB, PageClass.UNIFORM)
-    pages = np.flatnonzero(mem.snapshot_dirty())
+    pages = mem.snapshot_dirty()
+    assert list(pages) == [(0, 1), (2, 3)]
     assert mem.round_accounting(pages) == (2, 1, 1)
-    assert mem.round_accounting(pages[:0]) == (0, 0, 0)
+    assert mem.round_accounting(PageRuns()) == (0, 0, 0)
     # None is all of RAM: 256 pages, one of them DATA.
     assert mem.round_accounting() == (mem.npages, mem.npages - 1, 1)
 

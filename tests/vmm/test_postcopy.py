@@ -15,6 +15,7 @@ from repro.vmm.policy import MigrationPolicy
 from repro.vmm.qemu import QemuProcess
 from repro.vmm.vm import RunState
 from tests.conftest import drive
+from tests.vmm.dense_memory import class_array, mask_of, runs_of
 
 
 @pytest.fixture
@@ -30,6 +31,10 @@ def _full_wire_bytes(qemu):
     cal = qemu.calibration
     dup, data = memory.dup_and_data_pages()
     return dup * cal.dup_page_wire_bytes + data * (memory.page_size + cal.page_header_bytes)
+
+
+def _all_received(job):
+    return list(job.received) == [(0, job.qemu.vm.memory.npages)]
 
 
 def _migrate(cluster, qemu, dst_name, policy, before_s=1.0):
@@ -57,7 +62,7 @@ def test_postcopy_always_switches_over_immediately(cluster, qemu):
     # Downtime is the device-state blob only — RAM follows on demand.
     assert stats.downtime_s < 0.1
     assert stats.postcopy_bytes == pytest.approx(_full_wire_bytes(qemu))
-    assert bool(np.all(job.received))
+    assert _all_received(job)
     assert qemu.node.name == "ib02"
     assert qemu.vm.state is RunState.RUNNING
     assert not qemu.vm.memory.dirty_logging
@@ -115,7 +120,7 @@ def test_postcopy_stream_drop_recovers_from_bitmap(cluster, qemu):
     assert stats.recoveries == 1
     # Bitmap resume: no page is re-sent — total wire ≈ one full image.
     assert stats.wire_bytes == pytest.approx(_full_wire_bytes(qemu))
-    assert bool(np.all(job.received))
+    assert _all_received(job)
     assert qemu.node.name == "ib02"
     assert qemu.vm.state is RunState.RUNNING
     assert cluster.tracer.count("migration", "postcopy_pause") >= 1
@@ -170,7 +175,7 @@ def test_precopy_rounds_maintain_received_bitmap(cluster, qemu):
     assert job.stats.mode == "postcopy"
     # Everything ended up received, and the postcopy tail only pulled the
     # pages precopy had not already landed.
-    assert bool(np.all(job.received))
+    assert _all_received(job)
     assert 0 < job.stats.postcopy_bytes < job.stats.wire_bytes
 
 
@@ -194,13 +199,14 @@ class RecordingMigrationJob(MigrationJob):
 class ReferenceDrainJob(RecordingMigrationJob):
     """The drain as it was before the missing-page cursor: every chunk
     rebuilds ``flatnonzero(~received)``, a full-RAM chunk mask and a
-    full-RAM weighted bincount, O(pages x chunks)."""
+    full-RAM weighted bincount over the dense expansion of the page-class
+    run map, O(pages x chunks)."""
 
     def _reference_chunk_cost(self, chunk_mask):
         cal = self.calibration
         memory = self.qemu.vm.memory
         counts = np.bincount(
-            memory._class, weights=chunk_mask, minlength=3
+            class_array(memory), weights=chunk_mask, minlength=3
         ).astype(np.int64)
         dup = int(counts[PageClass.ZERO]) + int(counts[PageClass.UNIFORM])
         data = int(counts[PageClass.DATA])
@@ -220,7 +226,7 @@ class ReferenceDrainJob(RecordingMigrationJob):
         chunk_pages = max(1, POSTCOPY_CHUNK_BYTES // memory.page_size)
         attempt = 0
         while True:
-            missing = np.flatnonzero(~self.received)
+            missing = np.flatnonzero(~mask_of(self.received, memory.npages))
             if missing.size == 0:
                 break
             chunk_idx = missing[:chunk_pages]
@@ -257,7 +263,7 @@ class ReferenceDrainJob(RecordingMigrationJob):
                     missing_pages=int(missing.size),
                     recoveries=self.stats.recoveries,
                 )
-            self.received[chunk_idx] = True
+            self.received.update(runs_of(chunk_mask))
             self.stats.wire_bytes += wire
             self.stats.postcopy_bytes += wire
             self.stats.scanned_pages += int(chunk_idx.size)
@@ -313,7 +319,8 @@ def test_one_pass_drain_matches_per_chunk_rescan(monkeypatch, scenario):
     assert len(new.chunks) > 1
     assert new.chunks == ref.chunks
     assert new.stats == ref.stats
-    assert np.array_equal(new.received, ref.received)
+    npages = new.qemu.vm.memory.npages
+    assert np.array_equal(mask_of(new.received, npages), mask_of(ref.received, npages))
     # Same records at the same sim times, including every pause/recover
     # record's missing-page count.
     assert new_trace == ref_trace
