@@ -27,12 +27,16 @@ Site naming convention (all instrumented sites in the tree)::
     network.chaos                                        (per degradation event;
                                                           see repro.network.degradation)
     controller.crash.<phase>.{intent,commit}             (controller death at a
-    controller.crash.signal.{intent,commit}               journal boundary; see
-    controller.crash.migration.inflight                   repro.recovery)
-    controller.crash.resume.intent
-    controller.crash.commit-point.commit
-    controller.crash.postcopy.{intent,commit}            (around the journal's
-                                                          postcopy-switchover record)
+    incident.action.<action>                              journal step: offered
+    incident.restore.{intent,commit}                      by MigrationJournal.step,
+    checkpoint.{intent,commit}                            just after the intent /
+                                                          just before the commit)
+    incident.restore.boot                                (inside the restore step)
+    controller.crash.signal.{intent,commit}              (hand-placed controller
+    controller.crash.migration.inflight                   crash sites around the
+    controller.crash.resume.intent                        unstepped records; see
+    controller.crash.commit-point.commit                  repro.core.ninja)
+    controller.crash.postcopy.{intent,commit}
 
 Sites support ``fnmatch`` patterns (``qmp.*`` arms every QMP command).
 """

@@ -54,15 +54,18 @@ Crash semantics
 ---------------
 
 Every sequence writes a **write-ahead journal**
-(:class:`~repro.recovery.journal.MigrationJournal`): an ``intent`` record
-before each phase, a ``commit`` record after it, compensation-stack and
-terminal records in between.  ``controller.crash.<point>`` fault sites sit
-at each boundary *before* the corresponding record is written — an armed
-crash raises :class:`~repro.errors.ControllerCrashError` (deliberately
-not a ``ReproError``, so neither retry nor rollback runs: a dead
-controller does nothing) and sets :attr:`NinjaMigration.crashed`, which
-kills every sibling sequence of the same controller at its next
-boundary.  The journal plus observed VMM/agent state is exactly what
+(:class:`~repro.recovery.journal.MigrationJournal`): each phase is one
+journalled step, with compensation-stack and terminal records in
+between.  Its ``controller.crash.<phase>.intent`` site fires just after
+the ``intent`` record, ``.commit`` just before the ``commit`` record (the
+journal's site rule); the hand-written ``signal``, ``resume``,
+``commit-point``, ``postcopy`` and ``migration.inflight`` boundaries
+place their own sites.  An armed crash raises
+:class:`~repro.errors.ControllerCrashError` (deliberately not a
+``ReproError``, so neither retry nor rollback runs: a dead controller
+does nothing) and sets :attr:`NinjaMigration.crashed`, which kills every
+sibling sequence of the same controller at its next boundary.  The
+journal plus observed VMM/agent state is exactly what
 :class:`~repro.recovery.recovery.RecoveryManager` needs to roll the
 sequence forward (past the commit point) or back.
 """
@@ -196,10 +199,10 @@ class NinjaMigration:
     def _guard(self, label: str, point: str) -> None:
         """Controller-liveness checkpoint at a journal boundary.
 
-        Placed *before* the boundary's journal record, so a controller
-        that dies here never writes the record — the journal can lag the
-        world (an action landed but its record did not) but never lead
-        it, which is the invariant recovery's reconciliation relies on.
+        A controller that dies here writes nothing more: no commit record
+        follows, so the journal can lag the world (an action landed but
+        its record did not) but never lead it, which is the invariant
+        recovery's reconciliation relies on.
         """
         if self.crashed:
             raise ControllerCrashError(f"controller dead at {point} ({label})")
@@ -390,7 +393,7 @@ class NinjaMigration:
 
         # -- phase runner ---------------------------------------------------------
 
-        def run_phase(name: str, body_factory: Callable[[], object]):
+        def attempts(name: str, body_factory: Callable[[], object]):
             current_phase[0] = name
             timeline.begin(name, env.now)
             attempt = 0
@@ -422,6 +425,15 @@ class NinjaMigration:
             finally:
                 timeline.end(name, env.now)
 
+        def run_phase(name: str, body_factory: Callable[[], object]):
+            """One journalled phase: intent, the body under retry, commit."""
+            return journal.step(
+                "phase", attempts(name, body_factory),
+                offer=lambda site: self._guard(plan.label, site),
+                sites=(f"{name}.intent", f"{name}.commit"),
+                mid=mid, phase=name,
+            )
+
         # -- drive the transaction -----------------------------------------------
 
         try:
@@ -433,19 +445,11 @@ class NinjaMigration:
 
                 # -- 1. coordination: quiesce + park (round A) -----------
                 journal.append("compensation", mid=mid, action="resume-guests")
-                self._guard(plan.label, "coordination.intent")
-                journal.append("intent", mid=mid, phase="coordination")
                 yield from run_phase("coordination", coordination_body)
-                self._guard(plan.label, "coordination.commit")
-                journal.append("commit", mid=mid, phase="coordination")
 
                 # -- 2. detach -------------------------------------------
                 journal.append("compensation", mid=mid, action="reattach-origin")
-                self._guard(plan.label, "detach.intent")
-                journal.append("intent", mid=mid, phase="detach")
                 yield from run_phase("detach", detach_body)
-                self._guard(plan.label, "detach.commit")
-                journal.append("commit", mid=mid, phase="detach")
 
                 # -- 3. round A → round B --------------------------------
                 self._guard(plan.label, "signal.intent")
@@ -456,24 +460,12 @@ class NinjaMigration:
 
                 # -- 4. migration ----------------------------------------
                 journal.append("compensation", mid=mid, action="migrate-back")
-                self._guard(plan.label, "migration.intent")
-                journal.append("intent", mid=mid, phase="migration")
                 yield from run_phase("migration", migration_body)
-                self._guard(plan.label, "migration.commit")
-                journal.append("commit", mid=mid, phase="migration")
 
                 # -- 5. attach + confirm ---------------------------------
                 journal.append("compensation", mid=mid, action="detach-stray")
-                self._guard(plan.label, "attach.intent")
-                journal.append("intent", mid=mid, phase="attach")
                 yield from run_phase("attach", attach_body)
-                self._guard(plan.label, "attach.commit")
-                journal.append("commit", mid=mid, phase="attach")
-                self._guard(plan.label, "confirm.intent")
-                journal.append("intent", mid=mid, phase="confirm")
                 yield from run_phase("confirm", confirm_body)
-                self._guard(plan.label, "confirm.commit")
-                journal.append("commit", mid=mid, phase="confirm")
 
                 # Collect link-up events before waking the guests.
                 linkup_events = []
@@ -498,11 +490,7 @@ class NinjaMigration:
                     if linkup_events:
                         yield env.all_of(linkup_events)
 
-                self._guard(plan.label, "linkup.intent")
-                journal.append("intent", mid=mid, phase="linkup")
                 yield from run_phase("linkup", linkup_body)
-                self._guard(plan.label, "linkup.commit")
-                journal.append("commit", mid=mid, phase="linkup")
 
                 yield from ctl.quit()
             except ReproError as err:

@@ -52,38 +52,28 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def incidents_from_journal(journal: "MigrationJournal") -> List[Incident]:
-    """Rebuild unresolved incidents from ``incident-open`` records.
+    """Rebuild unresolved incidents from their ``incident-open`` records.
 
     Crash-recovery entry point: the successor controller has no live
     correlator state, only the journal.  Resolved incidents are skipped.
     """
-    resolved = {
-        r.payload.get("incident")
-        for r in journal.records
-        if r.kind == "incident-resolved"
-    }
     rebuilt: List[Incident] = []
-    for record in journal.records:
-        if record.kind != "incident-open":
+    for step in journal.steps_of("incident"):
+        if not step.open:
             continue
-        incident_id = record.payload.get("incident")
-        if incident_id in resolved:
-            continue
+        record = step.intents[0]
+        p = record.payload
         rebuilt.append(
             Incident(
-                incident_id=int(incident_id),  # type: ignore[arg-type]
-                opened_at=float(record.payload.get("opened_at", record.time)),  # type: ignore[arg-type]
-                first_anomaly_at=float(
-                    record.payload.get("first_anomaly_at", record.time)  # type: ignore[arg-type]
-                ),
-                klass=str(record.payload.get("klass", "")),
+                incident_id=int(step.key),  # type: ignore[call-overload]
+                opened_at=float(p.get("opened_at", record.time)),  # type: ignore[arg-type]
+                first_anomaly_at=float(p.get("first_anomaly_at", record.time)),  # type: ignore[arg-type]
+                klass=str(p.get("klass", "")),
                 severity="critical",
-                links=set(record.payload.get("links", ())),  # type: ignore[arg-type]
-                hosts=set(record.payload.get("hosts", ())),  # type: ignore[arg-type]
-                suspect_hosts=set(
-                    record.payload.get("suspect_hosts", ())  # type: ignore[arg-type]
-                ),
-                jobs=set(record.payload.get("jobs", ())),  # type: ignore[arg-type]
+                links=set(p.get("links", ())),  # type: ignore[arg-type]
+                hosts=set(p.get("hosts", ())),  # type: ignore[arg-type]
+                suspect_hosts=set(p.get("suspect_hosts", ())),  # type: ignore[arg-type]
+                jobs=set(p.get("jobs", ())),  # type: ignore[arg-type]
             )
         )
     return rebuilt

@@ -10,10 +10,11 @@ per-action timeout and retry, journaling every step through the shared
     Remediation for an incident began (class, links, jobs recorded so a
     successor controller can rebuild the incident from the journal).
 ``incident-action-intent`` / ``incident-action-commit``
-    A step is about to run / has completed.  After a controller crash the
-    successor re-executes *intent-without-commit* steps (all actions are
-    idempotent) and **skips committed ones** — remediation never
-    double-executes an action.
+    One journalled ``action`` step, with its crash site
+    ``incident.action.<action>`` just after the intent.  After a
+    controller crash the successor re-executes *intent-without-commit*
+    steps (all actions are idempotent) and **skips committed ones** —
+    remediation never double-executes an action.
 ``incident-resolved``
     The full runbook completed.
 
@@ -41,12 +42,12 @@ Built-in actions (all idempotent):
     Re-create jobs whose VMs died with a failed host from their last
     *committed* checkpoint generation, on spare capacity leased from
     the :class:`~repro.orchestrator.state.SpareArbiter` (ordered by
-    blast radius across overlapping incidents).  Brackets the restore
-    with ``restore-intent`` / ``restore-commit`` journal records and
-    crash-injection sites (``incident.restore.intent`` / ``.boot`` /
-    ``.commit``) so a successor controller resumes without ever
-    double-restoring: committed jobs are skipped, booted-but-
-    uncommitted jobs are reconciled, untouched jobs are re-run.
+    blast radius across overlapping incidents).  Runs the restore as one
+    journalled ``restore`` step (``restore-intent`` / ``restore-commit``)
+    with crash-injection sites ``incident.restore.intent`` / ``.boot`` /
+    ``.commit`` so a successor controller resumes without ever
+    double-restoring: committed jobs are skipped, booted-but-uncommitted
+    jobs are reconciled, untouched jobs are re-run.
 ``await-heal``
     Poll until the incident's links are back up and undegraded.
 ``readmit``
@@ -170,26 +171,6 @@ class RunbookExecutor:
             "readmit": RunbookExecutor._act_readmit,
         }
 
-    # -- journal folds -----------------------------------------------------------
-
-    def committed_steps(self, incident_id: int) -> Set[int]:
-        """Step indices already committed for this incident (journal fold)."""
-        done: Set[int] = set()
-        for record in self.journal.records:
-            if (
-                record.kind == "incident-action-commit"
-                and record.payload.get("incident") == incident_id
-            ):
-                done.add(int(record.payload.get("step", -1)))
-        return done
-
-    def resolved(self, incident_id: int) -> bool:
-        return any(
-            r.kind == "incident-resolved"
-            and r.payload.get("incident") == incident_id
-            for r in self.journal.records
-        )
-
     # -- execution ---------------------------------------------------------------
 
     def execute(self, incident: Incident):
@@ -205,11 +186,15 @@ class RunbookExecutor:
             raise IncidentError(
                 f"no runbook for incident class {incident.klass!r}"
             )
-        if self.resolved(incident.incident_id):
+        iid = incident.incident_id
+        if self.journal.fold("incident", iid).commit is not None:
             incident.status = RESOLVED
             return incident
-        committed = self.committed_steps(incident.incident_id)
-        if not committed:
+        committed = [
+            self.journal.fold("action", (iid, index)).commit is not None
+            for index in range(len(steps))
+        ]
+        if not any(committed):
             self.journal.append(
                 "incident-open",
                 incident=incident.incident_id,
@@ -225,23 +210,19 @@ class RunbookExecutor:
         self.cluster.trace(
             "incident", "remediation_started",
             incident=incident.incident_id, klass=incident.klass,
-            resumed_from_step=len(committed),
+            resumed_from_step=sum(committed),
         )
         for index, step in enumerate(steps):
-            if index in committed:
+            if committed[index]:
                 incident.actions.append(f"{step.action} (recovered: skipped)")
                 continue
-            self.journal.append(
-                "incident-action-intent",
-                incident=incident.incident_id, step=index, action=step.action,
-            )
-            # Crash-injection site: a controller death here leaves intent
-            # without commit, so the successor re-runs this step.
-            yield from self.cluster.faults.perturb(f"incident.action.{step.action}")
-            yield from self._run_step(incident, index, step)
-            self.journal.append(
-                "incident-action-commit",
-                incident=incident.incident_id, step=index, action=step.action,
+            # A controller death at the crash site leaves intent without
+            # commit, so the successor re-runs this step.
+            yield from self.journal.step(
+                "action", self._run_step(incident, index, step),
+                offer=self.cluster.faults.perturb,
+                sites=(f"incident.action.{step.action}", None),
+                incident=iid, step=index, action=step.action,
             )
             self.executed.append((incident.incident_id, index, step.action))
             incident.actions.append(step.action)
@@ -494,13 +475,12 @@ class RunbookExecutor:
             iid, lease,
             blast_radius=len(incident.jobs) + len(incident.request_ids),
         )
-        try:
-            self.journal.append(
-                "restore-intent",
-                incident=iid, job=record.job_id, generation=gen_no,
-                hosts=sorted(hosts), epoch=service.epoch,
-            )
-            yield from self.cluster.faults.perturb(RESTORE_INTENT_SITE)
+        rpo_s = max(
+            incident.first_anomaly_at - float(generation.get("consistency_at", 0.0)),
+            0.0,
+        )
+
+        def boot():
             # The restored job supersedes any in-flight migration work.
             for request in orch.requests:
                 if request.fleet_job is record and not request.terminal:
@@ -518,23 +498,26 @@ class RunbookExecutor:
             orch.store.replace_job(record.job_id, outcome.job, outcome.qemus)
             if record.rank_main is not None:
                 outcome.job.launch(record.rank_main)
-            yield from self.cluster.faults.perturb(RESTORE_COMMIT_SITE)
-            self.cluster.fencing.check(service.epoch, actor="restore")
-            rto_s = self.env.now - incident.first_anomaly_at
-            rpo_s = max(
-                incident.first_anomaly_at
-                - float(generation.get("consistency_at", 0.0)),
-                0.0,
-            )
-            self.journal.append(
-                "restore-commit",
+            return {
+                "vms": sorted(q.vm.name for q in outcome.qemus),
+                "adopted": sorted(outcome.adopted),
+                "rpo_s": round(rpo_s, 6),
+                "rto_s": round(self.env.now - incident.first_anomaly_at, 6),
+            }
+
+        def offer(site: str):
+            yield from self.cluster.faults.perturb(site)
+            if site == RESTORE_COMMIT_SITE:
+                self.cluster.fencing.check(service.epoch, actor="restore")
+
+        try:
+            yield from self.journal.step(
+                "restore", boot(), offer=offer,
+                sites=(RESTORE_INTENT_SITE, RESTORE_COMMIT_SITE),
                 incident=iid, job=record.job_id, generation=gen_no,
-                hosts=sorted(hosts),
-                vms=sorted(q.vm.name for q in outcome.qemus),
-                adopted=sorted(outcome.adopted),
-                rpo_s=round(rpo_s, 6), rto_s=round(rto_s, 6),
-                epoch=service.epoch,
+                hosts=sorted(hosts), epoch=service.epoch,
             )
+            rto_s = self.env.now - incident.first_anomaly_at
             self.cluster.trace(
                 "incident", "job_restored", incident=iid, job=record.job_id,
                 generation=gen_no, hosts=sorted(hosts),
@@ -551,9 +534,9 @@ class RunbookExecutor:
             for record in orch.store.jobs_on(host):
                 if record in out:
                     continue
-                if self.journal.restore_commit_for(
-                    incident.incident_id, record.job_id
-                ):
+                if self.journal.fold(
+                    "restore", (incident.incident_id, record.job_id)
+                ).commit is not None:
                     continue
                 if any(
                     q.vm.state is RunState.SHUTOFF or q.node.failed
@@ -571,7 +554,10 @@ class RunbookExecutor:
         the successor instead writes the missing commit (``recovered``).
         """
         orch = self.orchestrator
-        for payload in self.journal.uncommitted_restores(incident.incident_id):
+        for step in self.journal.steps_of("restore"):
+            if step.key[0] != incident.incident_id or not step.open:  # type: ignore[index]
+                continue
+            payload = step.intents[0].payload
             job_id = str(payload.get("job"))
             try:
                 record = orch.store.job(job_id)

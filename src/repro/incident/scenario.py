@@ -141,7 +141,7 @@ class DrillResult:
     crash_site: str = ""
     crashed: bool = False
     resumed_incidents: int = 0
-    #: (incident, step, action) triples committed more than once across
+    #: (incident, step) runbook steps committed more than once across
     #: the dead and successor controllers — must stay empty.  This and
     #: the next two fields are :func:`repro.invariants.check` findings.
     double_executed: List[List[object]] = field(default_factory=list)
@@ -219,9 +219,9 @@ def _spawn_kill(
 
     def _committed_jobs() -> set:
         return {
-            r.payload.get("job")
-            for r in orch.journal.records
-            if r.kind == "checkpoint-commit"
+            step.key[0]
+            for step in orch.journal.steps_of("checkpoint")
+            if step.commit is not None
         }
 
     def _victim_covered(host: str) -> bool:
@@ -512,10 +512,10 @@ def _fold_incidents(orch, managers: List[IncidentManager]) -> Dict[str, object]:
 def _fold_restores(journal, killed_at: Optional[float]) -> Dict[str, object]:
     """Checkpoint generations and restore RPO/RTO from the journal."""
     checkpoint_commits = [
-        r.payload for r in journal.records if r.kind == "checkpoint-commit"
+        s.commit.payload for s in journal.steps_of("checkpoint") if s.commit
     ]
     restore_commits = [
-        r.payload for r in journal.records if r.kind == "restore-commit"
+        s.commit.payload for s in journal.steps_of("restore") if s.commit
     ]
     # True RPO: the drill knows the exact failure instant; measure lost
     # work from there back to the restored generation's consistency

@@ -18,13 +18,16 @@ Rules (the :attr:`Violation.rule` names):
   state left on the guest; ``hca-bus`` / ``hca-driver``: an attached
   passthrough HCA not on the current host's bus, or with no guest driver
   bound to it.
-* **Journal** — ``open-sequence`` / ``open-request``: a migration
-  sequence or fleet request with no terminal record; ``open-action`` /
-  ``double-action``: a runbook step intent with no commit, or one
-  (incident, step) committed twice; ``open-incident``: an incident never
-  resolved; ``open-restore`` / ``double-restore``: a restore intent with
-  no commit, or one (incident, job) restored twice; ``stale-restore``: a
-  restore older than the newest generation committed before it.
+* **Journal** — ``open-sequence``: a migration sequence with no
+  terminal record (an abort whose rollback failed stays open);
+  ``open-<kind>``: a journalled step of a kind that must close, with an
+  intent and no commit (``open-request``, ``open-action``,
+  ``open-incident``, ``open-restore``); ``double-<kind>``: a step of a
+  kind that commits once, committed twice (``double-action``,
+  ``double-restore``).  The kinds, their records and keys are
+  :data:`repro.recovery.journal.STEP_KINDS`; the subject is the step's
+  key.  ``stale-restore``: a restore older than the newest generation
+  committed before it.
 * **Capacity** — ``oversubscribed``: a host's store reservations exceed
   its free memory; ``negative-free``: a host with negative free memory;
   ``leaked-claim`` / ``leaked-inflight``: a reservation or in-flight
@@ -42,8 +45,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
+from repro.recovery.journal import STEP_KINDS
 from repro.vmm.vm import RunState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,8 +62,8 @@ class Violation:
     """One broken rule: which rule, what breaks it, and how."""
 
     rule: str
-    #: A VM name, host name, migration id, request id, or a key tuple
-    #: such as ``(incident, step, action)``.
+    #: A VM name, host name, migration id, or a journal step's key (a
+    #: request id, or a tuple such as ``(incident, step)``).
     subject: object
     detail: str = ""
 
@@ -87,14 +91,11 @@ def check(
     violations: List[Violation] = []
     for q in qemus:
         violations.extend(_vm_violations(cluster, q))
-    open_requests = journal.unfinished_requests() if journal is not None else []
-    violations += [
-        Violation("open-request", state["request"], f"job {state['job']}")
-        for state in open_requests
-    ]
     if journal is not None:
         violations.extend(_journal_violations(journal))
-    settled = journal is not None and not open_requests
+    settled = journal is not None and not any(
+        v.rule == "open-request" for v in violations
+    )
     violations.extend(_capacity_violations(cluster, store, settled))
     if arbiter is not None:
         violations.extend(
@@ -150,69 +151,32 @@ def _journal_violations(journal: "MigrationJournal") -> List[Violation]:
         Violation("open-sequence", s.mid, f"phase reached {s.phase_reached!r}")
         for s in journal.unfinished()
     ]
-    action_intents: Dict[tuple, str] = {}
-    action_commits: Counter = Counter()
-    opened: List[object] = []
-    resolved = set()
-    restore_intents = []
-    restore_commits: Counter = Counter()
-    # A checkpoint-intent with no commit is legal: that generation never
-    # happened, and only committed generations are ever restored from.
-    for record in journal.records:
-        p = record.payload
-        if record.kind == "incident-action-intent":
-            action_intents[(p.get("incident"), p.get("step"))] = str(p.get("action"))
-        elif record.kind == "incident-action-commit":
-            action_commits[(p.get("incident"), p.get("step"), p.get("action"))] += 1
-        elif record.kind == "incident-open":
-            opened.append(p.get("incident"))
-        elif record.kind == "incident-resolved":
-            resolved.add(p.get("incident"))
-        elif record.kind == "restore-intent":
-            restore_intents.append(record)
-        elif record.kind == "restore-commit":
-            restore_commits[(p.get("incident"), p.get("job"))] += 1
-    committed_steps = {key[:2] for key in action_commits}
-    out += [
-        Violation("open-action", key, f"{action} intent has no commit")
-        for key, action in action_intents.items()
-        if key not in committed_steps
-    ]
-    out += [
-        Violation("double-action", key, f"committed {n} times")
-        for key, n in sorted(action_commits.items())
-        if n > 1
-    ]
-    out += [
-        Violation("open-incident", iid, "never resolved")
-        for iid in dict.fromkeys(opened)
-        if iid not in resolved
-    ]
-    open_restores = {}
-    for record in restore_intents:
-        p = record.payload
-        key = (p.get("incident"), p.get("job"))
-        if key not in restore_commits:
-            open_restores[key] = Violation("open-restore", key, "intent has no commit")
-        newest = journal.last_committed_checkpoint(
-            str(p.get("job")), before=record.time
-        )
-        if newest is not None and int(p.get("generation", -1)) < int(
-            newest.get("generation", -1)  # type: ignore[arg-type]
-        ):
-            out.append(
-                Violation(
-                    "stale-restore", key,
-                    f"generation {p.get('generation')} older than "
-                    f"committed {newest.get('generation')}",
+    for kind, spec in STEP_KINDS.items():
+        for step in journal.steps_of(kind):
+            if spec.must_close and step.open:
+                out.append(
+                    Violation(f"open-{kind}", step.key, f"{spec.intent} has no {spec.commit}")
                 )
+            if spec.once and step.double:
+                out.append(
+                    Violation(f"double-{kind}", step.key, f"committed {len(step.commits)} times")
+                )
+    for step in journal.steps_of("restore"):
+        for record in step.intents:
+            p = record.payload
+            newest = journal.last_committed_checkpoint(
+                str(p.get("job")), before=record.time
             )
-    out += open_restores.values()
-    out += [
-        Violation("double-restore", key, f"committed {n} times")
-        for key, n in sorted(restore_commits.items())
-        if n > 1
-    ]
+            if newest is not None and int(p.get("generation", -1)) < int(
+                newest.get("generation", -1)  # type: ignore[arg-type]
+            ):
+                out.append(
+                    Violation(
+                        "stale-restore", step.key,
+                        f"generation {p.get('generation')} older than "
+                        f"committed {newest.get('generation')}",
+                    )
+                )
     return out
 
 

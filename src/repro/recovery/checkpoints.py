@@ -21,11 +21,14 @@ alone does not provide:
   hosts, rebuild an :class:`~repro.mpi.runtime.MpiJob` over them (CRS
   SELF *restart* phase), and hand them back to the fleet store.
 
-The service is a controller like any other: it captures the fencing
-epoch at construction, checks it before every commit, and an injected
-:class:`~repro.errors.ControllerCrashError` at a ``checkpoint.*`` site
-kills it mid-generation — leaving an intent without a commit, which a
-successor service (and any restore) must treat as never having happened.
+The service is a controller like any other: each generation is one
+journalled ``checkpoint`` step
+(:meth:`~repro.recovery.journal.MigrationJournal.step`), it captures the
+fencing epoch at construction and checks it before every commit, and an
+injected :class:`~repro.errors.ControllerCrashError` at a
+``checkpoint.*`` site kills it mid-generation — leaving an intent
+without a commit, which a successor service (and any restore) must treat
+as never having happened.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.checkpointing import CheckpointResult, ProactiveCheckpoint
+from repro.core.checkpointing import ProactiveCheckpoint
 from repro.errors import ControllerCrashError, IncidentError, ReproError
 from repro.testbed import create_job
 from repro.vmm.snapshot import restore_vm
@@ -95,12 +98,11 @@ class FleetCheckpointService:
         self.epoch = cluster.fencing.current
         #: Last generation number used, resumed from the journal so a
         #: successor never reuses a dead controller's generation id.
-        self.generation = self._max_journalled_generation()
+        self.generation = max(
+            (int(s.key[1]) for s in journal.steps_of("checkpoint")), default=0  # type: ignore[index]
+        )
         #: (time, job, reason) ticks skipped by the eligibility guards.
         self.skips: List[Tuple[float, str, str]] = []
-        #: Committed results by (job, generation) — live-process cache;
-        #: the journal remains the durable truth.
-        self.committed: Dict[Tuple[str, int], CheckpointResult] = {}
         self.crashed = False
         self.crash_error = ""
         self._proc = None
@@ -189,50 +191,48 @@ class FleetCheckpointService:
     # -- one generation ------------------------------------------------------------
 
     def checkpoint_job(self, record: "FleetJob"):
-        """Write one committed generation for ``record`` (generator)."""
+        """Write one committed generation for ``record`` (generator);
+        returns the ``checkpoint-commit`` record."""
         self.generation += 1
         gen = self.generation
         suffix = f"@g{gen}"
         planned = sorted(f"{q.vm.name}.memsnap{suffix}" for q in record.qemus)
-        self.journal.append(
-            "checkpoint-intent",
-            job=record.job_id,
-            generation=gen,
-            images=planned,
-            epoch=self.epoch,
-        )
         record.busy = True  # exclusive with migration, like a sequence
         try:
-            yield from self.cluster.faults.perturb(CHECKPOINT_INTENT_SITE)
-            result = yield from self.checkpointer.execute(
-                record.job,
-                record.qemus,
-                detach_tag=self.detach_tag,
-                image_suffix=suffix,
-                extra_meta={"generation": gen, "job": record.job_id},
-                # In-place tick: the physical port never left the subnet,
-                # so skip the cross-host hot-plug SM sweep on re-attach.
-                warm_reattach=True,
-            )
-            yield from self.cluster.faults.perturb(CHECKPOINT_COMMIT_SITE)
-            # A fenced-out (superseded) service must not commit: its
-            # images exist but the journal never blesses them.
-            self.cluster.fencing.check(self.epoch, actor="checkpoint-service")
-            self.journal.append(
-                "checkpoint-commit",
-                job=record.job_id,
-                generation=gen,
-                images=sorted(result.image_names),
-                epoch=self.epoch,
-                cr_round=record.job.cr_round,
-                consistency_at=result.consistency_at,
-                duration_s=result.total_s,
+            commit = yield from self.journal.step(
+                "checkpoint", self._write(record, gen, suffix), offer=self._offer,
+                sites=(CHECKPOINT_INTENT_SITE, CHECKPOINT_COMMIT_SITE),
+                job=record.job_id, generation=gen, images=planned, epoch=self.epoch,
             )
         finally:
             record.busy = False
-        self.committed[(record.job_id, gen)] = result
         self.prune(record.job_id)
-        return result
+        return commit
+
+    def _write(self, record: "FleetJob", gen: int, suffix: str):
+        result = yield from self.checkpointer.execute(
+            record.job,
+            record.qemus,
+            detach_tag=self.detach_tag,
+            image_suffix=suffix,
+            extra_meta={"generation": gen, "job": record.job_id},
+            # In-place tick: the physical port never left the subnet,
+            # so skip the cross-host hot-plug SM sweep on re-attach.
+            warm_reattach=True,
+        )
+        return {
+            "images": sorted(result.image_names),
+            "cr_round": record.job.cr_round,
+            "consistency_at": result.consistency_at,
+            "duration_s": result.total_s,
+        }
+
+    def _offer(self, site: str):
+        yield from self.cluster.faults.perturb(site)
+        if site == CHECKPOINT_COMMIT_SITE:
+            # A fenced-out (superseded) service must not commit: its
+            # images exist but the journal never blesses them.
+            self.cluster.fencing.check(self.epoch, actor="checkpoint-service")
 
     # -- RPO model -----------------------------------------------------------------
 
@@ -260,7 +260,11 @@ class FleetCheckpointService:
         uncommitted generation's images are garbage from a dead writer
         and are removed whenever an older committed one is.
         """
-        commits = self.journal.committed_checkpoints(job_id)
+        commits = [
+            step.commit.payload
+            for step in self.journal.steps_of("checkpoint")
+            if step.key[0] == job_id and step.commit is not None  # type: ignore[index]
+        ]
         if len(commits) <= self.keep_generations:
             return []
         keep = {
@@ -356,14 +360,6 @@ class FleetCheckpointService:
                 if qemu.vm.name == name and qemu.vm.state is RunState.RUNNING:
                     return qemu
         return None
-
-    def _max_journalled_generation(self) -> int:
-        gens = [
-            int(r.payload.get("generation", 0))  # type: ignore[arg-type]
-            for r in self.journal.records
-            if r.kind in ("checkpoint-intent", "checkpoint-commit")
-        ]
-        return max(gens, default=0)
 
 
 __all__ = [

@@ -10,6 +10,35 @@ After a crash, :class:`~repro.recovery.recovery.RecoveryManager` folds the
 surviving records into per-migration :class:`MigrationSnapshot` objects
 and decides roll-forward or roll-back per sequence.
 
+Steps
+-----
+
+Every unit of work that can be left half done is a *step* of one kind in
+:data:`STEP_KINDS`: an intent record, the work, a commit record.
+:meth:`MigrationJournal.step` writes one; :meth:`MigrationJournal.fold`
+answers "open?" (an intent, no commit), "committed, with what payload?"
+and "committed twice?" for any (kind, key):
+
+* ``phase``: ``intent`` / ``commit``, keyed by (mid, phase);
+* ``action``: ``incident-action-intent`` / ``-commit``, by (incident,
+  step): one runbook step (``action`` names it);
+* ``restore``: ``restore-intent`` / ``-commit``, by (incident, job): one
+  checkpoint restore (``generation``, ``hosts``; ``rpo_s``, ``rto_s``);
+* ``checkpoint``: ``checkpoint-intent`` / ``-commit``, by (job,
+  generation): one generation (``images``, ``consistency_at``); only a
+  committed generation is ever restored from;
+* ``request``: ``request`` / ``request-finished``, by request id;
+* ``incident``: ``incident-open`` / ``incident-resolved``, by incident id.
+
+The last two are folded only: no body runs between their records.
+
+Site rule: the writer offers a step's crash sites.  The intent site fires
+just *after* the intent record (an intent is a promise, not progress),
+the commit site just *before* the commit record, so a controller dying
+at either leaves an intent without a commit: the journal can lag the
+world but never lead it.  :attr:`MigrationJournal.offered` lists every
+offered site in order.
+
 Record kinds
 ------------
 
@@ -18,7 +47,8 @@ Record kinds
     mapping, device tag, per-VM attach flags, pre-transaction HCA state.
 ``intent`` / ``commit``
     A phase is about to run / has finished (``phase`` field).  The
-    ``resume`` intent marks the attempt to reach the commit point.
+    ``resume`` intent marks the attempt to reach the commit point; it is
+    written by hand, its crash site before the record.
 ``signal``
     One SymVirt resume round was delivered (round A→B release).
 ``commit-point``
@@ -49,23 +79,8 @@ Record kinds
 ``incident-open`` / ``incident-resolved``
     An :class:`~repro.incident.correlator.Incident` entered / left
     remediation (class, links, hosts, jobs in the payload).
-``incident-action-intent`` / ``incident-action-commit``
-    One runbook step is about to run / has finished (``step`` index and
-    ``action`` name).  A successor controller re-runs any step with an
-    intent but no commit and skips committed ones — the incident
-    analogue of the phase-level intent/commit discipline above.
-``checkpoint-intent`` / ``checkpoint-commit``
-    A proactive checkpoint generation is about to be written / is fully
-    on stable storage (``job``, ``generation``, ``images``,
-    ``consistency_at`` in the payload).  Only *committed* generations
-    are restorable: an intent without a commit means the images may be
-    partial and must never be restored from.
-``restore-intent`` / ``restore-commit``
-    A checkpoint restore (host-failure remediation) is about to boot
-    replacement VMs / has replaced the job (``incident``, ``job``,
-    ``generation``, ``hosts``, ``rpo_s``, ``rto_s``).  A successor
-    controller skips jobs with a commit and re-runs ones with only an
-    intent — restore actions are idempotent per (incident, job).
+``incident-action-*``, ``checkpoint-*``, ``restore-*``
+    The ``action``, ``checkpoint`` and ``restore`` steps above.
 
 Persistence is JSON Lines: one record per line, appended with an
 explicit flush so a crash loses at most the record being written —
@@ -78,7 +93,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, IO, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, IO, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.plan import MigrationPlan
@@ -98,6 +113,48 @@ JOURNALLED_PHASES = (
 
 #: Record kinds that end a migration sequence.
 TERMINAL_KINDS = ("complete", "aborted", "recovered")
+
+
+@dataclass(frozen=True)
+class StepKind:
+    """One kind of step: its two record kinds and the fields of its key."""
+
+    intent: str
+    commit: str
+    #: Key fields: ``mid`` / ``phase`` are record fields, the rest payload.
+    key: Tuple[str, ...]
+    #: Every intent must be committed (else the checker's ``open-<kind>``).
+    must_close: bool = False
+    #: A key commits at most once (else the checker's ``double-<kind>``).
+    once: bool = False
+
+
+#: Step kind → its records and key (see the module docstring).  An open
+#: phase is judged per sequence (``open-sequence``), and an open
+#: checkpoint is a generation that simply never happened.
+STEP_KINDS: Dict[str, StepKind] = {
+    "phase": StepKind("intent", "commit", ("mid", "phase")),
+    "action": StepKind(
+        "incident-action-intent", "incident-action-commit", ("incident", "step"),
+        must_close=True, once=True,
+    ),
+    "restore": StepKind(
+        "restore-intent", "restore-commit", ("incident", "job"),
+        must_close=True, once=True,
+    ),
+    "checkpoint": StepKind("checkpoint-intent", "checkpoint-commit", ("job", "generation")),
+    "request": StepKind("request", "request-finished", ("request",), must_close=True),
+    "incident": StepKind(
+        "incident-open", "incident-resolved", ("incident",), must_close=True
+    ),
+}
+
+#: Record kind → (step kind, whether the record is the commit).
+_STEP_RECORDS = {
+    record: (kind, record == spec.commit)
+    for kind, spec in STEP_KINDS.items()
+    for record in (spec.intent, spec.commit)
+}
 
 #: Record kinds that carry an allocated id → the id kind (payload key).
 _ID_RECORDS = {"request": "request", "incident-open": "incident"}
@@ -224,8 +281,37 @@ class MigrationSnapshot:
                 self.terminal = kind
 
 
+@dataclass
+class Step:
+    """The fold of one (kind, key) step: its intents and commits."""
+
+    #: The key field's value, or a tuple of them for a multi-field key.
+    key: object
+    intents: List[JournalRecord] = field(default_factory=list)
+    commits: List[JournalRecord] = field(default_factory=list)
+
+    @property
+    def open(self) -> bool:
+        """An intent with no commit."""
+        return bool(self.intents) and not self.commits
+
+    @property
+    def commit(self) -> Optional[JournalRecord]:
+        """The first commit record (None while uncommitted)."""
+        return self.commits[0] if self.commits else None
+
+    @property
+    def double(self) -> bool:
+        """Committed more than once."""
+        return len(self.commits) > 1
+
+
 class MigrationJournal:
-    """Append-only journal, in memory and optionally on disk (JSONL)."""
+    """Append-only journal, in memory and optionally on disk (JSONL).
+
+    ``records`` grows only through :meth:`append` and :meth:`loads`,
+    which also keep the per-mid index and the step fold current.
+    """
 
     def __init__(
         self, path: Optional[str] = None, env: Optional["Environment"] = None
@@ -233,6 +319,13 @@ class MigrationJournal:
         self.path = path
         self.env = env
         self.records: List[JournalRecord] = []
+        #: (site, records written so far) for every site :meth:`step`
+        #: offered, in order.
+        self.offered: List[Tuple[str, int]] = []
+        self._by_mid: Dict[str, List[JournalRecord]] = {}
+        #: Mids with a ``begin`` record, in open order (values unused).
+        self._opened: Dict[str, None] = {}
+        self._steps: Dict[str, Dict[object, Step]] = {kind: {} for kind in STEP_KINDS}
         self._seq = 0
         self._mids = 0
         #: Last id handed out per kind (see :meth:`next_id`).
@@ -266,11 +359,64 @@ class MigrationJournal:
             payload=payload,
         )
         self._seq += 1
-        self.records.append(record)
+        self._index(record)
         if self._fh is not None:
             self._fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
             self._fh.flush()
         return record
+
+    def _index(self, record: JournalRecord) -> None:
+        self.records.append(record)
+        if record.mid:
+            self._by_mid.setdefault(record.mid, []).append(record)
+            if record.kind == "begin":
+                self._opened.setdefault(record.mid)
+        step_of = _STEP_RECORDS.get(record.kind)
+        if step_of is not None:
+            kind, is_commit = step_of
+            values = tuple(
+                getattr(record, name) if name in ("mid", "phase") else record.payload.get(name)
+                for name in STEP_KINDS[kind].key
+            )
+            key = values[0] if len(values) == 1 else values
+            step = self._steps[kind].get(key)
+            if step is None:
+                step = self._steps[kind][key] = Step(key)
+            (step.commits if is_commit else step.intents).append(record)
+
+    def step(
+        self,
+        kind: str,
+        body,
+        *,
+        offer: Callable[[str], object],
+        sites: Tuple[Optional[str], Optional[str]],
+        **payload: object,
+    ):
+        """Generator: run ``body`` (a generator) as one ``kind`` step.
+
+        Writes the intent record (``payload``), offers the intent site,
+        runs ``body``, offers the commit site and writes the commit record
+        (``payload`` updated with the dict ``body`` returns); returns the
+        commit record.  ``offer(site)`` is the caller's liveness check: it
+        raises to kill the step and may return a generator to drive.
+        ``sites`` is (intent site, commit site); ``None`` offers nothing.
+        """
+        spec = STEP_KINDS[kind]
+        intent_site, commit_site = sites
+        self.append(spec.intent, **payload)
+        yield from self._offer(offer, intent_site)
+        result = yield from body
+        yield from self._offer(offer, commit_site)
+        return self.append(spec.commit, **{**payload, **(result or {})})
+
+    def _offer(self, offer: Callable[[str], object], site: Optional[str]):
+        if site is None:
+            return
+        self.offered.append((site, len(self.records)))
+        gate = offer(site)
+        if gate is not None:
+            yield from gate  # type: ignore[misc]
 
     def next_id(self, kind: str) -> int:
         """Allocate the next ``kind`` id (``"request"``, ``"incident"``).
@@ -311,21 +457,17 @@ class MigrationJournal:
 
     def migration_ids(self) -> List[str]:
         """Every mid with a ``begin`` record, in open order."""
-        seen: List[str] = []
-        for record in self.records:
-            if record.kind == "begin" and record.mid not in seen:
-                seen.append(record.mid)
-        return seen
+        return list(self._opened)
 
     def records_for(self, mid: str) -> List[JournalRecord]:
-        return [r for r in self.records if r.mid == mid]
+        return list(self._by_mid.get(mid, ()))
 
     def snapshot(self, mid: str) -> MigrationSnapshot:
         """Replay ``mid``'s records into a snapshot (pure fold: replaying
         twice — or replaying a journal rebuilt from disk — yields an
         identical snapshot)."""
         snap = MigrationSnapshot(mid=mid)
-        for record in self.records_for(mid):
+        for record in self._by_mid.get(mid, ()):
             snap.apply(record)
         return snap
 
@@ -336,135 +478,48 @@ class MigrationJournal:
         """Sequences with no terminal record — the recovery work list."""
         return [s for s in self.snapshots() if s.unfinished]
 
-    # -- fleet-request replay -----------------------------------------------------
+    # -- the step fold ----------------------------------------------------------------
 
-    def request_records(self) -> Dict[int, Dict[str, object]]:
-        """Request id → folded request state (for post-crash resubmission)."""
-        folded: Dict[int, Dict[str, object]] = {}
-        for record in self.records:
-            rid = record.payload.get("request")
-            if rid is None:
-                continue
-            rid = int(rid)  # type: ignore[arg-type]
-            state = folded.setdefault(rid, {"request": rid, "labels": []})
-            if record.kind == "request":
-                state.update(
-                    job=record.payload.get("job"),
-                    request_kind=record.payload.get("request_kind"),
-                    priority=record.payload.get("priority", 0),
-                    dst_hosts=record.payload.get("dst_hosts"),
-                )
-            elif record.kind == "request-started":
-                state["labels"].append(record.payload.get("label"))
-            elif record.kind == "request-finished":
-                state["finished"] = record.payload.get("status")
-        return folded
+    def fold(self, kind: str, key: object) -> Step:
+        """The ``(kind, key)`` step (empty when the journal never saw it)."""
+        return self._steps[kind].get(key) or Step(key)
+
+    def steps_of(self, kind: str) -> List[Step]:
+        """Every ``kind`` step, in first-record order."""
+        return list(self._steps[kind].values())
 
     def unfinished_requests(self) -> List[Dict[str, object]]:
-        """Submitted fleet requests with no terminal record."""
+        """Open fleet requests, for post-crash resubmission: each one's
+        ``request`` payload plus the plan ``labels`` its attempts started."""
+        labels: Dict[object, List[object]] = {}
+        for r in self.records:
+            if r.kind == "request-started":
+                labels.setdefault(r.payload.get("request"), []).append(r.payload.get("label"))
         return [
-            state
-            for state in self.request_records().values()
-            if "finished" not in state and state.get("job") is not None
+            dict(s.intents[0].payload, labels=labels.get(s.key, []))
+            for s in self.steps_of("request")
+            if s.open
         ]
-
-    def reservations_for(self, label: str) -> List[Dict[str, object]]:
-        """Journalled, unreleased capacity claims for one plan label."""
-        released = {
-            int(r.payload["request"])  # type: ignore[arg-type]
-            for r in self.records
-            if r.kind == "release" and "request" in r.payload
-        }
-        return [
-            dict(r.payload)
-            for r in self.records
-            if r.kind == "reservation"
-            and r.payload.get("label") == label
-            and int(r.payload.get("request", -1)) not in released  # type: ignore[arg-type]
-        ]
-
-    # -- checkpoint/restore folds ----------------------------------------------------
-
-    def committed_checkpoints(
-        self, job_id: str, before: Optional[float] = None
-    ) -> List[Dict[str, object]]:
-        """Every *committed* checkpoint generation for ``job_id``.
-
-        A generation counts only when its ``checkpoint-commit`` record
-        exists (an intent alone means the images may be partial).  With
-        ``before`` set, generations committed after that time are
-        excluded — they did not exist yet when the failure struck.
-        Returned in commit order (oldest first); pure fold.
-        """
-        commits = []
-        for record in self.records:
-            if record.kind != "checkpoint-commit":
-                continue
-            if record.payload.get("job") != job_id:
-                continue
-            if before is not None and record.time > before:
-                continue
-            commits.append(dict(record.payload, committed_at=record.time))
-        return commits
 
     def last_committed_checkpoint(
         self, job_id: str, before: Optional[float] = None
     ) -> Optional[Dict[str, object]]:
-        """The newest restorable generation for ``job_id`` (or None).
-
-        "Newest" by consistency point, which matches commit order since
-        generations commit sequentially per job.  This is the RPO bound:
-        a restore never resurrects state older than this generation.
+        """The newest restorable generation for ``job_id`` (or None): the
+        commit payload, plus ``committed_at``, with the latest consistency
+        point among generations committed by ``before``.  This is the RPO
+        bound: a restore never resurrects state older than this.
         """
-        commits = self.committed_checkpoints(job_id, before=before)
+        commits = [
+            s.commit
+            for s in self._steps["checkpoint"].values()
+            if s.key[0] == job_id  # type: ignore[index]
+            and s.commit is not None
+            and (before is None or s.commit.time <= before)
+        ]
         if not commits:
             return None
-        return max(commits, key=lambda p: float(p.get("consistency_at", 0.0)))
-
-    def restore_commit_for(
-        self, incident_id: int, job_id: str
-    ) -> Optional[Dict[str, object]]:
-        """The journalled restore outcome for (incident, job), if any.
-
-        A successor controller checks this before re-restoring: a commit
-        means the replacement job already exists and running the action
-        again would double-restore.
-        """
-        for record in self.records:
-            if (
-                record.kind == "restore-commit"
-                and record.payload.get("incident") == incident_id
-                and record.payload.get("job") == job_id
-            ):
-                return dict(record.payload)
-        return None
-
-    def uncommitted_restores(self, incident_id: int) -> List[Dict[str, object]]:
-        """Restore intents of this incident with no matching commit.
-
-        Each is a restore a dead controller started: either nothing was
-        booted (the successor re-runs it) or the replacement job is
-        already up and only the commit record is missing (the successor
-        reconciles it) — it must decide which by inspecting the fleet.
-        """
-        committed = {
-            record.payload.get("job")
-            for record in self.records
-            if record.kind == "restore-commit"
-            and record.payload.get("incident") == incident_id
-        }
-        out: List[Dict[str, object]] = []
-        seen = set()
-        for record in self.records:
-            if (
-                record.kind == "restore-intent"
-                and record.payload.get("incident") == incident_id
-                and record.payload.get("job") not in committed
-                and record.payload.get("job") not in seen
-            ):
-                seen.add(record.payload.get("job"))
-                out.append(dict(record.payload))
-        return out
+        newest = max(commits, key=lambda r: float(r.payload.get("consistency_at", 0.0)))  # type: ignore[arg-type]
+        return dict(newest.payload, committed_at=newest.time)
 
     # -- (de)serialisation ----------------------------------------------------------
 
@@ -481,7 +536,7 @@ class MigrationJournal:
             if not line:
                 continue
             record = JournalRecord.from_dict(json.loads(line))
-            journal.records.append(record)
+            journal._index(record)
             journal._seq = max(journal._seq, record.seq + 1)
             id_kind = _ID_RECORDS.get(record.kind)
             if id_kind is not None:

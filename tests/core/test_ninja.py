@@ -8,6 +8,7 @@ from repro.hardware.cluster import build_agc_cluster
 from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB
 from tests.conftest import drive
+from tests.recovery.test_crash_matrix import STEP_POINTS
 
 
 def _setup(ib=2, eth=2, ppv=1, vm_gib=4):
@@ -124,6 +125,10 @@ def test_history_records_results():
     drive(cluster.env, main(cluster.env))
     assert len(ninja.history) == 1
     assert ninja.history[0].plan is plan
+    # The journal's step writer offered each phase's two crash sites, in
+    # order: the list a crash matrix iterates over.
+    assert len(STEP_POINTS) == 12
+    assert [site for site, _ in ninja.journal.offered] == list(STEP_POINTS)
 
 
 def test_migration_stats_per_vm():

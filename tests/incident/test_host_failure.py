@@ -15,8 +15,9 @@ from repro.recovery.checkpoints import (
     CHECKPOINT_COMMIT_SITE,
     CHECKPOINT_INTENT_SITE,
 )
+from repro.recovery.journal import MigrationJournal
 from repro.sim.trace import Tracer
-from tests.conftest import traced_violations
+from tests.conftest import closing_checks, traced_violations
 
 ALL_CRASH_SITES = (
     CHECKPOINT_INTENT_SITE,
@@ -25,6 +26,32 @@ ALL_CRASH_SITES = (
     RESTORE_BOOT_SITE,
     RESTORE_COMMIT_SITE,
 )
+
+
+#: Crash site → the journal step kind offering it.
+STEP_SITES = {
+    CHECKPOINT_INTENT_SITE: "checkpoint",
+    CHECKPOINT_COMMIT_SITE: "checkpoint",
+    RESTORE_INTENT_SITE: "restore",
+    RESTORE_COMMIT_SITE: "restore",
+}
+
+
+def assert_site_rule(journal: MigrationJournal, site: str) -> None:
+    """The journal as a crash at ``site`` (its first offer) left it: the
+    step whose intent came last is open, and at an intent site that
+    intent is the last record."""
+    if site not in STEP_SITES:
+        return
+    at = next(n for offered, n in journal.offered if offered == site)
+    prefix = MigrationJournal.loads("\n".join(journal.dumps().splitlines()[:at]))
+    crashed = max(
+        (s for s in prefix.steps_of(STEP_SITES[site]) if s.intents),
+        key=lambda s: s.intents[-1].seq,
+    )
+    assert crashed.open
+    if site.endswith(".intent"):
+        assert prefix.records[-1].seq == crashed.intents[-1].seq
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +121,11 @@ class TestCrashResume:
     @pytest.mark.parametrize("site", ALL_CRASH_SITES)
     def test_crash_at_every_journal_site_converges(self, site):
         tracer = Tracer()
-        r = run_host_failure_scenario(
-            jobs=2, spares=1, crash_site=site, tracer=tracer
-        )
+        with closing_checks() as seen:
+            r = run_host_failure_scenario(
+                jobs=2, spares=1, crash_site=site, tracer=tracer
+            )
+        assert_site_rule(seen[-1][1], site)
         assert traced_violations(tracer) == []
         assert r.crashed
         assert r.all_resolved

@@ -11,6 +11,8 @@ The invariant checker's ``stale-restore`` rule must agree with the fold.
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,15 +30,22 @@ _GEN = st.tuples(
 )
 
 
+def _journal_of(records):
+    """A journal read back from ``records`` (times and seqs as given)."""
+    return MigrationJournal.loads(
+        "\n".join(json.dumps(r.to_dict()) for r in records)
+    )
+
+
 def _build_journal(gens):
     """Sequential generations for one job, like the service produces."""
-    journal = MigrationJournal()
+    records = []
     t = 0.0
     seq = 0
     rows = []
     for gen, (coord_s, write_s, committed) in enumerate(gens, start=1):
         t += 1.0  # inter-tick gap
-        journal.records.append(JournalRecord(
+        records.append(JournalRecord(
             seq=seq, time=t, kind="checkpoint-intent",
             payload={"job": "j0", "generation": gen},
         ))
@@ -44,7 +53,7 @@ def _build_journal(gens):
         consistency_at = t + coord_s
         commit_at = consistency_at + write_s
         if committed:
-            journal.records.append(JournalRecord(
+            records.append(JournalRecord(
                 seq=seq, time=commit_at, kind="checkpoint-commit",
                 payload={
                     "job": "j0",
@@ -56,18 +65,17 @@ def _build_journal(gens):
             seq += 1
         rows.append((gen, consistency_at, commit_at, committed))
         t = commit_at
-    return journal, rows
+    return _journal_of(records), rows
 
 
 def _restore_rules(journal, at, generation):
     """Checker rules a restore of ``generation`` at ``at`` breaks."""
     payload = {"incident": 1, "job": "j0", "generation": generation}
-    restored = MigrationJournal()
-    restored.records = [
+    restored = _journal_of([
         *journal.records,
         JournalRecord(seq=-1, time=at, kind="restore-intent", payload=payload),
         JournalRecord(seq=-1, time=at, kind="restore-commit", payload=payload),
-    ]
+    ])
     return [v.rule for v in check(Cluster(), restored)]
 
 

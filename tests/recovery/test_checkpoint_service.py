@@ -114,7 +114,11 @@ class TestRetention:
         service.start()
         cluster.env.run(until=80.0)
         for job_id in ("j0", "j1"):
-            commits = orch.journal.committed_checkpoints(job_id)
+            commits = [
+                step.commit.payload
+                for step in orch.journal.steps_of("checkpoint")
+                if step.key[0] == job_id and step.commit is not None
+            ]
             if len(commits) < 2:
                 continue
             newest = commits[-1]

@@ -19,7 +19,7 @@ crash-recovery contract:
 
 import pytest
 
-from repro.core.ninja import NinjaMigration
+from repro.core.ninja import PHASES, NinjaMigration
 from repro.errors import ControllerCrashError, StaleEpochError
 from repro.invariants import Violation, check
 from repro.recovery.recovery import RecoveryManager
@@ -57,6 +57,12 @@ ROLL_FORWARD_POINTS = (
     "linkup.commit",
 )
 
+#: The points a phase's journal step offers (the rest are hand-placed).
+STEP_POINTS = tuple(
+    p for p in ROLL_BACK_POINTS + ROLL_FORWARD_POINTS
+    if p.split(".")[0] in PHASES and p.split(".")[1] in ("intent", "commit")
+)
+
 ORIGINS = {"vm1": "ib01", "vm2": "ib02"}
 DESTINATIONS = {"vm1": "eth01", "vm2": "eth02"}
 
@@ -84,6 +90,21 @@ def _crash(cluster, ninja, job, plan, point):
     return drive(cluster.env, main(), name="crash")
 
 
+def _assert_site_rule(journal, point):
+    """The journal as a crash at ``point`` left it: at a step's intent
+    site, that phase's intent is the last record and has no commit; at
+    its commit site, the phase has no commit."""
+    if point not in STEP_POINTS:
+        return
+    assert journal.offered[-1][0] == point
+    phase, boundary = point.split(".")
+    (mid,) = journal.migration_ids()
+    step = journal.fold("phase", (mid, phase))
+    assert step.open
+    if boundary == "intent":
+        assert journal.records[-1] is step.intents[0]
+
+
 def _recover(cluster, ninja, reason):
     manager = RecoveryManager(cluster, ninja.journal)
 
@@ -100,6 +121,7 @@ def test_crash_before_commit_point_rolls_back(point):
     ninja = NinjaMigration(cluster)
     plan = ninja.fallback_plan(vms, ["eth01", "eth02"])
     assert _crash(cluster, ninja, job, plan, point) == "crashed"
+    _assert_site_rule(ninja.journal, point)
 
     report = _recover(cluster, ninja, reason=point)
     assert report.clean, [d.error for d in report.decisions]
@@ -123,6 +145,7 @@ def test_crash_at_or_after_commit_point_rolls_forward(point):
     ninja = NinjaMigration(cluster)
     plan = ninja.fallback_plan(vms, ["eth01", "eth02"])
     assert _crash(cluster, ninja, job, plan, point) == "crashed"
+    _assert_site_rule(ninja.journal, point)
 
     report = _recover(cluster, ninja, reason=point)
     assert report.clean, [d.error for d in report.decisions]

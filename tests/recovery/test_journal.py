@@ -1,8 +1,10 @@
 """Unit tests for the write-ahead migration journal: fold semantics,
-replay idempotence, JSONL persistence, and fleet-request folding."""
+replay idempotence, JSONL persistence, fleet-request folding, and the
+one step writer."""
 
 import pytest
 
+from repro.errors import ControllerCrashError
 from repro.recovery.journal import (
     JOURNALLED_PHASES,
     JournalRecord,
@@ -129,9 +131,9 @@ def test_prefix_replay_never_overstates_progress():
     does — the crash-at-any-record safety property."""
     journal, mid = _scripted_journal(committed=True, terminal="complete")
     full = journal.snapshot(mid)
-    for cut in range(len(journal.records) + 1):
-        prefix = MigrationJournal()
-        prefix.records = journal.records[:cut]
+    lines = journal.dumps().splitlines()
+    for cut in range(len(lines) + 1):
+        prefix = MigrationJournal.loads("\n".join(lines[:cut]))
         snap = prefix.snapshot(mid)
         assert len(snap.intents) <= len(full.intents)
         assert snap.signals <= full.signals
@@ -159,14 +161,58 @@ def test_request_folding_for_resubmission():
     assert unfinished[0]["dst_hosts"] == ["eth01"]
 
 
-def test_reservations_exclude_released_requests():
-    journal = MigrationJournal()
-    journal.append("reservation", request=1, label="spread:j0#1",
-                   host="eth01", nbytes=1024, hca=None)
-    journal.append("reservation", request=2, label="spread:j1#1",
-                   host="eth02", nbytes=2048, hca=None)
-    journal.append("release", request=1)
+def _finish(generator):
+    """Drive a generator that never yields; return its value."""
+    with pytest.raises(StopIteration) as done:
+        next(generator)
+    return done.value.value
 
-    live = journal.reservations_for("spread:j1#1")
-    assert len(live) == 1 and live[0]["host"] == "eth02"
-    assert journal.reservations_for("spread:j0#1") == []
+
+def _body(seen, journal, result=None):
+    seen.append(("body", [r.kind for r in journal.records]))
+    return result
+    yield  # pragma: no cover - makes this a generator
+
+
+def test_step_offers_its_sites_between_intent_and_commit():
+    journal = MigrationJournal()
+    seen = []
+
+    def offer(site):
+        seen.append((site, [r.kind for r in journal.records]))
+
+    commit = _finish(journal.step(
+        "restore", _body(seen, journal, {"rpo_s": 1.5}), offer=offer,
+        sites=("r.intent", "r.commit"), incident=1, job="j0",
+    ))
+    assert seen == [
+        ("r.intent", ["restore-intent"]),
+        ("body", ["restore-intent"]),
+        ("r.commit", ["restore-intent"]),
+    ]
+    assert [r.kind for r in journal.records] == ["restore-intent", "restore-commit"]
+    # The commit carries the intent's payload updated with the body's.
+    assert commit.payload == {"incident": 1, "job": "j0", "rpo_s": 1.5}
+    assert journal.offered == [("r.intent", 1), ("r.commit", 1)]
+    step = journal.fold("restore", (1, "j0"))
+    assert step.commit is commit and not step.open and not step.double
+
+
+def test_a_step_killed_at_a_site_leaves_its_intent_open():
+    journal = MigrationJournal()
+
+    def offer(site):
+        raise ControllerCrashError(site)
+
+    for site in ("checkpoint.intent", "checkpoint.commit"):
+        sites = (site, None) if site.endswith("intent") else (None, site)
+        with pytest.raises(ControllerCrashError):
+            _finish(journal.step(
+                "checkpoint", _body([], journal), offer=offer, sites=sites,
+                job="j0", generation=len(journal.records) + 1,
+            ))
+    assert [s.key for s in journal.steps_of("checkpoint") if s.open] == [
+        ("j0", 1), ("j0", 2),
+    ]
+    assert [r.kind for r in journal.records] == ["checkpoint-intent"] * 2
+    assert not journal.fold("checkpoint", ("j0", 3)).intents

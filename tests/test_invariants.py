@@ -119,7 +119,7 @@ ROWS = {
             ("incident-action-commit", _ACTION),
             ("incident-action-commit", _ACTION),
         ),
-        [("double-action", (1, 0, "readmit"))],
+        [("double-action", (1, 0))],
     ),
     "open-incident": (
         _journal(("incident-open", {"incident": 1})), [("open-incident", 1)]
