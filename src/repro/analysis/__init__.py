@@ -20,19 +20,15 @@ from repro.analysis.experiments import (
     run_table2_scenario,
 )
 from repro.analysis.gantt import ninja_gantt, render_spans
-from repro.analysis.report import render_breakdown_table, render_table
-from repro.analysis.sampling import ResourceSampler, Sample
+from repro.analysis.report import render_table
 
 __all__ = [
-    "ResourceSampler",
-    "Sample",
     "ninja_gantt",
     "render_spans",
     "Fig6Result",
     "Fig7Result",
     "Fig8Result",
     "Table2Result",
-    "render_breakdown_table",
     "render_table",
     "run_fig6_memtest",
     "run_fig7_npb",

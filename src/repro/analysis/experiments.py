@@ -9,7 +9,7 @@ variants through the same code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.metrics import IterationSeries, OverheadBreakdown
 from repro.core.ninja import NinjaResult
@@ -118,7 +118,6 @@ def run_fig6_memtest(
     nvms: int = 8,
     page_class: PageClass = PageClass.UNIFORM,
     calibration: Calibration = PAPER_CALIBRATION,
-    vm_memory: int = 20 * GiB,
     seed: int = 0,
 ) -> Fig6Result:
     """One Figure 6 data point: node-to-node IB→IB Ninja migration under
@@ -137,7 +136,7 @@ def run_fig6_memtest(
     out: Dict[str, NinjaResult] = {}
 
     def main():
-        vms = provision_vms(cluster, src_hosts, memory_bytes=vm_memory)
+        vms = provision_vms(cluster, src_hosts, memory_bytes=20 * GiB)
         job = create_job(cluster, vms, procs_per_vm=1)
         yield from job.init()
         workload = MemtestWorkload(
@@ -176,7 +175,7 @@ class Fig7Result:
     class_name: str
     baseline_s: float
     proposed_s: float
-    breakdown: Optional[OverheadBreakdown]
+    breakdown: OverheadBreakdown
 
     @property
     def overhead_s(self) -> float:
@@ -196,7 +195,6 @@ def run_fig7_npb(
     class_name: str = "D",
     nvms: int = 8,
     procs_per_vm: int = 8,
-    migrate: bool = True,
     migrate_after_s: float = 180.0,
     calibration: Calibration = PAPER_CALIBRATION,
     seed: int = 0,
@@ -248,14 +246,6 @@ def run_fig7_npb(
         return out
 
     baseline = _run(False)
-    if not migrate:
-        return Fig7Result(
-            bench=spec.name,
-            class_name=spec.class_name,
-            baseline_s=float(baseline["elapsed"]),
-            proposed_s=float(baseline["elapsed"]),
-            breakdown=None,
-        )
     proposed = _run(True)
     ninja: NinjaResult = proposed["ninja"]  # type: ignore[assignment]
     return Fig7Result(

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
-from repro.core.metrics import OverheadBreakdown
+from typing import Sequence
 
 
 def render_table(
@@ -24,21 +22,3 @@ def render_table(
     for row in str_rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def render_breakdown_table(
-    rows: Mapping[str, OverheadBreakdown], title: str = ""
-) -> str:
-    """One breakdown per labelled row (Figure 6/7 style)."""
-    headers = ["scenario", "migration[s]", "hotplug[s]", "linkup[s]", "total[s]"]
-    body = [
-        [
-            label,
-            f"{b.migration_s:.2f}",
-            f"{b.hotplug_s:.2f}",
-            f"{b.linkup_s:.2f}",
-            f"{b.total_s:.2f}",
-        ]
-        for label, b in rows.items()
-    ]
-    return render_table(headers, body, title=title)

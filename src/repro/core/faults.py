@@ -74,7 +74,6 @@ class FaultSpec:
     #: Instead of raising, block the caller on a never-firing event
     #: (drives the per-phase timeout path).
     hang: bool = False
-    armed: bool = True
     #: Matching calls observed while armed (gates the ``nth`` trigger).
     seen: int = 0
     #: Times this spec actually fired.
@@ -145,7 +144,7 @@ class FaultInjector:
         times: int = 1,
         hang: bool = False,
     ) -> FaultSpec:
-        """Arm a fault at ``site``; returns the spec (pass to :meth:`disarm`)."""
+        """Arm a fault at ``site``; returns the spec."""
         if nth < 1:
             raise ValueError(f"nth must be >= 1, got {nth}")
         if times < 1:
@@ -156,24 +155,8 @@ class FaultInjector:
         self.specs.append(spec)
         return spec
 
-    def disarm(self, spec_or_site: Union[FaultSpec, str]) -> int:
-        """Disarm one spec, or every spec whose site pattern equals the string.
-
-        Returns the number of specs disarmed.
-        """
-        if isinstance(spec_or_site, FaultSpec):
-            targets = [s for s in self.specs if s is spec_or_site]
-        else:
-            targets = [s for s in self.specs if s.site == spec_or_site]
-        for spec in targets:
-            spec.armed = False
-            self.specs.remove(spec)
-        return len(targets)
-
     def clear(self) -> None:
         """Disarm everything and forget call counters + audit trail."""
-        for spec in self.specs:
-            spec.armed = False
         self.specs.clear()
         self._calls.clear()
         self.fired.clear()
@@ -194,7 +177,7 @@ class FaultInjector:
         """Count the call and return the spec that should fire, if any."""
         self._calls[site] = self._calls.get(site, 0) + 1
         for spec in self.specs:
-            if not spec.armed or spec.exhausted() or not spec.matches(site):
+            if spec.exhausted() or not spec.matches(site):
                 continue
             if spec.at_time is not None and self.now < spec.at_time:
                 continue
@@ -270,7 +253,3 @@ class RetryPolicy:
         if self.jitter_rel > 0.0 and rng is not None:
             return rng.jitter(self.stream, base, self.jitter_rel)
         return float(base)
-
-    def delays(self, rng: Optional["RngRegistry"] = None) -> List[float]:
-        """The full backoff sequence this policy can produce."""
-        return [self.delay(i, rng) for i in range(self.max_attempts - 1)]

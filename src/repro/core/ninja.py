@@ -592,12 +592,6 @@ class NinjaMigration:
             self.cluster, qemus, list(dst_hosts), attach_ib=False, label=label
         )
 
-    def recovery_plan(self, qemus, dst_hosts, label: str = "recovery") -> MigrationPlan:
-        """Ethernet cluster → IB cluster (re-attach on arrival)."""
-        return MigrationPlan.build(
-            self.cluster, qemus, list(dst_hosts), attach_ib=True, label=label
-        )
-
     def self_migration_plan(
         self, qemus, attach_ib: bool, label: str = "self"
     ) -> MigrationPlan:

@@ -49,12 +49,6 @@ class PhaseTimeline:
         span.end = now
         return span
 
-    def instant(self, name: str, now: float) -> PhaseSpan:
-        """Record a zero-length marker."""
-        span = PhaseSpan(name, now, now)
-        self.spans.append(span)
-        return span
-
     def total(self, name: str) -> float:
         """Sum of all closed spans with this name."""
         return sum(s.duration for s in self.spans if s.name == name and s.end is not None)

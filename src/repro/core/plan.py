@@ -103,10 +103,6 @@ class MigrationPlan:
         """True when at least one VM really changes hosts (noise applies)."""
         return any(not e.is_self_migration for e in self.entries)
 
-    @property
-    def any_attach(self) -> bool:
-        return any(e.attach_ib for e in self.entries)
-
     def incoming_bytes_by_host(self) -> Dict[str, int]:
         """Guest RAM each destination must absorb (self-migrations land
         on RAM the VM already owns and are excluded).

@@ -101,17 +101,6 @@ class CloudScheduler:
         hosts = self.pick_recovery_hosts(qemus)
         return MigrationPlan.build(self.cluster, qemus, hosts, attach_ib=True, label=label)
 
-    def plan_spread(
-        self,
-        qemus: Sequence["QemuProcess"],
-        dst_hosts: Sequence[str],
-        label: str = "spread",
-    ) -> MigrationPlan:
-        """De-consolidate onto explicit hosts (attach auto-resolved)."""
-        return MigrationPlan.build(
-            self.cluster, qemus, list(dst_hosts), attach_ib=None, label=label
-        )
-
     # -- trigger delivery -----------------------------------------------------------------
 
     def schedule(self, at_time: float, reason: str, plan: MigrationPlan, job: "MpiJob") -> TriggerEvent:

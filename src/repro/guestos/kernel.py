@@ -80,18 +80,6 @@ class GuestKernel:
         """
         return device in self._drivers
 
-    def driver_for(self, device: "PciDevice") -> Driver:
-        try:
-            return self._drivers[device]
-        except KeyError:
-            raise GuestError(f"{self.vm.name}: {device.model!r} has no driver") from None
-
-    def interface(self, name: str) -> NetInterface:
-        try:
-            return self.interfaces[name]
-        except KeyError:
-            raise GuestError(f"{self.vm.name}: no interface {name!r}") from None
-
     def ib_interface(self) -> Optional[NetInterface]:
         """The first InfiniBand interface, if one exists."""
         for iface in self.interfaces.values():
@@ -120,11 +108,6 @@ class GuestKernel:
             if iface.kind == "ethernet":
                 return iface
         raise GuestError(f"{self.vm.name}: no Ethernet interface")
-
-    @property
-    def has_active_ib(self) -> bool:
-        iface = self.ib_interface()
-        return iface is not None and iface.is_up
 
     # -- internals -------------------------------------------------------------------------
 

@@ -33,11 +33,6 @@ class GuestProcess:
         """Burn CPU on the VM's vCPUs (dilates under overcommit)."""
         yield self.vm.compute(cpu_seconds, nthreads)
 
-    def sleep(self, seconds: float):
-        """Wall-clock sleep, gated on the run gate at entry."""
-        yield self.vm.run_gate.passage()
-        yield self.env.timeout(seconds)
-
 
 class MemoryWriter(GuestProcess):
     """Sequentially (re)writes a guest-memory array — the paper's memtest.

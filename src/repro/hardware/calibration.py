@@ -167,23 +167,6 @@ class Calibration:
         """Return a copy with the given fields changed (for ablations)."""
         return dataclasses.replace(self, **changes)
 
-    def hotplug_time(
-        self, detach_ib: bool, attach_ib: bool, noisy: bool = False
-    ) -> float:
-        """Closed-form hotplug total for a scenario (used in tests only).
-
-        The live model accrues the same pieces event-by-event; this helper
-        documents the decomposition and anchors unit tests.
-        """
-        total = self.hotplug_confirm_s
-        if detach_ib:
-            total += self.ib_detach_s
-        if attach_ib:
-            total += self.ib_attach_s
-        if noisy:
-            total *= self.migration_noise_factor
-        return total
-
 
 #: The default profile used by all paper-reproduction experiments.
 PAPER_CALIBRATION = Calibration()

@@ -78,7 +78,6 @@ class Cluster:
 
     def wire_ethernet(
         self,
-        switch_name: str = AGC_ETH_SWITCH.model,
         sites: Optional[Dict[str, list[str]]] = None,
         wan_bandwidth_Bps: Optional[float] = None,
         wan_latency_s: float = 0.0,
@@ -98,7 +97,7 @@ class Cluster:
         topo = Topology("ethernet")
         if sites is None:
             topo.star(
-                switch_name,
+                AGC_ETH_SWITCH.model,
                 list(self.nodes),
                 capacity_Bps=self.calibration.eth_link_Bps,
                 latency_s=AGC_ETH_SWITCH.port_latency_s,
@@ -111,7 +110,7 @@ class Cluster:
                 raise HardwareError("sites must partition the cluster's nodes")
             switch_names = []
             for site, names in sites.items():
-                sw = f"{switch_name}.{site}"
+                sw = f"{AGC_ETH_SWITCH.model}.{site}"
                 topo.star(
                     sw, names,
                     capacity_Bps=self.calibration.eth_link_Bps,
@@ -132,12 +131,7 @@ class Cluster:
             node.ethernet_nic().connect_port(port)
             self.eth_fabric.force_active(port)
 
-    def wire_infiniband(
-        self,
-        node_names: list[str],
-        switch_name: str = AGC_IB_SWITCH.model,
-        linkup_jitter: float = 0.0,
-    ) -> None:
+    def wire_infiniband(self, node_names: list[str], linkup_jitter: float = 0.0) -> None:
         """Cable the listed nodes' HCAs to one IB switch.
 
         Ports stay DOWN until a guest driver probes the (hot-attached)
@@ -146,7 +140,7 @@ class Cluster:
         """
         topo = Topology("infiniband")
         topo.star(
-            switch_name,
+            AGC_IB_SWITCH.model,
             node_names,
             capacity_Bps=self.calibration.ib_link_Bps,
             latency_s=AGC_IB_SWITCH.port_latency_s,
@@ -169,17 +163,13 @@ class Cluster:
             hca.connect_port(port)
             self.ib_cabled.add(name)
 
-    def wire_myrinet(
-        self,
-        node_names: list[str],
-        switch_name: str = "Myricom 10G-CLOS-ENCL",
-    ) -> None:
+    def wire_myrinet(self, node_names: list[str]) -> None:
         """Cable the listed nodes' Myri-10G NICs to one Myrinet switch."""
         from repro.hardware.specs import MYRINET_SWITCH
 
         topo = Topology("myrinet")
         topo.star(
-            switch_name,
+            MYRINET_SWITCH.model,
             node_names,
             capacity_Bps=self.calibration.myrinet_link_Bps,
             latency_s=MYRINET_SWITCH.port_latency_s,

@@ -88,10 +88,5 @@ class HostCpu:
         """Abort a running thread (used when a VM is destroyed mid-run)."""
         self._service.cancel(task)
 
-    def slowdown_estimate(self, extra_threads: int = 0) -> float:
-        """Predicted dilation factor for a new thread (for placement)."""
-        total = self.runnable_threads + max(extra_threads, 1)
-        return max(1.0, total / self.cores)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<HostCpu {self.name} {self.runnable_threads}/{self.cores} busy>"

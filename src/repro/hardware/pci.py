@@ -56,10 +56,6 @@ class PciDevice:
         """The device's current BDF, or None when unplugged."""
         return self.slot.address if self.slot is not None else None
 
-    @property
-    def plugged(self) -> bool:
-        return self.slot is not None
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.model!r} at {self.address}>"
 
@@ -99,11 +95,11 @@ class PciSlot:
 class PciBus:
     """A host or guest PCI topology: a set of addressable slots."""
 
-    def __init__(self, name: str = "pci0", num_slots: int = 32, bus_num: int = 0) -> None:
+    def __init__(self, name: str = "pci0", num_slots: int = 32) -> None:
         self.name = name
         self._slots: Dict[PciAddress, PciSlot] = {}
         for dev in range(num_slots):
-            addr = PciAddress(bus_num, dev, 0)
+            addr = PciAddress(0, dev, 0)
             self._slots[addr] = PciSlot(self, addr)
 
     def __iter__(self):
@@ -151,10 +147,3 @@ class PciBus:
         if kind is not None:
             found = [d for d in found if d.kind == kind]
         return sorted(found, key=lambda d: d.address)  # type: ignore[arg-type,return-value]
-
-    def find_by_tag(self, tag: str) -> PciDevice:
-        """Locate a device by its SymVirt tag (Figure 5's ``'vf0'``)."""
-        for device in self.devices():
-            if device.tag == tag:
-                return device
-        raise HardwareError(f"{self.name}: no device tagged {tag!r}")

@@ -148,9 +148,6 @@ class IncidentCorrelator:
         self.incidents.append(incident)
         return incident
 
-    def open_incidents(self) -> List[Incident]:
-        return [i for i in self.incidents if i.status != RESOLVED]
-
     # -- internals ---------------------------------------------------------------
 
     def _fold_target(self, alert: Alert) -> Optional[Incident]:

@@ -40,6 +40,15 @@ from repro.incident.telemetry import (
 TRIGGER = "trigger"
 CLEAR = "clear"
 
+#: Goodput below this fraction of its baseline is a collapse; the episode
+#: clears once goodput is back to ``RESTORE_RATIO`` of it.
+COLLAPSE_RATIO = 0.5
+RESTORE_RATIO = 0.9
+#: Latency above this multiple of its baseline is a spike.
+SPIKE_FACTOR = 3.0
+#: A precopy round that shrinks by less than this fraction has stalled.
+MIN_SHRINK = 0.05
+
 
 @dataclass(frozen=True)
 class Alert:
@@ -145,9 +154,6 @@ class Detector:
         return episode.count == 0 or (
             episode.active and self.refire_interval_s is None
         )
-
-    def active_keys(self) -> List[str]:
-        return sorted(k for k, e in self._episodes.items() if e.active)
 
     def _alert(self, sample: TelemetrySample, episode: _Episode) -> Alert:
         self.alerts_fired += 1
@@ -260,11 +266,11 @@ class _EwmaDetector(Detector):
 
 
 class BandwidthCollapseDetector(_EwmaDetector):
-    """Goodput collapsed below ``collapse_ratio`` of its EWMA baseline.
+    """Goodput collapsed below :data:`COLLAPSE_RATIO` of its EWMA baseline.
 
     The baseline learns only from healthy samples, so a sustained
     collapse cannot drag it down and self-clear the episode; the episode
-    clears when goodput recovers to ``restore_ratio`` of the baseline.
+    clears when goodput recovers to :data:`RESTORE_RATIO` of the baseline.
     """
 
     stream = LINK_GOODPUT
@@ -272,19 +278,15 @@ class BandwidthCollapseDetector(_EwmaDetector):
 
     def __init__(
         self,
-        collapse_ratio: float = 0.5,
-        restore_ratio: float = 0.9,
         alpha: float = 0.3,
         warmup_samples: int = 4,
         debounce_samples: int = 2,
         refire_interval_s: Optional[float] = None,
     ) -> None:
         super().__init__(alpha, warmup_samples, debounce_samples, refire_interval_s)
-        self.collapse_ratio = collapse_ratio
-        self.restore_ratio = restore_ratio
 
     def anomalous(self, mean: float, value: float) -> bool:
-        return value < self.collapse_ratio * mean
+        return value < COLLAPSE_RATIO * mean
 
     def evaluate(self, sample: TelemetrySample) -> Optional[str]:
         base = self._warm_baseline(sample)
@@ -292,7 +294,7 @@ class BandwidthCollapseDetector(_EwmaDetector):
             return None
         if self.anomalous(base.mean, sample.value):
             return TRIGGER
-        if sample.value >= self.restore_ratio * base.mean:
+        if sample.value >= RESTORE_RATIO * base.mean:
             base.update(sample.value)
             return CLEAR
         # Grey zone: neither collapsed nor recovered; keep the baseline
@@ -301,14 +303,13 @@ class BandwidthCollapseDetector(_EwmaDetector):
 
 
 class LatencySpikeDetector(_EwmaDetector):
-    """Latency exceeds ``spike_factor`` x EWMA baseline (+ guard band)."""
+    """Latency exceeds :data:`SPIKE_FACTOR` x EWMA baseline (+ guard band)."""
 
     stream = LINK_LATENCY
     kind = "latency-spike"
 
     def __init__(
         self,
-        spike_factor: float = 3.0,
         min_extra_s: float = 5e-3,
         alpha: float = 0.3,
         warmup_samples: int = 4,
@@ -316,11 +317,10 @@ class LatencySpikeDetector(_EwmaDetector):
         refire_interval_s: Optional[float] = None,
     ) -> None:
         super().__init__(alpha, warmup_samples, debounce_samples, refire_interval_s)
-        self.spike_factor = spike_factor
         self.min_extra_s = min_extra_s
 
     def anomalous(self, mean: float, value: float) -> bool:
-        return value > max(self.spike_factor * mean, mean + self.min_extra_s)
+        return value > max(SPIKE_FACTOR * mean, mean + self.min_extra_s)
 
     def evaluate(self, sample: TelemetrySample) -> Optional[str]:
         base = self._warm_baseline(sample)
@@ -387,7 +387,7 @@ class NonConvergenceDetector(Detector):
     """Precopy is not converging: rounds stopped shrinking.
 
     Keyed by VM; triggers after ``stall_rounds`` consecutive rounds whose
-    wire bytes failed to shrink by at least ``min_shrink`` relative to
+    wire bytes failed to shrink by at least :data:`MIN_SHRINK` relative to
     the previous round.  A restarting migration (round index reset)
     clears the history.
     """
@@ -398,12 +398,10 @@ class NonConvergenceDetector(Detector):
     def __init__(
         self,
         stall_rounds: int = 3,
-        min_shrink: float = 0.05,
         refire_interval_s: Optional[float] = None,
     ) -> None:
         super().__init__(debounce_samples=stall_rounds,
                          refire_interval_s=refire_interval_s)
-        self.min_shrink = min_shrink
         self._last: Dict[str, tuple] = {}  # key -> (index, wire_bytes)
 
     def idle(self, key: str, value: float) -> bool:
@@ -426,7 +424,7 @@ class NonConvergenceDetector(Detector):
             return CLEAR
         if prev_bytes <= 0:
             return None
-        if sample.value > (1.0 - self.min_shrink) * prev_bytes:
+        if sample.value > (1.0 - MIN_SHRINK) * prev_bytes:
             return TRIGGER
         return CLEAR
 

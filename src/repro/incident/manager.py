@@ -87,9 +87,6 @@ class IncidentManager:
         cluster: "Cluster",
         orchestrator: "FleetOrchestrator",
         heartbeats: Optional["HeartbeatMonitor"] = None,
-        bus: Optional[TelemetryBus] = None,
-        detectors: Optional[List[Detector]] = None,
-        correlator: Optional[IncidentCorrelator] = None,
         runbook: Optional[Dict[str, Tuple[RunbookStep, ...]]] = None,
         probe_period_s: float = 0.25,
         autonomous: bool = True,
@@ -99,15 +96,9 @@ class IncidentManager:
         self.env = cluster.env
         self.orchestrator = orchestrator
         self.autonomous = autonomous
-        self.bus = bus if bus is not None else TelemetryBus()
-        self.detectors = (
-            list(detectors) if detectors is not None else default_detectors()
-        )
-        self.correlator = (
-            correlator
-            if correlator is not None
-            else IncidentCorrelator(cluster, orchestrator)
-        )
+        self.bus = TelemetryBus()
+        self.detectors = default_detectors()
+        self.correlator = IncidentCorrelator(cluster, orchestrator)
         self.executor = RunbookExecutor(
             cluster, orchestrator, journal=orchestrator.journal,
             runbook=runbook, checkpoints=checkpoints,

@@ -81,6 +81,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.recovery.checkpoints import FleetCheckpointService
     from repro.recovery.journal import MigrationJournal
 
+#: Priority of the ``evacuate`` requests a runbook submits.
+EVACUATION_PRIORITY = 100
+
 #: Crash-injection sites bracketing the checkpoint-restore path.
 RESTORE_INTENT_SITE = "incident.restore.intent"
 RESTORE_BOOT_SITE = "incident.restore.boot"
@@ -399,7 +402,7 @@ class RunbookExecutor:
             for job_id in to_evacuate:
                 request = orch.submit(
                     job_id, kind="evacuate",
-                    priority=orch.config.evacuation_priority,
+                    priority=EVACUATION_PRIORITY,
                     incident_id=incident.incident_id,
                 )
                 if cut_links is not None:

@@ -73,11 +73,6 @@ HEARTBEAT_PERIOD_S = 0.5
 PROBE_PERIOD_S = 0.25
 #: Give up on convergence this long after the drain starts.
 MAX_RUNTIME_S = 900.0
-#: Arm a host kill only once the victim's jobs hold a committed
-#: checkpoint generation: the failure is still unannounced to the
-#: controller, the drill just measures the restore path rather than the
-#: (separately tested) no-checkpoint error path.
-KILL_AFTER_COMMIT = True
 #: The checkpoint store hangs off the enclosure's converged fabric, not
 #: the clients' 10 GbE links: a generation's write window must fit well
 #: inside the checkpoint period.
@@ -259,7 +254,11 @@ def _spawn_kill(
 
     def _kill():
         yield env.timeout(estate.start_at + kill_at_s - env.now)
-        if KILL_AFTER_COMMIT and checkpointing:
+        if checkpointing:
+            # Kill only once the victim's jobs hold a committed checkpoint
+            # generation: the failure is still unannounced to the
+            # controller, the drill just measures the restore path rather
+            # than the (separately tested) no-checkpoint error path.
             # Give up at half the runtime budget so a broken schedule
             # still kills and fails the run visibly instead of hanging.
             give_up = estate.start_at + MAX_RUNTIME_S / 2.0
@@ -291,8 +290,6 @@ def run_drill(
     autonomous: bool = True,
     crash_site: Optional[str] = None,
     wan_gbps: float = 1.0,
-    tenants: int = 2,
-    link_budget_s: Optional[float] = 30.0,
     seed: int = 0,
     tracer: Optional[Tracer] = None,
 ) -> DrillResult:
@@ -311,9 +308,8 @@ def run_drill(
     if kill_host is not None and kill_at_s is None:
         raise ValueError("kill_host needs kill_at_s")
     estate = build_estate(
-        jobs, vms_per_job, FleetConfig(link_budget_s=link_budget_s),
-        spares=spares, wan_gbps=wan_gbps, tenants=tenants, seed=seed,
-        tracer=tracer,
+        jobs, vms_per_job, FleetConfig(), spares=spares, wan_gbps=wan_gbps,
+        seed=seed, tracer=tracer,
     )
     cluster, orch, start_at = estate.cluster, estate.orch, estate.start_at
     env = cluster.env

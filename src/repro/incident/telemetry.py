@@ -118,16 +118,6 @@ class TelemetryBus:
     def series(self, stream: str, key: str) -> List[TelemetrySample]:
         return list(self._series.get((stream, key), ()))
 
-    def window(self, stream: str, key: str, since: float) -> List[TelemetrySample]:
-        """Samples at or after ``since`` (ring-bounded, so best effort)."""
-        return [s for s in self._series.get((stream, key), ()) if s.time >= since]
-
-    def keys(self, stream: str) -> List[str]:
-        return sorted(key for st, key in self._series if st == stream)
-
-    def streams(self) -> List[str]:
-        return sorted({st for st, _ in self._series})
-
 
 class LinkTelemetryProbe:
     """Periodic sampler: link health + heartbeat phi onto the bus.

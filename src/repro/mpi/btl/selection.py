@@ -9,10 +9,10 @@ parameters.  Otherwise, fallback to Ethernet occurs."
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.errors import BtlUnreachableError
-from repro.mpi.btl.base import Btl, BtlRegistry, DEFAULT_REGISTRY
+from repro.mpi.btl.base import Btl, DEFAULT_REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.runtime import MpiProcess
@@ -21,9 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class BtlSelection:
     """Per-process set of constructed modules + per-peer routing."""
 
-    def __init__(self, proc: "MpiProcess", registry: Optional[BtlRegistry] = None) -> None:
+    def __init__(self, proc: "MpiProcess") -> None:
         self.proc = proc
-        self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self.modules: List[Btl] = []
         self._routes: Dict[int, Btl] = {}
         #: Snapshot of usable component names at the last (re)construction;
@@ -46,7 +45,7 @@ class BtlSelection:
         (re)initialization is cheap next to hotplug/link-up.
         """
         self._retire_counters()
-        usable = [c for c in self.registry.components() if c.usable(self.proc)]
+        usable = [c for c in DEFAULT_REGISTRY.components() if c.usable(self.proc)]
         self.modules = []
         for component in usable:
             yield self.proc.env.timeout(self.proc.calibration.btl_init_s)

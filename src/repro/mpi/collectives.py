@@ -15,16 +15,12 @@ Algorithms implemented:
 * ``reduce`` — mirrored binomial gather with per-merge operator cost;
 * ``allreduce`` — reduce + bcast by default, plus the bandwidth-optimal
   **ring** (reduce-scatter + allgather) variant;
-* ``scatter`` — binomial (root halves its payload down the tree);
-* ``reduce_scatter`` — ring;
-* ``gather`` / ``allgather`` / ``alltoall`` — linear / ring / pairwise.
+* ``alltoall`` — pairwise exchange.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
-
-from repro.mpi.datatypes import ANY_SOURCE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.communicator import CommView
@@ -33,13 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover
 TAG_BARRIER = -10
 TAG_BCAST = -11
 TAG_REDUCE = -12
-TAG_GATHER = -13
 TAG_ALLGATHER = -14
 TAG_ALLTOALL = -15
-TAG_SCATTER = -16
 TAG_RSCAT = -17
 
-#: Default segment size for pipelined algorithms (Open MPI tuned uses
+#: Segment size of the chain-pipeline broadcast (Open MPI tuned uses
 #: 128 KiB–1 MiB for large-message pipelines).
 DEFAULT_SEGMENT_BYTES = 1 << 20
 
@@ -64,7 +58,6 @@ def bcast(
     root: int = 0,
     value: object = None,
     algorithm: str = "binomial",
-    segment_bytes: int = DEFAULT_SEGMENT_BYTES,
 ):
     """Broadcast rooted at ``root``; returns root's ``value`` everywhere.
 
@@ -73,7 +66,7 @@ def bcast(
     far better for multi-GB payloads on more than two ranks).
     """
     if algorithm == "chain":
-        result = yield from _bcast_chain(view, nbytes, root, value, segment_bytes)
+        result = yield from _bcast_chain(view, nbytes, root, value)
         return result
     if algorithm != "binomial":
         raise ValueError(f"unknown bcast algorithm {algorithm!r}")
@@ -101,9 +94,7 @@ def bcast(
     return received
 
 
-def _bcast_chain(
-    view: "CommView", nbytes: int, root: int, value: object, segment_bytes: int
-):
+def _bcast_chain(view: "CommView", nbytes: int, root: int, value: object):
     """Segmented chain-pipeline broadcast.
 
     Ranks form a chain in root-relative order; segments stream down it,
@@ -116,7 +107,7 @@ def _bcast_chain(
     relative = (rank - root) % size
     prev = (rank - 1) % size
     nxt = (rank + 1) % size
-    nsegments = max(-(-int(nbytes) // max(int(segment_bytes), 1)), 1)
+    nsegments = max(-(-int(nbytes) // DEFAULT_SEGMENT_BYTES), 1)
     seg = int(nbytes) // nsegments
     received = value if relative == 0 else None
     for index in range(nsegments):
@@ -193,73 +184,6 @@ def _allreduce_ring(view: "CommView", nbytes: int):
     # Allgather phase: circulate the reduced chunks.
     for _ in range(size - 1):
         yield from view.sendrecv(right, chunk, left, tag=TAG_ALLGATHER)
-
-
-def scatter(view: "CommView", nbytes_per_rank: int, root: int = 0):
-    """Binomial scatter: the root's payload halves down the tree.
-
-    ``nbytes_per_rank`` is each rank's final chunk; internal tree edges
-    carry the chunks of the whole destination subtree.
-    """
-    yield from view.proc.maybe_service_cr()
-    size, rank = view.size, view.rank
-    if size == 1:
-        return
-    relative = (rank - root) % size
-    # Receive my subtree's data from my tree parent.
-    mask = 1
-    while mask < size:
-        if relative & mask:
-            src = (rank - mask) % size
-            yield from view.recv(src, tag=TAG_SCATTER)
-            break
-        mask <<= 1
-    # Forward sub-subtrees to children (largest first, as MPICH does).
-    mask >>= 1
-    while mask > 0:
-        if relative + mask < size:
-            dst = (rank + mask) % size
-            subtree = min(mask, size - (relative + mask))
-            yield from view.send(dst, int(nbytes_per_rank) * subtree, tag=TAG_SCATTER)
-        mask >>= 1
-
-
-def reduce_scatter(view: "CommView", nbytes_per_rank: int):
-    """Ring reduce-scatter: each rank ends with one reduced chunk."""
-    yield from view.proc.maybe_service_cr()
-    size, rank = view.size, view.rank
-    if size == 1:
-        return
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    for _ in range(size - 1):
-        yield from view.sendrecv(right, int(nbytes_per_rank), left, tag=TAG_RSCAT)
-        yield from _reduce_compute(view, int(nbytes_per_rank))
-
-
-def gather(view: "CommView", nbytes: int, root: int = 0):
-    """Linear gather: every non-root sends its chunk to root."""
-    yield from view.proc.maybe_service_cr()
-    size, rank = view.size, view.rank
-    if size == 1:
-        return
-    if rank == root:
-        for _ in range(size - 1):
-            yield from view.recv(ANY_SOURCE, tag=TAG_GATHER)
-    else:
-        yield from view.send(root, nbytes, tag=TAG_GATHER)
-
-
-def allgather(view: "CommView", nbytes: int):
-    """Ring allgather: P−1 steps of neighbour exchange."""
-    yield from view.proc.maybe_service_cr()
-    size, rank = view.size, view.rank
-    if size == 1:
-        return
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    for _ in range(size - 1):
-        yield from view.sendrecv(right, nbytes, left, tag=TAG_ALLGATHER)
 
 
 def alltoall(view: "CommView", nbytes: int):

@@ -127,22 +127,6 @@ class CommView:
         """Allreduce: ``"basic"`` (reduce+bcast) or ``"ring"``."""
         yield from collectives.allreduce(self, nbytes, algorithm=algorithm)
 
-    def scatter(self, nbytes_per_rank: int, root: int = 0):
-        """Binomial scatter of ``nbytes_per_rank`` chunks."""
-        yield from collectives.scatter(self, nbytes_per_rank, root)
-
-    def reduce_scatter(self, nbytes_per_rank: int):
-        """Ring reduce-scatter."""
-        yield from collectives.reduce_scatter(self, nbytes_per_rank)
-
-    def gather(self, nbytes: int, root: int = 0):
-        """Linear gather of ``nbytes`` from each rank."""
-        yield from collectives.gather(self, nbytes, root)
-
-    def allgather(self, nbytes: int):
-        """Ring allgather."""
-        yield from collectives.allgather(self, nbytes)
-
     def alltoall(self, nbytes: int):
         """Pairwise-exchange all-to-all (``nbytes`` per peer)."""
         yield from collectives.alltoall(self, nbytes)

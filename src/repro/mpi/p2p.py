@@ -103,10 +103,6 @@ class MatchingEngine:
                     best, best_arrival = key, arrival
         return best
 
-    def pending_count(self) -> int:
-        """Unexpected messages currently queued."""
-        return sum(len(bucket) for bucket in self._unexpected.values())
-
 
 class SendTracker:
     """Runs non-blocking sends and tracks them so quiesce can drain them.

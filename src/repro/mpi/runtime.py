@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.errors import MpiError
-from repro.mpi.btl.base import BtlRegistry
 from repro.mpi.btl.selection import BtlSelection
 from repro.mpi.communicator import CommView, Communicator
 from repro.mpi.crcp import CrcpCoordinator
@@ -52,7 +51,7 @@ class MpiProcess:
         self.env: "Environment" = vm.env
         self.matching = MatchingEngine(self.env)
         self.sends = SendTracker(self.env)
-        self.btl = BtlSelection(self, registry=job.btl_registry)
+        self.btl = BtlSelection(self)
         #: CR round bookkeeping.
         self._serviced_round = 0
         #: The receive a blocking ``recv`` is parked on (a CR request wakes it).
@@ -203,20 +202,16 @@ class MpiJob:
         qemus: List["QemuProcess"],
         procs_per_vm: int = 1,
         ft: Optional[FtSettings] = None,
-        btl_registry: Optional[BtlRegistry] = None,
     ) -> None:
         if not qemus:
             raise MpiError("a job needs at least one VM")
         if procs_per_vm <= 0:
             raise MpiError("procs_per_vm must be positive")
-        from repro.mpi.btl.base import DEFAULT_REGISTRY
-
         self.cluster = cluster
         self.env = cluster.env
         self.qemus = list(qemus)
         self.procs_per_vm = procs_per_vm
         self.ft = ft if ft is not None else FtSettings()
-        self.btl_registry = btl_registry if btl_registry is not None else DEFAULT_REGISTRY
         self.cr_round = 0
         self.crcp = CrcpCoordinator(self)
         self.crs = OpalCrs(self)

@@ -100,9 +100,6 @@ class Fabric:
         except KeyError:
             raise NetworkError(f"{self.name}: unknown port {name!r}") from None
 
-    def has_port(self, name: str) -> bool:
-        return name in self._ports
-
     def create_port(self, name: str) -> Port:
         """Declare an attachment point (cabling exists; nothing plugged)."""
         if name in self._ports:

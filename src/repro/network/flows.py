@@ -194,22 +194,13 @@ class FlowNetwork:
 
     # -- public API -----------------------------------------------------------
 
-    @property
-    def active_flows(self) -> tuple[Flow, ...]:
-        """Snapshot of the active flows (immutable; see :meth:`iter_active`)."""
-        return tuple(self._flows)
-
     def iter_active(self) -> Iterator[Flow]:
         """Iterate active flows without copying.
 
-        The hot polling paths (telemetry probes, samplers) use this; the
+        The hot polling path (the telemetry probe) uses this; the
         caller must not start/cancel flows while iterating.
         """
         return iter(self._flows)
-
-    @property
-    def active_count(self) -> int:
-        return len(self._flows)
 
     def enable_solver_stats(self) -> SolverStats:
         """Start recording per-solve wall times; returns the collector."""

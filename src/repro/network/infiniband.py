@@ -113,11 +113,6 @@ class QueuePair:
         self._check()
         return self.fabric.transfer(self.local, self.remote, nbytes, label=label or f"qp{self.qpn:#x}")
 
-    def rdma_read(self, nbytes: float, label: str = "") -> Flow:
-        """RDMA READ — data flows remote→local."""
-        self._check()
-        return self.fabric.transfer(self.remote, self.local, nbytes, label=label or f"qp{self.qpn:#x}.r")
-
     def destroy(self) -> None:
         self.alive = False
 

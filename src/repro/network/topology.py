@@ -53,25 +53,12 @@ class Topology:
     def has(self, name: str) -> bool:
         return name in self.graph
 
-    def endpoints(self, kind: Optional[str] = None) -> list[str]:
-        """All node names, optionally filtered by kind."""
-        if kind is None:
-            return list(self.graph.nodes)
-        return [n for n, d in self.graph.nodes(data=True) if d.get("kind") == kind]
-
     def links(self) -> list[Link]:
         """Every link in the graph (stable order: by link id)."""
         if self._links is None:
             found = {d["link"] for _, _, d in self.graph.edges(data=True)}
             self._links = sorted(found, key=lambda link: link.link_id)
         return list(self._links)
-
-    def link_between(self, a: str, b: str) -> Link:
-        """The link directly joining ``a`` and ``b``."""
-        try:
-            return self.graph.edges[a, b]["link"]
-        except KeyError:
-            raise NetworkError(f"{self.name}: no link {a!r}—{b!r}") from None
 
     def path(self, src: str, dst: str) -> list[DirectedLink]:
         """Directed links along the shortest path ``src`` → ``dst``.

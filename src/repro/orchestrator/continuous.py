@@ -60,6 +60,15 @@ DRAIN = "drain"
 #: after the bulk pass (8 rounds at most).
 FLUID_PRECOPY = MigrationPolicy(downtime_limit_s=0.03, max_iterations=7)
 
+#: Guest RAM of every fleet VM.
+VM_RAM_BYTES = float(2 * GiB)
+#: Fleet-mean per-VM dirty rate, and its relative spread across VMs
+#: (lognormal).
+DIRTY_RATE_BPS = 32.0 * MiB
+DIRTY_REL_STD = 0.5
+#: VMs a consolidation request moves off the emptiest host at most.
+CONSOLIDATE_BATCH = 4
+
 
 @dataclass
 class ScaleConfig:
@@ -73,10 +82,6 @@ class ScaleConfig:
     host_Bps: float = gbps(10)
     #: Edge-agg / agg-core capacity (None = non-blocking).
     fabric_Bps: Optional[float] = None
-    vm_ram_bytes: float = float(2 * GiB)
-    #: Fleet-mean per-VM dirty rate (lognormal across VMs).
-    dirty_rate_Bps: float = 32.0 * MiB
-    dirty_rel_std: float = 0.5
     #: Simulated campaign length.
     duration_s: float = 600.0
     arrival_rate_per_s: float = 1.0
@@ -87,8 +92,6 @@ class ScaleConfig:
     rack_local_frac: float = 0.7
     #: Admission cap on concurrent migrations (open system: excess drops).
     max_concurrent: int = 64
-    #: VMs a consolidation request moves off the emptiest host at most.
-    consolidate_batch: int = 4
     seed: int = 0
 
 
@@ -195,16 +198,16 @@ class ContinuousFleet:
         self._occupied: List[int] = []
         self.vms: List[VmState] = []
         dirty = self.rng.stream("scale.dirty")
-        # Lognormal with the configured mean: mu = ln(mean) - sigma²/2.
-        sigma = math.sqrt(math.log(1.0 + c.dirty_rel_std**2))
-        mu = math.log(max(c.dirty_rate_Bps, 1.0)) - sigma**2 / 2.0
+        # Lognormal with the fleet mean: mu = ln(mean) - sigma²/2.
+        sigma = math.sqrt(math.log(1.0 + DIRTY_REL_STD**2))
+        mu = math.log(DIRTY_RATE_BPS) - sigma**2 / 2.0
         for i in range(c.n_vms):
             host = hosts[i % len(hosts)]
-            rate = float(dirty.lognormal(mu, sigma)) if sigma > 0 else c.dirty_rate_Bps
+            rate = float(dirty.lognormal(mu, sigma))
             # A VM dirtying faster than a quarter of its NIC would never
             # converge; real orchestrators throttle those (auto-converge).
             rate = min(rate, 0.25 * c.host_Bps)
-            vm = VmState(f"vm{i:04d}", host, float(c.vm_ram_bytes), rate)
+            vm = VmState(f"vm{i:04d}", host, VM_RAM_BYTES, rate)
             self.vms.append(vm)
             self._bump(host, 1)
             self._host_vms[host][vm] = None
@@ -221,16 +224,15 @@ class ContinuousFleet:
 
     # -- driving -----------------------------------------------------------------
 
-    def start(self, process: Optional[ArrivalProcess] = None):
+    def start(self):
         """Launch the arrival driver; returns its simulation process."""
         c = self.config
-        if process is None:
-            process = PoissonProcess(
-                self.rng.stream("scale.arrivals"),
-                rate_per_s=c.arrival_rate_per_s,
-                horizon_s=c.duration_s,
-                mix=c.mix,
-            )
+        process = PoissonProcess(
+            self.rng.stream("scale.arrivals"),
+            rate_per_s=c.arrival_rate_per_s,
+            horizon_s=c.duration_s,
+            mix=c.mix,
+        )
         self._proc = self.env.process(self._driver(process), name="scale.driver")
         return self._proc
 
@@ -273,7 +275,7 @@ class ContinuousFleet:
             return
         movable = [vm for vm in self._host_vms[source] if not vm.migrating]
         launched = 0
-        for vm in movable[: self.config.consolidate_batch]:
+        for vm in movable[:CONSOLIDATE_BATCH]:
             # Pack onto the fullest host that still has a free slot.
             dst = self._fullest_free_host(exclude=source)
             if dst is None:

@@ -69,6 +69,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.runtime import MpiJob
     from repro.vmm.qemu import QemuProcess
 
+#: How often to re-check requests deferred on a busy job (proactive
+#: checkpoint in flight) or a down VM (awaiting checkpoint restore) while
+#: nothing else can run.
+BUSY_RECHECK_S = 0.5
+
 
 @dataclass
 class FleetConfig:
@@ -89,8 +94,6 @@ class FleetConfig:
     max_inflight_per_tenant: Optional[int] = None
     #: Default retry budget for aborted-and-rolled-back requests.
     max_attempts: int = 3
-    #: Priority of the ``evacuate`` requests incident runbooks submit.
-    evacuation_priority: int = 100
     #: Minimum bottleneck bandwidth (bytes/s) a migration path must offer
     #: before a request is started.  Requests whose links have degraded
     #: below the floor (chaos, outages) are deferred — re-planned or
@@ -101,10 +104,6 @@ class FleetConfig:
     degraded_recheck_s: float = 5.0
     #: Give up on a degraded path after waiting this long in total.
     degraded_max_wait_s: float = 600.0
-    #: How often to re-check requests deferred on a busy job (proactive
-    #: checkpoint in flight) or a down VM (awaiting checkpoint restore)
-    #: while nothing else can run.
-    busy_recheck_s: float = 0.5
 
     @classmethod
     def naive(cls) -> "FleetConfig":
@@ -353,8 +352,8 @@ class FleetOrchestrator:
                     # Busy jobs finish their checkpoint; down VMs come
                     # back through checkpoint restore.  Both resolve on
                     # their own clock — poll, don't fail.
-                    busy_wait += self.config.busy_recheck_s
-                    yield self.env.timeout(self.config.busy_recheck_s)
+                    busy_wait += BUSY_RECHECK_S
+                    yield self.env.timeout(BUSY_RECHECK_S)
                     continue
                 # Nothing runs, nothing could start, and no completion
                 # will ever wake us: the queued requests are infeasible.

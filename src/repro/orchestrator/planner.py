@@ -39,6 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Floor on a VM's byte estimate: page-table scan and dup-page tokens
 #: are never free, and a zero estimate would make swaps degenerate.
 MIN_ESTIMATE_BYTES = 1 * MiB
+#: Rounds of the destination-swap pass before it stops looking.
+MAX_SWAP_ROUNDS = 8
 
 
 def estimate_entry_bytes(entry: "PlanEntry") -> float:
@@ -90,9 +92,8 @@ class PlannedMigration:
 class WavePlanner:
     """Sequences a batch of plans over the shared Ethernet fabric."""
 
-    def __init__(self, cluster: "Cluster", max_swap_rounds: int = 8) -> None:
+    def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
-        self.max_swap_rounds = max_swap_rounds
         #: Destination swaps applied by the last :meth:`destination_swap`.
         self.swaps_applied = 0
         #: Link *names* declared unusable (incident response).  Plans whose
@@ -119,9 +120,6 @@ class WavePlanner:
         return any(dlink.link.name in self.blacklisted for dlink in links)
 
     # -- analysis ------------------------------------------------------------------
-
-    def analyze(self, plans: Sequence["MigrationPlan"]) -> List[PlannedMigration]:
-        return [PlannedMigration(plan).refresh(self.cluster) for plan in plans]
 
     @staticmethod
     def link_loads(planned: Sequence[PlannedMigration]) -> Dict["DirectedLink", float]:
@@ -175,13 +173,13 @@ class WavePlanner:
 
         Mutates the underlying plans (``entry.dst_host``) and refreshes
         footprints in place.  Terminates when a full round finds no
-        improving swap or after ``max_swap_rounds`` rounds.
+        improving swap or after :data:`MAX_SWAP_ROUNDS` rounds.
         """
         self.swaps_applied = 0
         if len(planned) < 2:
             return planned
         current = self._objective(planned)
-        for _ in range(self.max_swap_rounds):
+        for _ in range(MAX_SWAP_ROUNDS):
             improved = False
             for i in range(len(planned)):
                 for j in range(i + 1, len(planned)):

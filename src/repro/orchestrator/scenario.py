@@ -258,8 +258,6 @@ def run_fleet_scenario(
     vms_per_job: int = 1,
     sequenced: bool = True,
     wan_gbps: float = 1.0,
-    tenants: int = 2,
-    link_budget_s: Optional[float] = 30.0,
     seed: int = 0,
     tracer: Optional[Tracer] = None,
     inject_site: Optional[str] = None,
@@ -286,16 +284,11 @@ def run_fleet_scenario(
     ``viability_floor_Bps`` makes the orchestrator defer requests whose
     migration path has degraded below that bottleneck bandwidth.
     """
-    config = (
-        FleetConfig(link_budget_s=link_budget_s)
-        if sequenced
-        else FleetConfig.naive()
-    )
+    config = FleetConfig() if sequenced else FleetConfig.naive()
     if viability_floor_Bps is not None:
         config.viability_floor_Bps = viability_floor_Bps
     estate = build_estate(
-        jobs, vms_per_job, config, wan_gbps=wan_gbps, tenants=tenants,
-        seed=seed, tracer=tracer,
+        jobs, vms_per_job, config, wan_gbps=wan_gbps, seed=seed, tracer=tracer,
     )
     cluster, orch = estate.cluster, estate.orch
     env = cluster.env
@@ -371,8 +364,6 @@ def run_fleet_crash_scenario(
     crash_at_time: float = 5.0,
     recover: bool = True,
     wan_gbps: float = 1.0,
-    tenants: int = 2,
-    link_budget_s: Optional[float] = 30.0,
     seed: int = 0,
     tracer: Optional[Tracer] = None,
 ) -> FleetCrashResult:
@@ -389,14 +380,9 @@ def run_fleet_crash_scenario(
     fresh :class:`~repro.orchestrator.state.FleetStateStore` for the
     successor orchestrator.
     """
-    config = (
-        FleetConfig(link_budget_s=link_budget_s)
-        if link_budget_s is not None
-        else FleetConfig.naive()
-    )
+    config = FleetConfig()
     estate = build_estate(
-        jobs, vms_per_job, config, wan_gbps=wan_gbps, tenants=tenants,
-        seed=seed, tracer=tracer,
+        jobs, vms_per_job, config, wan_gbps=wan_gbps, seed=seed, tracer=tracer,
     )
     cluster, orch = estate.cluster, estate.orch
     env = cluster.env

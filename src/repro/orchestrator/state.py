@@ -205,18 +205,6 @@ class FleetStateStore:
             self.release(reservation)
         return len(mine)
 
-    def move(self, reservation: Reservation, new_host: str) -> Reservation:
-        """Re-home a reservation (the planner's destination-swap pass).
-
-        Atomic: the original claim is only dropped once the new host
-        accepted the bytes, so a failed move leaves state unchanged.
-        """
-        replacement = self.reserve(
-            new_host, reservation.nbytes, reservation.owner, hca=reservation.hca
-        )
-        self.release(reservation)
-        return replacement
-
     # -- plan-level claims -------------------------------------------------------
 
     def claim_plan(self, plan: "MigrationPlan", owner: Optional[object] = None) -> List[Reservation]:

@@ -36,23 +36,20 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: log10(e): converts nats of suspicion into phi's base-10 scale.
 _LOG10_E = math.log10(math.e)
+#: Inter-arrival times a detector remembers.
+WINDOW = 64
+#: Assumed mean interval until the first two beats arrive.
+BOOTSTRAP_INTERVAL_S = 1.0
+#: Floor on the mean interval (guards against a burst collapsing it to 0).
+MIN_INTERVAL_S = 1e-3
 
 
 class PhiAccrualFailureDetector:
     """Suspicion level for one heartbeat stream."""
 
-    def __init__(
-        self,
-        window: int = 64,
-        bootstrap_interval_s: float = 1.0,
-        min_interval_s: float = 1e-3,
-    ) -> None:
+    def __init__(self) -> None:
         #: Sliding window of observed inter-arrival times.
-        self.intervals: Deque[float] = deque(maxlen=window)
-        #: Assumed mean interval until enough beats arrive.
-        self.bootstrap_interval_s = bootstrap_interval_s
-        #: Floor on the mean (guards against a burst collapsing it to 0).
-        self.min_interval_s = min_interval_s
+        self.intervals: Deque[float] = deque(maxlen=WINDOW)
         self.last_beat: Optional[float] = None
         self.beats = 0
 
@@ -65,10 +62,8 @@ class PhiAccrualFailureDetector:
     @property
     def mean_interval_s(self) -> float:
         if not self.intervals:
-            return self.bootstrap_interval_s
-        return max(
-            sum(self.intervals) / len(self.intervals), self.min_interval_s
-        )
+            return BOOTSTRAP_INTERVAL_S
+        return max(sum(self.intervals) / len(self.intervals), MIN_INTERVAL_S)
 
     def phi(self, now: float) -> float:
         """Current suspicion level (0 = just heard from it)."""

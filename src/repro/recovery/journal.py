@@ -63,7 +63,8 @@ Record kinds
 ``compensation``
     An undo action was pushed onto the compensation stack (``action``).
 ``rollback-action``
-    An undo (or degrade) action executed.
+    An undo (or degrade) action executed.  An audit record: no fold
+    reads it.
 ``complete`` / ``aborted`` / ``recovered``
     Terminal outcomes; a sequence with none of these is *unfinished*
     and becomes recovery work after a crash.
@@ -225,7 +226,6 @@ class MigrationSnapshot:
     postcopy_vms: List[str] = field(default_factory=list)
     #: Compensation-stack actions, in push order.
     compensations: List[str] = field(default_factory=list)
-    rollback_actions: List[str] = field(default_factory=list)
     #: ``complete`` / ``aborted`` / ``recovered`` / None while in flight.
     terminal: Optional[str] = None
 
@@ -268,8 +268,6 @@ class MigrationSnapshot:
                     self.postcopy_vms.append(str(vm))
         elif kind == "compensation":
             self.compensations.append(str(record.payload.get("action", "")))
-        elif kind == "rollback-action":
-            self.rollback_actions.append(str(record.payload.get("action", "")))
         elif kind in TERMINAL_KINDS:
             # An abort whose *rollback itself* failed left the fleet in an
             # unreconciled state (split placement, parked guests): it
@@ -458,9 +456,6 @@ class MigrationJournal:
     def migration_ids(self) -> List[str]:
         """Every mid with a ``begin`` record, in open order."""
         return list(self._opened)
-
-    def records_for(self, mid: str) -> List[JournalRecord]:
-        return list(self._by_mid.get(mid, ()))
 
     def snapshot(self, mid: str) -> MigrationSnapshot:
         """Replay ``mid``'s records into a snapshot (pure fold: replaying

@@ -26,7 +26,7 @@ Quick example::
 from repro.sim.core import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Container, PriorityResource, Resource
+from repro.sim.resources import Container
 from repro.sim.fairshare import FairShare, FairShareTask, maxmin_rates
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecord, Tracer
@@ -40,9 +40,7 @@ __all__ = [
     "FairShare",
     "FairShareTask",
     "Interrupt",
-    "PriorityResource",
     "Process",
-    "Resource",
     "RngRegistry",
     "Timeout",
     "TraceRecord",

@@ -10,16 +10,13 @@ An :class:`ArrivalProcess` is an iterator of :class:`Arrival` events
 (time + request kind), consumed by the continuous-traffic orchestrator
 (:mod:`repro.orchestrator.continuous`).  :class:`PoissonProcess` draws
 exponential inter-arrival gaps from a named RNG stream (deterministic
-per seed); :class:`TraceProcess` replays an explicit schedule, so a
-recorded production trace — or a worst-case burst crafted by hand — runs
-through the same machinery.
+per seed).
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
@@ -30,7 +27,6 @@ class Arrival:
 
     time: float
     kind: str
-    fields: dict = field(default_factory=dict)
 
 
 class ArrivalProcess:
@@ -89,44 +85,8 @@ class PoissonProcess(ArrivalProcess):
             yield Arrival(t, self._kinds[min(idx, len(self._kinds) - 1)])
 
 
-class TraceProcess(ArrivalProcess):
-    """Replay an explicit arrival schedule.
-
-    Accepts :class:`Arrival` objects or ``(time, kind)`` /
-    ``(time, kind, fields)`` tuples; entries are sorted by time.
-    """
-
-    def __init__(
-        self, entries: Iterable[Union[Arrival, Tuple[float, str], Tuple[float, str, dict]]]
-    ) -> None:
-        arrivals: List[Arrival] = []
-        for entry in entries:
-            if not isinstance(entry, Arrival):
-                time, kind = entry[0], entry[1]
-                fields = entry[2] if len(entry) > 2 else {}
-                entry = Arrival(float(time), str(kind), dict(fields))
-            if entry.time < 0:
-                raise ValueError(f"arrival time must be non-negative, got {entry.time}")
-            arrivals.append(entry)
-        self._arrivals = sorted(arrivals, key=lambda a: a.time)
-
-    def events(self) -> Iterator[Arrival]:
-        return iter(self._arrivals)
-
-
-def merge(*processes: ArrivalProcess) -> Iterator[Arrival]:
-    """Merge several processes into one time-ordered stream.
-
-    Lets a scenario overlay a steady Poisson background with a scripted
-    incident burst without either knowing about the other.
-    """
-    return heapq.merge(*(p.events() for p in processes), key=lambda a: a.time)
-
-
 __all__ = [
     "Arrival",
     "ArrivalProcess",
     "PoissonProcess",
-    "TraceProcess",
-    "merge",
 ]

@@ -45,14 +45,6 @@ class Environment:
         """The process currently being resumed (None between steps)."""
         return self._active_process
 
-    def peek(self) -> float:
-        """Time of the next queue entry, or ``inf`` if the queue is empty.
-
-        The entry may be a cancelled timer: cancelled entries stay queued
-        until their time comes, and the clock still passes over them.
-        """
-        return self._queue[0][0] if self._queue else float("inf")
-
     # -- factories -------------------------------------------------------------
 
     def event(self) -> Event:
@@ -164,19 +156,6 @@ class Environment:
                 f"run() finished with {until!r} still pending — deadlock?"
             )
         return None
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> int:
-        """Drain the queue completely; return the number of events processed.
-
-        Cancelled timers are not counted.  ``max_events`` guards against
-        runaway loops in tests.
-        """
-        start = self.events_processed
-        while self._queue:
-            self.step()
-            if self.events_processed - start > max_events:
-                raise SimulationError(f"exceeded {max_events} events — runaway loop?")
-        return self.events_processed - start
 
 
 def _stop_simulation(event: Event) -> None:

@@ -113,11 +113,6 @@ class Event:
 
     # -- plumbing ------------------------------------------------------------
 
-    def defused(self) -> "Event":
-        """Mark a failed event as handled so it won't crash the run."""
-        self._defused = True
-        return self
-
     def wait(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback`` to run when the event is processed."""
         if self.callbacks is None:

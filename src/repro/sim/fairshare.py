@@ -166,14 +166,6 @@ class FairShare:
             self._tasks.remove(task)
             self._reschedule()
 
-    def set_capacity(self, capacity: float) -> None:
-        """Change the total service rate (e.g. link renegotiation)."""
-        if capacity <= 0:
-            raise SimulationError("capacity must be positive")
-        self._advance_progress()
-        self.capacity = float(capacity)
-        self._reschedule()
-
     # -- internals ---------------------------------------------------------------
 
     def _advance_progress(self) -> None:

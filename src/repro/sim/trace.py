@@ -180,14 +180,6 @@ class Tracer:
                 sort_keys=True,
             )
 
-    def to_jsonl(self) -> str:
-        """Serialize all records as JSON Lines (one record per line).
-
-        Materializes the whole trace in memory; prefer :meth:`save` (which
-        streams record-by-record to the file handle) for large traces.
-        """
-        return "\n".join(self.iter_jsonl())
-
     def save(self, path: str) -> int:
         """Write all records to ``path`` as JSON Lines; returns the count.
 

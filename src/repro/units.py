@@ -56,19 +56,9 @@ def gbps(n: float) -> float:
     return n * 1e9 / 8.0
 
 
-def mbps(n: float) -> float:
-    """Convert megabits-per-second (decimal) to bytes-per-second."""
-    return n * 1e6 / 8.0
-
-
 def gib_per_s(n: float) -> float:
     """Convert GiB/s to bytes-per-second (memory bandwidth style)."""
     return n * GiB
-
-
-def bytes_to_gib(n: float) -> float:
-    """Express a byte count in GiB (for reporting)."""
-    return n / GiB
 
 
 def pages(nbytes: int) -> int:
@@ -83,22 +73,3 @@ def fmt_bytes(n: float) -> str:
         if abs(n) >= width:
             return f"{n / width:.1f} {unit}"
     return f"{n:.0f} B"
-
-
-def fmt_rate(n: float) -> str:
-    """Human-readable rate in bits/s (decimal prefixes), e.g. ``'10.0 Gbps'``."""
-    bits = float(n) * 8.0
-    for unit, width in (("Gbps", 1e9), ("Mbps", 1e6), ("Kbps", 1e3)):
-        if abs(bits) >= width:
-            return f"{bits / width:.1f} {unit}"
-    return f"{bits:.0f} bps"
-
-
-def fmt_time(t: float) -> str:
-    """Human-readable duration, e.g. ``'29.91 s'`` or ``'3.2 ms'``."""
-    t = float(t)
-    if abs(t) >= 1.0:
-        return f"{t:.2f} s"
-    if abs(t) >= MSEC:
-        return f"{t / MSEC:.1f} ms"
-    return f"{t / USEC:.1f} us"

@@ -253,10 +253,6 @@ class GuestMemory:
         self._clear_dirty()
         return snapshot
 
-    @property
-    def dirty_page_count(self) -> int:
-        return self._dirty.size
-
     # -- accounting -----------------------------------------------------------------
 
     def _tally(self, pages: Optional[PageRuns]) -> tuple[int, int, int]:
@@ -313,14 +309,6 @@ class GuestMemory:
     def populate_resident(self, nbytes: int, offset: int = 0) -> None:
         """Mark a boot-time resident set (kernel, caches) as DATA pages."""
         self.write(offset, min(int(nbytes), self.size_bytes - offset), PageClass.DATA)
-
-    def clone_into(self, other: "GuestMemory") -> None:
-        """Copy content state into a destination VM's RAM (post-migration)."""
-        if other.npages != self.npages or other.page_size != self.page_size:
-            raise VmmError("migration between differently sized RAMs")
-        other._starts = list(self._starts)
-        other._classes = list(self._classes)
-        other._clear_dirty()
 
     def restore_composition(self, uniform_pages: int, data_pages: int) -> None:
         """Replace RAM content with a snapshot image's composition.

@@ -116,12 +116,6 @@ class MigrationStats:
         return len(self.rounds)
 
     @property
-    def throughput_Bps(self) -> float:
-        if self.total_time_s <= 0:
-            return 0.0
-        return self.wire_bytes / self.total_time_s
-
-    @property
     def in_flight(self) -> bool:
         """A migration thread still owns the VM (precopy or postcopy)."""
         return self.status in IN_FLIGHT_STATUSES

@@ -3,9 +3,9 @@
 The canonical CFD/heat-equation communication pattern: ranks form a 2-D
 process grid, each iteration computes over the local tile and exchanges
 one-cell-deep halos with the four neighbours.  Unlike the NPB skeletons
-this workload is *configurable* (grid size, halo width, compute
-intensity), making it the go-to for exploring how Ninja overhead
-interacts with an application's own communication/computation ratio.
+this workload is *configurable* (grid size, iteration count), making it
+the go-to for exploring how Ninja overhead interacts with an
+application's own communication/computation ratio.
 """
 
 from __future__ import annotations
@@ -24,6 +24,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.runtime import MpiProcess
 
 TAG_HALO = -30
+#: Halo depth in cells.
+HALO_WIDTH = 1
+#: Bytes per grid point (one double).
+BYTES_PER_POINT = 8
+#: Flops per point per iteration (5-point stencil ≈ 5 flops + update).
+FLOPS_PER_POINT = 8.0
+#: Sustained per-core flop rate of the simulated Xeon E5540.
+CORE_FLOPS = 2.0e9
 
 
 def process_grid(size: int) -> tuple[int, int]:
@@ -40,14 +48,6 @@ class StencilConfig:
 
     #: Global grid points per dimension (double precision).
     global_points: int = 16_384
-    #: Halo depth in cells.
-    halo_width: int = 1
-    #: Bytes per grid point (one double by default).
-    bytes_per_point: int = 8
-    #: Flops per point per iteration (5-point stencil ≈ 5 flops + update).
-    flops_per_point: float = 8.0
-    #: Sustained per-core flop rate of the simulated Xeon E5540.
-    core_flops: float = 2.0e9
     iterations: int = 50
 
     def tile_points(self, nranks: int) -> int:
@@ -58,10 +58,10 @@ class StencilConfig:
         """Bytes of one face halo message."""
         rows, cols = process_grid(nranks)
         tile_edge = self.global_points // max(rows, cols)
-        return max(tile_edge * self.halo_width * self.bytes_per_point, 1)
+        return max(tile_edge * HALO_WIDTH * BYTES_PER_POINT, 1)
 
     def compute_seconds(self, nranks: int) -> float:
-        return self.tile_points(nranks) * self.flops_per_point / self.core_flops
+        return self.tile_points(nranks) * FLOPS_PER_POINT / CORE_FLOPS
 
 
 class StencilWorkload(Workload):
@@ -94,7 +94,7 @@ class StencilWorkload(Workload):
     def rank_main(self, proc: "MpiProcess", comm: "CommView"):
         config = self.config
         size = comm.size
-        tile_bytes = config.tile_points(size) * config.bytes_per_point
+        tile_bytes = config.tile_points(size) * BYTES_PER_POINT
         self.populate(proc, tile_bytes, PageClass.DATA)
         halo = config.halo_bytes(size)
         compute_s = config.compute_seconds(size)

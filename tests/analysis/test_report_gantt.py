@@ -3,8 +3,7 @@
 import pytest
 
 from repro.analysis.gantt import ninja_gantt, render_spans
-from repro.analysis.report import render_breakdown_table, render_table
-from repro.core.metrics import OverheadBreakdown
+from repro.analysis.report import render_table
 
 
 def test_render_table_alignment():
@@ -14,12 +13,6 @@ def test_render_table_alignment():
     assert "long-header" in lines[1]
     # All rows equally wide.
     assert len({len(l) for l in lines[2:]}) <= 2
-
-
-def test_render_breakdown_table():
-    rows = {"2GB": OverheadBreakdown(migration_s=40.0, detach_s=2.7, linkup_s=29.9)}
-    text = render_breakdown_table(rows, title="Fig6")
-    assert "40.00" in text and "29.90" in text and "2GB" in text
 
 
 def test_render_spans_basic():

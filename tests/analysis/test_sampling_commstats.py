@@ -1,48 +1,13 @@
-"""Unit tests: resource sampling and job-wide communication stats."""
+"""Unit tests: job-wide communication stats."""
 
 import pytest
 
-from repro.analysis.sampling import ResourceSampler
 from repro.core.plan import MigrationPlan
 from repro.core.scheduler import CloudScheduler
 from repro.hardware.cluster import build_agc_cluster
 from repro.testbed import create_job, provision_vms
 from repro.units import GiB, MiB
 from tests.conftest import drive
-
-
-def test_sampler_records_cpu_load():
-    cluster = build_agc_cluster(ib_nodes=1, eth_nodes=0)
-    env = cluster.env
-    vms = provision_vms(cluster, ["ib01"], memory_bytes=4 * GiB)
-    sampler = ResourceSampler(cluster, period_s=1.0).start()
-
-    def burn(env):
-        yield vms[0].vm.compute(5.0, nthreads=8)
-        sampler.stop()
-
-    drive(env, burn(env))
-    assert sampler.peak_load("ib01") == pytest.approx(8.0)
-    assert sampler.mean_load("ib01", t0=1.0, t1=4.0) == pytest.approx(8.0)
-    assert "ib01" in sampler.render("ib01")
-
-
-def test_sampler_sees_vcpu_placement():
-    cluster = build_agc_cluster(ib_nodes=1, eth_nodes=0)
-    env = cluster.env
-    vms = provision_vms(cluster, ["ib01"], memory_bytes=4 * GiB)
-    sampler = ResourceSampler(cluster, period_s=0.5).start()
-    env.run(until=0.6)
-    sampler.stop()
-    env.run(until=1.5)
-    assert sampler.samples[0].vcpus["ib01"] == 8
-    assert sampler.samples[0].active_flows.get("infiniband") == 0
-
-
-def test_sampler_invalid_period():
-    cluster = build_agc_cluster(ib_nodes=1, eth_nodes=0)
-    with pytest.raises(ValueError):
-        ResourceSampler(cluster, period_s=0.0)
 
 
 def test_comm_stats_across_fallback():

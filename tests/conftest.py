@@ -101,6 +101,31 @@ def assert_safe(cluster, journal=None, *, qemus, hosts=None, **books) -> None:
         assert {q.vm.name: q.node.name for q in qemus} == hosts
 
 
+def link_between(topology, a: str, b: str):
+    """The link directly joining topology nodes ``a`` and ``b``."""
+    return topology.graph.edges[a, b]["link"]
+
+
+def nodes_of_kind(topology, kind: str) -> list:
+    """Names of the topology nodes of ``kind`` (host or switch), in insertion order."""
+    return [n for n, d in topology.graph.nodes(data=True) if d["kind"] == kind]
+
+
+def dirty_page_count(memory) -> int:
+    """Pages in a ``GuestMemory``'s dirty log."""
+    return memory._dirty.size
+
+
+def active_keys(detector) -> list:
+    """Keys an incident detector currently has an open episode on."""
+    return sorted(k for k, e in detector._episodes.items() if e.active)
+
+
+def unexpected_count(engine) -> int:
+    """Messages queued unmatched in an MPI ``MatchingEngine``."""
+    return sum(len(bucket) for bucket in engine._unexpected.values())
+
+
 def traced_violations(tracer) -> list:
     """Fields of every ``invariants``/``violation`` record a drill traced."""
     return [r.fields for r in tracer.records if r.category == "invariants"]

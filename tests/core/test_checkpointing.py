@@ -182,7 +182,7 @@ def test_proactive_checkpoint_and_restore():
     # Job resumed: IB re-attached and ranks alive.
     cluster.env.run(until=cluster.env.now + 5.0)
     assert job.live_ranks == 2
-    assert all(q.vm.kernel.has_active_ib for q in vms)
+    assert all(q.vm.kernel.ib_interface().is_up for q in vms)
 
     # Disaster: restore both images on the Ethernet cluster.
     def rebuild(env):

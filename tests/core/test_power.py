@@ -72,7 +72,7 @@ def test_placer_prefers_emptying_ib_rack():
     placer = PowerAwarePlacer(cluster, max_overcommit=2.0)
     plan = placer.plan(vms)
     assert set(plan.dst_hostlist) == {"eth01"}
-    assert not plan.any_attach
+    assert not any(e.attach_ib for e in plan.entries)
 
 
 def test_placer_respects_overcommit_bound():

@@ -83,9 +83,8 @@ def test_jittered_backoff_matches_seeded_stream():
     result = _run(cluster, ninja, job, plan)
 
     assert not result.aborted
-    expected = RetryPolicy(
-        max_attempts=3, base_delay_s=0.5, factor=2.0, jitter_rel=0.2
-    ).delays(RngRegistry(seed=seed))
+    rng = RngRegistry(seed=seed)
+    expected = [policy.delay(i, rng) for i in range(2)]
     records = list(cluster.tracer.select("ninja", "retry"))
     observed = [r.fields["backoff_s"] for r in records]
     assert observed == [pytest.approx(d, abs=1e-6) for d in expected]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.plan import MigrationPlan
 from repro.core.scheduler import CloudScheduler
 from repro.errors import SchedulerError
 from repro.hardware.cluster import build_agc_cluster
@@ -110,6 +111,5 @@ def test_schedule_in_past_rejected():
 
 def test_plan_spread_auto_attach():
     cluster, vms, job = _setup()
-    scheduler = CloudScheduler(cluster)
-    plan = scheduler.plan_spread(vms, ["ib01", "eth01"])
+    plan = MigrationPlan.build(cluster, vms, ["ib01", "eth01"], attach_ib=None)
     assert [e.attach_ib for e in plan.entries] == [True, False]

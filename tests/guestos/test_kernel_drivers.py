@@ -37,7 +37,6 @@ def test_hotplug_add_binds_mlx4(cluster, qemu):
     assert iface is not None
     assert iface.name == "ib0"
     assert not iface.is_up  # POLLING until the SM activates it
-    assert not kernel.has_active_ib
 
 
 def test_interface_naming_increments(cluster, qemu):
@@ -62,18 +61,6 @@ def test_remove_unbound_device_rejected(cluster, qemu):
         qemu.vm.kernel.device_removing(stranger)
 
 
-def test_unknown_interface_lookup(cluster, qemu):
-    with pytest.raises(GuestError):
-        qemu.vm.kernel.interface("ib9")
-
-
-def test_driver_for_unknown_device(cluster, qemu):
-    from repro.hardware.devices import InfiniBandHca
-
-    with pytest.raises(GuestError):
-        qemu.vm.kernel.driver_for(InfiniBandHca())
-
-
 def test_mlx4_probe_requires_cabled_port(cluster):
     """Attaching an uncabled HCA (Ethernet-cluster node) fails loudly."""
     q = QemuProcess(cluster, cluster.node("eth01"), "vm-eth", memory_bytes=4 * GiB)
@@ -96,13 +83,13 @@ def test_wait_link_up_event(cluster, qemu):
     assignment = qemu.assign_device(hca, "vf0")
 
     def main(env):
-        function = yield from qemu.hotplug.attach(assignment)
-        driver = qemu.vm.kernel.driver_for(function)
+        yield from qemu.hotplug.attach(assignment)
+        driver = qemu.vm.kernel.ib_interface().driver
         yield driver.wait_link_up()
         return driver.link_up
 
     assert drive(env, main(env)) is True
-    assert qemu.vm.kernel.has_active_ib
+    assert qemu.vm.kernel.ib_interface().is_up
 
 
 def test_detach_unplugs_fabric_port(cluster, qemu):
@@ -111,8 +98,8 @@ def test_detach_unplugs_fabric_port(cluster, qemu):
     assignment = qemu.assign_device(hca, "vf0")
 
     def main(env):
-        function = yield from qemu.hotplug.attach(assignment)
-        driver = qemu.vm.kernel.driver_for(function)
+        yield from qemu.hotplug.attach(assignment)
+        driver = qemu.vm.kernel.ib_interface().driver
         yield driver.wait_link_up()
         yield from qemu.hotplug.detach(assignment)
 

@@ -62,15 +62,6 @@ def test_invalid_args(env):
         HostCpu(env, cores=0)
 
 
-def test_slowdown_estimate(env):
-    cpu = HostCpu(env, cores=4)
-    assert cpu.slowdown_estimate() == 1.0
-    cpu.run_thread(100.0)
-    cpu.run_thread(100.0)
-    assert cpu.slowdown_estimate(extra_threads=6) == pytest.approx(2.0)
-    env.run()
-
-
 # -- PhysicalNode ------------------------------------------------------------------
 
 

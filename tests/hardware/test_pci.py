@@ -24,11 +24,11 @@ def test_attach_detach_cycle():
     bus = PciBus("test", num_slots=4)
     device = PciDevice("widget", "ethernet-nic")
     slot = bus.attach(device)
-    assert device.plugged
+    assert device.slot is not None
     assert device.address == slot.address
     assert bus.devices() == [device]
     bus.detach(device)
-    assert not device.plugged
+    assert device.slot is None
     assert bus.devices() == []
 
 
@@ -61,16 +61,6 @@ def test_detach_foreign_device_rejected():
     bus_a.attach(device)
     with pytest.raises(HardwareError):
         bus_b.detach(device)
-
-
-def test_find_by_tag():
-    bus = PciBus("test")
-    device = InfiniBandHca()
-    device.tag = "vf0"
-    bus.attach(device)
-    assert bus.find_by_tag("vf0") is device
-    with pytest.raises(HardwareError):
-        bus.find_by_tag("missing")
 
 
 def test_devices_filter_by_kind():

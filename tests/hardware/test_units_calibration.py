@@ -8,13 +8,9 @@ from repro.units import (
     KiB,
     MiB,
     PAGE_SIZE,
-    bytes_to_gib,
     fmt_bytes,
-    fmt_rate,
-    fmt_time,
     gbps,
     gib_per_s,
-    mbps,
     msec,
     pages,
     usec,
@@ -30,7 +26,6 @@ def test_size_constants():
 
 def test_rate_conversions():
     assert gbps(8.0) == pytest.approx(1e9)
-    assert mbps(8.0) == pytest.approx(1e6)
     assert gib_per_s(1.0) == GiB
 
 
@@ -49,14 +44,6 @@ def test_pages_rounds_up():
 def test_formatting():
     assert fmt_bytes(20 * GiB) == "20.0 GiB"
     assert fmt_bytes(512) == "512 B"
-    assert fmt_rate(gbps(10)) == "10.0 Gbps"
-    assert fmt_time(29.91) == "29.91 s"
-    assert "ms" in fmt_time(0.005)
-    assert "us" in fmt_time(5e-6)
-
-
-def test_bytes_to_gib():
-    assert bytes_to_gib(2 * GiB) == pytest.approx(2.0)
 
 
 # -- Calibration --------------------------------------------------------------
@@ -65,10 +52,11 @@ def test_bytes_to_gib():
 def test_table2_decomposition_matches_paper():
     """The hotplug decomposition reproduces Table II within 0.1 s."""
     cal = PAPER_CALIBRATION
-    assert cal.hotplug_time(True, True) == pytest.approx(3.88, abs=0.1)
-    assert cal.hotplug_time(True, False) == pytest.approx(2.80, abs=0.1)
-    assert cal.hotplug_time(False, True) == pytest.approx(1.15, abs=0.1)
-    assert cal.hotplug_time(False, False) == pytest.approx(0.13, abs=0.1)
+    confirm, detach, attach = cal.hotplug_confirm_s, cal.ib_detach_s, cal.ib_attach_s
+    assert confirm + detach + attach == pytest.approx(3.88, abs=0.1)
+    assert confirm + detach == pytest.approx(2.80, abs=0.1)
+    assert confirm + attach == pytest.approx(1.15, abs=0.1)
+    assert confirm == pytest.approx(0.13, abs=0.1)
 
 
 def test_linkup_near_30s():
@@ -77,12 +65,6 @@ def test_linkup_near_30s():
 
 def test_migration_cap_1_3_gbps():
     assert PAPER_CALIBRATION.migration_cpu_cap_Bps == pytest.approx(gbps(1.3))
-
-
-def test_noise_factor_applied():
-    cal = PAPER_CALIBRATION
-    noisy = cal.hotplug_time(True, True, noisy=True)
-    assert noisy == pytest.approx(cal.hotplug_time(True, True) * cal.migration_noise_factor)
 
 
 def test_replace_is_pure():

@@ -65,7 +65,7 @@ class TestFolding:
         incident.status = "resolved"
         assert corr.ingest(alert(10.5)) is not None
         assert len(corr.incidents) == 2
-        assert corr.open_incidents() == [corr.incidents[1]]
+        assert [i for i in corr.incidents if i.status != "resolved"] == [corr.incidents[1]]
 
     def test_first_anomaly_is_min_over_folded_alerts(self):
         corr = IncidentCorrelator(_cluster(), window_s=5.0)

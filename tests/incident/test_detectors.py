@@ -21,6 +21,7 @@ from repro.incident.telemetry import (
     MIGRATION_ROUND,
     TelemetrySample,
 )
+from tests.conftest import active_keys
 
 
 def feed(detector, stream, values, key="wan", t0=0.0, dt=1.0, fields=None):
@@ -45,13 +46,13 @@ class TestOutageDetector:
         assert alerts[0].kind == "outage"
         assert alerts[0].severity == "critical"
         assert alerts[0].time == 2.0
-        assert det.active_keys() == ["wan"]
+        assert active_keys(det) == ["wan"]
 
     def test_clears_on_restore_and_refires_on_next_cut(self):
         det = OutageDetector()
         alerts = feed(det, LINK_UP, [1, 0, 1, 0])
         assert [a.time for a in alerts] == [1.0, 3.0]
-        assert det.active_keys() == ["wan"]
+        assert active_keys(det) == ["wan"]
 
     def test_ignores_other_streams(self):
         det = OutageDetector()
@@ -86,13 +87,13 @@ class TestBandwidthCollapseDetector:
         feed(det, LINK_GOODPUT, [100.0] * 6 + [10.0] * 50)
         # A long outage must not teach the baseline that 10 is normal.
         assert det.baseline("wan") == pytest.approx(100.0)
-        assert det.active_keys() == ["wan"]
+        assert active_keys(det) == ["wan"]
 
     def test_recovery_clears_episode(self):
         det = BandwidthCollapseDetector(warmup_samples=4, debounce_samples=2)
         alerts = feed(det, LINK_GOODPUT, [100.0] * 6 + [10.0] * 3 + [100.0] * 3)
         assert len(alerts) == 1
-        assert det.active_keys() == []
+        assert active_keys(det) == []
 
     def test_no_alert_during_warmup(self):
         det = BandwidthCollapseDetector(warmup_samples=4, debounce_samples=2)
@@ -107,7 +108,7 @@ class TestLatencySpikeDetector:
         alerts = feed(det, LINK_LATENCY, base + spiky + base)
         assert len(alerts) == 1
         assert alerts[0].kind == "latency-spike"
-        assert det.active_keys() == []  # cleared by the trailing normals
+        assert active_keys(det) == []  # cleared by the trailing normals
 
     def test_guard_band_suppresses_tiny_absolute_jitter(self):
         det = LatencySpikeDetector(

@@ -19,7 +19,7 @@ from repro.testbed import create_job, provision_vms
 from repro.units import GiB, MiB
 from repro.vmm.qemu import QemuProcess
 from repro.vmm.vm import RunState
-from tests.conftest import drive
+from tests.conftest import drive, link_between
 
 
 def test_migration_fails_cleanly_on_broken_network():
@@ -29,7 +29,7 @@ def test_migration_fails_cleanly_on_broken_network():
     env = cluster.env
     qemu = QemuProcess(cluster, cluster.node("ib01"), "vm1", memory_bytes=4 * GiB)
     qemu.boot()
-    cluster.eth_fabric.topology.link_between("ib01", "Dell M8024").fail()
+    link_between(cluster.eth_fabric.topology, "ib01", "Dell M8024").fail()
     cluster.eth_fabric.topology.invalidate_routes()
 
     def main(env):
@@ -51,7 +51,7 @@ def test_migration_failure_retry_after_repair():
     env = cluster.env
     qemu = QemuProcess(cluster, cluster.node("ib01"), "vm1", memory_bytes=4 * GiB)
     qemu.boot()
-    link = cluster.eth_fabric.topology.link_between("ib01", "Dell M8024")
+    link = link_between(cluster.eth_fabric.topology, "ib01", "Dell M8024")
     link.fail()
     cluster.eth_fabric.topology.invalidate_routes()
 
@@ -129,7 +129,7 @@ def test_ib_fabric_outage_does_not_break_tcp():
     vms = provision_vms(cluster, ["ib01", "ib02"], memory_bytes=4 * GiB)
     job = create_job(cluster, vms, procs_per_vm=1)
     drive(cluster.env, job.init(), name="init")
-    cluster.ib_fabric.topology.link_between("ib01", "Mellanox M3601Q").fail()
+    link_between(cluster.ib_fabric.topology, "ib01", "Mellanox M3601Q").fail()
     cluster.ib_fabric.topology.invalidate_routes()
     got = {}
 

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.faults import RetryPolicy
 from repro.core.ninja import PHASES, NinjaMigration
+from repro.core.plan import MigrationPlan
 from repro.errors import QmpError
 from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB
@@ -57,7 +58,7 @@ def _arrange(plan_kind):
     elif plan_kind == "recovery":
         fb = ninja.fallback_plan(vms, ["eth01", "eth02"])
         assert not _execute(cluster, ninja, job, fb).aborted
-        plan = ninja.recovery_plan(vms, ["ib01", "ib02"])
+        plan = MigrationPlan.build(cluster, vms, ["ib01", "ib02"], attach_ib=True, label="recovery")
     else:
         plan = ninja.self_migration_plan(vms, attach_ib=True)
     return cluster, vms, job, ninja, plan

@@ -91,39 +91,6 @@ def test_unknown_algorithms_rejected():
         cluster.env.run(until=job.wait())
 
 
-def test_scatter_tree_volumes():
-    """Each rank receives its chunk; root sends (P−1)·chunk total."""
-    cluster, job = _job(nvms=4)
-    chunk = 16 * MiB
-    done = []
-
-    def rank_main(proc, comm):
-        yield from comm.scatter(chunk, root=0)
-        done.append(comm.rank)
-        return None
-
-    job.launch(rank_main)
-    cluster.env.run(until=job.wait())
-    assert sorted(done) == [0, 1, 2, 3]
-    root = job.proc(0)
-    sent = sum(m.bytes_sent for m in root.btl.modules)
-    assert sent == pytest.approx(3 * chunk, rel=0.01)
-
-
-def test_reduce_scatter_completes_non_power_of_two():
-    cluster, job = _job(nvms=3)
-    done = []
-
-    def rank_main(proc, comm):
-        yield from comm.reduce_scatter(8 * MiB)
-        done.append(comm.rank)
-        return None
-
-    job.launch(rank_main)
-    cluster.env.run(until=job.wait())
-    assert sorted(done) == [0, 1, 2]
-
-
 def test_chain_bcast_single_rank_noop():
     cluster, job = _job(nvms=1)
 

@@ -103,24 +103,18 @@ def test_allreduce_completes_all_ranks():
     assert sorted(done) == [0, 1, 2, 3]
 
 
-def test_gather_and_allgather_and_alltoall():
+def test_alltoall():
     cluster, job = _job(nvms=2, ppv=2)
     phases = []
 
     def rank_main(proc, comm):
-        yield from comm.gather(1 * MiB, root=0)
-        if comm.rank == 0:
-            phases.append("gather")
-        yield from comm.allgather(1 * MiB)
-        if comm.rank == 0:
-            phases.append("allgather")
         yield from comm.alltoall(1 * MiB)
         if comm.rank == 0:
             phases.append("alltoall")
         return None
 
     _run_collective(cluster, job, rank_main)
-    assert phases == ["gather", "allgather", "alltoall"]
+    assert phases == ["alltoall"]
 
 
 @given(

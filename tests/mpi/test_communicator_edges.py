@@ -110,11 +110,7 @@ def test_self_loop_workloads_single_rank():
         value = yield from comm.bcast(1 * GiB, value="solo")
         yield from comm.reduce(1 * GiB)
         yield from comm.allreduce(1 * GiB)
-        yield from comm.allgather(1 * GiB)
         yield from comm.alltoall(1 * GiB)
-        yield from comm.gather(1 * GiB)
-        yield from comm.scatter(1 * GiB)
-        yield from comm.reduce_scatter(1 * GiB)
         done.append(value)
         return None
 

@@ -10,7 +10,7 @@ from repro.mpi.ft import FtSettings
 from repro.mpi.runtime import MpiJob
 from repro.testbed import create_job, provision_vms
 from repro.units import GiB, MiB
-from tests.conftest import drive
+from tests.conftest import drive, unexpected_count
 
 
 @pytest.fixture
@@ -265,9 +265,9 @@ def test_blocking_receives_leave_constant_cr_state(pair):
     for proc in job.procs:
         assert proc.sends.in_flight == 0
         # No stale posted receive is left to swallow a later message.
-        assert proc.matching.pending_count() == 0
+        assert unexpected_count(proc.matching) == 0
         proc.deliver(Message(src=1 - proc.rank, dst=proc.rank, tag=0, nbytes=1))
-        assert proc.matching.pending_count() == 1
+        assert unexpected_count(proc.matching) == 1
 
 
 def test_parked_recv_checkpoints_then_takes_message_sent_meanwhile(pair):
@@ -290,7 +290,7 @@ def test_parked_recv_checkpoints_then_takes_message_sent_meanwhile(pair):
         else:
             yield proc.vm.compute(1.5, nthreads=1)
             yield comm.isend(0, 1024, tag=9, value="meanwhile")
-            seen["pending_mid_cr"] = job.proc(0).matching.pending_count()
+            seen["pending_mid_cr"] = unexpected_count(job.proc(0).matching)
             yield from proc.maybe_service_cr()
         return None
 
@@ -307,7 +307,7 @@ def test_parked_recv_checkpoints_then_takes_message_sent_meanwhile(pair):
     assert seen["pending_mid_cr"] == 1
     value, at = seen["recv"]
     assert value == "meanwhile" and at >= seen["cr"][0] + 2.0
-    assert job.proc(0).matching.pending_count() == 0
+    assert unexpected_count(job.proc(0).matching) == 0
 
 
 def test_rank_terminated_mid_blocking_send_exits_cleanly(pair):

@@ -18,6 +18,7 @@ from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, Message
 from repro.mpi.p2p import MatchingEngine
 from repro.sim.core import Environment
 from repro.sim.events import Event
+from tests.conftest import unexpected_count
 
 
 class _ScanGet(Event):
@@ -52,9 +53,6 @@ class _ScanEngine:
             return message.comm_id == comm_id and message.matches(src, tag)
 
         return _ScanGet(self, _match)
-
-    def pending_count(self) -> int:
-        return len(self.items)
 
     def _serve(self) -> None:
         progress = True
@@ -100,8 +98,9 @@ _ops = st.lists(
 )
 
 
-def _run(engine_cls, ops) -> list:
-    """Apply ``ops``; return (op index, receive index, message index) per match."""
+def _run(engine_cls, ops, pending) -> list:
+    """Apply ``ops``; return (op index, receive index, message index) per
+    match, and ``pending(engine)`` after each op."""
     engine = engine_cls(Environment())
     receives: list = []
     messages: list = []
@@ -122,14 +121,16 @@ def _run(engine_cls, ops) -> list:
             if r not in matched and recv.triggered:
                 matched.add(r)
                 log.append((i, r, next(m for m, msg in enumerate(messages) if msg is recv.value)))
-        log.append(("pending", engine.pending_count()))
+        log.append(("pending", pending(engine)))
     return log
 
 
 @settings(max_examples=300)
 @given(_ops)
 def test_bucketed_engine_matches_linear_scan(ops):
-    assert _run(MatchingEngine, ops) == _run(_ScanEngine, ops)
+    assert _run(MatchingEngine, ops, unexpected_count) == _run(
+        _ScanEngine, ops, lambda engine: len(engine.items)
+    )
 
 
 # -- ported mailbox cases -----------------------------------------------------------------
@@ -156,7 +157,7 @@ def test_filtered_recv_skips_nonmatching(env):
     got = engine.post_recv(ANY_SOURCE, 2, 0)
     env.run()
     assert got.value.tag == 2
-    assert engine.pending_count() == 1
+    assert unexpected_count(engine) == 1
     assert engine.post_recv(ANY_SOURCE, ANY_TAG, 0).value.tag == 1
 
 

@@ -6,7 +6,7 @@ from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, Message
 from repro.mpi.p2p import MatchingEngine, SendTracker
 from repro.sim.core import Environment
 from repro.units import MiB
-from tests.conftest import drive
+from tests.conftest import drive, unexpected_count
 
 
 # -- MatchingEngine (pure) --------------------------------------------------------
@@ -23,7 +23,7 @@ def test_matching_by_src_and_tag(env):
 
     message = drive(env, main(env))
     assert message.src == 2 and message.nbytes == 20
-    assert engine.pending_count() == 1
+    assert unexpected_count(engine) == 1
 
 
 def test_wildcards(env):

@@ -13,6 +13,7 @@ from repro.network.degradation import (
 )
 from repro.network.links import LOSS_PENALTY, Link, loss_goodput_factor
 from repro.units import gbps
+from tests.conftest import link_between
 
 
 # -- link-level degradation -----------------------------------------------------
@@ -62,7 +63,7 @@ def _eth_transfer(cluster, nbytes):
 
 def test_bandwidth_collapse_slows_inflight_flow(cluster):
     env = cluster.env
-    link = cluster.eth_fabric.topology.link_between("ib01", "Dell M8024")
+    link = link_between(cluster.eth_fabric.topology, "ib01", "Dell M8024")
     nbytes = cluster.calibration.eth_link_Bps * 10  # 10 s at line rate
     flow = _eth_transfer(cluster, nbytes)
     env.run(until=5.0)
@@ -75,7 +76,7 @@ def test_bandwidth_collapse_slows_inflight_flow(cluster):
 
 def test_drop_fails_inflight_flows_with_linkdown(cluster):
     env = cluster.env
-    link = cluster.eth_fabric.topology.link_between("ib01", "Dell M8024")
+    link = link_between(cluster.eth_fabric.topology, "ib01", "Dell M8024")
     flow = _eth_transfer(cluster, cluster.calibration.eth_link_Bps * 10)
 
     def victim():
@@ -93,7 +94,7 @@ def test_drop_fails_inflight_flows_with_linkdown(cluster):
 def test_drop_spares_flows_on_other_links(cluster):
     env = cluster.env
     fabric = cluster.eth_fabric
-    link = fabric.topology.link_between("ib01", "Dell M8024")
+    link = link_between(fabric.topology, "ib01", "Dell M8024")
     doomed = _eth_transfer(cluster, cluster.calibration.eth_link_Bps * 10)
     spared = fabric.transfer(
         fabric.port("ib02"), fabric.port("eth02"), 1e6, label="spared"
@@ -110,7 +111,7 @@ def test_drop_spares_flows_on_other_links(cluster):
 
 def test_chaos_applies_and_reverts_on_schedule(cluster):
     env = cluster.env
-    link = cluster.eth_fabric.topology.link_between("ib01", "Dell M8024")
+    link = link_between(cluster.eth_fabric.topology, "ib01", "Dell M8024")
     chaos = NetworkChaos(
         cluster,
         events=[
@@ -137,7 +138,7 @@ def test_chaos_applies_and_reverts_on_schedule(cluster):
 
 def test_chaos_start_relative_times(cluster):
     env = cluster.env
-    link = cluster.eth_fabric.topology.link_between("eth01", "Dell M8024")
+    link = link_between(cluster.eth_fabric.topology, "eth01", "Dell M8024")
     chaos = NetworkChaos(
         cluster,
         events=[DegradationEvent(at_time=2.0, kind="bw", value=0.1,
@@ -155,7 +156,7 @@ def test_overlapping_events_compose_worst_case(cluster):
     """Concurrent degradations on one link take min(bw)/max(loss)/max(lat),
     and reverting one re-exposes the others — not last-writer-wins."""
     env = cluster.env
-    link = cluster.eth_fabric.topology.link_between("ib01", "Dell M8024")
+    link = link_between(cluster.eth_fabric.topology, "ib01", "Dell M8024")
     chaos = NetworkChaos(
         cluster,
         events=[
@@ -186,7 +187,7 @@ def test_overlapping_events_compose_worst_case(cluster):
 
 def test_overlapping_drops_hold_link_down_until_last_reverts(cluster):
     env = cluster.env
-    link = cluster.eth_fabric.topology.link_between("ib01", "Dell M8024")
+    link = link_between(cluster.eth_fabric.topology, "ib01", "Dell M8024")
     chaos = NetworkChaos(
         cluster,
         events=[
@@ -213,7 +214,7 @@ def test_drop_overlapping_degradation_restores_the_degradation(cluster):
     """A drop nested inside a bw event: when the link comes back up it
     must still carry the surviving bandwidth degradation."""
     env = cluster.env
-    link = cluster.eth_fabric.topology.link_between("ib01", "Dell M8024")
+    link = link_between(cluster.eth_fabric.topology, "ib01", "Dell M8024")
     chaos = NetworkChaos(
         cluster,
         events=[

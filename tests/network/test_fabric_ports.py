@@ -30,8 +30,6 @@ def test_port_creation_guards(env, cls):
     assert fabric.port("a") is port
     with pytest.raises(NetworkError):
         fabric.port("ghost")
-    assert fabric.has_port("a")
-    assert not fabric.has_port("ghost")
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,14 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.network.fattree import FatTree
+from tests.conftest import nodes_of_kind
 
 
 def test_host_and_switch_counts():
     tree = FatTree(4)
     assert tree.n_hosts == 16  # k^3/4
     # k^2/4 core + k pods x (k/2 edge + k/2 agg) = 4 + 16 switches.
-    assert len(tree.topology.endpoints("switch")) == 20
+    assert len(nodes_of_kind(tree.topology, "switch")) == 20
     assert len(tree.links()) == 16 + 16 + 16  # host-edge, edge-agg, agg-core
 
 

@@ -191,7 +191,7 @@ def test_path_repeating_a_directed_link_rejected(env):
     link = _dlink(100.0)
     with pytest.raises(NetworkError, match="repeats"):
         net.start([link, link], 500.0)
-    assert net.active_count == 0
+    assert not list(net.iter_active())
     assert net.total_started == 0
     env.run()
     # The reverse direction is a different directed link: allowed.
@@ -199,7 +199,7 @@ def test_path_repeating_a_directed_link_rejected(env):
     assert flow.rate_Bps == 100.0
     env.run()
     assert flow.finished_at == pytest.approx(5.0)
-    assert net.active_count == 0
+    assert not list(net.iter_active())
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0, float("inf"), float("nan")])
@@ -210,7 +210,7 @@ def test_non_positive_or_non_finite_weight_rejected(env, weight):
     link = _dlink(100.0)
     with pytest.raises(NetworkError, match="weight"):
         net.start([link], 500.0, weight=weight)
-    assert net.active_count == 0
+    assert not list(net.iter_active())
     assert net.total_started == 0
     flow = net.start([link], 500.0)
     env.run()

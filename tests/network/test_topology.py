@@ -5,6 +5,7 @@ import pytest
 from repro.errors import NetworkError
 from repro.network.links import Link
 from repro.network.topology import Topology
+from tests.conftest import link_between, nodes_of_kind
 
 
 def _star():
@@ -15,8 +16,8 @@ def _star():
 
 def test_star_shape():
     topo = _star()
-    assert set(topo.endpoints(Topology.HOST)) == {"a", "b", "c"}
-    assert topo.endpoints(Topology.SWITCH) == ["sw"]
+    assert set(nodes_of_kind(topo, Topology.HOST)) == {"a", "b", "c"}
+    assert nodes_of_kind(topo, Topology.SWITCH) == ["sw"]
 
 
 def test_path_via_switch():
@@ -62,10 +63,10 @@ def test_unknown_endpoint_raises():
 
 def test_down_link_blocks_route():
     topo = _star()
-    topo.link_between("a", "sw").fail()
+    link_between(topo, "a", "sw").fail()
     with pytest.raises(NetworkError):
         topo.path("a", "b")
-    topo.link_between("a", "sw").restore()
+    link_between(topo, "a", "sw").restore()
     assert len(topo.path("a", "b")) == 2
 
 

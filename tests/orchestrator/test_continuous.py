@@ -148,7 +148,7 @@ class _ScanFleet(ContinuousFleet):
             return
         movable = [vm for vm in self._host_vms[source] if not vm.migrating]
         launched = 0
-        for vm in movable[: self.config.consolidate_batch]:
+        for vm in movable[: continuous.CONSOLIDATE_BATCH]:
             # Pack onto the fullest host that still has a free slot.
             dst = max(
                 (

@@ -3,6 +3,7 @@
 import math
 
 from repro.incident.manager import IncidentManager
+from repro.incident.runbook import EVACUATION_PRIORITY
 from repro.incident.telemetry import HOST_PHI, TelemetrySample
 from repro.orchestrator import FleetConfig, FleetOrchestrator
 from repro.testbed import busy_rank, create_job, provision_vms
@@ -97,7 +98,7 @@ def test_health_warning_enqueues_evacuation(cluster44):
     assert incident.klass == "host-failure"
     [request] = orch.requests
     assert request.kind == "evacuate"
-    assert request.priority == orch.config.evacuation_priority
+    assert request.priority == EVACUATION_PRIORITY
     assert request.incident_id == incident.incident_id
     assert request.status == "completed"
     assert qemus[0].node.name != "ib01"

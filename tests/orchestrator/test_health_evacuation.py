@@ -6,6 +6,7 @@ probe samples its phi onto the telemetry bus, the phi-spike detector
 alerts, and the ``host-failure`` runbook evacuates the node's VMs."""
 
 from repro.incident.manager import IncidentManager
+from repro.incident.runbook import EVACUATION_PRIORITY
 from repro.network.degradation import DegradationEvent, NetworkChaos
 from repro.orchestrator.executor import FleetOrchestrator
 from repro.recovery.failure_detector import HeartbeatMonitor
@@ -52,7 +53,7 @@ def test_heartbeat_loss_triggers_evacuation(cluster44):
     evacuations = [r for r in orch.requests if r.kind == "evacuate"]
     assert len(evacuations) == 1
     assert evacuations[0].status == "completed"
-    assert evacuations[0].priority == orch.config.evacuation_priority
+    assert evacuations[0].priority == EVACUATION_PRIORITY
     [incident] = manager.incidents
     assert incident.klass == "host-failure"
     assert evacuations[0].incident_id == incident.incident_id

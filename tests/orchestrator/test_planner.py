@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.plan import MigrationPlan
-from repro.orchestrator.planner import MIN_ESTIMATE_BYTES, WavePlanner
+from repro.orchestrator.planner import MIN_ESTIMATE_BYTES, PlannedMigration, WavePlanner
 from repro.orchestrator.scenario import build_fleet_cluster
 from repro.testbed import create_job, provision_vms
 from repro.units import GiB, MiB
@@ -31,10 +31,14 @@ def _plan(cluster, qemus, dst):
     return MigrationPlan.build(cluster, qemus, [dst], attach_ib=False)
 
 
+def _analyze(cluster, plans):
+    return [PlannedMigration(plan).refresh(cluster) for plan in plans]
+
+
 def test_footprint_tracks_bytes_and_links(fleet4):
     qemus = _vm(fleet4, "ib01", "a", data_bytes=512 * MiB)
     planner = WavePlanner(fleet4)
-    [item] = planner.analyze([_plan(fleet4, qemus, "eth03")])
+    [item] = _analyze(fleet4, [_plan(fleet4, qemus, "eth03")])
     # Estimate = resident DATA pages (what actually loads the wire):
     # the 512 MiB written here plus the guest OS's boot residue.
     resident = qemus[0].vm.memory.data_bytes
@@ -61,7 +65,7 @@ def test_waves_serialise_shared_links(fleet4):
     b = _vm(fleet4, "ib02", "b", data_bytes=64 * MiB)
     c = _vm(fleet4, "ib03", "c", data_bytes=64 * MiB)
     planner = WavePlanner(fleet4)
-    planned = planner.analyze([
+    planned = _analyze(fleet4, [
         _plan(fleet4, a, "eth03"),  # over the WAN
         _plan(fleet4, b, "eth04"),  # over the WAN — collides with a
         _plan(fleet4, c, "eth01"),  # local — disjoint
@@ -76,7 +80,7 @@ def test_waves_respect_busy_links(fleet4):
     a = _vm(fleet4, "ib01", "a", data_bytes=64 * MiB)
     b = _vm(fleet4, "ib02", "b", data_bytes=64 * MiB)
     planner = WavePlanner(fleet4)
-    planned = planner.analyze([
+    planned = _analyze(fleet4, [
         _plan(fleet4, a, "eth03"),
         _plan(fleet4, b, "eth01"),
     ])
@@ -93,7 +97,7 @@ def test_destination_swap_moves_big_job_off_the_wan(fleet4):
     planner = WavePlanner(fleet4)
     plan_big = _plan(fleet4, big, "eth03")      # big over the WAN: bad
     plan_small = _plan(fleet4, small, "eth01")  # small local
-    planned = planner.analyze([plan_big, plan_small])
+    planned = _analyze(fleet4, [plan_big, plan_small])
     planner.destination_swap(planned)
     assert planner.swaps_applied == 1
     assert plan_big.entries[0].dst_host == "eth01"
@@ -106,7 +110,7 @@ def test_destination_swap_keeps_good_assignment(fleet4):
     planner = WavePlanner(fleet4)
     plan_big = _plan(fleet4, big, "eth01")
     plan_small = _plan(fleet4, small, "eth03")
-    planned = planner.analyze([plan_big, plan_small])
+    planned = _analyze(fleet4, [plan_big, plan_small])
     planner.destination_swap(planned)
     assert planner.swaps_applied == 0
     assert plan_big.entries[0].dst_host == "eth01"

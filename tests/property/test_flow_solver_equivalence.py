@@ -102,7 +102,7 @@ def test_incremental_rates_equal_global_oracle(caps, ops):
         _apply(op, env, net, links, started)
         _assert_rates_match_oracle(net)
     env.run()
-    assert net.active_count == 0
+    assert not list(net.iter_active())
     _assert_rates_match_oracle(net)
 
 
@@ -122,7 +122,7 @@ def test_incremental_matches_legacy_kernel_end_to_end(caps, ops):
         for op in ops:
             _apply(op, env, net, links, started)
         env.run()
-        assert net.active_count == 0
+        assert not list(net.iter_active())
         runs.append(started)
 
     inc_flows, leg_flows = runs

@@ -3,8 +3,8 @@
 ``GuestMemory`` stores page classes as a run map and page sets as
 :class:`~repro.vmm.guest_memory.PageRuns`.  ``DenseGuestMemory``
 (``tests/vmm/dense_memory.py``) is the per-page model it replaced.  Both
-are driven with the same interleaving of writes, dirty-logging syncs,
-clones and snapshot restores; after every step the class counts, the
+are driven with the same interleaving of writes, dirty-logging syncs
+and snapshot restores; after every step the class counts, the
 dirty count and the accounting of every synced dirty set must agree, and
 every run structure must be in canonical form.  ``PageRuns``' set
 operations are checked against ``bool`` masks the same way.
@@ -25,6 +25,7 @@ from tests.vmm.dense_memory import (
     mask_of,
     runs_of,
 )
+from tests.conftest import dirty_page_count
 
 NPAGES = 64
 PAGE = 4096
@@ -40,7 +41,6 @@ _OP = st.one_of(
     st.tuples(st.just("start_logging")),
     st.tuples(st.just("snapshot_dirty")),
     st.tuples(st.just("stop_logging")),
-    st.tuples(st.just("clone_into"), st.lists(_CLASS, min_size=NPAGES, max_size=NPAGES)),
     st.tuples(st.just("restore"), _SIZE, _SIZE),
 )
 
@@ -52,7 +52,7 @@ def _assert_same(memory: GuestMemory, dense: DenseGuestMemory) -> None:
     assert memory.class_counts() == dense.class_counts()
     assert memory.round_accounting() == dense.round_accounting()
     assert memory.dirty_logging == dense.dirty_logging
-    assert memory.dirty_page_count == dense.dirty_page_count
+    assert dirty_page_count(memory) == dense.dirty_page_count
 
 
 @given(ops=st.lists(_OP, max_size=40))
@@ -99,14 +99,6 @@ def test_run_memory_matches_the_dense_oracle(ops):
         elif kind == "stop_logging":
             memory.stop_dirty_logging()
             dense.stop_dirty_logging()
-        elif kind == "clone_into":
-            source = GuestMemory(NPAGES * PAGE, page_size=PAGE)
-            dense_source = DenseGuestMemory(NPAGES * PAGE, page_size=PAGE)
-            for page, page_class in enumerate(op[1]):
-                source.write_pages(page, 1, page_class)
-                dense_source.write_pages(page, 1, page_class)
-            source.clone_into(memory)
-            dense_source.clone_into(dense)
         else:  # snapshot restore
             _, uniform, data = op
             memory.restore_composition(uniform, min(data, NPAGES - uniform))

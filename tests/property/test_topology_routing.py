@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.network.links import Link
 from repro.network.topology import Topology
+from tests.conftest import link_between, nodes_of_kind
 
 
 def _build(nracks: int, hosts_per_rack: int) -> Topology:
@@ -33,7 +34,7 @@ def test_routing_invariants(nracks, hosts_per_rack, seed):
 
     rng = random.Random(seed)
     topo = _build(nracks, hosts_per_rack)
-    hosts = topo.endpoints(Topology.HOST)
+    hosts = nodes_of_kind(topo, Topology.HOST)
     src, dst = rng.choice(hosts), rng.choice(hosts)
     path = topo.path(src, dst)
     if src == dst:
@@ -63,7 +64,7 @@ def test_uplink_cut_partitions_exactly_the_crossing_pairs(nracks, cut):
 
     cut = min(cut, nracks - 2)
     topo = _build(nracks, 1)
-    topo.link_between(f"sw{cut}", f"sw{cut + 1}").fail()
+    link_between(topo, f"sw{cut}", f"sw{cut + 1}").fail()
     topo.invalidate_routes()
     for a in range(nracks):
         for b in range(nracks):

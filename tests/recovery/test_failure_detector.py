@@ -10,6 +10,7 @@ from repro.recovery.failure_detector import (
     HeartbeatMonitor,
     PhiAccrualFailureDetector,
 )
+from tests.conftest import active_keys
 
 
 def test_phi_grows_with_silence():
@@ -83,7 +84,7 @@ def test_silence_fires_exactly_one_alert():
     assert alert.key == "ib01" and alert.kind == "phi-spike"
     assert alert.value >= detector.warn_phi
     assert 47.0 <= alert.time <= 48.5
-    assert detector.active_keys() == ["ib01"]
+    assert active_keys(detector) == ["ib01"]
 
 
 def test_backwards_clock_jump_is_clamped():
@@ -161,4 +162,4 @@ def test_pause_resume_cycles_do_not_storm():
     env.run(until=200.0)
     assert alerts and all(a.key == "ib01" for a in alerts)
     assert len(alerts) <= 2  # adapted, not one per pause
-    assert detector.active_keys() == []  # resumed beats cleared suspicion
+    assert active_keys(detector) == []  # resumed beats cleared suspicion

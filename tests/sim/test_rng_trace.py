@@ -69,7 +69,7 @@ def test_tracer_jsonl_roundtrip():
     tracer = Tracer()
     tracer.emit(1.5, "migration", "start", vm="vm1", nbytes=100)
     tracer.emit(2.5, "migration", "end", hosts=["a", "b"], meta={"x": 1})
-    lines = tracer.to_jsonl().splitlines()
+    lines = list(tracer.iter_jsonl())
     assert len(lines) == 2
     first = json.loads(lines[0])
     assert first == {
@@ -90,7 +90,7 @@ def test_tracer_jsonl_coerces_odd_values():
 
     tracer = Tracer()
     tracer.emit(0.0, "c", "e", thing=Odd())
-    assert json.loads(tracer.to_jsonl())["thing"] == "odd!"
+    assert json.loads(next(tracer.iter_jsonl()))["thing"] == "odd!"
 
 
 # -- subscriptions --------------------------------------------------------------
@@ -185,7 +185,7 @@ def test_tracer_save_streams_identical_to_jsonl(tmp_path):
     tracer.emit(2.0, "b", "y", hosts=["h0", "h1"])
     path = tmp_path / "out.jsonl"
     assert tracer.save(path) == 2
-    assert path.read_text() == tracer.to_jsonl() + "\n"
+    assert path.read_text() == "".join(line + "\n" for line in tracer.iter_jsonl())
 
 
 def test_tracer_save_empty(tmp_path):

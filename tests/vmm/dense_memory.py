@@ -2,8 +2,8 @@
 
 :class:`DenseGuestMemory` stores one ``uint8`` page class and one dirty
 ``bool`` per page, the way :class:`~repro.vmm.guest_memory.GuestMemory`
-worked before it stored page runs.  It has the same write, dirty-logging,
-clone and restore API, returns the dirty set as a ``bool`` mask and counts
+worked before it stored page runs.  It has the same write, dirty-logging
+and restore API, returns the dirty set as a ``bool`` mask and counts
 page classes over page-index arrays.  The helpers below translate between
 the two forms:
 
@@ -138,10 +138,6 @@ class DenseGuestMemory:
     ) -> tuple[int, int, int]:
         zero, uniform, data = self._tally(pages)
         return zero + uniform + data, zero + uniform, data
-
-    def clone_into(self, other: "DenseGuestMemory") -> None:
-        other._class[:] = self._class
-        other._dirty = np.zeros(other.npages, dtype=bool)
 
     def restore_composition(self, uniform_pages: int, data_pages: int) -> None:
         self._class[:] = PageClass.ZERO

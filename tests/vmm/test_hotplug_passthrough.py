@@ -40,14 +40,14 @@ def test_linkup_after_attach(cluster, qemu):
     assignment = qemu.assign_device(hca, "vf0")
 
     def main(env):
-        function = yield from qemu.hotplug.attach(assignment)
-        driver = qemu.vm.kernel.driver_for(function)
+        yield from qemu.hotplug.attach(assignment)
+        driver = qemu.vm.kernel.ib_interface().driver
         yield driver.wait_link_up()
 
     drive(env, main(env))
     expected = PAPER_CALIBRATION.ib_attach_s + PAPER_CALIBRATION.ib_linkup_s
     assert env.now == pytest.approx(expected, abs=0.01)
-    assert qemu.vm.kernel.has_active_ib
+    assert qemu.vm.kernel.ib_interface().is_up
 
 
 def test_detach_timing_and_cleanup(cluster, qemu):

@@ -189,4 +189,4 @@ def test_query_migrate_stats(cluster, qemu):
     stats = qemu.current_migration.stats
     assert stats.wire_bytes > 0
     assert stats.dup_pages > 0
-    assert stats.throughput_Bps > 0
+    assert stats.total_time_s > 0

@@ -54,14 +54,14 @@ def test_warm_attach_requires_boot(cluster):
         attach_ib_warm(qemu)
     qemu.boot()
     attach_ib_warm(qemu)
-    assert qemu.vm.kernel.has_active_ib
+    assert qemu.vm.kernel.ib_interface().is_up
 
 
 def test_warm_attach_is_instant(cluster):
     t0 = cluster.env.now
     vms = provision_vms(cluster, ["ib01"], memory_bytes=4 * GiB)
     assert cluster.env.now == t0  # no 30 s boot link training charged
-    assert vms[0].vm.kernel.has_active_ib
+    assert vms[0].vm.kernel.ib_interface().is_up
 
 
 def test_create_job_uses_paper_ft_settings(cluster):
