@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import os
 import signal
 import threading
@@ -129,26 +128,6 @@ def unexpected_count(engine) -> int:
 def traced_violations(tracer) -> list:
     """Fields of every ``invariants``/``violation`` record a drill traced."""
     return [r.fields for r in tracer.records if r.category == "invariants"]
-
-
-@contextlib.contextmanager
-def closing_checks():
-    """Record the ``(cluster, journal)`` that every drill's closing
-    :func:`repro.invariants.check` (``Estate.fold``) reads inside the block."""
-    from repro.orchestrator import scenario
-
-    seen: list = []
-    real = scenario.check
-
-    def spy(cluster, journal=None, **books):
-        seen.append((cluster, journal))
-        return real(cluster, journal, **books)
-
-    scenario.check = spy
-    try:
-        yield seen
-    finally:
-        scenario.check = real
 
 
 @pytest.fixture

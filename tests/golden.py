@@ -25,6 +25,7 @@ every value that moved.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import pathlib
@@ -32,11 +33,11 @@ from dataclasses import dataclass
 
 from repro.analysis.experiments import run_fig7_npb
 from repro.incident.scenario import run_host_failure_scenario, run_incident_scenario
+from repro.orchestrator import scenario
 from repro.orchestrator.continuous import ScaleConfig, run_scale_scenario
 from repro.orchestrator.scenario import run_fleet_crash_scenario, run_fleet_scenario
 from repro.sim.core import Environment
 from repro.sim.trace import Tracer
-from tests.conftest import closing_checks
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 
@@ -78,6 +79,24 @@ SCENARIOS = {
 #: Wall-clock fields of a ``ScaleResult``: the outcome digest skips them.
 WALL = {"wall_s", "solver_p50_s", "solver_p99_s", "solver_total_s",
         "events_per_s", "wall_s_per_sim_hour"}
+
+
+@contextlib.contextmanager
+def closing_checks():
+    """Record the ``(cluster, journal)`` that every drill's closing
+    :func:`repro.invariants.check` (``Estate.fold``) reads inside the block."""
+    seen: list = []
+    real = scenario.check
+
+    def spy(cluster, journal=None, **books):
+        seen.append((cluster, journal))
+        return real(cluster, journal, **books)
+
+    scenario.check = spy
+    try:
+        yield seen
+    finally:
+        scenario.check = real
 
 
 @dataclass

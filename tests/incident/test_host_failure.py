@@ -17,7 +17,8 @@ from repro.recovery.checkpoints import (
 )
 from repro.recovery.journal import MigrationJournal
 from repro.sim.trace import Tracer
-from tests.conftest import closing_checks, traced_violations
+from tests.conftest import traced_violations
+from tests.golden import closing_checks
 
 ALL_CRASH_SITES = (
     CHECKPOINT_INTENT_SITE,
