@@ -11,13 +11,9 @@
    shortens migration of data-heavy guests.
 """
 
-import pytest
-
 from repro.analysis.experiments import run_fig6_memtest, run_fig8_fallback_recovery
 from repro.analysis.report import render_table
-from repro.hardware.calibration import PAPER_CALIBRATION
 from repro.hardware.cluster import build_agc_cluster
-from repro.testbed import create_job, provision_vms
 from repro.units import GiB
 from repro.vmm.guest_memory import PageClass
 from repro.vmm.qemu import QemuProcess

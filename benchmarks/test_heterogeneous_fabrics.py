@@ -17,7 +17,7 @@ from repro.core.ninja import NinjaMigration
 from repro.core.plan import MigrationPlan
 from repro.hardware.cluster import build_heterogeneous_cluster
 from repro.testbed import create_job, provision_vms
-from repro.units import GB, GiB
+from repro.units import GB
 from repro.workloads.bcast_reduce import BcastReduceLoop
 
 from benchmarks.conftest import run_once

@@ -17,8 +17,6 @@ job backfires on energy (it runs much longer under overcommit) — the
 placement policy must know the workload.
 """
 
-import pytest
-
 from repro.analysis.report import render_table
 from repro.core.power import PowerAwarePlacer, PowerMeter
 from repro.core.scheduler import CloudScheduler

@@ -13,8 +13,6 @@ the paper's caveat about congestion concerns shared uplinks, which the
 single-enclosure topology does not have).
 """
 
-import pytest
-
 from repro.analysis.experiments import run_fig6_memtest
 from repro.analysis.report import render_table
 from repro.units import GiB

@@ -15,8 +15,6 @@ site, one shared WAN pipe):
   show it; the WAN pipe makes the shared bottleneck explicit).
 """
 
-import pytest
-
 from repro.analysis.report import render_table
 from repro.core.plan import MigrationPlan
 from repro.core.scheduler import CloudScheduler

@@ -16,7 +16,6 @@ from repro.core.ninja import NinjaResult
 from repro.core.plan import MigrationPlan
 from repro.core.scheduler import CloudScheduler
 from repro.errors import ReproError
-from repro.hardware.calibration import Calibration, PAPER_CALIBRATION
 from repro.hardware.cluster import build_agc_cluster
 from repro.testbed import create_job, provision_vms
 from repro.units import GB, GiB
@@ -44,8 +43,6 @@ def run_table2_scenario(
     src: str,
     dst: str,
     nvms: int = 8,
-    array_bytes: int = 2 * GiB,
-    calibration: Calibration = PAPER_CALIBRATION,
     seed: int = 0,
 ) -> Table2Result:
     """One Table II scenario: ``src``/``dst`` ∈ {"ib", "eth"}.
@@ -60,7 +57,7 @@ def run_table2_scenario(
         if arg not in ("ib", "eth"):
             raise ReproError(f"scenario sides must be 'ib' or 'eth', got {arg!r}")
     # All nodes IB-cabled so every combination runs on the same hardware.
-    cluster = build_agc_cluster(ib_nodes=nvms, eth_nodes=0, calibration=calibration, seed=seed)
+    cluster = build_agc_cluster(ib_nodes=nvms, eth_nodes=0, seed=seed)
     env = cluster.env
     hosts = [n.name for n in cluster.ib_nodes()][:nvms]
     out: Dict[str, NinjaResult] = {}
@@ -69,7 +66,7 @@ def run_table2_scenario(
         vms = provision_vms(cluster, hosts, attach_ib=(src == "ib"))
         job = create_job(cluster, vms, procs_per_vm=1)
         yield from job.init()
-        workload = MemtestWorkload(array_bytes=array_bytes, max_passes=1000)
+        workload = MemtestWorkload(array_bytes=2 * GiB, max_passes=1000)
         job.launch(workload.rank_main)
         yield env.timeout(5.0)  # reach steady state
         scheduler = CloudScheduler(cluster)
@@ -91,10 +88,10 @@ def run_table2_scenario(
     )
 
 
-def run_table2_all(nvms: int = 8, seed: int = 0) -> List[Table2Result]:
+def run_table2_all(nvms: int = 8) -> List[Table2Result]:
     """All four Table II scenarios."""
     return [
-        run_table2_scenario(src, dst, nvms=nvms, seed=seed)
+        run_table2_scenario(src, dst, nvms=nvms)
         for src, dst in (("ib", "ib"), ("ib", "eth"), ("eth", "ib"), ("eth", "eth"))
     ]
 
@@ -117,8 +114,6 @@ def run_fig6_memtest(
     array_bytes: int,
     nvms: int = 8,
     page_class: PageClass = PageClass.UNIFORM,
-    calibration: Calibration = PAPER_CALIBRATION,
-    seed: int = 0,
 ) -> Fig6Result:
     """One Figure 6 data point: node-to-node IB→IB Ninja migration under
     a running memtest of ``array_bytes``.
@@ -127,9 +122,7 @@ def run_fig6_memtest(
     "both the source and the destination clusters use Infiniband only"),
     so the breakdown contains detach + migration + attach + link-up.
     """
-    cluster = build_agc_cluster(
-        ib_nodes=2 * nvms, eth_nodes=0, calibration=calibration, seed=seed
-    )
+    cluster = build_agc_cluster(ib_nodes=2 * nvms, eth_nodes=0)
     env = cluster.env
     src_hosts = [f"ib{i + 1:02d}" for i in range(nvms)]
     dst_hosts = [f"ib{i + 1 + nvms:02d}" for i in range(nvms)]
@@ -144,7 +137,7 @@ def run_fig6_memtest(
         )
         job.launch(workload.rank_main)
         # Let the writer cover the array at least once before migrating.
-        warmup = max(array_bytes / calibration.mem_write_Bps * 1.5, 5.0)
+        warmup = max(array_bytes / cluster.calibration.mem_write_Bps * 1.5, 5.0)
         yield env.timeout(warmup)
         scheduler = CloudScheduler(cluster)
         plan = MigrationPlan.build(
@@ -190,13 +183,15 @@ def _npb_spec(bench: str, class_name: str) -> NpbSpec:
         raise ReproError(f"unknown NPB benchmark {bench!r}") from None
 
 
+#: Figure 7's job: 8 VMs of 8 ranks each, moved to 8 other IB hosts.
+_FIG7_VMS = 8
+_FIG7_PROCS_PER_VM = 8
+
+
 def run_fig7_npb(
     bench: str,
     class_name: str = "D",
-    nvms: int = 8,
-    procs_per_vm: int = 8,
     migrate_after_s: float = 180.0,
-    calibration: Calibration = PAPER_CALIBRATION,
     seed: int = 0,
 ) -> Fig7Result:
     """One Figure 7 pair: NPB ``bench`` with and without one Ninja
@@ -205,19 +200,17 @@ def run_fig7_npb(
     spec = _npb_spec(bench, class_name)
 
     def _run(with_migration: bool):
-        cluster = build_agc_cluster(
-            ib_nodes=2 * nvms, eth_nodes=0, calibration=calibration, seed=seed
-        )
+        cluster = build_agc_cluster(ib_nodes=2 * _FIG7_VMS, eth_nodes=0, seed=seed)
         env = cluster.env
-        src_hosts = [f"ib{i + 1:02d}" for i in range(nvms)]
-        dst_hosts = [f"ib{i + 1 + nvms:02d}" for i in range(nvms)]
+        src_hosts = [f"ib{i + 1:02d}" for i in range(_FIG7_VMS)]
+        dst_hosts = [f"ib{i + 1 + _FIG7_VMS:02d}" for i in range(_FIG7_VMS)]
         out: Dict[str, object] = {}
 
         def main():
             vms = provision_vms(cluster, src_hosts)
-            job = create_job(cluster, vms, procs_per_vm=procs_per_vm)
+            job = create_job(cluster, vms, procs_per_vm=_FIG7_PROCS_PER_VM)
             yield from job.init()
-            workload = NpbWorkload(spec, procs_per_vm=procs_per_vm)
+            workload = NpbWorkload(spec, procs_per_vm=_FIG7_PROCS_PER_VM)
             t0 = env.now
             job.launch(workload.rank_main)
             trigger = None
@@ -280,19 +273,14 @@ def run_fig8_fallback_recovery(
     iterations: int = 40,
     migrate_every: int = 10,
     nvms: int = 4,
-    bytes_per_node: int = 8 * GB,
-    calibration: Calibration = PAPER_CALIBRATION,
     continue_like_restart: bool = True,
-    seed: int = 0,
 ) -> Fig8Result:
     """The Figure 8 scenario:
 
     4 hosts (IB) → 2 hosts (TCP) → 4 hosts (IB) → 4 hosts (TCP),
     with a Ninja migration launched every ``migrate_every`` steps.
     """
-    cluster = build_agc_cluster(
-        ib_nodes=nvms, eth_nodes=nvms, calibration=calibration, seed=seed
-    )
+    cluster = build_agc_cluster(ib_nodes=nvms, eth_nodes=nvms)
     env = cluster.env
     ib_hosts = [f"ib{i + 1:02d}" for i in range(nvms)]
     eth_hosts = [f"eth{i + 1:02d}" for i in range(nvms)]
@@ -351,7 +339,7 @@ def run_fig8_fallback_recovery(
 
         workload = BcastReduceLoop(
             iterations=iterations,
-            bytes_per_node=bytes_per_node,
+            bytes_per_node=8 * GB,
             procs_per_vm=procs_per_vm,
             on_step=on_step,
             phase_label=lambda: state["label"],

@@ -14,7 +14,7 @@ terminal (the paper's Figure 4, reconstructed from a real run).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.ninja import NinjaResult
 

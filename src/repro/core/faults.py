@@ -43,7 +43,7 @@ Sites support ``fnmatch`` patterns (``qmp.*`` arms every QMP command).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 

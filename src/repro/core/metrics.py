@@ -8,7 +8,7 @@ Figures 6/7 and the hotplug/link-up columns of Table II;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.core.phases import PhaseTimeline
 

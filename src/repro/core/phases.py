@@ -8,7 +8,7 @@ attach + confirm), *migration*, and *link-up* (Figure 4 / Section IV-B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 

@@ -15,8 +15,8 @@ module adds the missing pieces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.plan import MigrationPlan
 from repro.errors import SchedulerError

@@ -240,8 +240,6 @@ def build_agc_cluster(
     eth_nodes: int = 8,
     calibration: Calibration = PAPER_CALIBRATION,
     seed: int = 0,
-    env: Optional[Environment] = None,
-    tracer: Optional[Tracer] = None,
     linkup_jitter: float = 0.0,
 ) -> Cluster:
     """Build the paper's 16-blade AGC testbed (Table I).
@@ -253,7 +251,7 @@ def build_agc_cluster(
         uses 8 + 8 for the micro benchmarks and NPB, and 4 + 4 hosts in
         the fallback/recovery demonstration.
     """
-    cluster = Cluster(env=env, calibration=calibration, seed=seed, tracer=tracer)
+    cluster = Cluster(calibration=calibration, seed=seed)
     ib_names = [f"ib{i + 1:02d}" for i in range(ib_nodes)]
     eth_names = [f"eth{i + 1:02d}" for i in range(eth_nodes)]
     for name in ib_names + eth_names:
@@ -268,10 +266,6 @@ def build_heterogeneous_cluster(
     ib_nodes: int = 4,
     myrinet_nodes: int = 4,
     eth_nodes: int = 4,
-    calibration: Calibration = PAPER_CALIBRATION,
-    seed: int = 0,
-    env: Optional[Environment] = None,
-    tracer: Optional[Tracer] = None,
 ) -> Cluster:
     """A three-fabric data center: IB, Myrinet, and Ethernet sub-clusters.
 
@@ -282,7 +276,7 @@ def build_heterogeneous_cluster(
     """
     from repro.hardware.specs import MYRINET_NODE_SPEC
 
-    cluster = Cluster(env=env, calibration=calibration, seed=seed, tracer=tracer)
+    cluster = Cluster()
     ib_names = [f"ib{i + 1:02d}" for i in range(ib_nodes)]
     myri_names = [f"myri{i + 1:02d}" for i in range(myrinet_nodes)]
     eth_names = [f"eth{i + 1:02d}" for i in range(eth_nodes)]
@@ -303,10 +297,6 @@ def build_two_site_cluster(
     backup_nodes: int = 4,
     wan_bandwidth_Bps: Optional[float] = None,
     wan_latency_s: float = 5e-3,
-    calibration: Calibration = PAPER_CALIBRATION,
-    seed: int = 0,
-    env: Optional[Environment] = None,
-    tracer: Optional[Tracer] = None,
 ) -> Cluster:
     """Two geographically separated sites joined by a WAN link.
 
@@ -319,7 +309,7 @@ def build_two_site_cluster(
 
     if wan_bandwidth_Bps is None:
         wan_bandwidth_Bps = gbps(1.0)
-    cluster = Cluster(env=env, calibration=calibration, seed=seed, tracer=tracer)
+    cluster = Cluster()
     ib_names = [f"ib{i + 1:02d}" for i in range(primary_nodes)]
     eth_names = [f"eth{i + 1:02d}" for i in range(backup_nodes)]
     for name in ib_names + eth_names:

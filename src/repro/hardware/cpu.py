@@ -10,7 +10,7 @@ contention effect the paper reports.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.errors import HardwareError
 from repro.sim.events import Event

@@ -7,10 +7,9 @@ cluster blade).  Specs are declarative; behaviour lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-from repro.units import GB, GiB, gbps
+from repro.units import GiB, gbps
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ Nomad-style LID/QPN virtualization.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from repro.errors import BtlUnreachableError, LinkDownError, NetworkError
 from repro.mpi.btl.base import Btl, DEFAULT_REGISTRY

@@ -12,7 +12,7 @@ generators driven inside that rank's simulation process::
 from __future__ import annotations
 
 from itertools import count
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.errors import MpiError
 from repro.mpi import collectives

@@ -18,7 +18,7 @@ Sequence per rank (driven by :meth:`OpalCrs.checkpoint`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import CheckpointError

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Optional
+from typing import Any
 
 from repro.vmm.guest_memory import PageClass
 

@@ -15,7 +15,7 @@ The model reproduces the behaviour the paper measures and discusses:
 from __future__ import annotations
 
 from itertools import count
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import LinkDownError, NetworkError
 from repro.network.fabric import Fabric, Port, PortState

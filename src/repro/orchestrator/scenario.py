@@ -364,7 +364,6 @@ def run_fleet_crash_scenario(
     crash_at_time: float = 5.0,
     recover: bool = True,
     wan_gbps: float = 1.0,
-    seed: int = 0,
     tracer: Optional[Tracer] = None,
 ) -> FleetCrashResult:
     """Drain the fleet, kill the controller ``crash_at_time`` seconds
@@ -382,7 +381,7 @@ def run_fleet_crash_scenario(
     """
     config = FleetConfig()
     estate = build_estate(
-        jobs, vms_per_job, config, wan_gbps=wan_gbps, seed=seed, tracer=tracer,
+        jobs, vms_per_job, config, wan_gbps=wan_gbps, tracer=tracer,
     )
     cluster, orch = estate.cluster, estate.orch
     env = cluster.env

@@ -7,7 +7,7 @@ including migrate, device_add, and device_del" (Section III-C).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.errors import SymVirtError
 from repro.hardware.pci import PciAddress

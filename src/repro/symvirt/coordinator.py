@@ -20,7 +20,7 @@ the MPI runtime can reconstruct its BTLs against a working device.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.errors import SymVirtError
 from repro.mpi.crs import CrsCallbacks

@@ -9,7 +9,7 @@ the 30 s boot-time link training to the experiment clock.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import HardwareError
 from repro.hardware.cluster import Cluster
@@ -19,9 +19,6 @@ from repro.network.fabric import PortState
 from repro.symvirt.coordinator import SymVirtCoordinator
 from repro.units import GiB
 from repro.vmm.qemu import QemuProcess
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.hardware.node import PhysicalNode
 
 #: The paper's VM shape: 8 vCPUs, 20 GB RAM on 48 GB hosts.
 PAPER_VCPUS = 8

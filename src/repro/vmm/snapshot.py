@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import VmmError
-from repro.sim.events import Event
 from repro.vmm.guest_memory import PageClass
 from repro.vmm.vm import RunState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.node import PhysicalNode
-    from repro.storage.nfs import NfsServer, StoredImage
+    from repro.storage.nfs import NfsServer
     from repro.vmm.qemu import QemuProcess
 
 

@@ -20,7 +20,6 @@ Patterns:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict
 

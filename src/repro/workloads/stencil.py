@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import MpiError
-from repro.units import MiB
 from repro.vmm.guest_memory import PageClass
 from repro.workloads.base import Workload
 

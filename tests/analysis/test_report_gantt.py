@@ -1,7 +1,5 @@
 """Unit tests: report tables and Gantt rendering."""
 
-import pytest
-
 from repro.analysis.gantt import ninja_gantt, render_spans
 from repro.analysis.report import render_table
 

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.faults import FaultInjector, FaultSpec, RetryPolicy
+from repro.core.faults import FaultInjector, RetryPolicy
 from repro.errors import FaultInjectionError, QmpError
-from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
 from tests.conftest import drive
 

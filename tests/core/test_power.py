@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.power import PowerAwarePlacer, PowerMeter, PowerSpec
+from repro.core.power import PowerAwarePlacer, PowerMeter
 from repro.errors import SchedulerError
 from repro.hardware.cluster import build_agc_cluster
 from repro.testbed import create_job, provision_vms

@@ -6,7 +6,6 @@ from repro.errors import HardwareError
 from repro.hardware.cpu import HostCpu
 from repro.hardware.node import PhysicalNode
 from repro.hardware.specs import AGC_NODE_SPEC
-from repro.sim.core import Environment
 from repro.units import GiB
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import HardwareError
 from repro.hardware.cluster import Cluster, build_two_site_cluster
-from repro.units import GiB, gbps
+from repro.units import gbps
 
 
 def test_two_site_shape():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware.calibration import Calibration, PAPER_CALIBRATION
+from repro.hardware.calibration import PAPER_CALIBRATION
 from repro.units import (
     GiB,
     KiB,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ControllerCrashError, IncidentError
-from repro.hardware.cluster import build_agc_cluster
 from repro.incident.correlator import Incident
 from repro.incident.runbook import DEFAULT_RUNBOOK, RunbookExecutor, RunbookStep
 from repro.orchestrator import FleetOrchestrator

@@ -8,12 +8,7 @@ a transport error, and planners refuse impossible requests.
 import pytest
 
 from repro.core.plan import MigrationPlan
-from repro.errors import (
-    BtlUnreachableError,
-    MigrationError,
-    NetworkError,
-    PlanError,
-)
+from repro.errors import BtlUnreachableError, NetworkError, PlanError
 from repro.hardware.cluster import build_agc_cluster
 from repro.testbed import create_job, provision_vms
 from repro.units import GiB, MiB

@@ -11,7 +11,6 @@ import pytest
 from repro.core.ninja import NinjaMigration
 from repro.core.plan import MigrationPlan
 from repro.hardware.cluster import build_heterogeneous_cluster
-from repro.network.fabric import PortState
 from repro.testbed import create_job, provision_vms
 from repro.units import GiB, MiB
 from tests.conftest import drive

@@ -17,10 +17,8 @@ from repro.analysis.experiments import (
 from repro.core.plan import MigrationPlan
 from repro.core.scheduler import CloudScheduler
 from repro.hardware.cluster import build_agc_cluster
-from repro.mpi.runtime import MpiJob
 from repro.testbed import create_job, provision_vms
-from repro.units import GB, GiB
-from repro.workloads.bcast_reduce import BcastReduceLoop
+from repro.units import GiB
 from tests.conftest import drive
 
 

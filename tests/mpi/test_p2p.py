@@ -1,10 +1,7 @@
 """Unit tests: point-to-point messaging and matching."""
 
-import pytest
-
 from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, Message
 from repro.mpi.p2p import MatchingEngine, SendTracker
-from repro.sim.core import Environment
 from repro.units import MiB
 from tests.conftest import drive, unexpected_count
 

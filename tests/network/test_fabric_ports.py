@@ -9,7 +9,6 @@ from repro.network.fabric import PortState
 from repro.network.infiniband import InfiniBandFabric
 from repro.network.myrinet import MyrinetFabric
 from repro.network.topology import Topology
-from repro.sim.core import Environment
 from repro.units import gbps
 
 

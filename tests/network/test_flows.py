@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.errors import NetworkError
 from repro.network.flows import Flow, FlowNetwork, compute_maxmin_flow_rates
 from repro.network.links import DirectedLink, Link
-from repro.sim.core import Environment
 
 
 def _dlink(capacity, name="l"):

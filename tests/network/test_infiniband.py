@@ -7,7 +7,6 @@ from repro.hardware.calibration import PAPER_CALIBRATION
 from repro.network.fabric import PortState
 from repro.network.infiniband import InfiniBandFabric
 from repro.network.topology import Topology
-from repro.sim.core import Environment
 from repro.units import GiB
 
 

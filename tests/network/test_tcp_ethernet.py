@@ -9,8 +9,7 @@ from repro.network.ethernet import EthernetFabric
 from repro.network.fabric import PortState
 from repro.network.tcp import TcpConnection, TcpEndpoint
 from repro.network.topology import Topology
-from repro.sim.core import Environment
-from repro.units import GB, gbps
+from repro.units import gbps
 from tests.conftest import drive
 
 

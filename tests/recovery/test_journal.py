@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ControllerCrashError
 from repro.recovery.journal import (
     JOURNALLED_PHASES,
-    JournalRecord,
     MigrationJournal,
     MigrationSnapshot,
     TERMINAL_KINDS,

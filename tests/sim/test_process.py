@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment
 from repro.sim.process import Interrupt
 from tests.conftest import drive
 

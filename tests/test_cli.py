@@ -151,6 +151,13 @@ def test_incident_autonomous_drill(capsys, tmp_path):
     assert trace.exists()
 
 
+def test_incident_cut_flags_reach_the_drill(capsys):
+    assert main([
+        "incident", "--jobs", "2", "--cut-at", "8", "--heal-after", "60",
+    ]) == 0
+    assert "fiber cut: WAN dark at t+8s for 60s" in capsys.readouterr().out
+
+
 def test_incident_baseline_diagnoses_only(capsys):
     assert main(["incident", "--jobs", "2", "--no-autonomous"]) == 0
     out = capsys.readouterr().out

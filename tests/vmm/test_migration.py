@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import MigrationBlockedError, MigrationError
 from repro.hardware.calibration import PAPER_CALIBRATION
-from repro.units import GiB, MiB
+from repro.units import GiB
 from repro.vmm.guest_memory import PageClass
 from repro.vmm.qemu import QemuProcess
 from repro.vmm.vm import RunState

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.errors import SymVirtError
-from repro.hardware.cluster import build_agc_cluster
 from repro.units import GiB
 from repro.vmm.qemu import QemuProcess
-from repro.vmm.vm import RunState, VirtualMachine
+from repro.vmm.vm import RunState
 from tests.conftest import drive
 
 
