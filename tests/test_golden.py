@@ -1,26 +1,16 @@
 """Same seed, same output: every scenario of ``tests/golden.py`` matches
-its entry in ``tests/golden.json``, in this process and again in a fresh
-interpreter.
-
-Directed links are interned and hash by identity, so a ``frozenset`` of
-them (the fleet planner's link footprints) iterates in an order set by
-their memory addresses, which depend on everything the process allocated
-before.  The child interpreter runs with another ``PYTHONHASHSEED`` and
-builds a throwaway link (with its two directed views) before each run,
-shifting the addresses, hence the set positions, of every later directed
-link; it runs each drill twice, so the same check proves a drill run
-after run in one process (ids, caches, module state) gives the same
-output.  The child starts with this module and runs alongside the
-in-process checks.
+its entry in ``tests/golden.json`` in this process, its journal (when it
+keeps one) folds back from its own bytes, and the default arms of the
+drills reproduce the committed BENCH artifacts.  The same entries are
+checked again in a child interpreter with another hash seed
+(``integration/test_cross_process_determinism.py``) and, for the drills,
+twice in one process (``integration/test_drill_determinism.py``).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -33,41 +23,6 @@ from tests.conftest import traced_violations
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = json.loads(golden.GOLDEN.read_text())
-
-#: The drills: each runs twice in the child.
-DRILLS = sorted(n for n in golden.SCENARIOS if not n.startswith(("fig7-", "scale-")))
-
-_CHILD = f"""
-import json
-from repro.network.links import Link
-from tests.golden import SCENARIOS, record
-
-pad, runs = [], {{}}
-for name in sorted(SCENARIOS):
-    runs[name] = []
-    for _ in range(2 if name in {DRILLS!r} else 1):
-        pad.append(Link("pad", 1.0))
-        runs[name].append(record(name))
-print(json.dumps(runs))
-"""
-
-
-@pytest.fixture(scope="module", autouse=True)
-def child():
-    """The child interpreter, started before this module's first test."""
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _CHILD],
-        cwd=REPO, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    yield proc
-    if proc.poll() is None:
-        proc.kill()
-        proc.communicate()
 
 
 def replay_answers(journal: MigrationJournal) -> dict:
@@ -121,17 +76,3 @@ def test_default_arm_matches_committed_bench_artifact(artifact, arm, run):
     for key, value in committed.items():
         assert fresh[key] == value, key
 
-
-def test_child_interpreter_matches_golden(child):
-    out, err = child.communicate(timeout=100)
-    assert child.returncode == 0, err
-    runs = json.loads(out)
-    assert sorted(runs) == sorted(GOLDEN)
-    moved = [
-        f"{name} run {i + 1}: " + "; ".join(golden.changes(GOLDEN[name], entry))
-        for name, entries in sorted(runs.items())
-        for i, entry in enumerate(entries)
-        if entry != GOLDEN[name]
-    ]
-    assert moved == []
-    assert {name for name, entries in runs.items() if len(entries) == 2} == set(DRILLS)
