@@ -1,16 +1,19 @@
 """Network topology: a graph of hosts/switches joined by links.
 
-Routing is shortest-path (hop count) with results cached; the AGC blade
-enclosures are star topologies (every blade one hop from the chassis
-switch), but the model supports arbitrary graphs for scale-out scenarios
-(e.g. the two-rack disaster-recovery example).
+Routing is a breadth-first search from the source (hop count), with
+results cached.  Neighbours are taken in link-insertion order, so among
+equal-length routes the one through the earliest-added links wins; the
+search is deterministic and needs no graph library.  Every graph this
+module routes on in the repo is a tree — the AGC blade enclosures are
+stars (every blade one hop from the chassis switch) and the two-site
+estate is a chain of stars joined by WAN links — so every route is
+unique anyway.  The k-ary fat-tree, the one fabric with equal-cost
+paths, brings its own ECMP router (:mod:`repro.network.fattree`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
-
-import networkx as nx
 
 from repro.errors import NetworkError
 from repro.network.links import DirectedLink, Link
@@ -24,7 +27,10 @@ class Topology:
 
     def __init__(self, name: str = "fabric") -> None:
         self.name = name
-        self.graph = nx.Graph()
+        #: node → {neighbour → link}, both levels in insertion order.
+        self._adj: Dict[str, Dict[str, Link]] = {}
+        #: node → :attr:`HOST` or :attr:`SWITCH`.
+        self._kind: Dict[str, str] = {}
         self._path_cache: Dict[tuple[str, str], list[DirectedLink]] = {}
         #: :meth:`links`, sorted once per graph change.
         self._links: Optional[list[Link]] = None
@@ -33,30 +39,35 @@ class Topology:
 
     def add_host(self, name: str) -> None:
         """Add a host endpoint (a NIC/HCA attachment point)."""
-        self.graph.add_node(name, kind=self.HOST)
+        self._add_node(name, self.HOST)
 
     def add_switch(self, name: str) -> None:
         """Add a switch."""
-        self.graph.add_node(name, kind=self.SWITCH)
+        self._add_node(name, self.SWITCH)
+
+    def _add_node(self, name: str, kind: str) -> None:
+        self._adj.setdefault(name, {})
+        self._kind[name] = kind
 
     def add_link(self, a: str, b: str, link: Link) -> None:
         """Join two topology nodes with a link."""
         for endpoint in (a, b):
-            if endpoint not in self.graph:
+            if endpoint not in self._adj:
                 raise NetworkError(f"{self.name}: unknown endpoint {endpoint!r}")
-        self.graph.add_edge(a, b, link=link)
+        self._adj[a][b] = link
+        self._adj[b][a] = link
         self._path_cache.clear()
         self._links = None
 
     # -- queries -----------------------------------------------------------------
 
     def has(self, name: str) -> bool:
-        return name in self.graph
+        return name in self._adj
 
     def links(self) -> list[Link]:
         """Every link in the graph (stable order: by link id)."""
         if self._links is None:
-            found = {d["link"] for _, _, d in self.graph.edges(data=True)}
+            found = {link for nbrs in self._adj.values() for link in nbrs.values()}
             self._links = sorted(found, key=lambda link: link.link_id)
         return list(self._links)
 
@@ -70,16 +81,7 @@ class Topology:
             return []
         cached = self._path_cache.get((src, dst))
         if cached is None:
-            try:
-                nodes = nx.shortest_path(self.graph, src, dst)
-            except (nx.NetworkXNoPath, nx.NodeNotFound) as err:
-                raise NetworkError(f"{self.name}: no route {src!r}→{dst!r}") from err
-            cached = []
-            for a, b in zip(nodes, nodes[1:]):
-                link = self.graph.edges[a, b]["link"]
-                # Direction 0 == (min, max) node-name order, stable per link.
-                direction = 0 if a <= b else 1
-                cached.append(link.directed[direction])
+            cached = self._route(src, dst)
             self._path_cache[(src, dst)] = cached
         for dlink in cached:
             if not dlink.up:
@@ -87,6 +89,31 @@ class Topology:
                     f"{self.name}: link {dlink.link.name} on {src!r}→{dst!r} is down"
                 )
         return cached
+
+    def _route(self, src: str, dst: str) -> list[DirectedLink]:
+        """Breadth-first search ``src`` → ``dst``, neighbours in link order."""
+        if src not in self._adj or dst not in self._adj:
+            raise NetworkError(f"{self.name}: no route {src!r}→{dst!r}")
+        parent: Dict[str, str] = {src: src}
+        queue = [src]
+        for node in queue:  # grows as the search reaches new nodes
+            if node == dst:
+                break
+            for nbr in self._adj[node]:
+                if nbr not in parent:
+                    parent[nbr] = node
+                    queue.append(nbr)
+        else:
+            raise NetworkError(f"{self.name}: no route {src!r}→{dst!r}")
+        route = []
+        b = dst
+        while b != src:
+            a = parent[b]
+            # Direction 0 == (min, max) node-name order, stable per link.
+            route.append(self._adj[a][b].directed[0 if a <= b else 1])
+            b = a
+        route.reverse()
+        return route
 
     def path_latency(self, src: str, dst: str) -> float:
         """Sum of one-way link latencies along the route."""

@@ -102,12 +102,12 @@ def assert_safe(cluster, journal=None, *, qemus, hosts=None, **books) -> None:
 
 def link_between(topology, a: str, b: str):
     """The link directly joining topology nodes ``a`` and ``b``."""
-    return topology.graph.edges[a, b]["link"]
+    return topology._adj[a][b]
 
 
 def nodes_of_kind(topology, kind: str) -> list:
     """Names of the topology nodes of ``kind`` (host or switch), in insertion order."""
-    return [n for n, d in topology.graph.nodes(data=True) if d["kind"] == kind]
+    return [n for n, k in topology._kind.items() if k == kind]
 
 
 def dirty_page_count(memory) -> int:
