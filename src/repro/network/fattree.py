@@ -169,7 +169,7 @@ class FatTree:
             cached = self._route(src, dst)
             self._path_cache[(src, dst)] = cached
         for dlink in cached:
-            if not dlink.up:
+            if not dlink.link.up:
                 raise NetworkError(
                     f"{self.topology.name}: link {dlink.link.name} on "
                     f"{src!r}→{dst!r} is down"

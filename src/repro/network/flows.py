@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 import time as _time
-from dataclasses import dataclass, field
 from itertools import count
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
@@ -39,28 +38,54 @@ _EPS = 1e-9
 _MIN_DT = 1e-9
 
 
-@dataclass(eq=False)
 class Flow:
-    """One in-flight bulk transfer."""
+    """One in-flight bulk transfer.
 
-    path: tuple[DirectedLink, ...]
-    nbytes: float
-    cap_Bps: float = float("inf")
-    weight: float = 1.0
-    label: str = ""
-    done: Event = field(default=None, repr=False)  # type: ignore[assignment]
-    remaining: float = field(default=0.0, repr=False)
-    rate_Bps: float = field(default=0.0, repr=False)
-    started_at: float = field(default=0.0, repr=False)
-    finished_at: Optional[float] = field(default=None, repr=False)
-    #: Sim time ``remaining`` was last credited (lazy progress accounting).
-    _updated_at: float = field(default=0.0, repr=False)
-    #: Registered in a FlowNetwork's active set.
-    _active: bool = field(default=False, repr=False)
-    #: Counted in the network's progressing-flow tally (rate > eps).
-    _progressing: bool = field(default=False, repr=False)
-    #: Current completion-heap entry (identity-compared; None = no entry).
-    _finish_entry: Optional[tuple] = field(default=None, repr=False)
+    Slotted, since the scale campaign builds one per precopy round, and
+    identity-hashed, as the engine's dict-as-set bookkeeping needs.
+    """
+
+    __slots__ = (
+        "path", "nbytes", "cap_Bps", "weight", "label", "done", "remaining",
+        "rate_Bps", "started_at", "finished_at", "_updated_at", "_active",
+        "_progressing", "_finish_entry",
+    )
+
+    def __init__(
+        self,
+        path: tuple[DirectedLink, ...],
+        nbytes: float,
+        cap_Bps: float = float("inf"),
+        weight: float = 1.0,
+        label: str = "",
+        done: Optional[Event] = None,
+        remaining: float = 0.0,
+        rate_Bps: float = 0.0,
+        started_at: float = 0.0,
+        finished_at: Optional[float] = None,
+        _updated_at: float = 0.0,
+        _active: bool = False,
+        _progressing: bool = False,
+        _finish_entry: Optional[tuple] = None,
+    ) -> None:
+        self.path = path
+        self.nbytes = nbytes
+        self.cap_Bps = cap_Bps
+        self.weight = weight
+        self.label = label
+        self.done = done
+        self.remaining = remaining
+        self.rate_Bps = rate_Bps
+        self.started_at = started_at
+        self.finished_at = finished_at
+        #: Sim time ``remaining`` was last credited (lazy progress accounting).
+        self._updated_at = _updated_at
+        #: Registered in a FlowNetwork's active set.
+        self._active = _active
+        #: Counted in the network's progressing-flow tally (rate > eps).
+        self._progressing = _progressing
+        #: Current completion-heap entry (identity-compared; None = no entry).
+        self._finish_entry = _finish_entry
 
     @property
     def finished(self) -> bool:
@@ -69,6 +94,12 @@ class Flow:
     @property
     def transferred(self) -> float:
         return self.nbytes - self.remaining
+
+    def __repr__(self) -> str:
+        return (
+            f"Flow(path={self.path!r}, nbytes={self.nbytes!r}, cap_Bps={self.cap_Bps!r}, "
+            f"weight={self.weight!r}, label={self.label!r})"
+        )
 
 
 def compute_maxmin_flow_rates(flows: List[Flow]) -> None:
@@ -224,7 +255,7 @@ class FlowNetwork:
         if len(set(path)) != len(path):
             raise NetworkError(f"{self.name}: path repeats a directed link")
         for dlink in path:
-            if not dlink.up:
+            if not dlink.link.up:
                 raise NetworkError(f"{self.name}: link {dlink.link.name} is down")
         if not path and cap_Bps == float("inf"):
             # A loopback flow with no cap would complete instantaneously —
@@ -232,17 +263,11 @@ class FlowNetwork:
             cap_Bps = 1e15
         now = self.env.now
         self._settle(now)
+        nbytes = float(nbytes)
         flow = Flow(
-            path=tuple(path),
-            nbytes=float(nbytes),
-            cap_Bps=float(cap_Bps),
-            weight=float(weight),
-            label=label,
+            tuple(path), nbytes, float(cap_Bps), float(weight), label,
+            done=Event(self.env), remaining=nbytes, started_at=now, _updated_at=now,
         )
-        flow.done = Event(self.env)
-        flow.remaining = float(nbytes)
-        flow.started_at = now
-        flow._updated_at = now
         self.total_started += 1
         if nbytes <= _EPS:
             flow.finished_at = now
@@ -359,7 +384,20 @@ class FlowNetwork:
         return list(seen)
 
     def _component(self, seeds: List[Flow]) -> List[Flow]:
-        """Connected component(s) of the contention graph containing ``seeds``."""
+        """Connected component(s) of the contention graph containing ``seeds``.
+
+        A single seed that is alone in every one of its link buckets is
+        its own component: the search would visit only it.
+        """
+        if len(seeds) == 1:
+            flow = seeds[0]
+            if flow._active:
+                link_flows = self._link_flows
+                for dlink in flow.path:
+                    if len(link_flows[dlink]) != 1:
+                        break
+                else:
+                    return [flow]
         seen: Dict[Flow, None] = dict.fromkeys(s for s in seeds if s._active)
         stack = list(seen)
         while stack:
@@ -430,10 +468,17 @@ class FlowNetwork:
             finished.append(flow)
         if not finished:
             return
+        # The finishers' neighbours, in _neighbors order; a bucket holding
+        # only the finisher itself has none to offer.
+        link_flows = self._link_flows
         neighbors: Dict[Flow, None] = {}
         for flow in finished:
-            for other in self._neighbors(flow):
-                neighbors[other] = None
+            for dlink in flow.path:
+                bucket = link_flows[dlink]
+                if len(bucket) > 1:
+                    for other in bucket:
+                        if other is not flow:
+                            neighbors[other] = None
         for flow in finished:
             flow.remaining = 0.0
             flow._updated_at = now
@@ -467,9 +512,12 @@ class FlowNetwork:
             # The pending wakeup fires at or before the next completion; a
             # spurious early fire just settles nothing and reschedules.
             return
-        wakeup = self.env.timeout(max(due - now, _MIN_DT))
+        delay = due - now
+        if delay < _MIN_DT:
+            delay = _MIN_DT
+        wakeup = self.env.timeout(delay)
         self._wakeup = wakeup
-        self._wakeup_at = now + max(due - now, _MIN_DT)
+        self._wakeup_at = now + delay
         wakeup.callbacks.append(self._on_wakeup)
 
     def _on_wakeup(self, event: Event) -> None:
@@ -478,4 +526,9 @@ class FlowNetwork:
         self._wakeup = None
         self._wakeup_at = float("inf")
         self._settle(self.env.now)
-        self._schedule_wakeup()
+        # A settle that completed flows ends in _schedule_wakeup.  When
+        # that armed a wakeup, a second call would find the same valid
+        # heap top and keep it, so it is skipped under exactly that test.
+        wakeup = self._wakeup
+        if wakeup is None or self._wakeup_at > self._completions[0][0] + _MIN_DT:
+            self._schedule_wakeup()

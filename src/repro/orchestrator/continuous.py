@@ -316,10 +316,9 @@ class ContinuousFleet:
     ) -> Optional[str]:
         """A host with a free slot; rack-local candidates when asked."""
         if rack_of is not None:
+            load, full = self.host_load, self.config.vms_per_host
             candidates = [
-                h
-                for h in self.tree.rack_hosts(rack_of)
-                if h != exclude and self.host_load[h] < self.config.vms_per_host
+                h for h in self.tree.rack_hosts(rack_of) if h != exclude and load[h] < full
             ]
             if candidates:
                 return candidates[int(self._place.integers(0, len(candidates)))]
@@ -388,17 +387,19 @@ class ContinuousFleet:
         return True
 
     def _migrate(self, vm: VmState, dst: str):
+        env = self.env
         src = vm.host
         path = self.tree.path(src, dst)
         rule = PrecopyRule(FLUID_PRECOPY)
         bytes_left = vm.ram_bytes
         rounds = 0
         moved = 0.0
+        label = f"mig:{vm.name}"
         while True:
-            flow = self.flows.start(path, bytes_left, label=f"mig:{vm.name}")
-            t0 = self.env.now
+            flow = self.flows.start(path, bytes_left, label=label)
+            t0 = env.now
             yield flow.done
-            dt = max(self.env.now - t0, 1e-9)
+            dt = max(env.now - t0, 1e-9)
             moved += flow.nbytes
             achieved_Bps = flow.nbytes / dt
             dirtied = min(vm.dirty_rate_Bps * dt, vm.ram_bytes)
@@ -409,7 +410,7 @@ class ContinuousFleet:
             if action.kind == STOP:
                 break
             bytes_left = dirtied
-        yield self.env.timeout(rule.downtime_limit_s)
+        yield env.timeout(rule.downtime_limit_s)
 
         del self._host_vms[src][vm]
         self._host_vms[dst][vm] = None
@@ -423,7 +424,7 @@ class ContinuousFleet:
         self.bytes_moved += moved
         if self.tracer is not None:
             self.tracer.emit(
-                self.env.now, "scale", "migrated",
+                env.now, "scale", "migrated",
                 vm=vm.name, src=src, dst=dst, rounds=rounds, bytes=moved,
             )
 

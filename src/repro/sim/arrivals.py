@@ -15,6 +15,7 @@ per seed).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
@@ -72,7 +73,8 @@ class PoissonProcess(ArrivalProcess):
         self.rate_per_s = float(rate_per_s)
         self.horizon_s = float(horizon_s)
         self._kinds = list(weights)
-        self._cdf = np.cumsum([w / total for w in weights.values()])
+        # NumPy's running sum, as Python floats for bisect.
+        self._cdf = np.cumsum([w / total for w in weights.values()]).tolist()
 
     def events(self) -> Iterator[Arrival]:
         mean_gap = 1.0 / self.rate_per_s
@@ -81,7 +83,7 @@ class PoissonProcess(ArrivalProcess):
             t += float(self.rng.exponential(mean_gap))
             if t >= self.horizon_s:
                 return
-            idx = int(np.searchsorted(self._cdf, self.rng.random(), side="right"))
+            idx = bisect_right(self._cdf, self.rng.random())
             yield Arrival(t, self._kinds[min(idx, len(self._kinds) - 1)])
 
 

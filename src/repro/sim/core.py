@@ -145,9 +145,24 @@ class Environment:
                 raise until._value
             until.callbacks.append(_stop_simulation)
 
+        # The body of step(), inlined with local bindings: one Python call
+        # per event fewer, the same pops in the same order.
+        queue = self._queue
+        pop = heapq.heappop
         try:
-            while self._queue:
-                self.step()
+            while queue:
+                self._now, _, _, event = pop(queue)
+                callbacks, event.callbacks = event.callbacks, None
+                if callbacks is None:
+                    continue  # a cancelled timer
+                self.events_processed += 1
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    exc = event._value
+                    if isinstance(exc, BaseException):
+                        raise exc
+                    raise SimulationError(repr(exc))  # pragma: no cover - defensive
         except StopSimulation as stop:
             return stop.value
 

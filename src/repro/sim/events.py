@@ -14,6 +14,7 @@ semantics on top.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -80,11 +81,12 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        env = self.env
+        heappush(env._queue, (env._now, NORMAL, next(env._eid), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -96,20 +98,22 @@ class Event:
         """
         if not isinstance(exception, BaseException):
             raise SimulationError(f"{exception!r} is not an exception")
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.env.schedule(self)
+        env = self.env
+        heappush(env._queue, (env._now, NORMAL, next(env._eid), self))
         return self
 
     def trigger(self, event: "Event") -> None:
         """Trigger with the same outcome as another (triggered) event."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = event._ok
         self._value = event._value
-        self.env.schedule(self)
+        env = self.env
+        heappush(env._queue, (env._now, NORMAL, next(env._eid), self))
 
     # -- plumbing ------------------------------------------------------------
 
@@ -140,11 +144,15 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(env)
-        self.delay = float(delay)
-        self._ok = True
+        # Event.__init__ and Environment.schedule, inlined: timers are the
+        # kernel's most frequent event.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=self.delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay = float(delay)
+        heappush(env._queue, (env._now + delay, NORMAL, next(env._eid), self))
 
     def cancel(self) -> None:
         """Withdraw a timeout that has not fired yet.

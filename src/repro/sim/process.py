@@ -99,7 +99,8 @@ class Process(Event):
             if not event._ok:
                 event._defused = True
             return
-        self.env._active_process = self
+        env = self.env
+        env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -120,34 +121,35 @@ class Process(Event):
                 self._target = None
                 self._ok = True
                 self._value = stop.value
-                self.env.schedule(self)
+                env.schedule(self)
                 break
             except BaseException as err:
                 # Process died; fail the process-event so waiters see it.
                 self._target = None
                 self._ok = False
                 self._value = err
-                self.env.schedule(self)
+                env.schedule(self)
                 break
 
             if not isinstance(next_target, Event):
-                event = Event(self.env)
+                event = Event(env)
                 event._ok = False
                 event._value = SimulationError(
                     f"process {self.name!r} yielded non-event {next_target!r}"
                 )
                 continue
 
-            if next_target.callbacks is not None:
+            callbacks = next_target.callbacks
+            if callbacks is not None:
                 # Target still pending/queued: subscribe and go to sleep.
-                next_target.wait(self._resume)
+                callbacks.append(self._resume)
                 self._target = next_target
                 break
 
             # Target already processed: loop immediately with its outcome.
             event = next_target
 
-        self.env._active_process = None
+        env._active_process = None
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "alive" if self.is_alive else "finished"

@@ -126,6 +126,30 @@ def test_directed_link_repr_names_link_not_address():
     assert "0x" not in repr(dlink)
 
 
+# -- Flow ---------------------------------------------------------------------------
+
+
+def test_flow_is_slotted_and_keeps_its_keywords():
+    dlink = _dlink(100.0)
+    fields = dict(
+        path=(dlink,), nbytes=10.0, cap_Bps=5.0, weight=2.0, label="x", done=None,
+        remaining=4.0, rate_Bps=3.0, started_at=1.0, finished_at=None,
+        _updated_at=1.5, _active=False, _progressing=False, _finish_entry=None,
+    )
+    flow = Flow(**fields)
+    assert not hasattr(flow, "__dict__")
+    assert {name: getattr(flow, name) for name in fields} == fields
+    assert flow.transferred == 6.0 and not flow.finished
+    with pytest.raises(AttributeError):
+        flow.colour = "red"
+    bare = Flow((dlink,), 10.0)
+    assert (bare.cap_Bps, bare.weight, bare.label, bare.remaining) == (float("inf"), 1.0, "", 0.0)
+    # Identity semantics: equal fields, distinct flows, usable as dict keys.
+    twin = Flow(**fields)
+    assert twin != flow and len({flow: None, twin: None}) == 2
+    assert repr(flow).startswith("Flow(path=(<DirectedLink l/0>,), nbytes=10.0, cap_Bps=5.0")
+
+
 # -- FlowNetwork dynamics -------------------------------------------------------------
 
 

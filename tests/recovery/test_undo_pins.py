@@ -139,14 +139,22 @@ def test_crash_recovery_outcome_matches_pin(point, postcopy):
 
 
 def dump(pins: dict) -> str:
-    """JSON with one line per case."""
+    """JSON with one line per case, sections and cases in key order, so
+    a regeneration with no moved value rewrites the file byte for byte."""
     sections = [
         f"{json.dumps(name)}: {{\n"
-        + ",\n".join(f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in cases.items())
+        + ",\n".join(
+            f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(cases.items())
+        )
         + "\n}"
         for name, cases in sorted(pins.items())
     ]
     return "{\n" + ",\n".join(sections) + "\n}\n"
+
+
+def test_pins_file_is_in_dump_order():
+    text = PINS.read_text()
+    assert dump(json.loads(text)) == text
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point
