@@ -346,12 +346,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.orchestrator.scenario import run_fleet_scenario
     from repro.sim.trace import Tracer
-
-    tracer = Tracer()
-    if args.crash_at_time is not None:
-        return _cmd_fleet_crash(args, tracer)
     from repro.units import gbps
 
+    tracer = Tracer()
     result = run_fleet_scenario(
         jobs=args.jobs,
         vms_per_job=args.vms_per_job,
@@ -369,8 +366,19 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             if args.viability_floor_gbps is not None
             else None
         ),
+        crash_at_s=args.crash_at_time,
+        recover=not args.no_recover,
     )
-    mode = "naive (all at once)" if args.naive else "sequenced (waves + swaps)"
+    if args.crash_at_time is not None:
+        code = _print_fleet_crash(result)
+    else:
+        code = _print_fleet_drain(result, naive=args.naive)
+    _save_trace(tracer, args.trace_out)
+    return code
+
+
+def _print_fleet_drain(result, naive: bool) -> int:
+    mode = "naive (all at once)" if naive else "sequenced (waves + swaps)"
     print(f"fleet drain — {result.jobs} jobs x {result.vms_per_job} VM(s), {mode}")
     print(f"  makespan:          {result.makespan_s:.1f} s")
     print(f"  wave concurrency:  {result.wave_concurrency}")
@@ -389,28 +397,16 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         ["job", "status", "attempts", "duration [s]", "now on"],
         rows, title="per-job outcomes",
     ))
-    _save_trace(tracer, args.trace_out)
-    incomplete = result.aborted + result.failed
-    return 0 if incomplete == 0 else 1
+    return 0 if result.aborted + result.failed == 0 else 1
 
 
-def _cmd_fleet_crash(args: argparse.Namespace, tracer) -> int:
-    from repro.orchestrator.scenario import run_fleet_crash_scenario
-
-    result = run_fleet_crash_scenario(
-        jobs=args.jobs,
-        vms_per_job=args.vms_per_job,
-        crash_at_time=args.crash_at_time,
-        recover=not args.no_recover,
-        wan_gbps=args.wan_gbps,
-        tracer=tracer,
-    )
+def _print_fleet_crash(result) -> int:
     print(f"fleet crash drill — {result.jobs} jobs x {result.vms_per_job} VM(s)")
     if not result.crashed:
         print(f"  controller outlived the drill (crash armed at "
-              f"t+{result.crash_requested_at:.1f}s, fleet settled first)")
+              f"t+{result.crash_at_s:.1f}s, fleet settled first)")
     else:
-        print(f"  controller died at t={result.crash_time:.1f}s: {result.crash_error}")
+        print(f"  controller died at t={result.crashed_at_s:.1f}s: {result.crash_error}")
         if not result.recovery_epoch:
             print("  no recovery requested: fleet left as the crash found it")
         else:
@@ -424,7 +420,6 @@ def _cmd_fleet_crash(args: argparse.Namespace, tracer) -> int:
     print(f"  makespan: {result.makespan_s:.1f} s")
     rows = [[job, " ".join(hosts)] for job, hosts in sorted(result.final_hosts.items())]
     print(render_table(["job", "now on"], rows, title="final placement"))
-    _save_trace(tracer, args.trace_out)
     if result.lost_vms or (result.crashed and not result.recovered):
         return 2
     return 0 if result.aborted + result.failed == 0 else 1

@@ -14,8 +14,9 @@ operator intervention:
   table executed with timeouts/retries and journaled for crash recovery;
 * :mod:`repro.incident.manager` — the :class:`IncidentManager` wiring it
   all around a :class:`~repro.orchestrator.executor.FleetOrchestrator`;
-* :mod:`repro.incident.scenario` — the estate drill runner (fiber cut,
-  host kill, checkpointing, controller crash) and its two presets.
+* :mod:`repro.incident.scenario` — the one estate drill runner (drains,
+  controller crashes, fiber cut, host kill, checkpointing) and its
+  fiber-cut and host-kill presets.
 """
 
 from repro.incident.correlator import (

@@ -15,9 +15,9 @@ above the single-job :class:`~repro.core.scheduler.CloudScheduler`:
   :class:`~repro.orchestrator.executor.FleetOrchestrator` running
   admitted plans through the transactional Ninja sequence.
 
-:mod:`~repro.orchestrator.scenario` (the canned fleet experiment behind
-``repro fleet`` and the throughput benchmark) is intentionally *not*
-imported here — import it explicitly.
+:mod:`~repro.orchestrator.scenario` (the two-site estate and the drain
+preset behind ``repro fleet`` and the throughput benchmark) is
+intentionally *not* imported here — import it explicitly.
 """
 
 from repro.orchestrator.admission import (

@@ -35,7 +35,7 @@ from repro.analysis.experiments import run_fig7_npb
 from repro.incident.scenario import run_host_failure_scenario, run_incident_scenario
 from repro.orchestrator import scenario
 from repro.orchestrator.continuous import ScaleConfig, run_scale_scenario
-from repro.orchestrator.scenario import run_fleet_crash_scenario, run_fleet_scenario
+from repro.orchestrator.scenario import run_fleet_scenario
 from repro.sim.core import Environment
 from repro.sim.trace import Tracer
 
@@ -55,8 +55,8 @@ SCENARIOS = {
     "fleet-drain-2": lambda: run_fleet_scenario(jobs=2, tracer=Tracer()),
     "fleet-drain-4": lambda: run_fleet_scenario(jobs=4, tracer=Tracer()),
     "fleet-drain-8": lambda: run_fleet_scenario(jobs=8, tracer=Tracer()),
-    "fleet-crash": lambda: run_fleet_crash_scenario(tracer=Tracer()),
-    "fleet-crash-2": lambda: run_fleet_crash_scenario(jobs=2, tracer=Tracer()),
+    "fleet-crash": lambda: run_fleet_scenario(jobs=4, crash_at_s=5.0, tracer=Tracer()),
+    "fleet-crash-2": lambda: run_fleet_scenario(jobs=2, crash_at_s=5.0, tracer=Tracer()),
     "fiber-cut": lambda: run_incident_scenario(tracer=Tracer()),
     "fiber-cut-2": lambda: run_incident_scenario(jobs=2, tracer=Tracer()),
     "host-kill": lambda: run_host_failure_scenario(tracer=Tracer()),
@@ -83,13 +83,13 @@ WALL = {"wall_s", "solver_p50_s", "solver_p99_s", "solver_total_s",
 
 @contextlib.contextmanager
 def closing_checks():
-    """Record the ``(cluster, journal)`` that every drill's closing
+    """Record the ``(cluster, journal, books)`` that every drill's closing
     :func:`repro.invariants.check` (``Estate.fold``) reads inside the block."""
     seen: list = []
     real = scenario.check
 
     def spy(cluster, journal=None, **books):
-        seen.append((cluster, journal))
+        seen.append((cluster, journal, books))
         return real(cluster, journal, **books)
 
     scenario.check = spy
@@ -132,7 +132,7 @@ def run(name: str) -> Run:
             result = SCENARIOS[name]()
     finally:
         Tracer.__init__, Environment.process = tracer_init, process
-    cluster, journal = seen[-1] if seen else (None, None)
+    cluster, journal, _ = seen[-1] if seen else (None, None, None)
     return Run(result, tracers, started, cluster, journal)
 
 

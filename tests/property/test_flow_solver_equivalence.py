@@ -26,11 +26,15 @@ from tests.network.global_resolve import GlobalResolveFlowNetwork
 
 #: Operation kinds mutating the network mid-run.
 _START, _CANCEL, _SETCAP, _LINKCAP, _WAIT = range(5)
+#: Few links, mostly one direction: flows share directed links in most
+#: sequences, so the oracle compares contended components, not lone flows.
+_NLINKS = 4
 
 
 def _ops_strategy():
     path = st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 1)),  # (link idx, direction)
+        # (link idx, direction)
+        st.tuples(st.integers(0, _NLINKS - 1), st.sampled_from([0, 0, 0, 1])),
         min_size=1, max_size=4,
         unique_by=lambda t: t[0],
     )
@@ -43,7 +47,8 @@ def _ops_strategy():
     )
     cancel = st.tuples(st.just(_CANCEL), st.integers(0, 30))
     setcap = st.tuples(st.just(_SETCAP), st.integers(0, 30), st.integers(10**3, 10**7))
-    linkcap = st.tuples(st.just(_LINKCAP), st.integers(0, 4), st.integers(10**3, 10**7))
+    linkcap = st.tuples(st.just(_LINKCAP), st.integers(0, _NLINKS - 1),
+                        st.integers(10**3, 10**7))
     wait = st.tuples(st.just(_WAIT), st.integers(1, 2000))  # milliseconds
     return st.lists(
         st.one_of(start, cancel, setcap, linkcap, wait), min_size=1, max_size=30
@@ -88,7 +93,7 @@ def _assert_rates_match_oracle(net: FlowNetwork) -> None:
         )
 
 
-@given(caps=st.lists(st.integers(10**4, 10**8), min_size=5, max_size=5),
+@given(caps=st.lists(st.integers(10**4, 10**8), min_size=_NLINKS, max_size=_NLINKS),
        ops=_ops_strategy())
 @settings(max_examples=150, deadline=None)
 def test_incremental_rates_equal_global_oracle(caps, ops):
@@ -106,7 +111,7 @@ def test_incremental_rates_equal_global_oracle(caps, ops):
     _assert_rates_match_oracle(net)
 
 
-@given(caps=st.lists(st.integers(10**4, 10**8), min_size=5, max_size=5),
+@given(caps=st.lists(st.integers(10**4, 10**8), min_size=_NLINKS, max_size=_NLINKS),
        ops=_ops_strategy())
 @settings(max_examples=100, deadline=None)
 def test_incremental_matches_legacy_kernel_end_to_end(caps, ops):

@@ -225,7 +225,8 @@ def test_recovered_fleet_crash_closes_the_dead_orchestrators_requests(monkeypatc
     """The successor runs the dead orchestrator's jobs as new requests;
     the old ones are closed in the journal, so a second recovery pass
     over the same journal resubmits nothing."""
-    from repro.orchestrator import scenario
+    from repro.incident import scenario
+    from repro.orchestrator.scenario import run_fleet_scenario
 
     managers = []
 
@@ -235,7 +236,7 @@ def test_recovered_fleet_crash_closes_the_dead_orchestrators_requests(monkeypatc
             managers.append(self)
 
     monkeypatch.setattr(scenario, "RecoveryManager", Recorded)
-    result = scenario.run_fleet_crash_scenario()
+    result = run_fleet_scenario(jobs=4, crash_at_s=5.0)
     assert result.crashed and result.resubmitted == 4 and result.completed == 4
 
     (first,) = managers

@@ -13,7 +13,7 @@ import pytest
 
 from repro.hardware.cluster import build_agc_cluster
 from repro.invariants import check
-from repro.orchestrator.scenario import run_fleet_crash_scenario
+from repro.orchestrator.scenario import run_fleet_scenario
 from repro.orchestrator.state import FleetStateStore, SpareArbiter
 from repro.recovery.journal import MigrationJournal
 from repro.sim.trace import Tracer
@@ -186,7 +186,7 @@ def test_unrecovered_crash_traces_its_wreckage():
     """``--no-recover`` leaves parked VMs and open requests on purpose:
     the fold traces every violation and names the parked VMs lost."""
     tracer = Tracer()
-    result = run_fleet_crash_scenario(recover=False, tracer=tracer)
+    result = run_fleet_scenario(jobs=4, crash_at_s=5.0, recover=False, tracer=tracer)
     traced = traced_violations(tracer)
     assert result.lost_vms
     assert sorted(v["subject"] for v in traced if v["rule"] == "lost") == result.lost_vms
