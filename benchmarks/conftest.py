@@ -9,6 +9,10 @@ The experiments are deterministic simulations, so each is executed once
 (``benchmark.pedantic(..., rounds=1)``): the *benchmark time* is the wall
 time of regenerating the figure, while the *figure's* numbers are in the
 printed tables.
+
+What a run measures of the host (wall clock, events per second, solver
+latencies) goes to ``benchmarks/timings/`` instead, which git ignores:
+the tracked files then change only when a simulated result does.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+TIMINGS_DIR = pathlib.Path(__file__).parent / "timings"
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +37,19 @@ def record_result(results_dir):
 
     def _record(name: str, text: str) -> None:
         path = results_dir / f"{name}.txt"
+        path.write_text(text + "\n")
+        print(f"\n{text}\n[written to {path}]")
+
+    return _record
+
+
+@pytest.fixture
+def record_timing():
+    """Write a named host-timing artifact (untracked) and echo it to stdout."""
+
+    def _record(name: str, text: str) -> None:
+        TIMINGS_DIR.mkdir(exist_ok=True)
+        path = TIMINGS_DIR / f"{name}.txt"
         path.write_text(text + "\n")
         print(f"\n{text}\n[written to {path}]")
 

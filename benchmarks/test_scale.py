@@ -15,8 +15,10 @@ parameterized fat-tree, at three fleet sizes:
 * **1,024 VMs** (k=16, 1,024 hosts) — one full simulated hour of
   continuous arrivals, the headline the roadmap asks for.
 
-Writes ``BENCH_scale.json`` (repo root) with events/sec, wall-clock per
-simulated hour, and solver p50/p99 per config.
+Writes each config's simulated work (migrations, events, flows, solves)
+to ``BENCH_scale.json`` (repo root) and ``results/scale_*.txt``, and
+what it measures of the host (events/sec, wall clock per simulated
+hour, solver p50/p99) to the untracked ``timings/`` directory.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ import pathlib
 
 from repro.orchestrator.continuous import ScaleConfig, run_scale_scenario
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import TIMINGS_DIR, run_once
 
 ARTIFACT = pathlib.Path(__file__).parent.parent / "BENCH_scale.json"
+TIMINGS = TIMINGS_DIR / "BENCH_scale.json"
 BASELINE = pathlib.Path(__file__).parent / "baselines" / "scale_baseline.json"
 
 #: Shared traffic shape: churn-dominated, mostly rack-local — the
@@ -52,10 +55,26 @@ CONFIG_1024 = ScaleConfig(
 )
 
 
-def _update_artifact(key: str, value: dict) -> None:
-    data = json.loads(ARTIFACT.read_text()) if ARTIFACT.exists() else {}
+#: ``ScaleResult.to_dict`` fields that measure the host, not the simulation.
+_TIMING_FIELDS = (
+    "wall_s", "solver_p50_s", "solver_p99_s", "solver_total_s",
+    "events_per_s", "wall_s_per_sim_hour",
+)
+
+
+def _update(path: pathlib.Path, key: str, value: dict) -> None:
+    data = json.loads(path.read_text()) if path.exists() else {}
     data[key] = value
-    ARTIFACT.write_text(json.dumps(data, indent=2) + "\n")
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(data, indent=2) + "\n")
+
+
+def _update_artifact(key: str, result) -> None:
+    """Work fields to ``BENCH_scale.json``, timing fields to ``timings/``."""
+    payload = result.to_dict()
+    timings = {name: payload.pop(name) for name in _TIMING_FIELDS}
+    _update(ARTIFACT, key, payload)
+    _update(TIMINGS, key, timings)
 
 
 def _assert_exact_work(key: str, result) -> None:
@@ -67,16 +86,22 @@ def _assert_exact_work(key: str, result) -> None:
     )
 
 
-def _line(tag: str, r) -> str:
+def _work_line(r) -> str:
     return (
-        f"  {tag:<16} {r.events_per_s:9.0f} ev/s  "
-        f"{r.wall_s_per_sim_hour:7.1f} s wall/sim-hour  "
-        f"solver p50={r.solver_p50_s * 1e6:6.1f} us p99={r.solver_p99_s * 1e6:6.1f} us  "
-        f"migrations={r.migrations_completed}"
+        f"  incremental      migrations={r.migrations_completed}  "
+        f"events={r.sim_events}  flows={r.flows_completed}"
     )
 
 
-def test_scale_small_fleet_vs_baseline(benchmark, record_result):
+def _timing_line(r) -> str:
+    return (
+        f"  incremental      {r.events_per_s:9.0f} ev/s  "
+        f"{r.wall_s_per_sim_hour:7.1f} s wall/sim-hour  "
+        f"solver p50={r.solver_p50_s * 1e6:6.1f} us p99={r.solver_p99_s * 1e6:6.1f} us"
+    )
+
+
+def test_scale_small_fleet_vs_baseline(benchmark, record_result, record_timing):
     result = run_once(benchmark, lambda: run_scale_scenario(CONFIG_64))
 
     assert result.migrations_completed > 1000
@@ -91,39 +116,36 @@ def test_scale_small_fleet_vs_baseline(benchmark, record_result):
         f"committed floor of {floor:.0f} ev/s ({BASELINE})"
     )
 
-    _update_artifact("vms64", result.to_dict())
-    record_result(
-        "scale_64",
-        "\n".join([
-            "scale campaign — 64 VMs, k=4, 600 s of Poisson traffic",
-            _line("incremental", result),
-            f"  baseline floor   {floor:9.0f} ev/s",
-            f"[artifact: {ARTIFACT.name}]",
-        ]),
-    )
+    _update_artifact("vms64", result)
+    title = "scale campaign — 64 VMs, k=4, 600 s of Poisson traffic"
+    record_result("scale_64", "\n".join([
+        title, _work_line(result), f"[artifact: {ARTIFACT.name}]",
+    ]))
+    record_timing("scale_64", "\n".join([
+        title, _timing_line(result), f"  baseline floor   {floor:9.0f} ev/s",
+    ]))
 
 
-def test_scale_256_exact_work(benchmark, record_result):
+def test_scale_256_exact_work(benchmark, record_result, record_timing):
     result = run_once(benchmark, lambda: run_scale_scenario(CONFIG_256))
 
     assert result.rejected + result.migrations_completed == result.moves_requested
     assert result.duration_s >= CONFIG_256.duration_s
     _assert_exact_work("vms256", result)
 
-    _update_artifact("vms256", result.to_dict())
-    record_result(
-        "scale_256",
-        "\n".join([
-            "scale campaign — 256 VMs, k=8, 600 s of Poisson traffic",
-            _line("incremental", result),
-            f"  flows touched    {result.solver_flows_touched:9d} "
-            f"in {result.solver_calls} solves (exact, committed)",
-            f"[artifact: {ARTIFACT.name}]",
-        ]),
-    )
+    _update_artifact("vms256", result)
+    title = "scale campaign — 256 VMs, k=8, 600 s of Poisson traffic"
+    record_result("scale_256", "\n".join([
+        title,
+        _work_line(result),
+        f"  flows touched    {result.solver_flows_touched:9d} "
+        f"in {result.solver_calls} solves (exact, committed)",
+        f"[artifact: {ARTIFACT.name}]",
+    ]))
+    record_timing("scale_256", "\n".join([title, _timing_line(result)]))
 
 
-def test_scale_1024_continuous_hour(benchmark, record_result):
+def test_scale_1024_continuous_hour(benchmark, record_result, record_timing):
     result = run_once(benchmark, lambda: run_scale_scenario(CONFIG_1024))
 
     assert result.duration_s >= 3600.0
@@ -133,12 +155,9 @@ def test_scale_1024_continuous_hour(benchmark, record_result):
     # an hour.  Generous bound — 5–8 s on a 2-vCPU Xeon VM, headroom for CI.
     assert result.wall_s_per_sim_hour < 600.0
 
-    _update_artifact("vms1024_hour", result.to_dict())
-    record_result(
-        "scale_1024",
-        "\n".join([
-            "scale campaign — 1,024 VMs, k=16, one simulated hour",
-            _line("incremental", result),
-            f"[artifact: {ARTIFACT.name}]",
-        ]),
-    )
+    _update_artifact("vms1024_hour", result)
+    title = "scale campaign — 1,024 VMs, k=16, one simulated hour"
+    record_result("scale_1024", "\n".join([
+        title, _work_line(result), f"[artifact: {ARTIFACT.name}]",
+    ]))
+    record_timing("scale_1024", "\n".join([title, _timing_line(result)]))

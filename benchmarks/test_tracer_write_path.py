@@ -7,7 +7,8 @@ bare list append, a subscribed consumer costs far less than re-scanning
 for the per-link telemetry probes.
 
 This is a real timing benchmark (many rounds), unlike the one-shot
-figure regenerations: the numbers go to ``benchmarks/results/`` only.
+figure regenerations: its numbers measure the host, so they go to the
+untracked ``benchmarks/timings/``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def test_emit_hot_path_plain_append(benchmark):
     assert len(tracer) == N_RECORDS
 
 
-def test_emit_batch_beats_looped_emit(benchmark, record_result):
+def test_emit_batch_beats_looped_emit(benchmark, record_timing):
     entries = [("goodput", {"link": "wan", "v": i}) for i in range(BATCH)]
     rounds = N_RECORDS // BATCH
 
@@ -59,7 +60,7 @@ def test_emit_batch_beats_looped_emit(benchmark, record_result):
         for i in range(N_RECORDS)
     ])
     batch_s = _timed(batched)
-    record_result(
+    record_timing(
         "tracer_write_path",
         "\n".join([
             f"tracer write path — {N_RECORDS} records",
@@ -69,7 +70,7 @@ def test_emit_batch_beats_looped_emit(benchmark, record_result):
     )
 
 
-def test_subscription_beats_select_rescan(benchmark, record_result):
+def test_subscription_beats_select_rescan(benchmark, record_timing):
     """A live subscriber vs. re-scanning history after every emit."""
 
     def with_subscription():
@@ -99,7 +100,7 @@ def test_subscription_beats_select_rescan(benchmark, record_result):
     assert sub_s < scan_s, (
         f"subscription {sub_s:.3f} s !< O(n^2) rescan {scan_s:.3f} s"
     )
-    record_result(
+    record_timing(
         "tracer_subscription",
         "\n".join([
             f"live consumer over {N_RECORDS} records",

@@ -40,7 +40,8 @@ DEFAULT_SEGMENT_BYTES = 1 << 20
 
 def barrier(view: "CommView"):
     """Dissemination barrier."""
-    yield from view.proc.maybe_service_cr()
+    if view.proc.cr_pending:
+        yield from view.proc.service_cr()
     size, rank = view.size, view.rank
     if size == 1:
         return
@@ -70,7 +71,8 @@ def bcast(
         return result
     if algorithm != "binomial":
         raise ValueError(f"unknown bcast algorithm {algorithm!r}")
-    yield from view.proc.maybe_service_cr()
+    if view.proc.cr_pending:
+        yield from view.proc.service_cr()
     size, rank = view.size, view.rank
     if size == 1:
         return value
@@ -100,7 +102,8 @@ def _bcast_chain(view: "CommView", nbytes: int, root: int, value: object):
     Ranks form a chain in root-relative order; segments stream down it,
     so all links carry traffic concurrently once the pipe fills.
     """
-    yield from view.proc.maybe_service_cr()
+    if view.proc.cr_pending:
+        yield from view.proc.service_cr()
     size, rank = view.size, view.rank
     if size == 1:
         return value
@@ -133,7 +136,8 @@ def _reduce_compute(view: "CommView", nbytes: int):
 
 def reduce(view: "CommView", nbytes: int, root: int = 0):
     """Binomial-tree reduction to ``root`` (operator cost modelled)."""
-    yield from view.proc.maybe_service_cr()
+    if view.proc.cr_pending:
+        yield from view.proc.service_cr()
     size, rank = view.size, view.rank
     if size == 1:
         return
@@ -170,7 +174,8 @@ def allreduce(view: "CommView", nbytes: int, algorithm: str = "basic"):
 
 def _allreduce_ring(view: "CommView", nbytes: int):
     """Ring allreduce: P−1 reduce-scatter steps + P−1 allgather steps."""
-    yield from view.proc.maybe_service_cr()
+    if view.proc.cr_pending:
+        yield from view.proc.service_cr()
     size, rank = view.size, view.rank
     if size == 1:
         return
@@ -188,7 +193,8 @@ def _allreduce_ring(view: "CommView", nbytes: int):
 
 def alltoall(view: "CommView", nbytes: int):
     """Pairwise-exchange all-to-all (``nbytes`` to every peer)."""
-    yield from view.proc.maybe_service_cr()
+    if view.proc.cr_pending:
+        yield from view.proc.service_cr()
     size, rank = view.size, view.rank
     if size == 1:
         return

@@ -1,7 +1,7 @@
 """Communicators and the per-rank API (mpi4py-flavoured naming).
 
 A :class:`Communicator` is shared job state (rank list + context id);
-each rank interacts through its :class:`CommView`, whose methods are
+each rank interacts through its :class:`CommView`, whose methods return
 generators driven inside that rank's simulation process::
 
     def rank_main(proc, comm):
@@ -72,7 +72,7 @@ class CommView:
 
     def send(self, dst: int, nbytes: int, tag: int = 0, value: object = None):
         """Blocking send to comm-rank ``dst`` (generator)."""
-        yield from self.proc.send(
+        return self.proc.send(
             self._world(dst), nbytes, tag=tag, comm_id=self.comm.comm_id, value=value
         )
 
@@ -85,22 +85,20 @@ class CommView:
     def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive from comm-rank ``src``; returns the Message."""
         world_src = src if src == ANY_SOURCE else self._world(src)
-        message = yield from self.proc.recv(world_src, tag, comm_id=self.comm.comm_id)
-        return message
+        return self.proc.recv(world_src, tag, comm_id=self.comm.comm_id)
 
     def sendrecv(self, dst: int, nbytes: int, src: int, tag: int = 0, value: object = None):
         """Exchange step; returns the received Message."""
         world_src = src if src == ANY_SOURCE else self._world(src)
-        message = yield from self.proc.sendrecv(
+        return self.proc.sendrecv(
             self._world(dst), nbytes, world_src, tag=tag, comm_id=self.comm.comm_id, value=value
         )
-        return message
 
     # -- collectives (delegate to algorithms) ----------------------------------------------
 
     def barrier(self):
         """Dissemination barrier (generator)."""
-        yield from collectives.barrier(self)
+        return collectives.barrier(self)
 
     def bcast(
         self,
@@ -114,19 +112,16 @@ class CommView:
         ``algorithm``: ``"binomial"`` (default) or ``"chain"`` (segmented
         pipeline for very large payloads).
         """
-        result = yield from collectives.bcast(
-            self, nbytes, root, value, algorithm=algorithm
-        )
-        return result
+        return collectives.bcast(self, nbytes, root, value, algorithm=algorithm)
 
     def reduce(self, nbytes: int, root: int = 0):
         """Binomial-tree reduction (computation cost included)."""
-        yield from collectives.reduce(self, nbytes, root)
+        return collectives.reduce(self, nbytes, root)
 
     def allreduce(self, nbytes: int, algorithm: str = "basic"):
         """Allreduce: ``"basic"`` (reduce+bcast) or ``"ring"``."""
-        yield from collectives.allreduce(self, nbytes, algorithm=algorithm)
+        return collectives.allreduce(self, nbytes, algorithm=algorithm)
 
     def alltoall(self, nbytes: int):
         """Pairwise-exchange all-to-all (``nbytes`` per peer)."""
-        yield from collectives.alltoall(self, nbytes)
+        return collectives.alltoall(self, nbytes)

@@ -7,9 +7,9 @@ memory interact correctly with migration's uniform-page compression).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import count
-from typing import Any
+from typing import Any, Optional
 
 from repro.vmm.guest_memory import PageClass
 
@@ -20,20 +20,34 @@ ANY_TAG = -1
 _seq = count()
 
 
-@dataclass(frozen=True)
-class Message:
-    """An MPI message envelope + payload descriptor."""
+class Message(
+    namedtuple("Message", "src dst tag nbytes comm_id page_class value seq")
+):
+    """An MPI message envelope + payload descriptor (immutable).
 
-    src: int
-    dst: int
-    tag: int
-    nbytes: int
-    comm_id: int = 0
-    #: What the receive buffer looks like to the migration scanner.
-    page_class: PageClass = PageClass.DATA
-    #: Optional application payload (small control values only).
-    value: Any = None
-    seq: int = field(default_factory=lambda: next(_seq))
+    ``page_class`` is what the receive buffer looks like to the migration
+    scanner; ``value`` an optional application payload (small control
+    values only); ``seq`` a creation number, drawn when not given.  A
+    tuple, not a frozen dataclass: every send builds one, and a frozen
+    dataclass pays an ``object.__setattr__`` call per field.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        src: int,
+        dst: int,
+        tag: int,
+        nbytes: int,
+        comm_id: int = 0,
+        page_class: PageClass = PageClass.DATA,
+        value: Any = None,
+        seq: Optional[int] = None,
+    ) -> "Message":
+        if seq is None:
+            seq = next(_seq)
+        return tuple.__new__(cls, (src, dst, tag, nbytes, comm_id, page_class, value, seq))
 
     def matches(self, src: int, tag: int) -> bool:
         """Does this envelope satisfy a recv posted with (src, tag)?"""

@@ -28,7 +28,6 @@ from repro.mpi.ft import FtSettings
 from repro.mpi.p2p import MatchingEngine, PostedRecv, SendTracker
 from repro.sim.events import Event
 from repro.sim.process import Interrupt
-from repro.vmm.guest_memory import PageClass
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.calibration import Calibration
@@ -126,14 +125,13 @@ class MpiProcess:
         tag: int = 0,
         comm_id: int = 0,
         value: object = None,
-        page_class: PageClass = PageClass.DATA,
     ):
         """Blocking send: returns after the transport delivered the message."""
-        yield from self.maybe_service_cr()
+        if self.cr_pending:
+            yield from self.service_cr()
         peer = self.job.proc(dst)
         message = Message(
-            src=self.rank, dst=dst, tag=tag, nbytes=int(nbytes), comm_id=comm_id,
-            value=value, page_class=page_class,
+            src=self.rank, dst=dst, tag=tag, nbytes=int(nbytes), comm_id=comm_id, value=value
         )
         module = self.btl.route(peer)
         self.sends.total_sends += 1
@@ -165,7 +163,8 @@ class MpiProcess:
         the migration, is matched whenever it arrives).
         """
         while True:
-            yield from self.maybe_service_cr()
+            if self.cr_pending:
+                yield from self.service_cr()
             recv = self.matching.post_recv(src, tag, comm_id)
             self._posted_recv = recv
             message = yield recv
@@ -183,7 +182,8 @@ class MpiProcess:
         value: object = None,
     ):
         """Concurrent send+recv (deadlock-free exchange step)."""
-        yield from self.maybe_service_cr()
+        if self.cr_pending:
+            yield from self.service_cr()
         send_done = self.isend(dst, nbytes_send, tag=tag, comm_id=comm_id, value=value)
         message = yield from self.recv(src, tag, comm_id)
         yield send_done

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Generator, Iterable, Optional, Union
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 from repro.errors import SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, NORMAL, Timeout
@@ -29,6 +29,9 @@ class Environment:
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = count()
         self._active_process: Optional[Process] = None
+        #: Callbacks to run once the current instant ends (see
+        #: :meth:`at_instant_end`).
+        self._instant_end: list[Callable[[], None]] = []
         #: Events processed so far (monotonic; the scale campaign's
         #: events/sec throughput metric reads deltas of this).
         self.events_processed = 0
@@ -79,8 +82,41 @@ class Environment:
             self._queue, (self._now + delay, priority, next(self._eid), event)
         )
 
+    def sequence(self) -> int:
+        """Draw the next queue sequence number.
+
+        Entries at one time and priority run in sequence order.  A service
+        that defers arming a timer draws its number where the eager timer
+        would have, then queues it with ``Timeout(..., seq=...)``.
+        """
+        return next(self._eid)
+
+    def at_instant_end(self, callback: Callable[[], None]) -> None:
+        """Run ``callback()`` once, when the current instant ends.
+
+        The instant ends when the next queue entry lies later than
+        :attr:`now`, or the queue drains: :meth:`run` (with or without
+        ``until``) and :meth:`step` call the registered callbacks then,
+        before the clock moves.  A callback may queue entries, at ``now``
+        or later; running it is no event and is not counted in
+        :attr:`events_processed`.
+        """
+        self._instant_end.append(callback)
+
+    def _end_instant_if_due(self) -> None:
+        hooks = self._instant_end
+        queue = self._queue
+        while hooks and (not queue or queue[0][0] > self._now):
+            batch = hooks[:]
+            hooks.clear()
+            for hook in batch:
+                hook()
+
     def step(self) -> None:
         """Process the single next queue entry.
+
+        The instant-end callbacks run first if the instant has ended, and
+        again after the entry if it was the instant's last.
 
         A cancelled timer (:meth:`Timeout.cancel
         <repro.sim.events.Timeout.cancel>`) is popped and dropped: the
@@ -92,24 +128,26 @@ class Environment:
         SimulationError
             If the queue is empty.
         """
+        if self._instant_end:
+            self._end_instant_if_due()
         try:
             self._now, _, _, event = heapq.heappop(self._queue)
         except IndexError:
             raise SimulationError("no scheduled events left") from None
 
         callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:
-            return  # a cancelled timer
-        self.events_processed += 1
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # An unhandled failure: surface it instead of losing it.
-            exc = event._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise SimulationError(repr(exc))  # pragma: no cover - defensive
+        if callbacks is not None:
+            self.events_processed += 1
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event._defused:
+                # An unhandled failure: surface it instead of losing it.
+                exc = event._value
+                if isinstance(exc, BaseException):
+                    raise exc
+                raise SimulationError(repr(exc))  # pragma: no cover - defensive
+        if self._instant_end:
+            self._end_instant_if_due()
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
@@ -124,7 +162,9 @@ class Environment:
 
         A drained run leaves :attr:`now` at the last queue entry's time,
         cancelled timers included, exactly as if a cancelled timer were
-        an event whose callbacks do nothing.
+        an event whose callbacks do nothing.  A run that stops on
+        ``until`` runs the instant-end callbacks if no entry is left at
+        its stop time.
         """
         if until is not None and not isinstance(until, Event):
             at = float(until)
@@ -148,9 +188,14 @@ class Environment:
         # The body of step(), inlined with local bindings: one Python call
         # per event fewer, the same pops in the same order.
         queue = self._queue
+        hooks = self._instant_end
         pop = heapq.heappop
         try:
-            while queue:
+            while True:
+                if hooks and (not queue or queue[0][0] > self._now):
+                    self._end_instant_if_due()
+                if not queue:
+                    break
                 self._now, _, _, event = pop(queue)
                 callbacks, event.callbacks = event.callbacks, None
                 if callbacks is None:
@@ -164,6 +209,8 @@ class Environment:
                         raise exc
                     raise SimulationError(repr(exc))  # pragma: no cover - defensive
         except StopSimulation as stop:
+            if hooks:
+                self._end_instant_if_due()
             return stop.value
 
         if until is not None and until.callbacks is not None:

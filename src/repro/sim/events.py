@@ -141,18 +141,27 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
+    def __init__(
+        self,
+        env: "Environment",
+        delay: float,
+        value: Any = None,
+        seq: Optional[int] = None,
+    ) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
         # Event.__init__ and Environment.schedule, inlined: timers are the
-        # kernel's most frequent event.
+        # kernel's most frequent event.  ``seq``, when given, is a number
+        # drawn earlier with ``env.sequence()``.
         self.env = env
         self.callbacks = []
         self._value = value
         self._ok = True
         self._defused = False
         self.delay = delay = float(delay)
-        heappush(env._queue, (env._now + delay, NORMAL, next(env._eid), self))
+        if seq is None:
+            seq = next(env._eid)
+        heappush(env._queue, (env._now + delay, NORMAL, seq, self))
 
     def cancel(self) -> None:
         """Withdraw a timeout that has not fired yet.

@@ -15,7 +15,9 @@ A :class:`FairShare` service accepts *tasks*, each with a fixed amount of
 work (bytes, cpu-seconds, …), a weight, and an optional per-task rate cap.
 At any instant the capacity is divided max-min fairly among active tasks;
 the service wakes itself whenever the rate allocation changes and completes
-tasks at exactly the right simulated time.
+tasks at exactly the right simulated time.  However many tasks arrive,
+leave or finish at one instant, the rates are solved once, when the
+instant ends (DESIGN §12, "One CPU solve per instant").
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def maxmin_rates(
     return rates
 
 
-@dataclass
+@dataclass(slots=True)
 class FairShareTask:
     """One unit of work progressing through a :class:`FairShare` service."""
 
@@ -89,6 +91,8 @@ class FairShareTask:
     rate: float = field(default=0.0, repr=False)
     started_at: float = field(default=0.0, repr=False)
     finished_at: Optional[float] = field(default=None, repr=False)
+    #: Remaining work at or below which the task counts as complete.
+    tolerance: float = field(default=0.0, repr=False)
 
     @property
     def finished(self) -> bool:
@@ -117,6 +121,10 @@ class FairShare:
         self._tasks: list[FairShareTask] = []
         self._wakeup: Optional[Timeout] = None
         self._last_update = env.now
+        #: Rates are stale until the end-of-instant solve runs.
+        self._dirty = False
+        #: Queue sequence number the pending wakeup is armed under.
+        self._seq = 0
 
     # -- public API ------------------------------------------------------------
 
@@ -128,6 +136,7 @@ class FairShare:
     @property
     def utilization(self) -> float:
         """Fraction of capacity currently allocated."""
+        self._solve()
         return sum(t.rate for t in self._tasks) / self.capacity
 
     def submit(
@@ -144,15 +153,21 @@ class FairShare:
         """
         if amount < 0:
             raise SimulationError("amount must be non-negative")
+        amount = float(amount)
+        env = self.env
         task = FairShareTask(
-            amount=float(amount), weight=float(weight), cap=float(cap), label=label
+            amount=amount,
+            weight=float(weight),
+            cap=float(cap),
+            label=label,
+            done=Event(env),
+            remaining=amount,
+            started_at=env._now,
+            tolerance=_EPS * max(1.0, amount),
         )
-        task.done = Event(self.env)
-        task.remaining = float(amount)
-        task.started_at = self.env.now
         self._advance_progress()
         if amount <= _EPS:
-            task.finished_at = self.env.now
+            task.finished_at = env._now
             task.done.succeed(task)
         else:
             self._tasks.append(task)
@@ -170,7 +185,7 @@ class FairShare:
 
     def _advance_progress(self) -> None:
         """Account work done since the last rate change; complete tasks."""
-        now = self.env.now
+        now = self.env._now
         elapsed = now - self._last_update
         self._last_update = now
         if elapsed <= 0 or not self._tasks:
@@ -178,7 +193,7 @@ class FairShare:
         finished: list[FairShareTask] = []
         for task in self._tasks:
             task.remaining -= task.rate * elapsed
-            if task.remaining <= _EPS * max(1.0, task.amount) or (
+            if task.remaining <= task.tolerance or (
                 task.rate > 0 and task.remaining <= task.rate * _MIN_DT
             ):
                 task.remaining = 0.0
@@ -189,36 +204,50 @@ class FairShare:
             task.done.succeed(task)
 
     def _reschedule(self) -> None:
-        """Recompute rates and schedule a wakeup at the next completion.
+        """Mark the rates stale; the solve runs once, when the instant ends.
 
-        The wakeup this one supersedes is cancelled, so the kernel never
-        processes it.  Progress is still credited only at rate changes
-        and completions: an extra wakeup would split ``rate * elapsed``
-        and move the floats.
+        The pending wakeup is cancelled at once, so the kernel never
+        processes it.  While tasks remain, the call draws a queue sequence
+        number, as arming a wakeup here would; the end-of-instant solve
+        arms the one wakeup under the last number drawn, so it takes the
+        queue position of the last wakeup an eager solve would have armed.
+        Progress is still credited only at rate changes and completions:
+        an extra wakeup would split ``rate * elapsed`` and move the floats.
         """
         if self._wakeup is not None:
             self._wakeup.cancel()
             self._wakeup = None
         if not self._tasks:
             return
+        env = self.env
+        self._seq = env.sequence()
+        if not self._dirty:
+            self._dirty = True
+            env.at_instant_end(self._solve)
 
+    def _solve(self) -> None:
+        """Recompute stale rates and arm the wakeup at the next completion."""
+        if not self._dirty:
+            return
+        self._dirty = False
+        tasks = self._tasks
+        if not tasks:
+            return
         rates = maxmin_rates(
-            self.capacity,
-            [t.weight for t in self._tasks],
-            [t.cap for t in self._tasks],
+            self.capacity, [t.weight for t in tasks], [t.cap for t in tasks]
         )
-        for task, rate in zip(self._tasks, rates):
+        for task, rate in zip(tasks, rates):
             task.rate = rate
 
         next_dt = min(
-            (t.remaining / t.rate for t in self._tasks if t.rate > _EPS),
+            (t.remaining / t.rate for t in tasks if t.rate > _EPS),
             default=None,
         )
         if next_dt is None:
             raise SimulationError(
                 f"FairShare {self.name!r}: tasks present but no progress possible"
             )
-        wakeup = self.env.timeout(max(next_dt, _MIN_DT))
+        wakeup = Timeout(self.env, max(next_dt, _MIN_DT), seq=self._seq)
         self._wakeup = wakeup
         wakeup.callbacks.append(self._on_wakeup)
 

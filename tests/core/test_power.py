@@ -5,9 +5,11 @@ import pytest
 from repro.core.power import PowerAwarePlacer, PowerMeter
 from repro.errors import SchedulerError
 from repro.hardware.cluster import build_agc_cluster
+from repro.sim.core import Environment
 from repro.testbed import create_job, provision_vms
 from repro.units import GiB
 from tests.conftest import drive
+from tests.sim.eager_fairshare import EagerFairShare
 
 
 def _setup(ib=2, eth=2, ppv=8):
@@ -121,3 +123,20 @@ def test_power_saving_end_to_end():
     assert readings["after"] < readings["before"]
     saved = readings["before"] - readings["after"]
     assert saved > meter.spec.ib_switch_w  # at least the switch + a blade
+
+
+def test_power_read_in_the_submit_instant_counts_the_new_threads():
+    """A node's draw read in the instant threads start counts them, as the
+    eager CPU service (one solve per submit) did."""
+    cluster = build_agc_cluster(ib_nodes=1, eth_nodes=1)
+    provision_vms(cluster, ["ib01"], memory_bytes=4 * GiB)
+    node = cluster.node("ib01")
+    meter = PowerMeter(cluster)
+    spec = meter.spec
+    eager = EagerFairShare(Environment(), capacity=node.cpu.cores)
+    for _ in range(10):  # the last two overcommit the 8 cores
+        node.cpu.run_thread(1.0)
+        eager.submit(1.0, cap=1.0)
+        expected = spec.node_idle_w + eager.utilization * node.cpu.cores * spec.node_per_core_w
+        assert meter.node_power_w(node) == expected
+    assert meter.node_power_w(node) == spec.node_idle_w + 8 * spec.node_per_core_w

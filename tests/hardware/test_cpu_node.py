@@ -6,7 +6,9 @@ from repro.errors import HardwareError
 from repro.hardware.cpu import HostCpu
 from repro.hardware.node import PhysicalNode
 from repro.hardware.specs import AGC_NODE_SPEC
+from repro.sim.core import Environment
 from repro.units import GiB
+from tests.sim.eager_fairshare import EagerFairShare
 
 
 # -- HostCpu ------------------------------------------------------------------
@@ -25,6 +27,20 @@ def test_thread_capped_at_one_core(env):
     task = cpu.run_thread(4.0)
     env.run()
     assert task.finished_at == pytest.approx(4.0)  # not 0.5
+
+
+def test_load_read_in_the_submit_instant_equals_the_eager_value(env):
+    """``load`` solves a share whose rates are stale: a reading in the
+    instant of a submit equals the eager service's, which solved at it."""
+    cpu = HostCpu(env, cores=2)
+    eager = EagerFairShare(Environment(), capacity=2.0)
+    loads = []
+    for cpu_seconds, max_cores in [(1.0, 1.0), (0.0, 1.0), (3.0, 0.5), (2.0, 1.5), (0.5, 1.0)]:
+        cpu.run_task(cpu_seconds, max_cores=max_cores)
+        eager.submit(cpu_seconds, weight=max_cores, cap=max_cores)
+        loads.append((cpu.load, eager.utilization * 2))
+    assert [batched for batched, _ in loads] == [e for _, e in loads]
+    assert [batched for batched, _ in loads] == [1.0, 1.0, 1.5, 2.0, 2.0]
 
 
 def test_overcommit_dilates(env):

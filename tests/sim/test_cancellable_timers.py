@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.hardware.cpu import HostCpu
+from repro.sim.events import NORMAL
 from repro.sim.fairshare import FairShare
 
 
@@ -80,13 +81,35 @@ def test_same_instant_submits_process_one_wakeup(env):
     assert env.events_processed == 1 + len(tasks)
 
 
+def _live_entries(env):
+    return [entry for entry in env._queue if entry[3].callbacks is not None]
+
+
 def test_superseded_wakeup_is_cancelled(env):
     share = FairShare(env, capacity=1.0)
     first = share.submit(4.0)
-    stale = share._wakeup
-    share.submit(1.0)  # shares the capacity: the first wakeup is stale
-    assert stale.processed and share._wakeup is not stale
+    share.submit(1.0)  # shares the capacity: the first task's rate halves
+    # Same-instant submits arm nothing until the instant ends...
+    assert share._wakeup is None and _live_entries(env) == []
+    env.run(until=1.0)
+    # ...then exactly one wakeup, at the second task's completion, queued
+    # under the sequence number the second submit drew (the first drew 0).
+    wakeup = share._wakeup
+    assert wakeup is not None and not wakeup.processed
+    assert _live_entries(env) == [(2.0, NORMAL, 1, wakeup)]
     env.run()
+    assert first.finished_at == pytest.approx(5.0)
+
+
+def test_wakeup_armed_at_an_earlier_instant_is_cancelled(env):
+    share = FairShare(env, capacity=1.0)
+    first = share.submit(4.0)
+    env.run(until=1.0)
+    stale = share._wakeup
+    share.submit(1.0)  # the wakeup armed at t=0 (for t=4) is now stale
+    assert stale.processed and share._wakeup is None
+    env.run()
+    # 1 unit alone, 1 in 2 s at half rate, then the last 2 alone.
     assert first.finished_at == pytest.approx(5.0)
 
 

@@ -6,8 +6,10 @@ by ``run`` and once by ``step()`` alone, and the two must log the same
 resumes in the same order at the same times, end at the same ``now``
 and count the same events.  The scenarios cover URGENT process starts
 and interrupts ahead of NORMAL events at one instant, ties broken by
-scheduling order, cancelled timers, ``run(until=…)`` and the re-raise of
-a failed event nothing waits on.
+scheduling order, cancelled timers, ``run(until=…)``, the re-raise of
+a failed event nothing waits on, and ``FairShare`` submits and a cancel
+from two processes at one instant, whose single solve runs when the
+instant ends.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment
+from repro.sim.fairshare import FairShare
 from repro.sim.process import Interrupt
 
 
@@ -55,6 +58,17 @@ def _scenario(env: Environment, log: list, fail_at: float | None = None) -> None
         both = yield env.timeout(0.5, "a") & env.timeout(0.5, "b")
         log.append((env.now, "waiter", sorted(both.values())))
 
+    share = FairShare(env, capacity=2.0)
+
+    def cpu_user(name, amounts, cancel_last):
+        yield env.timeout(1.0)
+        tasks = [share.submit(amount) for amount in amounts]
+        if cancel_last:
+            share.cancel(tasks.pop())
+        for task in tasks:
+            yield task.done
+            log.append((env.now, name, task.amount))
+
     def crasher():
         yield env.timeout(fail_at)
         log.append((env.now, "crasher", "raise"))
@@ -65,6 +79,9 @@ def _scenario(env: Environment, log: list, fail_at: float | None = None) -> None
     for name, period in (("t1", 1.0), ("t2", 1.0), ("t3", 0.75)):
         env.process(ticker(name, period, 4))
     env.process(waiter())
+    # Four submits and a cancel at t=1, from two processes.
+    env.process(cpu_user("cpu-a", [1.0, 3.0], False))
+    env.process(cpu_user("cpu-b", [2.0, 5.0], True))
     # The last one outlives every live event: a drained run ends at it.
     for delay in (0.5, 1.0, 2.5, 30.0):
         timer = env.timeout(delay)
@@ -111,9 +128,15 @@ def test_run_and_step_agree_on_a_drained_run():
     # the ticks queued earlier at the same instant.
     at_one = [entry[1] for entry in log_a if entry[0] == 1.0]
     assert at_one.index("sleeper") < at_one.index("t1") < at_one.index("t2")
+    # Three tasks share 2 cores from t=1: the 1.0 finishes at 2.5, then
+    # the 2.0 at 3.5 and the 3.0 at 4.0.
+    cpu = [entry for entry in log_a if entry[1].startswith("cpu")]
+    assert cpu == [(2.5, "cpu-a", 1.0), (3.5, "cpu-b", 2.0), (4.0, "cpu-a", 3.0)]
 
 
-@pytest.mark.parametrize("stops", [(0.75,), (1.0, 2.0), (0.5, 1.75, 3.0, 20.0)])
+@pytest.mark.parametrize(
+    "stops", [(0.75,), (1.0, 2.0), (0.5, 1.75, 3.0, 20.0), (0.5, 1.0, 2.5)]
+)
 def test_run_until_and_step_agree(stops):
     (a, log_a), (b, log_b) = _pair()
     for at in stops:

@@ -210,7 +210,6 @@ KEPT = {
     "GuestMemory.populate_resident(offset)": _NONE,
     "MigrationJournal.load(env)": _NONE,
     "MigrationPlan.build(detach_tag)": _NONE,
-    "MpiProcess.send(page_class)": _NONE,
     "NinjaMigration.execute(request_checkpoint)": _NONE,
     "NinjaMigration.fallback_plan(label)": _NONE,
     "NinjaMigration.self_migration_plan(label)": _NONE,
