@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.phases import PhaseTimeline
 from repro.errors import ReproError, SymVirtError
+from repro.hardware.node import HCA_BDF, VF_TAG
 from repro.network.fabric import PortState
 from repro.recovery import undo
 from repro.symvirt.controller import Controller
@@ -77,8 +78,6 @@ class ProactiveCheckpoint:
         self,
         job: "MpiJob",
         qemus: Sequence["QemuProcess"],
-        detach_tag: str = "vf0",
-        request_checkpoint: bool = True,
         image_suffix: str = "",
         extra_meta: Optional[dict] = None,
         warm_reattach: bool = False,
@@ -100,13 +99,12 @@ class ProactiveCheckpoint:
         timeline = PhaseTimeline()
         t0 = env.now
         ctl = Controller(self.cluster, qemus)
-        had_attached = {a.qemu.vm.name: a.has_attached(detach_tag) for a in ctl.agents}
+        had_attached = {a.qemu.vm.name: a.has_attached(VF_TAG) for a in ctl.agents}
         #: SymVirt rounds released so far (of the two a request owes).
         signals = 0
 
         timeline.begin("coordination", env.now)
-        if request_checkpoint:
-            job.request_checkpoint()
+        job.request_checkpoint()
         try:
             yield from ctl.wait_all()
             timeline.end("coordination", env.now)
@@ -115,7 +113,7 @@ class ProactiveCheckpoint:
             # Round A: release VMM-bypass devices (snapshots are blocked on
             # assigned devices, exactly like migration).
             timeline.begin("detach", env.now)
-            yield from ctl.device_detach(detach_tag)
+            yield from ctl.device_detach(VF_TAG)
             timeline.end("detach", env.now)
             yield from ctl.signal()
             signals += 1
@@ -140,7 +138,7 @@ class ProactiveCheckpoint:
             reattach = [q for q in qemus if q.node.has_infiniband]
             if reattach:
                 yield ctl._parallel(
-                    agent.device_attach(host="04:00.0", tag=detach_tag)
+                    agent.device_attach(host=str(HCA_BDF), tag=VF_TAG)
                     for agent in ctl.agents
                     if agent.qemu in reattach
                 )
@@ -148,7 +146,7 @@ class ProactiveCheckpoint:
 
             linkup_events = []
             for qemu in reattach:
-                assignment = qemu.assignments.get(detach_tag)
+                assignment = qemu.assignments.get(VF_TAG)
                 if assignment is None or assignment.function.port is None:
                     raise SymVirtError(f"{qemu.vm.name}: re-attach left no port")
                 port = assignment.function.port
@@ -163,8 +161,8 @@ class ProactiveCheckpoint:
             # back the HCAs and hand back the owed rounds, then let the
             # caller record the failed generation.
             yield from undo.settle(env, qemus)
-            undo.finish_partial_ejects(self.cluster, qemus, detach_tag)
-            yield from undo.reattach_origin(ctl, detach_tag, had_attached)
+            undo.finish_partial_ejects(self.cluster, qemus, VF_TAG)
+            yield from undo.reattach_origin(ctl, VF_TAG, had_attached)
             yield from undo.resume_guests(ctl, 2 - signals)
             raise
         timeline.begin("linkup", env.now)

@@ -11,11 +11,11 @@ module provides:
   :meth:`FaultInjector.perturb` / :meth:`FaultInjector.maybe_fail`; an
   armed spec matching that site raises its exception on the Nth call at
   or after a simulated time, or parks the caller forever (``hang=True``,
-  for exercising per-phase timeouts).
+  for exercising per-phase timeouts).  A spec fires once; a fault that
+  fires on several calls is armed once per call.
 * :class:`RetryPolicy` — bounded retry with exponential backoff whose
-  delays are exact functions of the attempt index (and, when jitter is
-  enabled, of the seeded :class:`~repro.sim.rng.RngRegistry` stream), so
-  tests can assert the full simulated-clock delay sequence.
+  delays are exact functions of the attempt index, so tests can assert
+  the full simulated-clock delay sequence.
 
 Site naming convention (all instrumented sites in the tree)::
 
@@ -52,7 +52,6 @@ from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
-    from repro.sim.rng import RngRegistry
 
 #: An armed error: an exception instance, an exception class, or a factory
 #: called with the site name.
@@ -61,7 +60,7 @@ ErrorSpec = Union[BaseException, type, Callable[[str], BaseException]]
 
 @dataclass
 class FaultSpec:
-    """One armed fault: *where*, *when*, and *what* to inject."""
+    """One armed fault: *where*, *when*, and *what* to inject (once)."""
 
     site: str
     error: Optional[ErrorSpec] = None
@@ -69,8 +68,6 @@ class FaultSpec:
     nth: int = 1
     #: ... at or after this simulated time (``None`` = any time).
     at_time: Optional[float] = None
-    #: How many consecutive calls fire once triggered (1 = transient).
-    times: int = 1
     #: Instead of raising, block the caller on a never-firing event
     #: (drives the per-phase timeout path).
     hang: bool = False
@@ -83,7 +80,7 @@ class FaultSpec:
         return self.site == site or fnmatchcase(site, self.site)
 
     def exhausted(self) -> bool:
-        return self.fired >= self.times
+        return self.fired > 0
 
     def make_error(self, site: str) -> BaseException:
         err = self.error
@@ -141,17 +138,12 @@ class FaultInjector:
         error: Optional[ErrorSpec] = None,
         nth: int = 1,
         at_time: Optional[float] = None,
-        times: int = 1,
         hang: bool = False,
     ) -> FaultSpec:
-        """Arm a fault at ``site``; returns the spec."""
+        """Arm a fault at ``site`` that fires once; returns the spec."""
         if nth < 1:
             raise ValueError(f"nth must be >= 1, got {nth}")
-        if times < 1:
-            raise ValueError(f"times must be >= 1, got {times}")
-        spec = FaultSpec(
-            site=site, error=error, nth=nth, at_time=at_time, times=times, hang=hang
-        )
+        spec = FaultSpec(site=site, error=error, nth=nth, at_time=at_time, hang=hang)
         self.specs.append(spec)
         return spec
 
@@ -231,25 +223,17 @@ class FaultInjector:
 
 @dataclass
 class RetryPolicy:
-    """Bounded retry with exponential backoff (deterministic by default).
+    """Bounded retry with exponential backoff (deterministic).
 
     ``delay(attempt)`` for attempt = 0, 1, 2 … is
-    ``base_delay_s * factor**attempt``, optionally jittered through the
-    seeded ``ninja.backoff`` RNG stream — both fully reproducible.
+    ``base_delay_s * factor**attempt``.
     """
 
     #: Total attempts, including the first (3 = one try + two retries).
     max_attempts: int = 3
     base_delay_s: float = 0.5
     factor: float = 2.0
-    #: Relative jitter applied via :meth:`RngRegistry.jitter` (0 = exact).
-    jitter_rel: float = 0.0
-    #: RNG stream name used when jitter is enabled.
-    stream: str = "ninja.backoff"
 
-    def delay(self, attempt: int, rng: Optional["RngRegistry"] = None) -> float:
+    def delay(self, attempt: int) -> float:
         """Backoff before retry number ``attempt + 1`` (attempt is 0-based)."""
-        base = self.base_delay_s * self.factor**attempt
-        if self.jitter_rel > 0.0 and rng is not None:
-            return rng.jitter(self.stream, base, self.jitter_rel)
-        return float(base)
+        return float(self.base_delay_s * self.factor**attempt)

@@ -90,6 +90,7 @@ from repro.errors import (
     ReproError,
     SymVirtError,
 )
+from repro.hardware.node import HCA_BDF, VF_TAG
 from repro.recovery import undo
 from repro.recovery.journal import MigrationJournal
 from repro.symvirt.controller import Controller
@@ -175,7 +176,6 @@ class NinjaMigration:
         retry_policy: Optional[RetryPolicy] = None,
         phase_timeout_s: Optional[Dict[str, float]] = None,
         journal: Optional[MigrationJournal] = None,
-        migration_policy: Optional["MigrationPolicy"] = None,
     ) -> None:
         self.cluster = cluster
         self.env = cluster.env
@@ -183,7 +183,7 @@ class NinjaMigration:
         self.phase_timeout_s: Dict[str, float] = dict(phase_timeout_s or {})
         #: Degraded-path escalation knobs handed to every QEMU migration
         #: this controller starts (None = plain precopy).
-        self.migration_policy = migration_policy
+        self.migration_policy: Optional["MigrationPolicy"] = None
         #: Write-ahead journal of every sequence this controller runs.
         self.journal = (
             journal if journal is not None else MigrationJournal()
@@ -239,11 +239,8 @@ class NinjaMigration:
 
     # -- the sequence -----------------------------------------------------------------
 
-    def execute(self, job: "MpiJob", plan: MigrationPlan, request_checkpoint: bool = True):
+    def execute(self, job: "MpiJob", plan: MigrationPlan):
         """Run the sequence (generator — drive from a simulation process).
-
-        ``request_checkpoint=False`` lets callers that already delivered
-        the trigger (e.g. a cloud-scheduler event process) skip step 0.
 
         Mid-phase failures roll the transaction back (or degrade it, past
         the commit point) and return an *aborted* :class:`NinjaResult`
@@ -257,7 +254,7 @@ class NinjaMigration:
         t0 = env.now
         ctl = Controller(self.cluster, plan.qemus)
         faults = self.cluster.faults
-        tag = plan.detach_tag
+        tag = VF_TAG
         policy = self.retry_policy
 
         #: Per-VM migration stats; bound before any phase so an abort in
@@ -274,10 +271,7 @@ class NinjaMigration:
         had_attached = {a.qemu.vm.name: a.has_attached(tag) for a in ctl.agents}
 
         journal = self.journal
-        mid = journal.begin_sequence(
-            plan, origin=origin, had_attached=had_attached,
-            request_checkpoint=request_checkpoint,
-        )
+        mid = journal.begin_sequence(plan, origin=origin, had_attached=had_attached)
 
         # Migration noise dilates hotplug primitives on real moves (Fig. 6).
         noise = (
@@ -343,14 +337,13 @@ class NinjaMigration:
         def attach_body():
             yield from faults.perturb("ninja.attach")
             pending = [
-                (agent, entry)
+                agent
                 for agent, entry in zip(ctl.agents, plan.entries)
                 if entry.attach_ib and not agent.has_attached(tag)
             ]
             if pending:
                 yield ctl._parallel(
-                    agent.device_attach(host=entry.attach_bdf, tag=tag)
-                    for agent, entry in pending
+                    agent.device_attach(host=str(HCA_BDF), tag=tag) for agent in pending
                 )
             # Verify every attach left a confirmable port; a bad attach
             # rolls the whole sequence back.
@@ -406,7 +399,7 @@ class NinjaMigration:
                     except TRANSIENT_ERRORS as err:
                         if attempt + 1 >= policy.max_attempts:
                             raise
-                        delay = policy.delay(attempt, self.cluster.rng)
+                        delay = policy.delay(attempt)
                         retries[name] = retries.get(name, 0) + 1
                         self.cluster.trace(
                             "ninja",
@@ -440,8 +433,7 @@ class NinjaMigration:
             try:
                 # Step 0 happens before anything is parked or detached —
                 # a failed trigger needs no rollback and is re-raised.
-                if request_checkpoint:
-                    job.request_checkpoint()
+                job.request_checkpoint()
 
                 # -- 1. coordination: quiesce + park (round A) -----------
                 journal.append("compensation", mid=mid, action="resume-guests")
@@ -586,20 +578,18 @@ class NinjaMigration:
 
     # -- plan builders (thin wrappers; the cloud scheduler adds policy) ------------
 
-    def fallback_plan(self, qemus, dst_hosts, label: str = "fallback") -> MigrationPlan:
+    def fallback_plan(self, qemus, dst_hosts) -> MigrationPlan:
         """IB cluster → Ethernet cluster (detach, no re-attach)."""
         return MigrationPlan.build(
-            self.cluster, qemus, list(dst_hosts), attach_ib=False, label=label
+            self.cluster, qemus, list(dst_hosts), attach_ib=False, label="fallback"
         )
 
-    def self_migration_plan(
-        self, qemus, attach_ib: bool, label: str = "self"
-    ) -> MigrationPlan:
+    def self_migration_plan(self, qemus, attach_ib: bool) -> MigrationPlan:
         """Migrate VMs onto their own hosts (the Table II micro benchmark)."""
         return MigrationPlan.build(
             self.cluster,
             qemus,
             [q.node.name for q in qemus],
             attach_ib=attach_ib,
-            label=label,
+            label="self",
         )

@@ -26,8 +26,6 @@ class PlanEntry:
     dst_host: str
     #: Attach the destination node's IB HCA after the move?
     attach_ib: bool = False
-    #: BDF hint of the device to attach (Figure 5 uses "04:00.0").
-    attach_bdf: str = "04:00.0"
 
     @property
     def src_host(self) -> str:
@@ -44,8 +42,6 @@ class MigrationPlan:
 
     cluster: "Cluster"
     entries: List[PlanEntry] = field(default_factory=list)
-    #: Tag of the VMM-bypass device to detach before migrating.
-    detach_tag: str = "vf0"
     label: str = ""
 
     # -- construction ------------------------------------------------------------
@@ -57,7 +53,6 @@ class MigrationPlan:
         qemus: Sequence["QemuProcess"],
         dst_hosts: Sequence[str],
         attach_ib: Optional[bool] = None,
-        detach_tag: str = "vf0",
         label: str = "",
     ) -> "MigrationPlan":
         """Positional mapping with wrap-around (enables consolidation).
@@ -76,7 +71,7 @@ class MigrationPlan:
             node = cluster.node(dst)
             attach = node.has_bypass_fabric if attach_ib is None else attach_ib
             entries.append(PlanEntry(qemu=qemu, dst_host=dst, attach_ib=attach))
-        plan = cls(cluster=cluster, entries=entries, detach_tag=detach_tag, label=label)
+        plan = cls(cluster=cluster, entries=entries, label=label)
         plan.validate()
         return plan
 

@@ -145,9 +145,7 @@ class PowerAwarePlacer:
             switch_w += spec.myrinet_switch_w
         return node_w + standby_w + switch_w
 
-    def plan(
-        self, qemus: Sequence["QemuProcess"], label: str = "power-saving"
-    ) -> MigrationPlan:
+    def plan(self, qemus: Sequence["QemuProcess"]) -> MigrationPlan:
         """The cheapest feasible placement for ``qemus``.
 
         Candidate racks: stay on the bypass rack (consolidated), or move
@@ -195,5 +193,5 @@ class PowerAwarePlacer:
         candidates.sort(key=lambda c: c[0])
         _, hosts = candidates[0]
         return MigrationPlan.build(
-            self.cluster, qemus, hosts, attach_ib=None, label=label
+            self.cluster, qemus, hosts, attach_ib=None, label="power-saving"
         )

@@ -105,11 +105,11 @@ class MemoryWriter(GuestProcess):
             self.passes += 1
         return chunk
 
-    def run(self, duration_s: Optional[float] = None, max_passes: Optional[int] = None):
+    def run(self, duration_s: Optional[float] = None):
         """Writer main loop (generator — hand to ``env.process``).
 
-        Stops after ``duration_s`` of *guest-visible* activity, after
-        ``max_passes`` array sweeps, or when :meth:`stop` is called.
+        Stops after ``duration_s`` of *guest-visible* activity, or when
+        :meth:`stop` is called.
         """
         active = 0.0
         while not self._stop:
@@ -123,8 +123,6 @@ class MemoryWriter(GuestProcess):
             if self._cursor >= self.array_bytes:
                 self._cursor = 0
                 self.passes += 1
-                if max_passes is not None and self.passes >= max_passes:
-                    break
             if duration_s is not None and active >= duration_s:
                 break
         return self.passes

@@ -31,6 +31,9 @@ from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 
+#: One-way latency of a multi-site WAN link (a metro dark-fibre pipe).
+WAN_LATENCY_S = 5e-3
+
 
 class Cluster:
     """A heterogeneous data center: nodes plus IB and Ethernet fabrics."""
@@ -80,14 +83,13 @@ class Cluster:
         self,
         sites: Optional[Dict[str, list[str]]] = None,
         wan_bandwidth_Bps: Optional[float] = None,
-        wan_latency_s: float = 0.0,
     ) -> None:
         """Cable every node's 10 GbE NIC into the Ethernet fabric.
 
         Default: one blade switch for all nodes (the paper's single
         enclosure).  Passing ``sites`` (site name → node names) builds
         one switch per site joined pairwise-in-a-chain by WAN links of
-        ``wan_bandwidth_Bps`` / ``wan_latency_s`` — the wide-area
+        ``wan_bandwidth_Bps`` and :data:`WAN_LATENCY_S` — the wide-area
         disaster-recovery topology of Section VII's future work.
 
         Host NIC ports come up immediately (hosts are booted).
@@ -121,7 +123,7 @@ class Cluster:
                 topo.add_link(
                     a, b,
                     Link(name=f"wan:{a}--{b}", capacity_Bps=wan_bandwidth_Bps,
-                         latency_s=wan_latency_s),
+                         latency_s=WAN_LATENCY_S),
                 )
         self.eth_fabric = EthernetFabric(
             self.env, "ethernet", self.calibration, topology=topo, tracer=self.tracer
@@ -131,7 +133,7 @@ class Cluster:
             node.ethernet_nic().connect_port(port)
             self.eth_fabric.force_active(port)
 
-    def wire_infiniband(self, node_names: list[str], linkup_jitter: float = 0.0) -> None:
+    def wire_infiniband(self, node_names: list[str]) -> None:
         """Cable the listed nodes' HCAs to one IB switch.
 
         Ports stay DOWN until a guest driver probes the (hot-attached)
@@ -151,8 +153,6 @@ class Cluster:
             self.calibration,
             topology=topo,
             tracer=self.tracer,
-            rng=self.rng,
-            linkup_jitter=linkup_jitter,
         )
         for name in node_names:
             node = self.node(name)
@@ -240,7 +240,6 @@ def build_agc_cluster(
     eth_nodes: int = 8,
     calibration: Calibration = PAPER_CALIBRATION,
     seed: int = 0,
-    linkup_jitter: float = 0.0,
 ) -> Cluster:
     """Build the paper's 16-blade AGC testbed (Table I).
 
@@ -258,7 +257,7 @@ def build_agc_cluster(
         cluster.add_node(name)
     cluster.wire_ethernet()
     if ib_names:
-        cluster.wire_infiniband(ib_names, linkup_jitter=linkup_jitter)
+        cluster.wire_infiniband(ib_names)
     return cluster
 
 
@@ -296,7 +295,6 @@ def build_two_site_cluster(
     primary_nodes: int = 4,
     backup_nodes: int = 4,
     wan_bandwidth_Bps: Optional[float] = None,
-    wan_latency_s: float = 5e-3,
 ) -> Cluster:
     """Two geographically separated sites joined by a WAN link.
 
@@ -317,7 +315,6 @@ def build_two_site_cluster(
     cluster.wire_ethernet(
         sites={"primary": ib_names, "backup": eth_names},
         wan_bandwidth_Bps=wan_bandwidth_Bps,
-        wan_latency_s=wan_latency_s,
     )
     if ib_names:
         cluster.wire_infiniband(ib_names)

@@ -14,6 +14,8 @@ from repro.hardware.specs import NodeSpec
 #: the HCA function at host ``04:00.0``).
 HCA_BDF = PciAddress.parse("04:00.0")
 NIC_BDF = PciAddress.parse("02:00.0")
+#: The tag the guest's VMM-bypass function carries (Figure 5's ``vf0``).
+VF_TAG = "vf0"
 from repro.sim.resources import Container
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -139,7 +139,6 @@ class LinkTelemetryProbe:
         fabric: Optional["Fabric"] = None,
         heartbeats: Optional["HeartbeatMonitor"] = None,
         period_s: float = 0.25,
-        trace: bool = False,
     ) -> None:
         self.cluster = cluster
         self.env = cluster.env
@@ -147,8 +146,6 @@ class LinkTelemetryProbe:
         self.fabric = fabric if fabric is not None else cluster.eth_fabric
         self.heartbeats = heartbeats
         self.period_s = period_s
-        #: Mirror every sample into the cluster tracer (batched appends).
-        self.trace = trace
         self.ticks = 0
         #: Per link-state stream, the value at which each key's detectors
         #: are all idle; ``None`` publishes every link-state sample.
@@ -216,15 +213,6 @@ class LinkTelemetryProbe:
                 )
         for sample in samples:
             self.bus.publish(sample)
-        if self.trace and self.cluster.tracer is not None:
-            self.cluster.tracer.emit_batch(
-                now,
-                "telemetry",
-                (
-                    ("sample", {"stream": s.stream, "key": s.key, "value": s.value})
-                    for s in samples
-                ),
-            )
         self.ticks += 1
         return len(samples)
 

@@ -5,7 +5,7 @@ each rank interacts through its :class:`CommView`, whose methods return
 generators driven inside that rank's simulation process::
 
     def rank_main(proc, comm):
-        value = yield from comm.bcast(8 * GiB, root=0)
+        yield from comm.bcast(8 * GiB, root=0)
         yield from comm.barrier()
 """
 
@@ -70,28 +70,24 @@ class CommView:
 
     # -- point-to-point ---------------------------------------------------------------
 
-    def send(self, dst: int, nbytes: int, tag: int = 0, value: object = None):
+    def send(self, dst: int, nbytes: int, tag: int = 0):
         """Blocking send to comm-rank ``dst`` (generator)."""
-        return self.proc.send(
-            self._world(dst), nbytes, tag=tag, comm_id=self.comm.comm_id, value=value
-        )
+        return self.proc.send(self._world(dst), nbytes, tag=tag, comm_id=self.comm.comm_id)
 
-    def isend(self, dst: int, nbytes: int, tag: int = 0, value: object = None):
+    def isend(self, dst: int, nbytes: int, tag: int = 0):
         """Non-blocking send; returns a completion event."""
-        return self.proc.isend(
-            self._world(dst), nbytes, tag=tag, comm_id=self.comm.comm_id, value=value
-        )
+        return self.proc.isend(self._world(dst), nbytes, tag=tag, comm_id=self.comm.comm_id)
 
     def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive from comm-rank ``src``; returns the Message."""
         world_src = src if src == ANY_SOURCE else self._world(src)
         return self.proc.recv(world_src, tag, comm_id=self.comm.comm_id)
 
-    def sendrecv(self, dst: int, nbytes: int, src: int, tag: int = 0, value: object = None):
+    def sendrecv(self, dst: int, nbytes: int, src: int, tag: int = 0):
         """Exchange step; returns the received Message."""
         world_src = src if src == ANY_SOURCE else self._world(src)
         return self.proc.sendrecv(
-            self._world(dst), nbytes, world_src, tag=tag, comm_id=self.comm.comm_id, value=value
+            self._world(dst), nbytes, world_src, tag=tag, comm_id=self.comm.comm_id
         )
 
     # -- collectives (delegate to algorithms) ----------------------------------------------
@@ -100,27 +96,17 @@ class CommView:
         """Dissemination barrier (generator)."""
         return collectives.barrier(self)
 
-    def bcast(
-        self,
-        nbytes: int,
-        root: int = 0,
-        value: object = None,
-        algorithm: str = "binomial",
-    ):
-        """Broadcast; returns the root's value on all ranks.
-
-        ``algorithm``: ``"binomial"`` (default) or ``"chain"`` (segmented
-        pipeline for very large payloads).
-        """
-        return collectives.bcast(self, nbytes, root, value, algorithm=algorithm)
+    def bcast(self, nbytes: int, root: int = 0):
+        """Binomial-tree broadcast from ``root`` (generator)."""
+        return collectives.bcast(self, nbytes, root)
 
     def reduce(self, nbytes: int, root: int = 0):
         """Binomial-tree reduction (computation cost included)."""
         return collectives.reduce(self, nbytes, root)
 
-    def allreduce(self, nbytes: int, algorithm: str = "basic"):
-        """Allreduce: ``"basic"`` (reduce+bcast) or ``"ring"``."""
-        return collectives.allreduce(self, nbytes, algorithm=algorithm)
+    def allreduce(self, nbytes: int):
+        """Allreduce as reduce + bcast (generator)."""
+        return collectives.allreduce(self, nbytes)
 
     def alltoall(self, nbytes: int):
         """Pairwise-exchange all-to-all (``nbytes`` per peer)."""

@@ -8,8 +8,6 @@ memory interact correctly with migration's uniform-page compression).
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import count
-from typing import Any, Optional
 
 from repro.vmm.guest_memory import PageClass
 
@@ -17,37 +15,24 @@ from repro.vmm.guest_memory import PageClass
 ANY_SOURCE = -1
 ANY_TAG = -1
 
-_seq = count()
-
 
 class Message(
-    namedtuple("Message", "src dst tag nbytes comm_id page_class value seq")
+    namedtuple(
+        "Message",
+        "src dst tag nbytes comm_id page_class value",
+        defaults=(0, PageClass.DATA, None),
+    )
 ):
     """An MPI message envelope + payload descriptor (immutable).
 
     ``page_class`` is what the receive buffer looks like to the migration
-    scanner; ``value`` an optional application payload (small control
-    values only); ``seq`` a creation number, drawn when not given.  A
-    tuple, not a frozen dataclass: every send builds one, and a frozen
-    dataclass pays an ``object.__setattr__`` call per field.
+    scanner; ``value`` an optional payload, which the runtime's own sends
+    leave ``None``.  A tuple, not a frozen dataclass: every send builds
+    one, and a frozen dataclass pays an ``object.__setattr__`` call per
+    field.
     """
 
     __slots__ = ()
-
-    def __new__(
-        cls,
-        src: int,
-        dst: int,
-        tag: int,
-        nbytes: int,
-        comm_id: int = 0,
-        page_class: PageClass = PageClass.DATA,
-        value: Any = None,
-        seq: Optional[int] = None,
-    ) -> "Message":
-        if seq is None:
-            seq = next(_seq)
-        return tuple.__new__(cls, (src, dst, tag, nbytes, comm_id, page_class, value, seq))
 
     def matches(self, src: int, tag: int) -> bool:
         """Does this envelope satisfy a recv posted with (src, tag)?"""

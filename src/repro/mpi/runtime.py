@@ -124,15 +124,12 @@ class MpiProcess:
         nbytes: int,
         tag: int = 0,
         comm_id: int = 0,
-        value: object = None,
     ):
         """Blocking send: returns after the transport delivered the message."""
         if self.cr_pending:
             yield from self.service_cr()
         peer = self.job.proc(dst)
-        message = Message(
-            src=self.rank, dst=dst, tag=tag, nbytes=int(nbytes), comm_id=comm_id, value=value
-        )
+        message = Message(self.rank, dst, tag, int(nbytes), comm_id)
         module = self.btl.route(peer)
         self.sends.total_sends += 1
         yield from module.send(peer, message)
@@ -143,13 +140,10 @@ class MpiProcess:
         nbytes: int,
         tag: int = 0,
         comm_id: int = 0,
-        value: object = None,
     ) -> Event:
         """Non-blocking send; returns the completion event."""
         peer = self.job.proc(dst)
-        message = Message(
-            src=self.rank, dst=dst, tag=tag, nbytes=int(nbytes), comm_id=comm_id, value=value
-        )
+        message = Message(self.rank, dst, tag, int(nbytes), comm_id)
         module = self.btl.route(peer)
         # Driven from callbacks, so the send overlaps the caller's receive.
         return self.sends.start(module.send(peer, message))
@@ -179,12 +173,11 @@ class MpiProcess:
         src: int,
         tag: int = 0,
         comm_id: int = 0,
-        value: object = None,
     ):
         """Concurrent send+recv (deadlock-free exchange step)."""
         if self.cr_pending:
             yield from self.service_cr()
-        send_done = self.isend(dst, nbytes_send, tag=tag, comm_id=comm_id, value=value)
+        send_done = self.isend(dst, nbytes_send, tag=tag, comm_id=comm_id)
         message = yield from self.recv(src, tag, comm_id)
         yield send_done
         return message

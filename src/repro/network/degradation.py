@@ -305,13 +305,10 @@ def chaos_from_spec(
     cluster: "Cluster",
     spec: str,
     link_pattern: str = "*",
-    fabric: Optional["Fabric"] = None,
 ) -> NetworkChaos:
     """Build a :class:`NetworkChaos` from a CLI spec string."""
     return NetworkChaos(
-        cluster=cluster,
-        events=parse_degrade_spec(spec, link_pattern=link_pattern),
-        fabric=fabric,
+        cluster=cluster, events=parse_degrade_spec(spec, link_pattern=link_pattern)
     )
 
 

@@ -144,7 +144,6 @@ class Fabric:
         dst: Port,
         nbytes: float,
         cap_Bps: float = float("inf"),
-        weight: float = 1.0,
         label: str = "",
     ) -> Flow:
         """Move ``nbytes`` from ``src`` to ``dst``; returns the flow.
@@ -159,7 +158,7 @@ class Fabric:
                     f"{self.name}: port {port.name} is {port.state.value}"
                 )
         path = self.topology.path(src.name, dst.name)
-        return self.flows.start(path, nbytes, cap_Bps=cap_Bps, weight=weight, label=label)
+        return self.flows.start(path, nbytes, cap_Bps=cap_Bps, label=label)
 
     def latency(self, src: Port, dst: Port) -> float:
         """One-way propagation latency between two ports."""

@@ -28,6 +28,9 @@ from repro.network.links import DirectedLink, Link
 from repro.network.topology import Topology
 from repro.units import gbps, usec
 
+#: One-way latency of every fat-tree link.
+LINK_LATENCY_S = usec(5)
+
 
 class FatTree:
     """A k-ary fat-tree over :class:`~repro.network.topology.Topology`.
@@ -50,7 +53,6 @@ class FatTree:
         *,
         host_Bps: float = gbps(10),
         fabric_Bps: float | None = None,
-        latency_s: float = usec(5),
         name: str = "fattree",
     ) -> None:
         if k < 2 or k % 2:
@@ -65,7 +67,7 @@ class FatTree:
         self._racks: Dict[tuple[int, int], List[str]] = {}
         self._links: Dict[tuple[str, str], Link] = {}
         self._path_cache: Dict[tuple[str, str], List[DirectedLink]] = {}
-        self._build(float(latency_s))
+        self._build()
 
     # -- construction ------------------------------------------------------------
 
@@ -81,13 +83,13 @@ class FatTree:
     def _core(a: int, j: int) -> str:
         return f"c{a:02d}-{j:02d}"
 
-    def _wire(self, a: str, b: str, capacity_Bps: float, latency_s: float) -> None:
+    def _wire(self, a: str, b: str, capacity_Bps: float) -> None:
         lo, hi = (a, b) if a <= b else (b, a)
-        link = Link(name=f"{lo}--{hi}", capacity_Bps=capacity_Bps, latency_s=latency_s)
+        link = Link(name=f"{lo}--{hi}", capacity_Bps=capacity_Bps, latency_s=LINK_LATENCY_S)
         self._links[(lo, hi)] = link
         self.topology.add_link(a, b, link)
 
-    def _build(self, latency_s: float) -> None:
+    def _build(self) -> None:
         half = self.half
         topo = self.topology
         for a in range(half):
@@ -107,14 +109,14 @@ class FatTree:
                     self._hosts.append(host)
                     self._coords[host] = (pod, e, i)
                     rack.append(host)
-                    self._wire(host, edge, self.host_Bps, latency_s)
+                    self._wire(host, edge, self.host_Bps)
                 self._racks[(pod, e)] = rack
                 for a in range(half):
-                    self._wire(edge, self._agg(pod, a), self.fabric_Bps, latency_s)
+                    self._wire(edge, self._agg(pod, a), self.fabric_Bps)
             for a in range(half):
                 agg = self._agg(pod, a)
                 for j in range(half):
-                    self._wire(agg, self._core(a, j), self.fabric_Bps, latency_s)
+                    self._wire(agg, self._core(a, j), self.fabric_Bps)
 
     # -- queries -----------------------------------------------------------------
 

@@ -2,12 +2,12 @@
 
 Every bulk transfer (an MPI message, a migration stream) is a *flow* over a
 directed path of links.  Rates follow the standard fluid approximation
-(weighted max-min by progressive filling); it captures the sharing effects
+(max-min by progressive filling); it captures the sharing effects
 the paper's experiments exhibit (concurrent MPI streams, migration
 competing with application traffic) without packet-level cost.
 
 The engine is **incremental and contention-scoped**: the allocation of a
-weighted max-min solve decomposes across connected components of the
+max-min solve decomposes across connected components of the
 *flow-contention graph* (flows are vertices; two flows are adjacent when
 they share a directed link), because progressive filling on a component
 only consumes capacity of links that carry no flow from any other
@@ -46,7 +46,7 @@ class Flow:
     """
 
     __slots__ = (
-        "path", "nbytes", "cap_Bps", "weight", "label", "done", "remaining",
+        "path", "nbytes", "cap_Bps", "label", "done", "remaining",
         "rate_Bps", "started_at", "finished_at", "_updated_at", "_active",
         "_progressing", "_finish_entry",
     )
@@ -56,7 +56,6 @@ class Flow:
         path: tuple[DirectedLink, ...],
         nbytes: float,
         cap_Bps: float = float("inf"),
-        weight: float = 1.0,
         label: str = "",
         done: Optional[Event] = None,
         remaining: float = 0.0,
@@ -71,7 +70,6 @@ class Flow:
         self.path = path
         self.nbytes = nbytes
         self.cap_Bps = cap_Bps
-        self.weight = weight
         self.label = label
         self.done = done
         self.remaining = remaining
@@ -98,7 +96,7 @@ class Flow:
     def __repr__(self) -> str:
         return (
             f"Flow(path={self.path!r}, nbytes={self.nbytes!r}, cap_Bps={self.cap_Bps!r}, "
-            f"weight={self.weight!r}, label={self.label!r})"
+            f"label={self.label!r})"
         )
 
 
@@ -106,34 +104,35 @@ def compute_maxmin_flow_rates(flows: List[Flow]) -> None:
     """Assign ``rate_Bps`` to each flow by progressive filling (in place).
 
     Loopback flows (empty path) are only limited by their own cap.  The
-    per-link active weight is maintained incrementally (O(rounds · F · L)
+    per-link active-flow count is maintained incrementally (O(rounds · F · L)
     instead of O(rounds · F² · L)).  Iteration follows the input order, so
     the result is deterministic for a given flow list — this function is
     both the per-component solver and the from-scratch oracle the
     incremental engine is property-tested against.
     """
     residual: Dict[DirectedLink, float] = {}
-    weight_sum: Dict[DirectedLink, float] = {}
+    #: Active flows per link, as a float: a share is ``residual * (1.0 / n)``,
+    #: the form every pinned rate was computed in.
+    active_count: Dict[DirectedLink, float] = {}
     for flow in flows:
         flow.rate_Bps = 0.0
         for dlink in flow.path:
             if dlink in residual:
-                weight_sum[dlink] += flow.weight
+                active_count[dlink] += 1.0
             else:
                 residual[dlink] = dlink.capacity_Bps
-                weight_sum[dlink] = flow.weight
+                active_count[dlink] = 1.0
 
     active: Dict[Flow, None] = dict.fromkeys(flows)
     tentative: Dict[Flow, float] = {}
     while active:
         # Tentative rate of each active flow: its cap, or the fair share of
-        # its tightest link (weighted by flow weight).
+        # its tightest link.
         floor = float("inf")
         for flow in active:
             best = flow.cap_Bps
-            weight = flow.weight
             for dlink in flow.path:
-                share = residual[dlink] * (weight / weight_sum[dlink])
+                share = residual[dlink] * (1.0 / active_count[dlink])
                 if share < best:
                     best = share
             tentative[flow] = best
@@ -150,7 +149,7 @@ def compute_maxmin_flow_rates(flows: List[Flow]) -> None:
             for dlink in flow.path:
                 new_residual = residual[dlink] - flow.rate_Bps
                 residual[dlink] = new_residual if new_residual > 0.0 else 0.0
-                weight_sum[dlink] -= flow.weight
+                active_count[dlink] -= 1.0
             del active[flow]
 
 
@@ -159,13 +158,13 @@ def lone_flow_rate(flow: Flow) -> float:
 
     Progressive filling freezes a lone flow in its first round at the
     smaller of its cap and its tightest link, so this is exactly the rate
-    :func:`compute_maxmin_flow_rates` assigns to ``[flow]``: the same
-    products in the same order, without the per-link dictionaries.
+    :func:`compute_maxmin_flow_rates` assigns to ``[flow]`` (whose shares
+    there are ``capacity * (1.0 / 1.0)``), without the per-link
+    dictionaries.
     """
     best = flow.cap_Bps
-    weight = flow.weight
     for dlink in flow.path:
-        share = dlink.link.capacity_Bps * (weight / weight)
+        share = dlink.link.capacity_Bps
         if share < best:
             best = share
     return best if best > 0.0 else 0.0
@@ -244,14 +243,11 @@ class FlowNetwork:
         path: List[DirectedLink],
         nbytes: float,
         cap_Bps: float = float("inf"),
-        weight: float = 1.0,
         label: str = "",
     ) -> Flow:
         """Begin a transfer; ``flow.done`` fires when the last byte lands."""
         if nbytes < 0:
             raise NetworkError("nbytes must be non-negative")
-        if not 0.0 < weight < float("inf"):
-            raise NetworkError(f"weight must be positive and finite, got {weight}")
         if len(set(path)) != len(path):
             raise NetworkError(f"{self.name}: path repeats a directed link")
         for dlink in path:
@@ -265,7 +261,7 @@ class FlowNetwork:
         self._settle(now)
         nbytes = float(nbytes)
         flow = Flow(
-            tuple(path), nbytes, float(cap_Bps), float(weight), label,
+            tuple(path), nbytes, float(cap_Bps), label,
             done=Event(self.env), remaining=nbytes, started_at=now, _updated_at=now,
         )
         self.total_started += 1

@@ -25,7 +25,6 @@ from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
-    from repro.sim.rng import RngRegistry
     from repro.sim.trace import Tracer
     from repro.hardware.calibration import Calibration
 
@@ -35,20 +34,12 @@ class SubnetManager:
 
     A real SM sweeps the subnet periodically; here each plug event gets its
     own activation timer whose duration is the calibrated link-up time
-    (~29.85 s, Table II) with optional per-port jitter.
+    (~29.85 s, Table II).
     """
 
-    def __init__(
-        self,
-        fabric: "InfiniBandFabric",
-        linkup_s: float,
-        rng: Optional["RngRegistry"] = None,
-        jitter: float = 0.0,
-    ) -> None:
+    def __init__(self, fabric: "InfiniBandFabric", linkup_s: float) -> None:
         self.fabric = fabric
         self.linkup_s = linkup_s
-        self.rng = rng
-        self.jitter = jitter
         self._next_lid = count(1)
         self.activations = 0
 
@@ -56,15 +47,9 @@ class SubnetManager:
         """LIDs are never reused — re-attached ports get fresh addresses."""
         return next(self._next_lid)
 
-    def linkup_delay(self, port_name: str) -> float:
-        if self.rng is None or self.jitter <= 0.0:
-            return self.linkup_s
-        return self.rng.jitter(f"ib.linkup.{port_name}", self.linkup_s, self.jitter)
-
     def activate_later(self, port: Port) -> Event:
         """Schedule POLLING→ACTIVE after the link-up delay."""
-        delay = self.linkup_delay(port.name)
-        timer = self.fabric.env.timeout(delay)
+        timer = self.fabric.env.timeout(self.linkup_s)
 
         def _activate(_event: Event) -> None:
             # The port may have been unplugged while polling.
@@ -129,12 +114,10 @@ class InfiniBandFabric(Fabric):
         calibration: "Calibration",
         topology: Optional[Topology] = None,
         tracer: Optional["Tracer"] = None,
-        rng: Optional["RngRegistry"] = None,
-        linkup_jitter: float = 0.0,
     ) -> None:
         super().__init__(env, name, topology, tracer)
         self.calibration = calibration
-        self.sm = SubnetManager(self, calibration.ib_linkup_s, rng=rng, jitter=linkup_jitter)
+        self.sm = SubnetManager(self, calibration.ib_linkup_s)
         self._qps: list[QueuePair] = []
 
     # -- port lifecycle -----------------------------------------------------------

@@ -48,7 +48,6 @@ class MigrationRequest:
     #: "fallback" | "recovery" | "evacuate" | "spread"
     kind: str = "fallback"
     priority: int = 0
-    consolidate_to: Optional[int] = None
     #: Explicit destinations ("spread" kind); other kinds auto-place.
     dst_hosts: Optional[List[str]] = None
     #: Assigned by :meth:`FleetOrchestrator.submit` from the journal.

@@ -73,6 +73,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: checkpoint in flight) or a down VM (awaiting checkpoint restore) while
 #: nothing else can run.
 BUSY_RECHECK_S = 0.5
+#: How often to re-probe degraded paths while nothing else can run.
+DEGRADED_RECHECK_S = 5.0
+#: Give up on a degraded path (or a busy job, or a down VM) after
+#: waiting this long in total.
+DEGRADED_MAX_WAIT_S = 600.0
 
 
 @dataclass
@@ -97,13 +102,9 @@ class FleetConfig:
     #: Minimum bottleneck bandwidth (bytes/s) a migration path must offer
     #: before a request is started.  Requests whose links have degraded
     #: below the floor (chaos, outages) are deferred — re-planned or
-    #: re-queued until the path heals or ``degraded_max_wait_s`` elapses.
-    #: ``None`` disables the gate.
+    #: re-queued until the path heals or :data:`DEGRADED_MAX_WAIT_S`
+    #: elapses.  ``None`` disables the gate.
     viability_floor_Bps: Optional[float] = None
-    #: How often to re-probe degraded paths while nothing else can run.
-    degraded_recheck_s: float = 5.0
-    #: Give up on a degraded path after waiting this long in total.
-    degraded_max_wait_s: float = 600.0
 
     @classmethod
     def naive(cls) -> "FleetConfig":
@@ -185,9 +186,7 @@ class FleetOrchestrator:
         job_id: str,
         kind: str = "fallback",
         priority: int = 0,
-        consolidate_to: Optional[int] = None,
         dst_hosts: Optional[Sequence[str]] = None,
-        max_attempts: Optional[int] = None,
         incident_id: Optional[int] = None,
     ) -> MigrationRequest:
         """Queue a migration request for a registered job."""
@@ -197,12 +196,9 @@ class FleetOrchestrator:
             request_id=self.journal.next_id("request"),
             kind=kind,
             priority=priority,
-            consolidate_to=consolidate_to,
             dst_hosts=list(dst_hosts) if dst_hosts is not None else None,
             submitted_at=self.env.now,
-            max_attempts=(
-                max_attempts if max_attempts is not None else self.config.max_attempts
-            ),
+            max_attempts=self.config.max_attempts,
             incident_id=incident_id,
             done=Event(self.env),
         )
@@ -332,23 +328,23 @@ class FleetOrchestrator:
                     r for r in self.admission.pending
                     if r.defer_reason == "degraded-link"
                 ]
-                if degraded and degraded_wait < self.config.degraded_max_wait_s:
+                if degraded and degraded_wait < DEGRADED_MAX_WAIT_S:
                     # Degraded links heal (outages end, chaos schedules
                     # expire): keep re-probing instead of failing the
                     # requests outright.
-                    degraded_wait += self.config.degraded_recheck_s
+                    degraded_wait += DEGRADED_RECHECK_S
                     self.cluster.trace(
                         "fleet", "degraded_wait",
                         pending=len(degraded),
                         waited_s=round(degraded_wait, 1),
                     )
-                    yield self.env.timeout(self.config.degraded_recheck_s)
+                    yield self.env.timeout(DEGRADED_RECHECK_S)
                     continue
                 waiting = [
                     r for r in self.admission.pending
                     if r.defer_reason in ("job-busy", "vm-down")
                 ]
-                if waiting and busy_wait < self.config.degraded_max_wait_s:
+                if waiting and busy_wait < DEGRADED_MAX_WAIT_S:
                     # Busy jobs finish their checkpoint; down VMs come
                     # back through checkpoint restore.  Both resolve on
                     # their own clock — poll, don't fail.
@@ -543,7 +539,6 @@ class FleetOrchestrator:
             hosts = self.placement.pick_packed(
                 qemus,
                 self.cluster.eth_only_nodes(),
-                consolidate_to=request.consolidate_to,
                 exclude=exclude,
             )
             attach = False

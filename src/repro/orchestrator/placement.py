@@ -79,7 +79,6 @@ class PlacementEngine:
         candidates: Sequence["PhysicalNode"],
         consolidate_to: Optional[int] = None,
         exclude: Iterable[str] = (),
-        kind: str = "Ethernet",
     ) -> List[str]:
         """Pack VMs onto ``consolidate_to`` hosts (default one VM/host).
 
@@ -96,7 +95,7 @@ class PlacementEngine:
         hosts = self.free_hosts(candidates, vm_bytes * per_host, exclude=exclude)
         if len(hosts) < nhosts:
             raise SchedulerError(
-                f"need {nhosts} {kind} hosts with {per_host} VM slots, "
+                f"need {nhosts} Ethernet hosts with {per_host} VM slots, "
                 f"found {len(hosts)}"
             )
         return hosts[:nhosts]

@@ -49,6 +49,8 @@ FLEET_VM_MEMORY = 4 * GiB
 SMALL_DATA_BYTES = 256 * MiB
 #: Resident data set of a "large" job's VM.
 LARGE_DATA_BYTES = 1536 * MiB
+#: Tenants the scenario's jobs are dealt to round-robin (``t0``, ``t1``).
+TENANTS = 2
 
 
 def build_fleet_cluster(
@@ -83,13 +85,12 @@ def build_fleet_cluster(
             "backup": remote_eth,
         },
         wan_bandwidth_Bps=gbps(wan_gbps),
-        wan_latency_s=5e-3,
     )
     cluster.wire_infiniband(ib_names)
     return cluster
 
 
-def _provision_fleet(cluster, jobs: int, vms_per_job: int, tenants: int):
+def _provision_fleet(cluster, jobs: int, vms_per_job: int):
     """Provision + launch the scenario's MPI jobs; returns records of
     (job_id, tenant, job, qemus, naive round-robin dst_hosts)."""
     env = cluster.env
@@ -111,7 +112,7 @@ def _provision_fleet(cluster, jobs: int, vms_per_job: int, tenants: int):
         dst_hosts = [
             eth_names[(i * vms_per_job + k) % nvms] for k in range(vms_per_job)
         ]
-        records.append((f"j{i}", f"t{i % max(tenants, 1)}", job, qemus, dst_hosts))
+        records.append((f"j{i}", f"t{i % TENANTS}", job, qemus, dst_hosts))
     return records
 
 
@@ -212,7 +213,6 @@ def build_estate(
     config: FleetConfig,
     spares: int = 0,
     wan_gbps: float = 1.0,
-    tenants: int = 2,
     seed: int = 0,
     tracer: Optional[Tracer] = None,
 ) -> Estate:
@@ -227,7 +227,7 @@ def build_estate(
     )
     orch = FleetOrchestrator(cluster, config=config)
     estate = Estate(
-        cluster, orch, _provision_fleet(cluster, jobs, vms_per_job, tenants),
+        cluster, orch, _provision_fleet(cluster, jobs, vms_per_job),
         start_at=cluster.env.now + 1.0,
     )
     estate.register_jobs(orch)

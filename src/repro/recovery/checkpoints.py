@@ -50,6 +50,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.nfs import NfsServer
     from repro.vmm.qemu import QemuProcess
 
+#: Committed generations kept per job; :meth:`FleetCheckpointService.prune`
+#: deletes the images of older ones.
+KEEP_GENERATIONS = 2
+
 #: Fault-injection sites bracketing the durability boundary of one
 #: generation (crash-matrix hooks, like the Ninja phase sites).
 CHECKPOINT_INTENT_SITE = "checkpoint.intent"
@@ -82,8 +86,6 @@ class FleetCheckpointService:
         nfs: "NfsServer",
         journal: "MigrationJournal",
         period_s: float = 12.0,
-        keep_generations: int = 2,
-        detach_tag: str = "vf0",
     ) -> None:
         self.cluster = cluster
         self.env = cluster.env
@@ -91,8 +93,6 @@ class FleetCheckpointService:
         self.nfs = nfs
         self.journal = journal
         self.period_s = period_s
-        self.keep_generations = max(1, keep_generations)
-        self.detach_tag = detach_tag
         self.checkpointer = ProactiveCheckpoint(cluster, nfs)
         #: Fencing epoch current at construction; checked before commits.
         self.epoch = cluster.fencing.current
@@ -213,7 +213,6 @@ class FleetCheckpointService:
         result = yield from self.checkpointer.execute(
             record.job,
             record.qemus,
-            detach_tag=self.detach_tag,
             image_suffix=suffix,
             extra_meta={"generation": gen, "job": record.job_id},
             # In-place tick: the physical port never left the subnet,
@@ -254,7 +253,7 @@ class FleetCheckpointService:
     # -- retention -----------------------------------------------------------------
 
     def prune(self, job_id: str) -> List[str]:
-        """Delete images beyond the newest ``keep_generations`` commits.
+        """Delete images beyond the newest :data:`KEEP_GENERATIONS` commits.
 
         Only *committed* generations count toward retention; an
         uncommitted generation's images are garbage from a dead writer
@@ -265,15 +264,15 @@ class FleetCheckpointService:
             for step in self.journal.steps_of("checkpoint")
             if step.key[0] == job_id and step.commit is not None  # type: ignore[index]
         ]
-        if len(commits) <= self.keep_generations:
+        if len(commits) <= KEEP_GENERATIONS:
             return []
         keep = {
             name
-            for payload in commits[-self.keep_generations:]
+            for payload in commits[-KEEP_GENERATIONS:]
             for name in payload.get("images", ())
         }
         doomed: List[str] = []
-        for payload in commits[: -self.keep_generations]:
+        for payload in commits[:-KEEP_GENERATIONS]:
             for name in payload.get("images", ()):
                 if name not in keep and self.nfs.has_image(name):
                     self.nfs.delete(name)

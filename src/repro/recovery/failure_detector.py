@@ -91,15 +91,13 @@ class HeartbeatMonitor:
         """Record one heartbeat from ``node``."""
         self.detectors[node].heartbeat(self.env.now)
 
-    def emit_heartbeats(self, node: str, period_s: float, count: int = 10**9):
+    def emit_heartbeats(self, node: str, period_s: float):
         """Generator: a node's heartbeat loop (run as a process; kill the
-        process — or bound ``count`` — to simulate the node going silent).
+        process to simulate the node going silent).
 
         A host marked failed (:meth:`~repro.hardware.cluster.Cluster.fail_host`)
         goes silent at its next beat — nobody is left to run the agent."""
-        for _ in range(count):
-            if self.cluster.node(node).failed:
-                return
+        while not self.cluster.node(node).failed:
             self.beat(node)
             yield self.env.timeout(period_s)
 

@@ -96,6 +96,8 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, IO, List, Optional, Tuple
 
+from repro.hardware.node import VF_TAG
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.plan import MigrationPlan
     from repro.sim.core import Environment
@@ -432,7 +434,6 @@ class MigrationJournal:
         plan: "MigrationPlan",
         origin: Dict[str, str],
         had_attached: Dict[str, bool],
-        request_checkpoint: bool = True,
     ) -> str:
         """Open a migration sequence; returns its journal-unique mid."""
         self._mids += 1
@@ -444,10 +445,10 @@ class MigrationJournal:
             vms=[e.qemu.vm.name for e in plan.entries],
             origin=dict(origin),
             mapping=dict(plan.mapping),
-            tag=plan.detach_tag,
+            tag=VF_TAG,
             attach={e.qemu.vm.name: bool(e.attach_ib) for e in plan.entries},
             had_attached=dict(had_attached),
-            request_checkpoint=request_checkpoint,
+            request_checkpoint=True,
         )
         return mid
 
@@ -524,8 +525,8 @@ class MigrationJournal:
         )
 
     @classmethod
-    def loads(cls, text: str, env: Optional["Environment"] = None) -> "MigrationJournal":
-        journal = cls(env=env)
+    def loads(cls, text: str) -> "MigrationJournal":
+        journal = cls()
         for line in text.splitlines():
             line = line.strip()
             if not line:
@@ -546,6 +547,6 @@ class MigrationJournal:
         return journal
 
     @classmethod
-    def load(cls, path: str, env: Optional["Environment"] = None) -> "MigrationJournal":
+    def load(cls, path: str) -> "MigrationJournal":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read(), env=env)
+            return cls.loads(fh.read())

@@ -54,9 +54,9 @@ class Environment:
         """Create a new untriggered :class:`Event`."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create an event that fires after ``delay`` simulated seconds."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def process(
         self, generator: Generator[Event, Any, Any], name: str = ""

@@ -145,7 +145,6 @@ class Timeout(Event):
         self,
         env: "Environment",
         delay: float,
-        value: Any = None,
         seq: Optional[int] = None,
     ) -> None:
         if delay < 0:
@@ -155,7 +154,7 @@ class Timeout(Event):
         # drawn earlier with ``env.sequence()``.
         self.env = env
         self.callbacks = []
-        self._value = value
+        self._value = None
         self._ok = True
         self._defused = False
         self.delay = delay = float(delay)

@@ -1,9 +1,10 @@
 """Deterministic, named random-number streams.
 
-Every stochastic component (hotplug jitter, link-up jitter, migration noise)
-draws from its own named stream so that results are reproducible and adding
-randomness to one component never perturbs another.  Streams are derived
-from a single root seed via SeedSequence spawning keyed by the stream name.
+Every stochastic component (scale-campaign arrivals, placement, dirty
+rates) draws from its own named stream so that results are reproducible
+and adding randomness to one component never perturbs another.  Streams
+are derived from a single root seed via SeedSequence spawning keyed by
+the stream name.
 """
 
 from __future__ import annotations
@@ -37,15 +38,3 @@ class RngRegistry:
             gen = np.random.default_rng(np.random.SeedSequence([self.seed, key]))
             self._streams[name] = gen
         return gen
-
-    def jitter(self, name: str, mean: float, rel_std: float = 0.05) -> float:
-        """A positive, lightly-jittered sample around ``mean``.
-
-        Used for timing constants measured "best of three" in the paper:
-        the model keeps means deterministic but lets experiments opt into
-        run-to-run variation.  ``rel_std = 0`` returns ``mean`` exactly.
-        """
-        if rel_std <= 0.0:
-            return float(mean)
-        sample = self.stream(name).normal(mean, rel_std * mean)
-        return float(max(sample, 0.0))

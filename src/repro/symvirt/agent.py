@@ -86,11 +86,10 @@ class SymVirtAgent:
 
     # -- migration --------------------------------------------------------------------
 
-    def migrate(self, dst_node: "PhysicalNode", rdma: bool = False, policy=None):
+    def migrate(self, dst_node: "PhysicalNode", policy=None):
         """QMP ``migrate`` and poll ``query-migrate`` until completion."""
-        scheme = "rdma" if rdma else "tcp"
         result = yield from self.qmp.execute(
-            "migrate", uri=f"{scheme}:{dst_node.name}:4444", rdma=rdma, policy=policy
+            "migrate", uri=f"tcp:{dst_node.name}:4444", policy=policy
         )
         job = result["job"]
         yield job.done

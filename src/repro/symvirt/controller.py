@@ -111,10 +111,7 @@ class Controller:
         self,
         src_hostlist: Sequence[str],
         dst_hostlist: Sequence[str],
-        rdma: bool = False,
         mapping: Optional[Dict[str, str]] = None,
-        results: Optional[Dict[str, "MigrationStats"]] = None,
-        policy: Optional["MigrationPolicy"] = None,
     ):
         """Migrate every VM per the src→dst hostlist mapping (in parallel).
 
@@ -123,26 +120,21 @@ class Controller:
         the mapping wraps (that is how the paper consolidates 4 VMs onto
         "2 hosts" in Figure 8).  Callers with an exact per-VM plan pass
         ``mapping`` (VM name → destination host) directly; a *partial*
-        mapping migrates only the VMs it names (the retry path of the
-        transactional orchestrator).  Returns per-VM migration stats —
-        pass ``results`` to accumulate into a caller-owned dict so that
-        completions still land even if a sibling's failure aborts the
-        barrier first.
+        mapping migrates only the VMs it names (the rollback path of the
+        transactional orchestrator).  Returns per-VM migration stats.
         """
         self._check_open()
         if mapping is None:
             mapping = self.plan_mapping(src_hostlist, dst_hostlist)
-        if results is None:
-            results = {}
-        yield self.migration_async(rdma=rdma, mapping=mapping, results=results, policy=policy)
+        results: Dict[str, "MigrationStats"] = {}
+        yield self.migration_async(mapping, results)
         self.cluster.trace("symvirt", "migration", mapping=mapping)
         return results
 
     def migration_async(
         self,
-        rdma: bool = False,
-        mapping: Optional[Dict[str, str]] = None,
-        results: Optional[Dict[str, "MigrationStats"]] = None,
+        mapping: Dict[str, str],
+        results: Dict[str, "MigrationStats"],
         policy: Optional["MigrationPolicy"] = None,
     ) -> object:
         """Start the per-VM migrations and return the barrier event.
@@ -152,17 +144,13 @@ class Controller:
         the gap to model a controller crash *mid-precopy* — the QEMU
         streams are independent simulation processes and run to
         completion even if the controller that launched them dies.
+        Each completed VM's stats land in ``results`` as it finishes, so
+        they survive a sibling's failure aborting the barrier first.
         """
         self._check_open()
-        if mapping is None:
-            raise SymVirtError("migration_async needs an explicit mapping")
-        if results is None:
-            results = {}
 
         def _one(agent: SymVirtAgent, dst_name: str):
-            stats = yield from agent.migrate(
-                self.cluster.node(dst_name), rdma=rdma, policy=policy
-            )
+            stats = yield from agent.migrate(self.cluster.node(dst_name), policy=policy)
             results[agent.qemu.vm.name] = stats
 
         return self._parallel(

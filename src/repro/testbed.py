@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence
 
 from repro.errors import HardwareError
 from repro.hardware.cluster import Cluster
+from repro.hardware.node import VF_TAG
 from repro.mpi.ft import FtSettings
 from repro.mpi.runtime import MpiJob
 from repro.network.fabric import PortState
@@ -25,7 +26,7 @@ PAPER_VCPUS = 8
 PAPER_VM_MEMORY = 20 * GiB
 
 
-def attach_ib_warm(qemu: QemuProcess, tag: str = "vf0") -> None:
+def attach_ib_warm(qemu: QemuProcess) -> None:
     """Assign + attach the host's VMM-bypass adapter, port already ACTIVE.
 
     Models a VM that booted with the device long ago: the experiment
@@ -42,7 +43,7 @@ def attach_ib_warm(qemu: QemuProcess, tag: str = "vf0") -> None:
         raise HardwareError(f"{node.name}: no cabled VMM-bypass adapter for warm attach")
     if adapter.port.state is not PortState.ACTIVE:
         adapter.port.fabric.force_active(adapter.port)
-    assignment = qemu.assign_device(adapter, tag)
+    assignment = qemu.assign_device(adapter, VF_TAG)
     assignment.seat()
     kernel.device_added(assignment.function)
 
@@ -50,7 +51,6 @@ def attach_ib_warm(qemu: QemuProcess, tag: str = "vf0") -> None:
 def provision_vms(
     cluster: Cluster,
     hosts: Sequence[str],
-    vcpus: int = PAPER_VCPUS,
     memory_bytes: int = PAPER_VM_MEMORY,
     attach_ib: bool = True,
     name_prefix: str = "vm",
@@ -60,7 +60,7 @@ def provision_vms(
     for i, host in enumerate(hosts):
         node = cluster.node(host)
         qemu = QemuProcess(
-            cluster, node, f"{name_prefix}{i + 1}", vcpus=vcpus, memory_bytes=memory_bytes
+            cluster, node, f"{name_prefix}{i + 1}", vcpus=PAPER_VCPUS, memory_bytes=memory_bytes
         )
         qemu.boot()
         if attach_ib and node.has_bypass_fabric:

@@ -306,9 +306,9 @@ class GuestMemory:
         _, data = self.dup_and_data_pages()
         return data * self.page_size
 
-    def populate_resident(self, nbytes: int, offset: int = 0) -> None:
+    def populate_resident(self, nbytes: int) -> None:
         """Mark a boot-time resident set (kernel, caches) as DATA pages."""
-        self.write(offset, min(int(nbytes), self.size_bytes - offset), PageClass.DATA)
+        self.write(0, min(int(nbytes), self.size_bytes), PageClass.DATA)
 
     def restore_composition(self, uniform_pages: int, data_pages: int) -> None:
         """Replace RAM content with a snapshot image's composition.

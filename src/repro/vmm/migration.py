@@ -49,7 +49,14 @@ from repro.errors import MigrationBlockedError, MigrationError, NetworkError
 from repro.sim.events import Event
 from repro.units import MiB
 from repro.vmm.guest_memory import PageRuns
-from repro.vmm.policy import POSTCOPY, STOP, THROTTLE, MigrationPolicy, PrecopyRule
+from repro.vmm.policy import (
+    POSTCOPY,
+    RECOVER_BACKOFF_MAX_S,
+    STOP,
+    THROTTLE,
+    MigrationPolicy,
+    PrecopyRule,
+)
 from repro.vmm.vm import RunState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -499,8 +506,7 @@ class MigrationJob:
                         f"{policy.recover_max_attempts} migrate-recover attempts: {err}"
                     ) from err
                 backoff = min(
-                    policy.recover_backoff_s * (2.0 ** (attempt - 1)),
-                    policy.recover_backoff_max_s,
+                    policy.recover_backoff_s * (2.0 ** (attempt - 1)), RECOVER_BACKOFF_MAX_S
                 )
                 self.qemu.trace(
                     "migration",

@@ -26,6 +26,16 @@ from typing import NamedTuple, Optional
 #: Valid ``postcopy`` settings (mirrors the CLI flag).
 POSTCOPY_MODES = ("off", "fallback", "always")
 
+#: QEMU auto-converge schedule: the first throttle step, applied when
+#: non-convergence is detected, and the step added per later detection.
+THROTTLE_INITIAL = 0.20
+THROTTLE_INCREMENT = 0.10
+#: A precopy round "made no progress" when its estimated downtime is at
+#: least this fraction of the previous round's estimate.
+CONVERGENCE_RATIO = 0.95
+#: Ceiling of the postcopy stream-recovery exponential backoff.
+RECOVER_BACKOFF_MAX_S = 30.0
+
 
 @dataclass(frozen=True)
 class MigrationPolicy:
@@ -37,10 +47,6 @@ class MigrationPolicy:
     postcopy: str = "off"
     #: Enable QEMU-style auto-converge vCPU throttling.
     auto_converge: bool = False
-    #: First throttle step, applied when non-convergence is detected.
-    throttle_initial: float = 0.20
-    #: Added per subsequent non-convergent detection.
-    throttle_increment: float = 0.10
     #: Hard throttle ceiling (QEMU's max-cpu-throttle, default 99 %).
     throttle_max: float = 0.99
     #: Overrides the QMP/calibration downtime limit when set.
@@ -48,15 +54,11 @@ class MigrationPolicy:
     #: Overrides ``calibration.max_precopy_rounds`` when set: the cap on
     #: dirty re-send rounds after the bulk pass (round 0).
     max_iterations: Optional[int] = None
-    #: A round "made no progress" when its estimated downtime is at least
-    #: this fraction of the previous round's estimate.
-    convergence_ratio: float = 0.95
     #: Consecutive no-progress rounds before escalating.
     non_convergence_rounds: int = 2
     #: Postcopy stream-recovery budget (migrate-recover attempts).
     recover_max_attempts: int = 50
     recover_backoff_s: float = 1.0
-    recover_backoff_max_s: float = 30.0
 
     def __post_init__(self) -> None:
         if self.postcopy not in POSTCOPY_MODES:
@@ -138,7 +140,7 @@ class PrecopyRule:
         policy = self.policy
         # Non-convergence tracking: is the downtime estimate shrinking?
         prev = self._prev_est
-        if prev is not None and est_downtime_s >= policy.convergence_ratio * prev:
+        if prev is not None and est_downtime_s >= CONVERGENCE_RATIO * prev:
             self._no_progress += 1
         else:
             self._no_progress = 0
@@ -152,9 +154,9 @@ class PrecopyRule:
             self._no_progress = 0
             self._prev_est = None
             if throttle == 0.0:
-                throttle = policy.throttle_initial
+                throttle = THROTTLE_INITIAL
             else:
-                throttle = min(throttle + policy.throttle_increment, policy.throttle_max)
+                throttle = min(throttle + THROTTLE_INCREMENT, policy.throttle_max)
             return PrecopyAction(THROTTLE, throttle=throttle)
         if (stuck or at_cap) and policy.postcopy_enabled:
             return PrecopyAction(POSTCOPY)

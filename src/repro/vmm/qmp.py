@@ -80,7 +80,7 @@ class QmpServer:
             raise QmpError("DuplicateId", f"Duplicate ID '{id}' for device")
         return {"pending": id}
 
-    def _cmd_migrate(self, uri: str, rdma: bool = False, policy=None) -> dict:
+    def _cmd_migrate(self, uri: str, policy=None) -> dict:
         """Start a migration to ``uri`` (``tcp:<host>:4444``).
 
         ``policy`` carries the degraded-path escalation knobs (QEMU splits
@@ -93,7 +93,7 @@ class QmpServer:
             dst_node = self.qemu.cluster.node(host)
         except Exception as err:
             raise QmpError("MigrationError", f"cannot resolve {uri!r}") from err
-        job = self.qemu.migrate(dst_node, rdma=rdma, policy=policy)
+        job = self.qemu.migrate(dst_node, policy=policy)
         return {"job": job}
 
     def _cmd_migrate_set_speed(self, value: float) -> dict:
@@ -138,7 +138,7 @@ class QmpServer:
 def _parse_migration_uri(uri: str) -> str:
     """Extract the destination host from ``tcp:<host>:<port>``."""
     parts = uri.split(":")
-    if len(parts) < 2 or parts[0] not in ("tcp", "rdma"):
+    if len(parts) < 2 or parts[0] != "tcp":
         raise QmpError("InvalidParameter", f"bad migration URI {uri!r}")
     return parts[1]
 

@@ -78,15 +78,13 @@ class VirtualMachine:
         name: str,
         vcpus: int,
         memory_bytes: int,
-        page_size: Optional[int] = None,
     ) -> None:
         if vcpus <= 0:
             raise VmmError("vcpus must be positive")
         self.env = env
         self.name = name
         self.vcpus = vcpus
-        kwargs = {} if page_size is None else {"page_size": page_size}
-        self.memory = GuestMemory(memory_bytes, **kwargs)
+        self.memory = GuestMemory(memory_bytes)
         #: The guest-visible PCI topology (virtio NIC, hot-plugged HCA).
         self.guest_pci = PciBus(name=f"{name}.guest-pci", num_slots=16)
         self.state = RunState.SHUTOFF

@@ -32,6 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.communicator import CommView
     from repro.mpi.runtime import MpiProcess
 
+#: The decomposition every :class:`NpbSpec` is calibrated at (8 VMs x 8).
+REFERENCE_RANKS = 64
+
 
 @dataclass(frozen=True)
 class NpbSpec:
@@ -53,16 +56,15 @@ class NpbSpec:
     #: Resident working set per *VM* at 8 ranks/VM (drives migration time;
     #: the paper reports 2.3 GB – 16 GB across the four benchmarks).
     footprint_per_vm: int
-    reference_ranks: int = 64
 
     def per_rank_compute_s(self, nranks: int) -> float:
         """Per-rank, per-iteration compute seconds at ``nranks``."""
-        total = self.total_core_seconds * (self.reference_ranks / nranks)
-        return total / self.reference_ranks / self.iterations
+        total = self.total_core_seconds * (REFERENCE_RANKS / nranks)
+        return total / REFERENCE_RANKS / self.iterations
 
     def scaled_msg_bytes(self, nranks: int) -> int:
         """Surface-to-volume message scaling relative to 64 ranks."""
-        scale = (self.reference_ranks / nranks) ** (2.0 / 3.0)
+        scale = (REFERENCE_RANKS / nranks) ** (2.0 / 3.0)
         return max(int(self.msg_bytes * scale), 1)
 
 

@@ -18,10 +18,17 @@ def qemu(cluster):
     return q
 
 
+def _sweep(writer, passes):
+    """Write chunk by chunk until ``passes`` full sweeps are done."""
+    while writer.passes < passes:
+        yield from writer.step()
+    return writer.passes
+
+
 def test_write_pass_timing(cluster, qemu):
     env = cluster.env
     writer = MemoryWriter(qemu.vm, 1 * GiB, offset_bytes=1 * GiB)
-    passes = drive(env, writer.run(max_passes=2))
+    passes = drive(env, _sweep(writer, 2))
     assert passes == 2
     expected = 2 * GiB / cluster.calibration.mem_write_Bps
     assert env.now == pytest.approx(expected, rel=0.01)
@@ -30,7 +37,7 @@ def test_write_pass_timing(cluster, qemu):
 def test_uniform_pattern_compressible(cluster, qemu):
     env = cluster.env
     writer = MemoryWriter(qemu.vm, 512 * MiB, page_class=PageClass.UNIFORM)
-    drive(env, writer.run(max_passes=1))
+    drive(env, _sweep(writer, 1))
     dup, data = qemu.vm.memory.dup_and_data_pages()
     # Only the OS resident set is incompressible.
     resident_pages = cluster.calibration.guest_os_resident_bytes // 4096
@@ -40,7 +47,7 @@ def test_uniform_pattern_compressible(cluster, qemu):
 def test_data_pattern_incompressible(cluster, qemu):
     env = cluster.env
     writer = MemoryWriter(qemu.vm, 512 * MiB, page_class=PageClass.DATA)
-    drive(env, writer.run(max_passes=1))
+    drive(env, _sweep(writer, 1))
     assert qemu.vm.memory.data_bytes >= 512 * MiB
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import HardwareError
-from repro.hardware.cluster import Cluster, build_two_site_cluster
+from repro.hardware.cluster import WAN_LATENCY_S, Cluster, build_two_site_cluster
 from repro.units import gbps
 
 
@@ -32,11 +32,10 @@ def test_wan_is_the_cross_site_bottleneck():
 
 
 def test_wan_latency_counted():
-    cluster = build_two_site_cluster(
-        primary_nodes=1, backup_nodes=1, wan_latency_s=5e-3
-    )
+    cluster = build_two_site_cluster(primary_nodes=1, backup_nodes=1)
     latency = cluster.eth_fabric.topology.path_latency("ib01", "eth01")
-    assert latency >= 5e-3
+    assert WAN_LATENCY_S == 5e-3
+    assert latency >= WAN_LATENCY_S
 
 
 def test_sites_must_partition_nodes():

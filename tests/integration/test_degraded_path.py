@@ -108,20 +108,21 @@ def test_fleet_defers_degraded_wan_until_it_heals():
 
 
 def test_fleet_fails_permanently_degraded_request():
-    """A path that never heals within ``degraded_max_wait_s`` fails the
+    """A path that never heals within ``DEGRADED_MAX_WAIT_S`` fails the
     request instead of spinning forever."""
-    from repro.orchestrator.executor import FleetConfig, FleetOrchestrator
+    from repro.orchestrator.executor import (
+        DEGRADED_MAX_WAIT_S,
+        DEGRADED_RECHECK_S,
+        FleetConfig,
+        FleetOrchestrator,
+    )
     from repro.orchestrator.scenario import build_fleet_cluster, _provision_fleet
 
     cluster = build_fleet_cluster(2, wan_gbps=1.0)
     env = cluster.env
-    config = FleetConfig(
-        viability_floor_Bps=gbps(0.5),
-        degraded_recheck_s=2.0,
-        degraded_max_wait_s=10.0,
-    )
+    config = FleetConfig(viability_floor_Bps=gbps(0.5))
     orch = FleetOrchestrator(cluster, config=config)
-    records = _provision_fleet(cluster, 2, 1, tenants=1)
+    records = _provision_fleet(cluster, 2, 1)
     for job_id, tenant, job, qemus, _ in records:
         orch.register_job(job_id, job, qemus, tenant=tenant)
     chaos = NetworkChaos(
@@ -138,3 +139,8 @@ def test_fleet_fails_permanently_degraded_request():
     env.run(until=orch.all_settled())
     assert request.status == "failed"
     assert "degraded-link" in request.error
+    # It re-probed every DEGRADED_RECHECK_S until the wait ran out.
+    waits = list(cluster.tracer.select("fleet", "degraded_wait"))
+    assert len(waits) == DEGRADED_MAX_WAIT_S / DEGRADED_RECHECK_S
+    assert waits[-1].fields["waited_s"] == DEGRADED_MAX_WAIT_S
+    assert request.finished_at >= DEGRADED_MAX_WAIT_S

@@ -97,12 +97,12 @@ def test_transport_switch_is_transparent_to_ranks():
         if comm.rank == 0:
             # Block in recv across the migration window.
             msg = yield from comm.recv(1, tag=5)
-            out["value"] = msg.value
+            out["envelope"] = (msg.src, msg.tag, msg.nbytes)
             out["at"] = env.now
         else:
             yield env.timeout(90.0)  # wait out the migration
             yield from proc.maybe_service_cr()
-            yield from comm.send(0, 1 * GiB, tag=5, value="post-migration")
+            yield from comm.send(0, 1 * GiB, tag=5)
         return None
 
     job.launch(rank_main)
@@ -115,7 +115,7 @@ def test_transport_switch_is_transparent_to_ranks():
 
     env.process(orchestrate(env))
     env.run(until=job.wait())
-    assert out["value"] == "post-migration"
+    assert out["envelope"] == (1, 5, 1 * GiB)
     assert job.proc(1).btl.route_name(job.proc(0)) == "tcp"
 
 

@@ -19,6 +19,7 @@ from repro.core.faults import RetryPolicy
 from repro.core.ninja import PHASES, NinjaMigration
 from repro.core.plan import MigrationPlan
 from repro.errors import QmpError
+from repro.hardware.node import VF_TAG
 from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB
 from repro.vmm.vm import RunState
@@ -75,7 +76,7 @@ def _assert_safe(cluster, vms, job, plan, expected_hosts, attached_before=None):
         assert not q.vm.hypercall.parked
         # HCA invariant: attached at the VM's current host with a bound
         # driver, or cleanly absent — never half-seated, never elsewhere.
-        assignment = q.assignments.get(plan.detach_tag)
+        assignment = q.assignments.get(VF_TAG)
         if assignment is not None and assignment.attached:
             assert q.vm.kernel.has_driver(assignment.function)
             assert assignment.backing.slot.bus is q.node.pci
@@ -98,8 +99,8 @@ def test_abort_at_every_phase_is_safe(phase, plan_kind):
     origin = {q.vm.name: q.node.name for q in vms}
     attached_before = {
         q.vm.name: (
-            q.assignments.get(plan.detach_tag) is not None
-            and q.assignments[plan.detach_tag].attached
+            q.assignments.get(VF_TAG) is not None
+            and q.assignments[VF_TAG].attached
         )
         for q in vms
     }
@@ -178,7 +179,8 @@ def test_timeouts_are_not_retried():
         phase_timeout_s={"detach": 10.0},
     )
     plan = ninja.fallback_plan(vms, ["eth01", "eth02"])
-    cluster.faults.arm("ninja.detach", hang=True, times=3)
+    for _ in range(3):
+        cluster.faults.arm("ninja.detach", hang=True)
     result = _execute(cluster, ninja, job, plan)
     assert result.aborted
     assert result.retries == {}
@@ -233,9 +235,8 @@ def test_retries_exhausted_aborts_with_rollback():
     ninja = NinjaMigration(cluster, retry_policy=RetryPolicy(max_attempts=3))
     plan = ninja.fallback_plan(vms, ["eth01", "eth02"])
     origin = {q.vm.name: q.node.name for q in vms}
-    cluster.faults.arm(
-        "ninja.detach", error=QmpError("GenericError", "flaky"), times=3
-    )
+    for _ in range(3):
+        cluster.faults.arm("ninja.detach", error=QmpError("GenericError", "flaky"))
     result = _execute(cluster, ninja, job, plan)
     assert result.aborted and result.failed_phase == "detach"
     assert result.retries == {"detach": 2}  # two retries, then give up

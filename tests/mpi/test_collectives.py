@@ -40,17 +40,39 @@ def test_barrier_synchronizes():
     assert min(exit_times.values()) >= 3.0  # slowest arrival gates everyone
 
 
-def test_bcast_delivers_value_to_all():
-    cluster, job = _job(nvms=2, ppv=4)  # 8 ranks
-    got = {}
+def _bcast_exits(cluster, job, view_of, ranks, root, nbytes):
+    """Each rank's bcast exit time, when the root enters a second after
+    the others, and the time it entered: a rank can leave only once the
+    root's data reached it."""
+    env = cluster.env
+    exits, entered = {}, []
 
     def rank_main(proc, comm):
-        value = yield from comm.bcast(1 * MiB, root=3, value="payload" if comm.rank == 3 else None)
-        got[comm.rank] = value
+        view = view_of(proc, comm)
+        if view is None:
+            return None
+        if view.rank == root:
+            yield env.timeout(1.0)
+            entered.append(env.now)
+        yield from view.bcast(nbytes, root=root)
+        exits[view.rank] = env.now
         return None
+        yield  # pragma: no cover
 
-    _run_collective(cluster, job, rank_main)
-    assert got == {r: "payload" for r in range(8)}
+    job.launch(rank_main)
+    env.run(until=job.wait())
+    assert sorted(exits) == list(ranks)
+    return entered[0], exits
+
+
+def test_bcast_delivers_value_to_all():
+    """The root's payload reaches every rank: none leaves before the root
+    entered, and the data takes time to arrive."""
+    cluster, job = _job(nvms=2, ppv=4)  # 8 ranks
+    entered, exits = _bcast_exits(
+        cluster, job, lambda proc, comm: comm, range(8), root=3, nbytes=1 * MiB
+    )
+    assert all(at > entered for rank, at in exits.items() if rank != 3)
 
 
 def test_bcast_large_message_time():
@@ -126,15 +148,10 @@ def test_bcast_any_size_any_root(nranks, root):
     """Binomial bcast terminates and delivers for every size/root combo."""
     root = root % nranks
     cluster, job = _job(nvms=1, ppv=nranks)
-    got = {}
-
-    def rank_main(proc, comm):
-        value = yield from comm.bcast(1024, root=root, value=("v" if comm.rank == root else None))
-        got[comm.rank] = value
-        return None
-
-    _run_collective(cluster, job, rank_main)
-    assert got == {r: "v" for r in range(nranks)}
+    entered, exits = _bcast_exits(
+        cluster, job, lambda proc, comm: comm, range(nranks), root=root, nbytes=1024
+    )
+    assert all(at >= entered for at in exits.values())
 
 
 @given(nranks=st.sampled_from([2, 3, 5, 8]))
@@ -158,16 +175,10 @@ def test_communicator_split():
     assert sub.size == 2
     view = sub.view(0)
     assert view.rank == 0
-    got = {}
-
-    def rank_main(proc, comm):
-        if proc.rank in (0, 2):
-            sub_view = sub.view(proc.rank)
-            value = yield from sub_view.bcast(1024, root=0, value="sub" if proc.rank == 0 else None)
-            got[proc.rank] = value
-        return None
-        yield  # pragma: no cover
-
-    job.launch(rank_main)
-    cluster.env.run(until=job.wait())
-    assert got == {0: "sub", 2: "sub"}
+    entered, exits = _bcast_exits(
+        cluster, job,
+        lambda proc, comm: sub.view(proc.rank) if proc.rank in (0, 2) else None,
+        range(2), root=0, nbytes=1024,
+    )
+    # Sub-rank 1 (world rank 2) waited for sub-rank 0's data.
+    assert exits[1] > entered

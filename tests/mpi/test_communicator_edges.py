@@ -64,37 +64,39 @@ def test_distinct_communicators_do_not_cross_match(job4):
     def rank_main(proc, comm):
         if proc.rank == 0:
             sub_view = sub.view(0)
-            yield from sub_view.send(1, 1 * KiB, tag=5, value="sub")
-            yield from comm.send(1, 1 * KiB, tag=5, value="world")
+            # Same peer and tag; the sizes tell the two messages apart.
+            yield from sub_view.send(1, 1 * KiB, tag=5)
+            yield from comm.send(1, 2 * KiB, tag=5)
         elif proc.rank == 1:
             world_msg = yield from comm.recv(0, tag=5)
-            got.append(("world", world_msg.value))
+            got.append(("world", world_msg.nbytes, world_msg.comm_id))
             sub_view = sub.view(1)
             sub_msg = yield from sub_view.recv(0, tag=5)
-            got.append(("sub", sub_msg.value))
+            got.append(("sub", sub_msg.nbytes, sub_msg.comm_id))
         return None
 
     job.launch(rank_main)
     env.run(until=job.wait())
-    assert ("world", "world") in got
-    assert ("sub", "sub") in got
+    assert ("world", 2 * KiB, job.world.comm_id) in got
+    assert ("sub", 1 * KiB, sub.comm_id) in got
 
 
 def test_zero_byte_messages_deliver_values(job4):
+    """A zero-byte message still delivers its envelope."""
     cluster, job = job4
     got = {}
 
     def rank_main(proc, comm):
         if comm.rank == 0:
-            yield from comm.send(1, 0, tag=1, value={"k": 1})
+            yield from comm.send(1, 0, tag=1)
         elif comm.rank == 1:
             message = yield from comm.recv(0, tag=1)
-            got["value"] = message.value
+            got["envelope"] = (message.src, message.dst, message.tag, message.nbytes)
         return None
 
     job.launch(rank_main)
     cluster.env.run(until=job.wait())
-    assert got["value"] == {"k": 1}
+    assert got["envelope"] == (0, 1, 1, 0)
 
 
 def test_self_loop_workloads_single_rank():
@@ -107,17 +109,17 @@ def test_self_loop_workloads_single_rank():
 
     def rank_main(proc, comm):
         yield from comm.barrier()
-        value = yield from comm.bcast(1 * GiB, value="solo")
+        yield from comm.bcast(1 * GiB)
         yield from comm.reduce(1 * GiB)
         yield from comm.allreduce(1 * GiB)
         yield from comm.alltoall(1 * GiB)
-        done.append(value)
+        done.append(comm.rank)
         return None
 
     t0 = cluster.env.now
     job.launch(rank_main)
     cluster.env.run(until=job.wait())
-    assert done == ["solo"]
+    assert done == [0]
     assert cluster.env.now - t0 < 1.0  # no data actually moved
 
 

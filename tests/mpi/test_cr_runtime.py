@@ -163,11 +163,11 @@ def test_cr_interrupts_blocked_recv(pair):
     def rank_main(proc, comm):
         if comm.rank == 0:
             msg = yield from comm.recv(1, tag=9)  # blocks for a long time
-            events.append(("recv", msg.value))
+            events.append(("recv", msg.src, msg.nbytes))
         else:
             yield proc.vm.compute(10.0, nthreads=1)
             yield from proc.maybe_service_cr()
-            yield from comm.send(0, 1024, tag=9, value="late")
+            yield from comm.send(0, 1024, tag=9)
         return None
 
     job.launch(rank_main)
@@ -180,7 +180,7 @@ def test_cr_interrupts_blocked_recv(pair):
     env.run(until=job.wait())
     cr_ranks = sorted(r for kind, r, *_ in [e for e in events if e[0] == "cr"])
     assert cr_ranks == [0, 1]
-    assert ("recv", "late") in events
+    assert ("recv", 1, 1024) in events
 
 
 def test_cr_round_serviced_once_per_rank(pair):
@@ -286,10 +286,10 @@ def test_parked_recv_checkpoints_then_takes_message_sent_meanwhile(pair):
     def rank_main(proc, comm):
         if comm.rank == 0:
             msg = yield from comm.recv(1, tag=9)
-            seen["recv"] = (msg.value, env.now)
+            seen["recv"] = (msg.src, msg.nbytes, env.now)
         else:
             yield proc.vm.compute(1.5, nthreads=1)
-            yield comm.isend(0, 1024, tag=9, value="meanwhile")
+            yield comm.isend(0, 1024, tag=9)
             seen["pending_mid_cr"] = unexpected_count(job.proc(0).matching)
             yield from proc.maybe_service_cr()
         return None
@@ -305,8 +305,8 @@ def test_parked_recv_checkpoints_then_takes_message_sent_meanwhile(pair):
     env.run(until=job.wait())
     assert seen["cr"][0] < t0 + 1.5
     assert seen["pending_mid_cr"] == 1
-    value, at = seen["recv"]
-    assert value == "meanwhile" and at >= seen["cr"][0] + 2.0
+    src, nbytes, at = seen["recv"]
+    assert (src, nbytes) == (1, 1024) and at >= seen["cr"][0] + 2.0
     assert unexpected_count(job.proc(0).matching) == 0
 
 

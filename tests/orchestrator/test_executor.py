@@ -51,7 +51,7 @@ def test_abort_blacklists_and_retries_elsewhere(cluster44):
     orch = FleetOrchestrator(cluster44)
     qemus = _register(orch, cluster44, "j0", ["ib01"])
     # First migration attempt dies with a non-transient fault → rollback.
-    cluster44.faults.arm("ninja.migration", nth=1, times=1)
+    cluster44.faults.arm("ninja.migration", nth=1)
     request = orch.submit("j0", kind="fallback")
     _settle(orch, request)
     assert request.status == "completed"
@@ -61,9 +61,12 @@ def test_abort_blacklists_and_retries_elsewhere(cluster44):
 
 
 def test_retries_exhausted_leaves_job_at_origin(cluster44):
-    orch = FleetOrchestrator(cluster44, config=FleetConfig(max_attempts=2))
+    config = FleetConfig(max_attempts=2)
+    orch = FleetOrchestrator(cluster44, config=config)
     qemus = _register(orch, cluster44, "j0", ["ib01"])
-    cluster44.faults.arm("ninja.migration", nth=1, times=100)
+    # Every attempt fails: one armed fault per attempt the request gets.
+    for _ in range(config.max_attempts):
+        cluster44.faults.arm("ninja.migration", nth=1)
     request = orch.submit("j0", kind="fallback")
     _settle(orch, request)
     assert request.status == "aborted"

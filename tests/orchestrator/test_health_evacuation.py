@@ -15,6 +15,13 @@ from repro.units import GiB
 from tests.conftest import drive
 
 
+def _beats_then_silence(monitor, name, count):
+    """``name``'s heartbeat loop, cut after ``count`` beats a second apart."""
+    beats = monitor.emit_heartbeats(name, period_s=1.0)
+    for _ in range(count):
+        yield next(beats)
+
+
 def _register(orch, cluster, job_id, hosts):
     qemus = provision_vms(cluster, hosts, memory_bytes=1 * GiB)
     job = create_job(cluster, qemus, procs_per_vm=1)
@@ -38,11 +45,11 @@ def test_heartbeat_loss_triggers_evacuation(cluster44):
 
     # ib01 beats 20 times then goes silent; everyone else stays chatty.
     for name in cluster44.nodes:
-        count = 20 if name == "ib01" else 10**9
-        env.process(
-            monitor.emit_heartbeats(name, period_s=1.0, count=count),
-            name=f"hb.{name}",
-        )
+        if name == "ib01":
+            beats = _beats_then_silence(monitor, name, 20)
+        else:
+            beats = monitor.emit_heartbeats(name, period_s=1.0)
+        env.process(beats, name=f"hb.{name}")
 
     def experiment():
         yield env.timeout(60.0)

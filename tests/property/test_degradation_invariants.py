@@ -86,7 +86,6 @@ def test_no_schedule_breaks_a_single_migration(events, postcopy):
         postcopy=postcopy,
         max_iterations=6,
         non_convergence_rounds=1,
-        throttle_increment=0.3,
         recover_max_attempts=3,
         recover_backoff_s=0.5,
     )
@@ -116,9 +115,8 @@ def test_no_schedule_wedges_a_ninja_sequence(events):
     job = create_job(cluster, vms, procs_per_vm=1)
     drive(env, job.init(), name="init")
     job.launch(busy_rank)
-    ninja = NinjaMigration(
-        cluster, migration_policy=MigrationPolicy.adaptive(postcopy="fallback")
-    )
+    ninja = NinjaMigration(cluster)
+    ninja.migration_policy = MigrationPolicy.adaptive(postcopy="fallback")
     plan = ninja.fallback_plan(vms, ["eth01", "eth02"])
     chaos = NetworkChaos(cluster, events)
 

@@ -65,7 +65,7 @@ def test_no_oversubscription_and_clean_settlement(jobs, max_per_tenant, inject_f
 
     if inject_fault:
         # One non-transient fault: some attempt aborts and rolls back.
-        cluster.faults.arm("ninja.migration", nth=1, times=1)
+        cluster.faults.arm("ninja.migration", nth=1)
 
     requests = []
 

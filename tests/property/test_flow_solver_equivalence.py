@@ -42,7 +42,6 @@ def _ops_strategy():
         st.just(_START),
         st.integers(min_value=1, max_value=10**8),        # nbytes
         path,
-        st.integers(min_value=1, max_value=4),            # weight
         st.one_of(st.none(), st.integers(10**3, 10**7)),  # cap_Bps
     )
     cancel = st.tuples(st.just(_CANCEL), st.integers(0, 30))
@@ -59,11 +58,10 @@ def _apply(op, env, net, links, started):
     """Apply one generated operation to a network; returns nothing."""
     kind = op[0]
     if kind == _START:
-        _, nbytes, path, weight, cap = op
+        _, nbytes, path, cap = op
         dlinks = [DirectedLink(links[i], d) for i, d in path]
         flow = net.start(
-            dlinks, float(nbytes), weight=float(weight),
-            cap_Bps=float(cap) if cap is not None else float("inf"),
+            dlinks, float(nbytes), cap_Bps=float(cap) if cap is not None else float("inf")
         )
         started.append(flow)
     elif kind == _CANCEL:
@@ -81,10 +79,7 @@ def _apply(op, env, net, links, started):
 
 def _assert_rates_match_oracle(net: FlowNetwork) -> None:
     flows = list(net.iter_active())
-    mirror = [
-        Flow(path=f.path, nbytes=f.nbytes, cap_Bps=f.cap_Bps, weight=f.weight)
-        for f in flows
-    ]
+    mirror = [Flow(path=f.path, nbytes=f.nbytes, cap_Bps=f.cap_Bps) for f in flows]
     compute_maxmin_flow_rates(mirror)
     for f, m in zip(flows, mirror):
         assert f.rate_Bps == pytest.approx(m.rate_Bps, rel=1e-9, abs=1e-9), (

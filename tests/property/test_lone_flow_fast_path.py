@@ -106,7 +106,6 @@ def _ops():
         st.just(_START),
         st.integers(1, 10**8),                          # nbytes
         path,
-        st.integers(1, 3),                              # weight
         st.one_of(st.none(), st.integers(10**3, 10**7)),  # cap_Bps
     )
     cancel = st.tuples(st.just(_CANCEL), st.integers(0, 30))
@@ -134,10 +133,9 @@ class _Run:
     def apply(self, op) -> None:
         kind, env, net, started = op[0], self.env, self.net, self.started
         if kind == _START:
-            _, nbytes, path, weight, cap = op
+            _, nbytes, path, cap = op
             flow = net.start(
                 [DirectedLink(self.links[i], d) for i, d in path], float(nbytes),
-                weight=float(weight),
                 cap_Bps=float(cap) if cap is not None else float("inf"),
             )
             flow.done.callbacks.append(_defuse)

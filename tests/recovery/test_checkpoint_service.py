@@ -5,20 +5,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.hardware.node import VF_TAG
 from repro.orchestrator.executor import FleetConfig
 from repro.orchestrator.scenario import build_estate
-from repro.recovery.checkpoints import FleetCheckpointService
+from repro.recovery.checkpoints import KEEP_GENERATIONS, FleetCheckpointService
 from repro.storage.nfs import NfsServer
 from repro.units import gbps
 
 
-def _mini_fleet(jobs=2, period_s=10.0, keep_generations=2):
-    estate = build_estate(jobs, 1, FleetConfig(), spares=1, tenants=1)
+def _mini_fleet(jobs=2, period_s=10.0):
+    estate = build_estate(jobs, 1, FleetConfig(), spares=1)
     cluster, orch = estate.cluster, estate.orch
     nfs = NfsServer(cluster.env, bandwidth_Bps=gbps(40.0) * 0.7)
     service = FleetCheckpointService(
-        cluster, orch.store, nfs, orch.journal,
-        period_s=period_s, keep_generations=keep_generations,
+        cluster, orch.store, nfs, orch.journal, period_s=period_s
     )
     return cluster, orch, nfs, service
 
@@ -108,25 +108,28 @@ class TestRpoModel:
 
 class TestRetention:
     def test_prune_keeps_newest_generations(self):
-        cluster, orch, nfs, service = _mini_fleet(
-            period_s=6.0, keep_generations=1
-        )
+        assert KEEP_GENERATIONS == 2
+        cluster, orch, nfs, service = _mini_fleet(period_s=6.0)
         service.start()
-        cluster.env.run(until=80.0)
+        # Long enough for three committed generations per job.
+        cluster.env.run(until=120.0)
+        pruned = 0
         for job_id in ("j0", "j1"):
             commits = [
                 step.commit.payload
                 for step in orch.journal.steps_of("checkpoint")
                 if step.key[0] == job_id and step.commit is not None
             ]
-            if len(commits) < 2:
+            if len(commits) <= KEEP_GENERATIONS:
                 continue
-            newest = commits[-1]
-            for image in newest["images"]:
-                assert nfs.has_image(image)
-            for old in commits[:-1]:
+            for newest in commits[-KEEP_GENERATIONS:]:
+                for image in newest["images"]:
+                    assert nfs.has_image(image)
+            for old in commits[:-KEEP_GENERATIONS]:
+                pruned += 1
                 for image in old["images"]:
                     assert not nfs.has_image(image)
+        assert pruned > 0
 
 
 class TestEligibilityGuards:
@@ -170,7 +173,7 @@ class TestFailedTick:
         "site", ["hotplug.detach", "qmp.device_del", "hotplug.attach", "qmp.device_add"]
     )
     def test_failed_hotplug_leaves_job_running(self, site):
-        estate = build_estate(1, 2, FleetConfig(), tenants=1)
+        estate = build_estate(1, 2, FleetConfig())
         cluster, orch = estate.cluster, estate.orch
         nfs = NfsServer(cluster.env, bandwidth_Bps=gbps(40.0) * 0.7)
         service = FleetCheckpointService(cluster, orch.store, nfs, orch.journal)
@@ -186,7 +189,7 @@ class TestFailedTick:
         cluster.env.run(until=cluster.env.now + 90.0)
         for qemu in record.qemus:
             assert not qemu.vm.hypercall.parked, qemu.vm.name
-            assignment = qemu.assignments.get(service.detach_tag)
+            assignment = qemu.assignments.get(VF_TAG)
             assert assignment is not None and assignment.attached, qemu.vm.name
             assert qemu.vm.kernel.has_driver(assignment.function)
             assert assignment.backing.slot.bus is qemu.node.pci

@@ -29,6 +29,7 @@ from repro.units import GiB
 from tests.conftest import assert_safe, drive
 
 from repro.hardware.cluster import build_agc_cluster
+from repro.hardware.node import VF_TAG
 
 pytestmark = pytest.mark.faults
 
@@ -135,7 +136,7 @@ def test_crash_before_commit_point_rolls_back(point):
     # host's bus; a roll-back must also have reattached the origin HCAs.
     assert_safe(cluster, ninja.journal, qemus=vms, hosts=ORIGINS)
     for q in vms:
-        assignment = q.assignments.get(plan.detach_tag)
+        assignment = q.assignments.get(VF_TAG)
         assert assignment is not None and assignment.attached
 
 
@@ -217,7 +218,7 @@ def test_vm_lost_with_its_host_does_not_stop_the_pass():
         Violation("lost", "vm1", "shut off")
     ]
     assert vm2.node.name == "ib02"
-    assignment = vm2.assignments.get(plan.detach_tag)
+    assignment = vm2.assignments.get(VF_TAG)
     assert assignment is not None and assignment.attached
 
 

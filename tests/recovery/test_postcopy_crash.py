@@ -39,9 +39,8 @@ def _setup():
     job = create_job(cluster, vms, procs_per_vm=1)
     drive(cluster.env, job.init(), name="init")
     job.launch(busy_rank)
-    ninja = NinjaMigration(
-        cluster, migration_policy=MigrationPolicy(postcopy="always")
-    )
+    ninja = NinjaMigration(cluster)
+    ninja.migration_policy = MigrationPolicy(postcopy="always")
     plan = ninja.fallback_plan(vms, ["eth01", "eth02"])
     return cluster, vms, job, ninja, plan
 

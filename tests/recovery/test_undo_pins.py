@@ -26,6 +26,7 @@ import pytest
 
 from repro.core.ninja import PHASES, NinjaMigration
 from repro.errors import ControllerCrashError
+from repro.hardware.node import VF_TAG
 from repro.recovery.recovery import RecoveryManager
 from repro.vmm.policy import MigrationPolicy
 from tests.conftest import drive
@@ -70,7 +71,8 @@ def abort_pin(phase: str, plan_kind: str) -> dict:
 def crash_pin(point: str, postcopy: bool) -> dict:
     cluster, vms, job = _setup()
     policy = MigrationPolicy(postcopy="always") if postcopy else None
-    ninja = NinjaMigration(cluster, migration_policy=policy)
+    ninja = NinjaMigration(cluster)
+    ninja.migration_policy = policy
     plan = ninja.fallback_plan(vms, ["eth01", "eth02"])
     cluster.faults.arm(f"controller.crash.{point}", error=ControllerCrashError)
 
@@ -84,7 +86,7 @@ def crash_pin(point: str, postcopy: bool) -> dict:
     drive(cluster.env, run(), name="crash+recover")
     vms_state = {}
     for q in vms:
-        assignment = q.assignments.get(plan.detach_tag)
+        assignment = q.assignments.get(VF_TAG)
         attached = assignment is not None and assignment.attached
         vms_state[q.vm.name] = {
             "host": q.node.name,

@@ -50,10 +50,10 @@ def test_unhandled_failure_surfaces(env):
 
 
 def test_timeout_fires_at_delay(env):
-    t = env.timeout(2.5, value="done")
+    t = env.timeout(2.5)
     env.run()
     assert env.now == pytest.approx(2.5)
-    assert t.value == "done"
+    assert t.processed and t.ok and t.value is None
 
 
 def test_negative_timeout_rejected(env):
@@ -64,8 +64,8 @@ def test_negative_timeout_rejected(env):
 def test_timeout_ordering_stable(env):
     order = []
     for i in range(5):
-        t = env.timeout(1.0, value=i)
-        t.callbacks.append(lambda ev: order.append(ev.value))
+        t = env.timeout(1.0)
+        t.callbacks.append(lambda ev, i=i: order.append(i))
     env.run()
     assert order == [0, 1, 2, 3, 4]
 
@@ -85,7 +85,7 @@ def test_allof_empty_fires_immediately(env):
 
 
 def test_anyof_fires_on_first(env):
-    a, b = env.timeout(1.0, value="a"), env.timeout(3.0, value="b")
+    a, b = env.timeout(1.0), env.timeout(3.0)
     race = AnyOf(env, [a, b])
     done_at = []
     race.callbacks.append(lambda ev: done_at.append(env.now))

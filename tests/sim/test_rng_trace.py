@@ -31,18 +31,6 @@ def test_stream_cached():
     assert registry.stream("x") is registry.stream("x")
 
 
-def test_jitter_zero_std_exact():
-    registry = RngRegistry()
-    assert registry.jitter("x", 29.85, rel_std=0.0) == 29.85
-
-
-def test_jitter_positive_and_near_mean():
-    registry = RngRegistry(seed=3)
-    samples = [registry.jitter("linkup", 30.0, rel_std=0.05) for _ in range(100)]
-    assert all(s >= 0 for s in samples)
-    assert 28.0 < sum(samples) / len(samples) < 32.0
-
-
 # -- Tracer --------------------------------------------------------------------
 
 

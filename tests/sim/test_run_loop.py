@@ -55,8 +55,9 @@ def _scenario(env: Environment, log: list, fail_at: float | None = None) -> None
     def waiter():
         value = yield gate
         log.append((env.now, "waiter", value))
-        both = yield env.timeout(0.5, "a") & env.timeout(0.5, "b")
-        log.append((env.now, "waiter", sorted(both.values())))
+        a, b = env.timeout(0.5), env.timeout(0.5)
+        both = yield a & b
+        log.append((env.now, "waiter", [ev in both for ev in (a, b)]))
 
     share = FairShare(env, capacity=2.0)
 

@@ -52,12 +52,6 @@ def test_message_matching_semantics():
     assert not message.matches(3, 8)
 
 
-def test_message_sequence_numbers_monotone():
-    a = Message(src=0, dst=1, tag=0, nbytes=0)
-    b = Message(src=0, dst=1, tag=0, nbytes=0)
-    assert b.seq > a.seq
-
-
 def test_message_defaults():
     message = Message(src=0, dst=1, tag=0, nbytes=4096)
     assert message.page_class is PageClass.DATA

@@ -4,8 +4,8 @@ A parameter counts as set when a call in ``src/``, ``bench/``,
 ``benchmarks/`` or ``examples/``, outside the definition's own body,
 names the callable by its last name component (a function or method
 name, or the class name for ``__init__``) and passes the parameter by
-keyword or by position, or through a ``*args`` splat.  Two indirections
-are followed:
+keyword or by position, or through a ``*args`` splat.  Three
+indirections are followed:
 
 - a ``**kwargs`` passthrough: keywords given to a preset such as
   ``run_fleet_scenario(**options)`` that the preset does not take itself
@@ -13,12 +13,14 @@ are followed:
 - a ``**mapping`` call: every identifier-like string literal of the
   function making it counts as a keyword (``repro incident`` builds its
   options dict), and a callee held in a local variable resolves to the
-  names assigned to it.
+  names assigned to it;
+- a QMP dispatch: ``execute("<cmd>", k=...)`` sets ``_cmd_<cmd>(k)``, the
+  handler :meth:`~repro.vmm.qmp.QmpServer.execute` looks up by name
+  (hyphens become underscores).
 
 An option nothing sets is a constant in disguise: make it one, and delete
-the branches only other values reach.  The backlog that predates this
-check is listed in :data:`KEPT`, each with its reason; nothing may join
-it, and an entry leaves once its option is set or gone.
+the branches only other values reach.  The few kept on purpose are
+listed in :data:`KEPT`, each with its reason.
 """
 
 from __future__ import annotations
@@ -115,6 +117,21 @@ def _walk_file(file, tree, defs, calls, forwards):
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and id(node) not in splatted:
             calls.append(_call(file, node, {}, set()))
+            handler = _qmp_handler(node)
+            if handler:
+                names, npos, star, keywords, *rest = calls[-1]
+                calls.append(({handler}, npos - 1, star, keywords, *rest))
+
+
+def _qmp_handler(node):
+    """``_cmd_<cmd>`` for a QMP ``execute("<cmd>", ...)`` call, else None."""
+    if (
+        isinstance(node.func, ast.Attribute) and node.func.attr == "execute"
+        and node.args and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    ):
+        return "_cmd_" + node.args[0].value.replace("-", "_")
+    return None
 
 
 def _call(file, node, assigned, extra_keywords):
@@ -166,24 +183,16 @@ def _scan():
     return unset
 
 
-_TESTS = "set only by tests: a constant to be, once each test pins what the value controls"
-_NONE = "set by nothing, not even tests: a constant to be"
+_REGISTRY = "a scenario knob; item 5's scenario registry will set it"
 _FLOW = (
     "a keyword the slotted Flow keeps from its dataclass form "
     "(test_flow_is_slotted_and_keeps_its_keywords)"
 )
 
-#: The options no caller outside tests set when this check came in
-#: (ROADMAP item 8 turns them into constants), and why each is listed.
+#: The options no caller outside tests sets, each with the reason it
+#: stays an option; nothing may join, and an entry leaves once its option
+#: is set or gone.
 KEPT = {
-    "CommView.allreduce(algorithm)": _TESTS,
-    "CommView.bcast(algorithm)": _TESTS,
-    "CommView.bcast(value)": _TESTS,
-    "CommView.sendrecv(value)": _TESTS,
-    "Environment.timeout(value)": _TESTS,
-    "FaultInjector.arm(times)": _TESTS,
-    "FleetCheckpointService.__init__(detach_tag)": _TESTS,
-    "FleetCheckpointService.__init__(keep_generations)": _TESTS,
     "FleetCheckpointService.rpo_at(t)": (
         "kept for the planned per-job checkpoint deadline and its RPO check"
     ),
@@ -192,38 +201,8 @@ KEPT = {
     "Flow.__init__(_progressing)": _FLOW,
     "Flow.__init__(finished_at)": _FLOW,
     "Flow.__init__(rate_Bps)": _FLOW,
-    "HeartbeatMonitor.emit_heartbeats(count)": _TESTS,
-    "LinkTelemetryProbe.__init__(trace)": _TESTS,
-    "MemoryWriter.run(max_passes)": _TESTS,
-    "NinjaMigration.__init__(migration_policy)": _TESTS,
-    "VirtualMachine.__init__(page_size)": _TESTS,
-    "build_agc_cluster(linkup_jitter)": _TESTS,
-    "build_estate(tenants)": _TESTS,
-    "build_two_site_cluster(wan_latency_s)": _TESTS,
-    "Controller.migration(policy)": _NONE,
-    "Controller.migration(rdma)": _NONE,
-    "Controller.migration(results)": _NONE,
-    "Fabric.transfer(weight)": _NONE,
-    "FatTree.__init__(latency_s)": _NONE,
-    "FleetOrchestrator.submit(consolidate_to)": _NONE,
-    "FleetOrchestrator.submit(max_attempts)": _NONE,
-    "GuestMemory.populate_resident(offset)": _NONE,
-    "MigrationJournal.load(env)": _NONE,
-    "MigrationPlan.build(detach_tag)": _NONE,
-    "NinjaMigration.execute(request_checkpoint)": _NONE,
-    "NinjaMigration.fallback_plan(label)": _NONE,
-    "NinjaMigration.self_migration_plan(label)": _NONE,
-    "PlacementEngine.pick_packed(kind)": _NONE,
-    "PowerAwarePlacer.plan(label)": _NONE,
-    "ProactiveCheckpoint.execute(request_checkpoint)": _NONE,
-    "QmpServer._cmd_device_add(host)": _NONE,
-    "QmpServer._cmd_migrate(policy)": _NONE,
-    "QmpServer._cmd_migrate(rdma)": _NONE,
-    "attach_ib_warm(tag)": _NONE,
-    "build_agc_cluster(calibration)": "a calibration knob; item 5's scenario registry will set it",
-    "chaos_from_spec(fabric)": _NONE,
-    "provision_vms(vcpus)": _NONE,
-    "run_table2_scenario(seed)": _NONE,
+    "build_agc_cluster(calibration)": _REGISTRY,
+    "run_table2_scenario(seed)": _REGISTRY,
 }
 
 
@@ -237,6 +216,17 @@ def test_every_src_option_has_a_setter():
         "KEPT names an option that is gone or now set: "
         f"{sorted(set(KEPT) - {name for _, _, name in unset})}"
     )
+
+
+def test_a_qmp_execute_sets_the_handler_it_dispatches_to():
+    defs, calls, forwards = [], [], defaultdict(set)
+    _walk_file(
+        "examples/x.py",
+        ast.parse('qmp.execute("query-migrate", uri="tcp:a:1", policy=p)'),
+        defs, calls, forwards,
+    )
+    dispatched = [c for c in calls if "_cmd_query_migrate" in c[0]]
+    assert [(c[1], c[3]) for c in dispatched] == [(0, {"uri", "policy"})]
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from repro.guestos.process import MemoryWriter
 from repro.hardware.calibration import PAPER_CALIBRATION
 from repro.units import GiB, MiB
 from repro.vmm.guest_memory import PageClass
-from repro.vmm.policy import DEFAULT_POLICY, MigrationPolicy
+from repro.vmm.policy import DEFAULT_POLICY, THROTTLE_INITIAL, MigrationPolicy
 from repro.vmm.qemu import QemuProcess
 from repro.vmm.vm import RunState
 from tests.conftest import drive
@@ -66,7 +66,6 @@ def test_auto_converge_throttles_until_convergence(cluster, qemu):
     policy = MigrationPolicy.adaptive(
         postcopy="off",
         non_convergence_rounds=1,
-        throttle_increment=0.2,
     )
     stats = _migrate(cluster, qemu, "ib02", policy)
     writer.stop()
@@ -78,7 +77,7 @@ def test_auto_converge_throttles_until_convergence(cluster, qemu):
     assert stats.iterations < PAPER_CALIBRATION.max_precopy_rounds
     # The throttle actually reached the guest (per-round telemetry) …
     throttles = [r.throttle for r in stats.rounds]
-    assert max(throttles) >= policy.throttle_initial
+    assert max(throttles) >= THROTTLE_INITIAL
     # … and was dropped again after completion.
     assert qemu.vm.cpu_throttle == 0.0
     assert stats.throttle_pct == 0.0
@@ -135,7 +134,7 @@ def test_per_round_downtime_estimates_recorded(cluster, qemu):
     writer = _hot_writer(qemu)
     cluster.env.process(writer.run())
     policy = MigrationPolicy.adaptive(
-        postcopy="off", non_convergence_rounds=1, throttle_increment=0.2
+        postcopy="off", non_convergence_rounds=1
     )
     stats = _migrate(cluster, qemu, "ib02", policy)
     writer.stop()

@@ -100,7 +100,7 @@ def test_throttled_abort_resets_throttle(cluster, qemu):
     )
     cluster.env.process(writer.run())
     policy = MigrationPolicy.adaptive(
-        postcopy="off", non_convergence_rounds=1, throttle_increment=0.2
+        postcopy="off", non_convergence_rounds=1
     )
     # Drop the link once throttling is underway (kicks start ~3 rounds in).
     job, err = _failed_migrate(cluster, qemu, policy=policy, drop_at=25.0)

@@ -11,7 +11,7 @@ from repro.network.degradation import DegradationEvent, NetworkChaos
 from repro.units import GiB, MiB
 from repro.vmm.guest_memory import PageClass
 from repro.vmm.migration import POSTCOPY_CHUNK_BYTES, MigrationJob
-from repro.vmm.policy import MigrationPolicy
+from repro.vmm.policy import RECOVER_BACKOFF_MAX_S, MigrationPolicy
 from repro.vmm.qemu import QemuProcess
 from repro.vmm.vm import RunState
 from tests.conftest import drive
@@ -244,8 +244,7 @@ class ReferenceDrainJob(RecordingMigrationJob):
                 if attempt > policy.recover_max_attempts:
                     raise MigrationError(f"{self.qemu.vm.name}: unrecoverable") from err
                 backoff = min(
-                    policy.recover_backoff_s * (2.0 ** (attempt - 1)),
-                    policy.recover_backoff_max_s,
+                    policy.recover_backoff_s * (2.0 ** (attempt - 1)), RECOVER_BACKOFF_MAX_S
                 )
                 self.qemu.trace(
                     "migration", "postcopy_pause", attempt=attempt,

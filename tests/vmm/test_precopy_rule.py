@@ -7,6 +7,8 @@ from repro.vmm.policy import (
     POSTCOPY,
     STOP,
     THROTTLE,
+    THROTTLE_INCREMENT,
+    THROTTLE_INITIAL,
     MigrationPolicy,
     PrecopyAction,
     PrecopyRule,
@@ -27,12 +29,12 @@ CASES = [
     (
         "first kick at throttle_initial",
         KICK, [(5.0, 0.0), (5.0, 0.0)],
-        PrecopyAction(THROTTLE, throttle=KICK.throttle_initial),
+        PrecopyAction(THROTTLE, throttle=THROTTLE_INITIAL),
     ),
     (
         "next kick adds throttle_increment",
         KICK, [(5.0, 0.2), (5.0, 0.2)],
-        PrecopyAction(THROTTLE, throttle=0.2 + KICK.throttle_increment),
+        PrecopyAction(THROTTLE, throttle=0.2 + THROTTLE_INCREMENT),
     ),
     (
         "kick capped at throttle_max",
