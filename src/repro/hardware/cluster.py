@@ -10,7 +10,7 @@ for the migration stream itself.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import HardwareError
 from repro.hardware.calibration import Calibration, PAPER_CALIBRATION
@@ -61,6 +61,8 @@ class Cluster:
         self.ib_fabric: Optional[InfiniBandFabric] = None
         self.myrinet_fabric: Optional[MyrinetFabric] = None
         self.eth_fabric: Optional[EthernetFabric] = None
+        #: Called with a host's name the instant :meth:`fail_host` kills it.
+        self.on_host_failed: list[Callable[[str], None]] = []
         self._serial = 0
 
     # -- construction ------------------------------------------------------------
@@ -212,15 +214,18 @@ class Cluster:
     def fail_host(self, name: str) -> list[str]:
         """Kill a host without warning (power loss / kernel panic).
 
-        The node stops accepting reservations, its heartbeat loop dies on
-        the next beat, and every resident QEMU process is destroyed — the
-        guests' RAM is gone, so only a checkpoint restore elsewhere can
-        bring their jobs back.  Returns the names of the VMs lost.
+        The node stops accepting reservations and stops heartbeating at
+        this instant (each :attr:`on_host_failed` hook hears of it), and
+        every resident QEMU process is destroyed — the guests' RAM is
+        gone, so only a checkpoint restore elsewhere can bring their jobs
+        back.  Returns the names of the VMs lost.
         """
         from repro.vmm.vm import RunState
 
         node = self.node(name)
         node.failed = True
+        for hook in self.on_host_failed:
+            hook(name)
         lost = []
         for qemu in list(node.vms):
             if qemu.vm.state is not RunState.SHUTOFF:

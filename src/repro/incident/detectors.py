@@ -24,7 +24,7 @@ Concrete detectors:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.incident.telemetry import (
     HOST_PHI,
@@ -48,6 +48,12 @@ RESTORE_RATIO = 0.9
 SPIKE_FACTOR = 3.0
 #: A precopy round that shrinks by less than this fraction has stalled.
 MIN_SHRINK = 0.05
+#: Heartbeat phi at or above this is a spike ("the chance this silence is
+#: benign is 1e-8"); a latched spike clears once phi drops below
+#: ``CLEAR_PHI``.
+WARN_PHI = 8.0
+CLEAR_PHI = 1.0
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -154,6 +160,16 @@ class Detector:
         return episode.count == 0 or (
             episode.active and self.refire_interval_s is None
         )
+
+    def idle_band(self, key: str) -> Optional[Tuple[float, float]]:
+        """The values ``[lo, hi)`` at which observing *any* value on ``key``
+        would fire no alert and change no state, or ``None``.
+
+        Unlike :meth:`idle` this does not ask for a repeated value, so it
+        only holds for a detector whose verdict bands alone decide what an
+        observation does; the base class promises nothing.
+        """
+        return None
 
     def _alert(self, sample: TelemetrySample, episode: _Episode) -> Alert:
         self.alerts_fired += 1
@@ -358,29 +374,30 @@ class LossRateDetector(Detector):
 
 
 class PhiSpikeDetector(Detector):
-    """Heartbeat suspicion (phi) crossed the warn threshold."""
+    """Heartbeat suspicion (phi) crossed :data:`WARN_PHI`: no debounce, no
+    refire, cleared below :data:`CLEAR_PHI`."""
 
     stream = HOST_PHI
     kind = "phi-spike"
     severity = "critical"
 
-    def __init__(
-        self,
-        warn_phi: float = 8.0,
-        clear_phi: float = 1.0,
-        debounce_samples: int = 1,
-        refire_interval_s: Optional[float] = None,
-    ) -> None:
-        super().__init__(debounce_samples, refire_interval_s)
-        self.warn_phi = warn_phi
-        self.clear_phi = clear_phi
-
     def evaluate(self, sample: TelemetrySample) -> Optional[str]:
-        if sample.value >= self.warn_phi:
+        if sample.value >= WARN_PHI:
             return TRIGGER
-        if sample.value < self.clear_phi:
+        if sample.value < CLEAR_PHI:
             return CLEAR
         return None
+
+    def idle_band(self, key: str) -> Optional[Tuple[float, float]]:
+        # With one-sample debounce an episode is settled (count 0) or
+        # latched, and without refire only a verdict change moves it: a
+        # settled one waits for a trigger, a latched one for a clear.
+        episode = self._episodes.get(key)
+        if episode is None:
+            return None
+        if episode.active:
+            return (CLEAR_PHI, _INF)
+        return (-_INF, WARN_PHI)
 
 
 class NonConvergenceDetector(Detector):
@@ -453,4 +470,6 @@ __all__ = [
     "default_detectors",
     "TRIGGER",
     "CLEAR",
+    "WARN_PHI",
+    "CLEAR_PHI",
 ]

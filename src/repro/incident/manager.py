@@ -12,9 +12,11 @@
   :class:`~repro.incident.correlator.IncidentCorrelator`;
 * after each link-state sample the manager notes whether every detector
   on its stream is :meth:`~repro.incident.detectors.Detector.idle` at
-  that value, and its probe withholds repeats of such a value — so
-  link-state telemetry costs work in proportion to change, not to
-  links x ticks;
+  that value, and its probe withholds repeats of such a value; after
+  each phi sample it notes the band of phi in which every detector on
+  the host is idle (:meth:`~repro.incident.detectors.Detector.idle_band`),
+  and its probe withholds a phi inside it — so telemetry costs work in
+  proportion to change, not to links (or hosts) x ticks;
 * each newly opened incident spawns a journaled
   :class:`~repro.incident.runbook.RunbookExecutor` remediation process
   (when ``autonomous`` — otherwise incidents are only diagnosed).
@@ -35,6 +37,7 @@ from repro.incident.correlator import RESOLVED, Incident, IncidentCorrelator
 from repro.incident.detectors import Alert, Detector, default_detectors
 from repro.incident.runbook import RunbookExecutor, RunbookStep
 from repro.incident.telemetry import (
+    HOST_PHI,
     LINK_STATE_STREAMS,
     LinkTelemetryProbe,
     TelemetryBus,
@@ -113,6 +116,10 @@ class IncidentManager:
             stream: {} for stream in LINK_STATE_STREAMS
         }
         self.probe.idle_values = self._idle_values
+        #: Per host, the phi band in which every phi detector is idle (the
+        #: probe withholds a phi inside it).
+        self._idle_phi: Dict[str, Tuple[float, float]] = {}
+        self.probe.idle_phi = self._idle_phi
         self._routes: Dict[str, List[Detector]] = {}
         self.bridge = (
             TracerBridge(cluster.tracer, self.bus)
@@ -134,7 +141,7 @@ class IncidentManager:
         self._routes = {}
         for detector in self.detectors:
             self._routes.setdefault(detector.stream, []).append(detector)
-        for idle_at in self._idle_values.values():
+        for idle_at in (*self._idle_values.values(), self._idle_phi):
             idle_at.clear()  # detectors must see the next sample of every series
         if self._unsub is None:
             self._unsub = self.bus.subscribe(self._on_sample)
@@ -196,13 +203,22 @@ class IncidentManager:
             )
             if self.autonomous and not self.crashed:
                 self._spawn_remediation(incident)
+        key = sample.key
         idle_at = self._idle_values.get(sample.stream)
         if idle_at is not None:
-            key, value = sample.key, sample.value
+            value = sample.value
             if all(d.idle(key, value) for d in detectors):
                 idle_at[key] = value
             else:
                 idle_at.pop(key, None)
+        elif sample.stream == HOST_PHI:
+            bands = [d.idle_band(key) for d in detectors]
+            if bands and None not in bands:
+                self._idle_phi[key] = (
+                    max(lo for lo, _ in bands), min(hi for _, hi in bands)
+                )
+            else:
+                self._idle_phi.pop(key, None)
 
     def _spawn_remediation(self, incident: Incident) -> None:
         self._procs.append(

@@ -199,9 +199,7 @@ def _heartbeat_mesh(cluster: Cluster, period_s: float) -> HeartbeatMonitor:
     """Every node beats every ``period_s``; the incident probe samples phi."""
     monitor = HeartbeatMonitor(cluster)
     for node in cluster.nodes:
-        cluster.env.process(
-            monitor.emit_heartbeats(node, period_s), name=f"heartbeat.{node}"
-        )
+        monitor.beat_every(node, period_s)
     return monitor
 
 

@@ -2,16 +2,21 @@
 
 Three producers feed one :class:`TelemetryBus`:
 
-* :class:`LinkTelemetryProbe` — a periodic sampler over one fabric's
-  links (goodput, loss, latency, outage flag) and, when wired to a
-  :class:`~repro.recovery.failure_detector.HeartbeatMonitor`, every
+* :class:`LinkTelemetryProbe` — a periodic sampler over the Ethernet
+  fabric's links (goodput, loss, latency, outage flag) and, when wired
+  to a :class:`~repro.recovery.failure_detector.HeartbeatMonitor`, every
   node's heartbeat phi.  Under an
-  :class:`~repro.incident.manager.IncidentManager` link state publishes
-  on change: a repeated up/loss/latency value is withheld while no
-  detector on its stream needs it (all are
+  :class:`~repro.incident.manager.IncidentManager` both publish only
+  where a detector can act.  A repeated up/loss/latency value is
+  withheld while no detector on its stream needs it (all are
   :meth:`~repro.incident.detectors.Detector.idle` at that value), so
   :meth:`TelemetryBus.latest` still holds the current value, only with
-  the time it was last published;
+  the time it was last published.  A phi is withheld while it lies in
+  its host's verdict band (:meth:`~repro.incident.detectors.Detector.idle_band`):
+  a settled host's phi below the warn level, a latched one's above the
+  clear level — so :meth:`TelemetryBus.latest` holds the last phi that
+  moved a verdict, and a silent host publishes at the tick its phi
+  first reaches the warn level;
 * :class:`TracerBridge` — a live :meth:`~repro.sim.trace.Tracer.subscribe`
   consumer that republishes per-migration round statistics (the raw
   material of the non-convergence detector) without ever re-scanning
@@ -44,7 +49,6 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.cluster import Cluster
-    from repro.network.fabric import Fabric
     from repro.recovery.failure_detector import HeartbeatMonitor
     from repro.sim.trace import TraceRecord, Tracer
 
@@ -120,36 +124,40 @@ class TelemetryBus:
 
 
 class LinkTelemetryProbe:
-    """Periodic sampler: link health + heartbeat phi onto the bus.
+    """Periodic sampler: Ethernet link health + heartbeat phi onto the bus.
 
     Goodput is the summed rate of in-flight flows crossing each link, so
     idle links publish no goodput sample (an EWMA baseline must not learn
     zeros from silence).  Loss / latency / up are link state, read every
-    tick for every link.  A standalone probe publishes them all; an
+    tick for every link, and phi is read every tick for every node.  A
+    standalone probe publishes them all; an
     :class:`~repro.incident.manager.IncidentManager` sets
-    :attr:`idle_values`, and then a value equal to the one its key is
-    idle at is withheld — the detectors would do nothing with it.
-    Goodput and phi always publish.
+    :attr:`idle_values` and :attr:`idle_phi`, and then a link-state value
+    equal to the one its key is idle at, or a phi inside its host's idle
+    band, is withheld — the detectors would do nothing with it.  Goodput
+    always publishes.
     """
 
     def __init__(
         self,
         cluster: "Cluster",
         bus: TelemetryBus,
-        fabric: Optional["Fabric"] = None,
         heartbeats: Optional["HeartbeatMonitor"] = None,
         period_s: float = 0.25,
     ) -> None:
         self.cluster = cluster
         self.env = cluster.env
         self.bus = bus
-        self.fabric = fabric if fabric is not None else cluster.eth_fabric
+        self.fabric = cluster.eth_fabric
         self.heartbeats = heartbeats
         self.period_s = period_s
         self.ticks = 0
         #: Per link-state stream, the value at which each key's detectors
         #: are all idle; ``None`` publishes every link-state sample.
         self.idle_values: Optional[Dict[str, Dict[str, float]]] = None
+        #: Per host, the phi band ``[lo, hi)`` in which its detectors are
+        #: all idle; ``None`` publishes every phi.
+        self.idle_phi: Optional[Dict[str, Tuple[float, float]]] = None
         self._proc = None
 
     def start(self):
@@ -207,10 +215,19 @@ class LinkTelemetryProbe:
                         )
                     )
         if self.heartbeats is not None:
+            bands = self.idle_phi if self.idle_phi is not None else {}
+            phi, ceiling = self.heartbeats.phi, self.heartbeats.phi_ceiling
             for node in self.heartbeats.detectors:
-                samples.append(
-                    TelemetrySample(now, HOST_PHI, node, self.heartbeats.phi(node))
-                )
+                band = bands.get(node)
+                if band is None:
+                    samples.append(TelemetrySample(now, HOST_PHI, node, phi(node)))
+                    continue
+                lo, hi = band
+                if lo <= 0.0 and ceiling(node) < hi:
+                    continue  # phi lies in [0, ceiling]: inside the band, unread
+                value = phi(node)
+                if not lo <= value < hi:
+                    samples.append(TelemetrySample(now, HOST_PHI, node, value))
         for sample in samples:
             self.bus.publish(sample)
         self.ticks += 1

@@ -19,17 +19,15 @@ ANY_TAG = -1
 class Message(
     namedtuple(
         "Message",
-        "src dst tag nbytes comm_id page_class value",
-        defaults=(0, PageClass.DATA, None),
+        "src dst tag nbytes comm_id page_class",
+        defaults=(0, PageClass.DATA),
     )
 ):
     """An MPI message envelope + payload descriptor (immutable).
 
     ``page_class`` is what the receive buffer looks like to the migration
-    scanner; ``value`` an optional payload, which the runtime's own sends
-    leave ``None``.  A tuple, not a frozen dataclass: every send builds
-    one, and a frozen dataclass pays an ``object.__setattr__`` call per
-    field.
+    scanner.  A tuple, not a frozen dataclass: every send builds one,
+    and a frozen dataclass pays an ``object.__setattr__`` call per field.
     """
 
     __slots__ = ()

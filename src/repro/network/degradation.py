@@ -83,11 +83,12 @@ class DegradationEvent:
 
 @dataclass
 class NetworkChaos:
-    """Applies a :class:`DegradationEvent` schedule to one fabric's links."""
+    """Applies a :class:`DegradationEvent` schedule to the Ethernet
+    fabric's links."""
 
     cluster: "Cluster"
     events: Sequence[DegradationEvent] = ()
-    fabric: Optional["Fabric"] = None
+    fabric: Optional["Fabric"] = field(default=None, init=False)
     #: Links that matched at least one applied event (for cleanup/asserts).
     touched: List[Link] = field(default_factory=list)
     applied: int = 0
@@ -95,8 +96,7 @@ class NetworkChaos:
     _active: Dict[str, List[DegradationEvent]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.fabric is None:
-            self.fabric = self.cluster.eth_fabric
+        self.fabric = self.cluster.eth_fabric
         if self.fabric is None:
             raise NetworkError("NetworkChaos needs a wired fabric")
         self.events = sorted(self.events, key=lambda e: e.at_time)

@@ -10,7 +10,7 @@ last heartbeat, scaled by the node's own observed inter-arrival history.
 :class:`~repro.incident.telemetry.LinkTelemetryProbe` samples every
 node's phi onto the telemetry bus as ``host.phi``, and
 :class:`~repro.incident.detectors.PhiSpikeDetector` owns the one
-suspicion threshold (``warn_phi``): a spike opens a ``host-failure``
+suspicion threshold (``WARN_PHI``): a spike opens a ``host-failure``
 incident whose runbook evacuates live VMs and restores dead ones from
 their last committed checkpoint.
 
@@ -23,13 +23,30 @@ is still alive is ``exp(-Δt/m)``, giving
 so ``phi = 8`` means "the chance this silence is benign is 1e-8".  A
 resumed heartbeat drops phi to ~0 — suspicion, unlike a tripped
 timeout, is reversible.
+
+Periodic beats cost no simulation work.  :meth:`HeartbeatMonitor.beat_every`
+beats once and records a schedule: the node beats again at ``t0 + p``,
+``(t0 + p) + p``, … — the instants a heartbeat loop's timers would fire
+— and those beats are caught up whenever phi is read.  A node stops
+beating when :meth:`~repro.hardware.cluster.Cluster.fail_host` kills
+it; nobody is left to run its agent.
+
+A read or a kill may land on the very instant a beat is due.  The
+heartbeat loop armed that beat's timer one interval earlier, so the
+beat came first exactly when the caller's own timer was armed later: a
+process woken by a timer whose delay is shorter than the beat interval
+sees the beat sent (the incident probe, ticking every 0.25 s against
+0.5 s beats), one armed earlier does not (a drill's kill, armed a second
+ahead, silences the node first).  Any other caller — code outside a
+process, a process just started or interrupted — counts the beat as not
+yet sent.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.cluster import Cluster
@@ -42,6 +59,11 @@ WINDOW = 64
 BOOTSTRAP_INTERVAL_S = 1.0
 #: Floor on the mean interval (guards against a burst collapsing it to 0).
 MIN_INTERVAL_S = 1e-3
+#: Relative slack on :meth:`HeartbeatMonitor.phi_ceiling`: covers the
+#: rounding of beat instants, interval sums and phi itself in any run
+#: shorter than about 10^9 beat periods.
+_CEILING_SLACK = 1e-6
+_INF = float("inf")
 
 
 class PhiAccrualFailureDetector:
@@ -52,18 +74,21 @@ class PhiAccrualFailureDetector:
         self.intervals: Deque[float] = deque(maxlen=WINDOW)
         self.last_beat: Optional[float] = None
         self.beats = 0
+        #: :attr:`mean_interval_s`, computed at most once per beat.
+        self._mean: Optional[float] = BOOTSTRAP_INTERVAL_S
 
     def heartbeat(self, now: float) -> None:
         if self.last_beat is not None:
             self.intervals.append(max(now - self.last_beat, 0.0))
+            self._mean = None
         self.last_beat = now
         self.beats += 1
 
     @property
     def mean_interval_s(self) -> float:
-        if not self.intervals:
-            return BOOTSTRAP_INTERVAL_S
-        return max(sum(self.intervals) / len(self.intervals), MIN_INTERVAL_S)
+        if self._mean is None:
+            self._mean = max(sum(self.intervals) / len(self.intervals), MIN_INTERVAL_S)
+        return self._mean
 
     def phi(self, now: float) -> float:
         """Current suspicion level (0 = just heard from it)."""
@@ -76,8 +101,9 @@ class PhiAccrualFailureDetector:
 class HeartbeatMonitor:
     """Cluster-wide heartbeat collection: one phi detector per node.
 
-    Wire-up: nodes (or their SymVirt agents) call :meth:`beat`, or run
-    :meth:`emit_heartbeats` as a process; consumers read :meth:`phi`.
+    Wire-up: nodes (or their SymVirt agents) call :meth:`beat`, or
+    :meth:`beat_every` schedules a node's periodic beats; consumers read
+    :meth:`phi`.
     """
 
     def __init__(self, cluster: "Cluster") -> None:
@@ -86,20 +112,69 @@ class HeartbeatMonitor:
         self.detectors: Dict[str, PhiAccrualFailureDetector] = {
             name: PhiAccrualFailureDetector() for name in cluster.nodes
         }
+        #: Per periodically beating node: ``[last beat, next beat, period]``.
+        self._schedules: Dict[str, List[float]] = {}
+        #: Per node beating on schedule only, its :meth:`phi_ceiling`.
+        self._ceilings: Dict[str, float] = {}
+        cluster.on_host_failed.append(self._host_failed)
 
     def beat(self, node: str) -> None:
-        """Record one heartbeat from ``node``."""
+        """Record one heartbeat from ``node`` (after its scheduled ones)."""
+        if node in self._schedules:
+            self._catch_up(node)
+            self._ceilings.pop(node, None)  # its intervals are irregular now
         self.detectors[node].heartbeat(self.env.now)
 
-    def emit_heartbeats(self, node: str, period_s: float):
-        """Generator: a node's heartbeat loop (run as a process; kill the
-        process to simulate the node going silent).
-
-        A host marked failed (:meth:`~repro.hardware.cluster.Cluster.fail_host`)
-        goes silent at its next beat — nobody is left to run the agent."""
-        while not self.cluster.node(node).failed:
-            self.beat(node)
-            yield self.env.timeout(period_s)
+    def beat_every(self, node: str, period_s: float) -> None:
+        """``node`` beats now and every ``period_s`` after, until it fails."""
+        if self.cluster.node(node).failed:
+            return
+        now = self.env.now
+        self.beat(node)
+        self._schedules[node] = [now, now + period_s, period_s]
+        # Until the schedule ends every interval in the window is an
+        # earlier one or about ``period_s``, and so is the mean; a read
+        # lies at most one interval after the last beat.
+        detector = self.detectors[node]
+        floor = min(detector.intervals, default=BOOTSTRAP_INTERVAL_S)
+        floor = max(min(floor, period_s), MIN_INTERVAL_S)
+        self._ceilings[node] = period_s / floor * _LOG10_E * (1.0 + _CEILING_SLACK)
 
     def phi(self, node: str) -> float:
+        self._catch_up(node)
         return self.detectors[node].phi(self.env.now)
+
+    def phi_ceiling(self, node: str) -> float:
+        """An upper bound on :meth:`phi` of ``node`` while it beats on its
+        schedule alone (``inf`` once it fails, has no schedule, or gets an
+        extra :meth:`beat`).  Phi is never below 0, so a reader that only
+        needs to know phi lies in ``[0, phi_ceiling]`` may skip reading it."""
+        return self._ceilings.get(node, _INF)
+
+    def _catch_up(self, node: str) -> None:
+        """Record every scheduled beat of ``node`` sent by now."""
+        schedule = self._schedules.get(node)
+        if schedule is None or schedule[1] > self.env.now:
+            return
+        last, due, period = schedule
+        now = self.env.now
+        detector = self.detectors[node]
+        while due < now or (due == now and self._sent_first(due - last)):
+            detector.heartbeat(due)
+            last, due = due, due + period
+        schedule[0], schedule[1] = last, due
+
+    def _sent_first(self, interval: float) -> bool:
+        """Whether a beat due now, armed ``interval`` ago, ran before the
+        code now running: it did iff that code is a process woken by a
+        timer armed later, i.e. with a shorter delay."""
+        process = self.env.active_process
+        delay = getattr(process.target, "delay", None) if process is not None else None
+        return delay is not None and delay < interval
+
+    def _host_failed(self, node: str) -> None:
+        """``node`` died now: it sent the beats due before, and no more."""
+        if node in self._schedules:
+            self._catch_up(node)
+            del self._schedules[node]
+            self._ceilings.pop(node, None)

@@ -36,9 +36,7 @@ def _setup(ib=2, eth=4, heartbeats=False):
     if heartbeats:
         monitor = HeartbeatMonitor(cluster)
         for name in cluster.nodes:
-            cluster.env.process(
-                monitor.emit_heartbeats(name, period_s=1.0), name=f"hb.{name}"
-            )
+            monitor.beat_every(name, period_s=1.0)
     manager = IncidentManager(cluster, orch, heartbeats=monitor).start()
     return cluster, vms, job, orch, manager
 

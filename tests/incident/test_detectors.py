@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.incident.detectors import (
+    CLEAR_PHI,
+    WARN_PHI,
     BandwidthCollapseDetector,
     LatencySpikeDetector,
     LossRateDetector,
@@ -136,17 +138,26 @@ class TestLossRateDetector:
 
 class TestPhiSpikeDetector:
     def test_fires_on_warn_threshold(self):
-        det = PhiSpikeDetector(warn_phi=8.0)
+        det = PhiSpikeDetector()  # WARN_PHI = 8
         alerts = feed(det, HOST_PHI, [0.1, 0.2, 9.5, 12.0], key="ib01")
         assert len(alerts) == 1
         assert alerts[0].severity == "critical"
         assert alerts[0].key == "ib01"
 
     def test_hysteresis_band_does_not_clear(self):
-        det = PhiSpikeDetector(warn_phi=8.0, clear_phi=1.0)
+        det = PhiSpikeDetector()  # WARN_PHI = 8, CLEAR_PHI = 1
         alerts = feed(det, HOST_PHI, [9.0, 5.0, 9.0, 0.5, 9.0], key="ib01")
         # 5.0 is suspicious-but-not-warn: stays latched; 0.5 clears.
         assert [a.time for a in alerts] == [0.0, 4.0]
+
+    def test_idle_band_follows_the_episode(self):
+        det = PhiSpikeDetector()
+        assert det.idle_band("ib01") is None  # never observed
+        feed(det, HOST_PHI, [0.2], key="ib01")
+        assert det.idle_band("ib01") == (-float("inf"), WARN_PHI)  # settled
+        feed(det, HOST_PHI, [9.0], key="ib01")
+        assert det.idle_band("ib01") == (CLEAR_PHI, float("inf"))  # latched
+        assert LossRateDetector().idle_band("wan") is None
 
 
 class TestNonConvergenceDetector:

@@ -111,7 +111,7 @@ class TestLinkTelemetryProbe:
         cluster = _tiny_cluster()
         monitor = HeartbeatMonitor(cluster)
         env = cluster.env
-        env.process(monitor.emit_heartbeats("n1", 0.5), name="hb.n1")
+        monitor.beat_every("n1", 0.5)
         bus = TelemetryBus()
         probe = LinkTelemetryProbe(cluster, bus, heartbeats=monitor)
         probe.start()

@@ -134,18 +134,19 @@ def test_bucketed_engine_matches_linear_scan(ops):
 # -- ported mailbox cases -----------------------------------------------------------------
 
 
-def _msg(src: int = 0, tag: int = 0, comm_id: int = 0, value: object = None) -> Message:
-    return Message(src=src, dst=0, tag=tag, nbytes=1, comm_id=comm_id, value=value)
+def _msg(src: int = 0, tag: int = 0, comm_id: int = 0, nbytes: int = 1) -> Message:
+    """A hand-built envelope; tests tell messages apart by ``nbytes``."""
+    return Message(src=src, dst=0, tag=tag, nbytes=nbytes, comm_id=comm_id)
 
 
 def test_fifo_within_a_bucket(env):
     engine = MatchingEngine(env)
-    engine.deliver(_msg(value="a"))
-    engine.deliver(_msg(value="b"))
+    engine.deliver(_msg(nbytes=10))
+    engine.deliver(_msg(nbytes=20))
     first = engine.post_recv(0, 0, 0)
     second = engine.post_recv(0, 0, 0)
     env.run()
-    assert (first.value.value, second.value.value) == ("a", "b")
+    assert (first.value.nbytes, second.value.nbytes) == (10, 20)
 
 
 def test_filtered_recv_skips_nonmatching(env):
@@ -162,10 +163,10 @@ def test_filtered_recv_skips_nonmatching(env):
 def test_wildcard_takes_earliest_arrival_not_lowest_seq(env):
     """Arrival order decides, not creation order or source rank."""
     engine = MatchingEngine(env)
-    early = _msg(src=1, value="early-created")
-    engine.deliver(_msg(src=2, value="late-created"))
+    early = _msg(src=1, nbytes=10)  # created first
+    engine.deliver(_msg(src=2, nbytes=20))
     engine.deliver(early)
-    assert engine.post_recv(ANY_SOURCE, 0, 0).value.value == "late-created"
+    assert engine.post_recv(ANY_SOURCE, 0, 0).value.nbytes == 20
 
 
 def test_recv_blocks_until_delivery(env):
@@ -174,16 +175,16 @@ def test_recv_blocks_until_delivery(env):
 
     def consumer(env):
         message = yield engine.post_recv(0, 0, 0)
-        got.append((message.value, env.now))
+        got.append((message.nbytes, env.now))
 
     def producer(env):
         yield env.timeout(3.0)
-        engine.deliver(_msg(value="late"))
+        engine.deliver(_msg(nbytes=30))
 
     env.process(consumer(env))
     env.process(producer(env))
     env.run()
-    assert got == [("late", 3.0)]
+    assert got == [(30, 3.0)]
 
 
 def test_cancelled_recv_does_not_steal(env):
@@ -199,17 +200,17 @@ def test_cancelled_recv_does_not_steal(env):
     def consumer(env):
         yield env.timeout(2.0)
         message = yield engine.post_recv(ANY_SOURCE, ANY_TAG, 0)
-        results["value"] = message.value
+        results["nbytes"] = message.nbytes
 
     def producer(env):
         yield env.timeout(3.0)
-        engine.deliver(_msg(value="payload"))
+        engine.deliver(_msg(nbytes=40))
 
     env.process(canceller(env))
     env.process(consumer(env))
     env.process(producer(env))
     env.run()
-    assert results == {"cancelled": True, "value": "payload"}
+    assert results == {"cancelled": True, "nbytes": 40}
 
 
 def test_multiple_posted_receives_each_get_their_own(env):

@@ -5,11 +5,12 @@ completion event carries the failure, so a rank that waits on the send
 sees the error, and a failure nobody waits on still stops the run.
 """
 
+import fnmatch
+
 import pytest
 
 from repro.errors import BtlUnreachableError, LinkDownError
 from repro.hardware.cluster import build_agc_cluster
-from repro.network.degradation import DegradationEvent, NetworkChaos
 from repro.testbed import create_job, provision_vms
 from repro.units import GiB, MiB
 from tests.conftest import drive
@@ -31,13 +32,18 @@ def pair():
 
 
 def _drop_ib01_after(cluster, delay_s):
-    """Take ib01's IB cable down ``delay_s`` from now (flows on it fail)."""
+    """Take ib01's IB cable down ``delay_s`` from now (flows on it fail),
+    as a chaos ``drop`` does on the Ethernet fabric."""
     env = cluster.env
-    chaos = NetworkChaos(cluster, fabric=cluster.ib_fabric)
+    fabric = cluster.ib_fabric
 
     def drop():
         yield env.timeout(delay_s)
-        chaos.apply(DegradationEvent(at_time=0.0, kind="drop", link_pattern="ib01*"))
+        for link in fabric.topology.links():
+            if fnmatch.fnmatch(link.name, "ib01*"):
+                link.fail()
+                fabric.topology.invalidate_routes()
+                fabric.flows.fail_flows_on(link)
 
     env.process(drop(), name="drop")
 

@@ -13,11 +13,13 @@ from repro.recovery.failure_detector import HeartbeatMonitor
 from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB
 from tests.conftest import drive
+from tests.recovery.eager_heartbeats import emit_heartbeats
 
 
 def _beats_then_silence(monitor, name, count):
-    """``name``'s heartbeat loop, cut after ``count`` beats a second apart."""
-    beats = monitor.emit_heartbeats(name, period_s=1.0)
+    """``name``'s heartbeat loop, cut after ``count`` beats a second apart
+    (the host stays up: its VM must be evacuated, not restored)."""
+    beats = emit_heartbeats(monitor, name, period_s=1.0)
     for _ in range(count):
         yield next(beats)
 
@@ -46,10 +48,9 @@ def test_heartbeat_loss_triggers_evacuation(cluster44):
     # ib01 beats 20 times then goes silent; everyone else stays chatty.
     for name in cluster44.nodes:
         if name == "ib01":
-            beats = _beats_then_silence(monitor, name, 20)
+            env.process(_beats_then_silence(monitor, name, 20), name=f"hb.{name}")
         else:
-            beats = monitor.emit_heartbeats(name, period_s=1.0)
-        env.process(beats, name=f"hb.{name}")
+            monitor.beat_every(name, period_s=1.0)
 
     def experiment():
         yield env.timeout(60.0)
@@ -103,8 +104,7 @@ def test_evacuation_chain_survives_active_chaos(cluster44):
     env.process(flaky_then_dead(), name="hb.ib01")
     for name in cluster44.nodes:
         if name != "ib01":
-            env.process(monitor.emit_heartbeats(name, period_s=1.0),
-                        name=f"hb.{name}")
+            monitor.beat_every(name, period_s=1.0)
 
     def experiment():
         yield env.timeout(120.0)
@@ -129,7 +129,7 @@ def test_healthy_fleet_never_evacuates(cluster44):
     orch, monitor, manager = _watched(cluster44)
     _register(orch, cluster44, "j0", ["ib01"])
     for name in cluster44.nodes:
-        env.process(monitor.emit_heartbeats(name, period_s=1.0), name=f"hb.{name}")
+        monitor.beat_every(name, period_s=1.0)
     env.run(until=90.0)
     assert orch.requests == []
     assert manager.alerts == []

@@ -5,10 +5,11 @@ series on a few keys (values drawn in runs, so repeats are common):
 
 * whenever a detector is ``idle`` at the value it last observed on a
   key, observing that value again returns no alert and leaves its
-  episodes and baselines bit-identical;
+  episodes and baselines bit-identical, and so does observing any value
+  inside the key's ``idle_band``;
 * feeding every tick and withholding each repeat at which all of the
-  stream's detectors are idle — what an incident manager's probe does —
-  fire the same alerts.
+  stream's detectors are idle, and each value inside all of their idle
+  bands — what an incident manager's probe does — fire the same alerts.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _detectors(debounce: int, refire, warmup: int) -> List[Detector]:
         BandwidthCollapseDetector(
             warmup_samples=warmup, debounce_samples=debounce, refire_interval_s=refire
         ),
-        PhiSpikeDetector(debounce_samples=debounce, refire_interval_s=refire),
+        PhiSpikeDetector(),  # fixed: no debounce, no refire
         # A second, stricter detector on one stream: withholding needs all.
         LossRateDetector(trigger_loss=0.02, debounce_samples=1),
     ]
@@ -125,13 +126,19 @@ def test_idle_means_a_repeat_is_a_no_op_and_withholding_keeps_alerts(
     last: Dict[Tuple[str, str], float] = {}
     idle_at: Dict[Tuple[str, str], float] = {}
     alerts_every, alerts_withheld = [], []
-    idle_repeats = 0
+    idle_repeats = in_band = 0
     for tick in samples:
         for sample in tick:
             series = (sample.stream, sample.key)
             # Every tick, checking the contract on each repeat.
             for detector in every[sample.stream]:
-                if last.get(series) == sample.value and detector.idle(
+                band = detector.idle_band(sample.key)
+                if band is not None and band[0] <= sample.value < band[1]:
+                    in_band += 1
+                    before = _snapshot(detector)
+                    assert detector.observe(sample) is None
+                    assert _snapshot(detector) == before
+                elif last.get(series) == sample.value and detector.idle(
                     sample.key, sample.value
                 ):
                     idle_repeats += 1
@@ -143,10 +150,14 @@ def test_idle_means_a_repeat_is_a_no_op_and_withholding_keeps_alerts(
                     if alert is not None:
                         alerts_every.append(alert)
             last[series] = sample.value
-            # Repeats withheld while every detector on the stream is idle.
+            # Repeats withheld while every detector on the stream is idle,
+            # and values inside every detector's idle band.
             if idle_at.get(series) == sample.value:
                 continue
             detectors = withheld[sample.stream]
+            bands = [d.idle_band(sample.key) for d in detectors]
+            if None not in bands and all(lo <= sample.value < hi for lo, hi in bands):
+                continue
             for detector in detectors:
                 alert = detector.observe(sample)
                 if alert is not None:
@@ -157,3 +168,4 @@ def test_idle_means_a_repeat_is_a_no_op_and_withholding_keeps_alerts(
                 idle_at.pop(series, None)
     assert alerts_withheld == alerts_every
     assert idle_repeats > 0  # runs of repeats must reach idle states
+    assert in_band > 0  # and phi samples land in verdict bands

@@ -4,20 +4,13 @@ from heartbeat phi sampled onto the incident telemetry bus."""
 import pytest
 
 from repro.hardware.cluster import build_agc_cluster
-from repro.incident.detectors import PhiSpikeDetector
+from repro.incident.detectors import WARN_PHI, PhiSpikeDetector
 from repro.incident.telemetry import LinkTelemetryProbe, TelemetryBus
 from repro.recovery.failure_detector import (
     HeartbeatMonitor,
     PhiAccrualFailureDetector,
 )
 from tests.conftest import active_keys
-
-
-def _beats_then_silence(monitor, name, count):
-    """``name``'s heartbeat loop, cut after ``count`` beats a second apart."""
-    beats = monitor.emit_heartbeats(name, period_s=1.0)
-    for _ in range(count):
-        yield next(beats)
 
 
 def test_phi_grows_with_silence():
@@ -76,20 +69,23 @@ def test_silence_fires_exactly_one_alert():
     cluster = _cluster()
     env = cluster.env
     monitor, detector, alerts = _watch(cluster)
-    # Every node beats for 30 s; ib01 then goes silent.
+    # Every node beats every second; ib01 dies after its beat at t=29.
     for name in cluster.nodes:
-        if name == "ib01":
-            beats = _beats_then_silence(monitor, name, 30)
-        else:
-            beats = monitor.emit_heartbeats(name, period_s=1.0)
-        env.process(beats, name=f"hb.{name}")
+        monitor.beat_every(name, period_s=1.0)
+
+    def kill():
+        yield env.timeout(29.5)
+        cluster.fail_host("ib01")
+
+    env.process(kill(), name="kill")
     env.run(until=120.0)
 
     # One alert for the whole silence, only for the silent node, once
-    # phi crossed warn_phi (~18.4 s after the last beat at t=29).
+    # phi crossed WARN_PHI (~18.4 s after the last beat at t=29).
+    assert monitor.detectors["ib01"].last_beat == 29.0
     [alert] = alerts
     assert alert.key == "ib01" and alert.kind == "phi-spike"
-    assert alert.value >= detector.warn_phi
+    assert alert.value >= WARN_PHI
     assert 47.0 <= alert.time <= 48.5
     assert active_keys(detector) == ["ib01"]
 
@@ -136,8 +132,7 @@ def test_thinned_heartbeats_adapt_without_transitions():
     env.process(thinning(), name="hb.ib01")
     for name in cluster.nodes:
         if name != "ib01":
-            env.process(monitor.emit_heartbeats(name, period_s=1.0),
-                        name=f"hb.{name}")
+            monitor.beat_every(name, period_s=1.0)
     env.run(until=120.0)
     assert alerts == []
 
@@ -164,8 +159,7 @@ def test_pause_resume_cycles_do_not_storm():
     env.process(cyclic(), name="hb.ib01")
     for name in cluster.nodes:
         if name != "ib01":
-            env.process(monitor.emit_heartbeats(name, period_s=1.0),
-                        name=f"hb.{name}")
+            monitor.beat_every(name, period_s=1.0)
     env.run(until=200.0)
     assert alerts and all(a.key == "ib01" for a in alerts)
     assert len(alerts) <= 2  # adapted, not one per pause

@@ -56,7 +56,6 @@ def test_message_defaults():
     message = Message(src=0, dst=1, tag=0, nbytes=4096)
     assert message.page_class is PageClass.DATA
     assert message.comm_id == 0
-    assert message.value is None
 
 
 def test_message_frozen():

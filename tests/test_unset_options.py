@@ -4,8 +4,10 @@ A parameter counts as set when a call in ``src/``, ``bench/``,
 ``benchmarks/`` or ``examples/``, outside the definition's own body,
 names the callable by its last name component (a function or method
 name, or the class name for ``__init__``) and passes the parameter by
-keyword or by position, or through a ``*args`` splat.  Three
-indirections are followed:
+keyword or by position, or through a ``*args`` splat.  A
+``super().__init__(...)`` call names the ``__init__`` its class inherits
+(the nearest base class that defines one), not every ``__init__``.
+Three indirections are followed:
 
 - a ``**kwargs`` passthrough: keywords given to a preset such as
   ``run_fleet_scenario(**options)`` that the preset does not take itself
@@ -72,11 +74,34 @@ def _callee_names(func, assigned):
     return set()
 
 
-def _walk_file(file, tree, defs, calls, forwards):
-    """Collect ``tree``'s definitions (src only), calls and passthroughs."""
+def _is_super_init(node):
+    func = node.func
+    return (
+        isinstance(func, ast.Attribute) and func.attr == "__init__"
+        and isinstance(func.value, ast.Call) and isinstance(func.value.func, ast.Name)
+        and func.value.func.id == "super"
+    )
+
+
+def _base_name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _walk_file(file, tree, defs, calls, forwards, classes):
+    """Collect ``tree``'s definitions (src only), calls and passthroughs, and
+    into ``classes`` each class's base names and whether it defines
+    ``__init__``."""
+    supers = {}  # id(super().__init__ call) -> enclosing class name
 
     def visit(node, owner):
         if isinstance(node, ast.ClassDef):
+            classes[node.name] = (
+                [_base_name(b) for b in node.bases],
+                any(isinstance(c, _FUNCS) and c.name == "__init__" for c in node.body),
+            )
+            for sub in ast.walk(node):  # a nested class overwrites its own calls
+                if isinstance(sub, ast.Call) and _is_super_init(sub):
+                    supers[id(sub)] = node.name
             for child in node.body:
                 visit(child, node.name)
             return
@@ -121,6 +146,29 @@ def _walk_file(file, tree, defs, calls, forwards):
             if handler:
                 names, npos, star, keywords, *rest = calls[-1]
                 calls.append(({handler}, npos - 1, star, keywords, *rest))
+    for i in range(start, len(calls)):
+        owner = supers.get(id(calls[i][-1]))
+        if owner is not None:
+            calls[i] = ({_SUPER + owner}, *calls[i][1:])
+
+
+#: Callee-name prefix of a ``super().__init__`` call, resolved by :func:`_inherited_init`.
+_SUPER = "super:"
+
+
+def _inherited_init(cls, classes):
+    """The class whose ``__init__`` runs for ``super().__init__`` in ``cls``."""
+    todo, seen = list(classes.get(cls, ((), False))[0]), set()
+    while todo:
+        base = todo.pop(0)
+        if base in seen:
+            continue
+        seen.add(base)
+        bases, defines_init = classes.get(base, ((), False))
+        if defines_init:
+            return {base}
+        todo.extend(bases)
+    return set()
 
 
 def _qmp_handler(node):
@@ -144,11 +192,25 @@ def _call(file, node, assigned, extra_keywords):
 
 def _scan():
     """``(file, line, "name(param)")`` of every src option nothing sets."""
-    defs, calls, forwards = [], [], defaultdict(set)
+    defs, calls, forwards, classes = [], [], defaultdict(set), {}
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
             file = path.relative_to(ROOT).as_posix()
-            _walk_file(file, ast.parse(path.read_text()), defs, calls, forwards)
+            _walk_file(file, ast.parse(path.read_text()), defs, calls, forwards, classes)
+    return _unset(defs, calls, forwards, classes)
+
+
+def _unset(defs, calls, forwards, classes):
+    """``(file, line, "name(param)")`` of each of ``defs``' options no call sets."""
+    calls = [
+        (
+            {r for n in c[0] for r in (
+                _inherited_init(n[len(_SUPER):], classes) if n.startswith(_SUPER) else {n}
+            )},
+            *c[1:],
+        )
+        for c in calls
+    ]
     params = defaultdict(set)
     for d in defs:
         for name in d.names:
@@ -188,6 +250,10 @@ _FLOW = (
     "a keyword the slotted Flow keeps from its dataclass form "
     "(test_flow_is_slotted_and_keeps_its_keywords)"
 )
+_ITEM8 = (
+    "seen once super().__init__ calls resolve to their base class; "
+    "ROADMAP item 8 makes it a constant"
+)
 
 #: The options no caller outside tests sets, each with the reason it
 #: stays an option; nothing may join, and an entry leaves once its option
@@ -203,6 +269,44 @@ KEPT = {
     "Flow.__init__(rate_Bps)": _FLOW,
     "build_agc_cluster(calibration)": _REGISTRY,
     "run_table2_scenario(seed)": _REGISTRY,
+    "BandwidthCollapseDetector.__init__(alpha)": _ITEM8,
+    "BandwidthCollapseDetector.__init__(debounce_samples)": _ITEM8,
+    "BandwidthCollapseDetector.__init__(refire_interval_s)": _ITEM8,
+    "BandwidthCollapseDetector.__init__(warmup_samples)": _ITEM8,
+    "Cluster.__init__(env)": _ITEM8,
+    "Controller.__init__(epoch)": _ITEM8,
+    "Environment.__init__(initial_time)": _ITEM8,
+    "EthernetNic.__init__(serial)": _ITEM8,
+    "EthernetNic.__init__(spec)": _ITEM8,
+    "FatTree.__init__(name)": _ITEM8,
+    "FleetOrchestrator.__init__(ninja)": _ITEM8,
+    "GuestMemory.__init__(page_size)": _ITEM8,
+    "IncidentCorrelator.__init__(backbone_patterns)": _ITEM8,
+    "IncidentCorrelator.__init__(window_s)": _ITEM8,
+    "InfiniBandHca.__init__(serial)": _ITEM8,
+    "InfiniBandHca.__init__(spec)": _ITEM8,
+    "InterruptError.__init__(cause)": _ITEM8,
+    "LatencySpikeDetector.__init__(alpha)": _ITEM8,
+    "LatencySpikeDetector.__init__(debounce_samples)": _ITEM8,
+    "LatencySpikeDetector.__init__(min_extra_s)": _ITEM8,
+    "LatencySpikeDetector.__init__(refire_interval_s)": _ITEM8,
+    "LatencySpikeDetector.__init__(warmup_samples)": _ITEM8,
+    "LossRateDetector.__init__(clear_loss)": _ITEM8,
+    "LossRateDetector.__init__(debounce_samples)": _ITEM8,
+    "LossRateDetector.__init__(refire_interval_s)": _ITEM8,
+    "LossRateDetector.__init__(trigger_loss)": _ITEM8,
+    "MemtestWorkload.__init__(duration_s)": _ITEM8,
+    "MigrationJournal.__init__(env)": _ITEM8,
+    "MigrationJournal.__init__(path)": _ITEM8,
+    "MyrinetNic.__init__(serial)": _ITEM8,
+    "MyrinetNic.__init__(spec)": _ITEM8,
+    "NfsServer.__init__(name)": _ITEM8,
+    "NonConvergenceDetector.__init__(refire_interval_s)": _ITEM8,
+    "NonConvergenceDetector.__init__(stall_rounds)": _ITEM8,
+    "PowerAwarePlacer.__init__(spec)": _ITEM8,
+    "PowerMeter.__init__(spec)": _ITEM8,
+    "TelemetryBus.__init__(capacity)": _ITEM8,
+    "VirtioNic.__init__(spec)": _ITEM8,
 }
 
 
@@ -223,10 +327,25 @@ def test_a_qmp_execute_sets_the_handler_it_dispatches_to():
     _walk_file(
         "examples/x.py",
         ast.parse('qmp.execute("query-migrate", uri="tcp:a:1", policy=p)'),
-        defs, calls, forwards,
+        defs, calls, forwards, {},
     )
     dispatched = [c for c in calls if "_cmd_query_migrate" in c[0]]
     assert [(c[1], c[3]) for c in dispatched] == [(0, {"uri", "policy"})]
+
+
+def test_super_init_sets_only_the_init_it_inherits():
+    """``super().__init__(1)`` in ``B(A)`` sets ``A.__init__``'s first
+    parameter, not that of every ``__init__`` in the tree."""
+    source = (
+        "class A:\n    def __init__(self, x=1): pass\n"
+        "class M(A): pass\n"
+        "class B(M):\n    def __init__(self, y=2):\n        super().__init__(5)\n"
+        "class C:\n    def __init__(self, z=3): pass\n"
+    )
+    defs, calls, forwards, classes = [], [], defaultdict(set), {}
+    _walk_file("src/x.py", ast.parse(source), defs, calls, forwards, classes)
+    unset = {name for _, _, name in _unset(defs, calls, forwards, classes)}
+    assert unset == {"B.__init__(y)", "C.__init__(z)"}
 
 
 if __name__ == "__main__":
