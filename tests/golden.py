@@ -48,13 +48,15 @@ def _fig7(bench: str):
 
 #: name -> a zero-argument call that runs the scenario.  The drills are
 #: the fleet benchmark's (8-job sequenced drain, fiber cut, host kill),
-#: the controller-crash drain, and smaller variants of each; the scale
+#: the naive all-at-once drain, the controller-crash drain, and smaller
+#: variants of each; the scale
 #: entries are a small campaign and the 64-VM campaign whose
 #: ``scale.migrated`` records carry each precopy stop decision.
 SCENARIOS = {
     "fleet-drain-2": lambda: run_fleet_scenario(jobs=2, tracer=Tracer()),
     "fleet-drain-4": lambda: run_fleet_scenario(jobs=4, tracer=Tracer()),
     "fleet-drain-8": lambda: run_fleet_scenario(jobs=8, tracer=Tracer()),
+    "fleet-naive-8": lambda: run_fleet_scenario(jobs=8, sequenced=False, tracer=Tracer()),
     "fleet-crash": lambda: run_fleet_scenario(jobs=4, crash_at_s=5.0, tracer=Tracer()),
     "fleet-crash-2": lambda: run_fleet_scenario(jobs=2, crash_at_s=5.0, tracer=Tracer()),
     "fiber-cut": lambda: run_incident_scenario(tracer=Tracer()),
