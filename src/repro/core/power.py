@@ -45,20 +45,23 @@ class PowerSpec:
     myrinet_switch_w: float = 198.0
 
 
+#: The power model of the AGC blades and their switches.
+AGC_POWER = PowerSpec()
+
+
 class PowerMeter:
     """Integrates cluster power draw over simulated time."""
 
     def __init__(
         self,
         cluster: "Cluster",
-        spec: PowerSpec = PowerSpec(),
         period_s: float = 5.0,
     ) -> None:
         if period_s <= 0:
             raise SchedulerError("period_s must be positive")
         self.cluster = cluster
         self.env = cluster.env
-        self.spec = spec
+        self.spec = AGC_POWER
         self.period_s = period_s
         self.energy_j = 0.0
         self.samples: List[tuple[float, float]] = []
@@ -120,13 +123,12 @@ class PowerAwarePlacer:
     def __init__(
         self,
         cluster: "Cluster",
-        spec: PowerSpec = PowerSpec(),
         max_overcommit: float = 2.0,
     ) -> None:
         if max_overcommit < 1.0:
             raise SchedulerError("max_overcommit must be >= 1.0")
         self.cluster = cluster
-        self.spec = spec
+        self.spec = AGC_POWER
         self.max_overcommit = max_overcommit
 
     def _min_hosts(self, qemus: Sequence["QemuProcess"], cores: int) -> int:

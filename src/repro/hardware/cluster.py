@@ -28,7 +28,6 @@ from repro.network.topology import Topology
 from repro.core.faults import FaultInjector
 from repro.symvirt.fencing import EpochRegistry
 from repro.sim.core import Environment
-from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 
 #: One-way latency of a multi-site WAN link (a metro dark-fibre pipe).
@@ -40,14 +39,11 @@ class Cluster:
 
     def __init__(
         self,
-        env: Optional[Environment] = None,
         calibration: Calibration = PAPER_CALIBRATION,
-        seed: int = 0,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.env = env if env is not None else Environment()
+        self.env = Environment()
         self.calibration = calibration
-        self.rng = RngRegistry(seed)
         self.tracer = tracer if tracer is not None else Tracer()
         #: Deterministic fault injection shared by every instrumented layer.
         self.faults = FaultInjector(self.env)
@@ -254,8 +250,11 @@ def build_agc_cluster(
         Sizes of the IB-cabled and Ethernet-only sub-clusters.  The paper
         uses 8 + 8 for the micro benchmarks and NPB, and 4 + 4 hosts in
         the fallback/recovery demonstration.
+    seed:
+        Accepted for a seeded caller's sake; the testbed is fully
+        deterministic and draws nothing from it.
     """
-    cluster = Cluster(calibration=calibration, seed=seed)
+    cluster = Cluster(calibration=calibration)
     ib_names = [f"ib{i + 1:02d}" for i in range(ib_nodes)]
     eth_names = [f"eth{i + 1:02d}" for i in range(eth_nodes)]
     for name in ib_names + eth_names:

@@ -3,8 +3,8 @@
 A fiber cut does not produce one signal — it produces an outage alert on
 the cut link, goodput collapse on every flow that crossed it, phi noise
 if a heartbeat path shared the fiber, and non-convergence from the
-migrations it starved.  The correlator folds alerts arriving within a
-``window_s`` correlation window into a single open :class:`Incident`,
+migrations it starved.  The correlator folds alerts arriving within the
+:data:`WINDOW_S` correlation window into a single open :class:`Incident`,
 classifies it, and computes the blast radius (links, hosts, in-flight
 fleet requests) the runbook needs.
 
@@ -16,7 +16,7 @@ Classification (first match wins):
     Any link outage alert (a dark link is a cut, wherever it is).
 ``degraded-wan``
     Bandwidth/latency/loss degradation confined to backbone links
-    (matching ``backbone_patterns``, default ``wan:*``).
+    (matching :data:`BACKBONE_PATTERNS`: ``wan:*``).
 ``congestion``
     Everything else — degradation on access links with no outage.
 """
@@ -27,7 +27,7 @@ import fnmatch
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.incident.detectors import Alert
 
@@ -37,6 +37,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Alert kinds whose key names a link.
 LINK_ALERT_KINDS = ("outage", "bw-collapse", "latency-spike", "loss")
+#: Alerts at most this many seconds after an open incident's last alert
+#: fold into it.
+WINDOW_S = 2.0
+#: Link-name patterns of the backbone (the inter-site WAN links).
+BACKBONE_PATTERNS = ("wan:*",)
 
 OPEN = "open"
 REMEDIATING = "remediating"
@@ -113,13 +118,9 @@ class IncidentCorrelator:
         self,
         cluster: "Cluster",
         orchestrator: Optional["FleetOrchestrator"] = None,
-        window_s: float = 2.0,
-        backbone_patterns: Sequence[str] = ("wan:*",),
     ) -> None:
         self.cluster = cluster
         self.orchestrator = orchestrator
-        self.window_s = window_s
-        self.backbone_patterns = tuple(backbone_patterns)
         self.incidents: List[Incident] = []
         # Incident ids come from the journal a successor shares, so a
         # successor never reuses them; a standalone correlator counts alone.
@@ -154,7 +155,7 @@ class IncidentCorrelator:
         for incident in reversed(self.incidents):
             if incident.status == RESOLVED:
                 continue
-            if alert.time - incident.last_alert_at <= self.window_s:
+            if alert.time - incident.last_alert_at <= WINDOW_S:
                 return incident
             if incident.status == REMEDIATING and self._overlaps(incident, alert):
                 # Late alert from the same blast radius (a starved
@@ -206,7 +207,7 @@ class IncidentCorrelator:
     def _is_backbone(self, link_name: str) -> bool:
         return any(
             fnmatch.fnmatch(link_name, pattern)
-            for pattern in self.backbone_patterns
+            for pattern in BACKBONE_PATTERNS
         )
 
     def _blast_radius(self, incident: Incident) -> None:

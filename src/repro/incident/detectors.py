@@ -1,12 +1,12 @@
 """Pluggable anomaly detectors: telemetry samples in, typed alerts out.
 
 Every detector is a per-series state machine built on the same episode
-logic (:class:`Detector`): a *trigger* condition must persist for
-``debounce_samples`` consecutive observations before one :class:`Alert`
-fires, the episode then stays latched (no alert storm — one fiber cut is
-one alert per affected series, optionally re-fired every
-``refire_interval_s``), and a *clear* condition with hysteresis ends the
-episode so a flapping metric cannot re-alert on every wobble.
+logic (:class:`Detector`): a *trigger* condition must persist for the
+detector's ``debounce`` consecutive observations before one
+:class:`Alert` fires, the episode then stays latched (no alert storm —
+one fiber cut is one alert per affected series), and a *clear* condition
+with hysteresis ends the episode so a flapping metric cannot re-alert on
+every wobble.
 
 Concrete detectors:
 
@@ -53,6 +53,22 @@ MIN_SHRINK = 0.05
 #: ``CLEAR_PHI``.
 WARN_PHI = 8.0
 CLEAR_PHI = 1.0
+#: Consecutive trigger samples before the link-quality detectors (goodput,
+#: latency, loss) fire.
+DEBOUNCE_SAMPLES = 2
+#: The EWMA baselines' smoothing factor, and the samples they learn from
+#: before they judge any.
+EWMA_ALPHA = 0.3
+WARMUP_SAMPLES = 4
+#: A latency spike must also exceed its baseline by this much (seconds),
+#: so sub-millisecond jitter on a quiet link never alerts.
+MIN_EXTRA_S = 5e-3
+#: Loss rate at or above ``TRIGGER_LOSS`` triggers; an episode clears once
+#: it falls below ``CLEAR_LOSS``.
+TRIGGER_LOSS = 0.05
+CLEAR_LOSS = 0.01
+#: Consecutive non-shrinking precopy rounds before non-convergence fires.
+STALL_ROUNDS = 3
 _INF = float("inf")
 
 
@@ -75,13 +91,12 @@ class Alert:
 
 
 class _Episode:
-    __slots__ = ("count", "active", "first", "last_fire")
+    __slots__ = ("count", "active", "first")
 
     def __init__(self) -> None:
         self.count = 0
         self.active = False
         self.first: Optional[float] = None
-        self.last_fire: Optional[float] = None
 
 
 class Detector:
@@ -90,16 +105,10 @@ class Detector:
     stream = ""
     kind = "anomaly"
     severity = "warning"
+    #: Consecutive trigger samples before an episode fires.
+    debounce = 1
 
-    def __init__(
-        self,
-        debounce_samples: int = 1,
-        refire_interval_s: Optional[float] = None,
-    ) -> None:
-        if debounce_samples < 1:
-            raise ValueError("debounce_samples must be >= 1")
-        self.debounce_samples = debounce_samples
-        self.refire_interval_s = refire_interval_s
+    def __init__(self) -> None:
         self._episodes: Dict[str, _Episode] = {}
         self.alerts_fired = 0
 
@@ -126,17 +135,9 @@ class Detector:
                 episode.count += 1
                 if episode.first is None:
                     episode.first = sample.time
-                if episode.count >= self.debounce_samples:
+                if episode.count >= self.debounce:
                     episode.active = True
-                    episode.last_fire = sample.time
                     return self._alert(sample, episode)
-            elif (
-                self.refire_interval_s is not None
-                and episode.last_fire is not None
-                and sample.time - episode.last_fire >= self.refire_interval_s
-            ):
-                episode.last_fire = sample.time
-                return self._alert(sample, episode)
         elif verdict == CLEAR:
             episode.count = 0
             episode.active = False
@@ -151,15 +152,13 @@ class Detector:
         ``key``: a sample that merely repeats it may then be withheld
         without changing any later alert.  The base rule holds for
         detectors whose verdict depends on the value alone: a settled
-        series (``count == 0``) re-clears, a latched one with no refire
-        re-triggers into a frozen episode.
+        series (``count == 0``) re-clears, a latched one re-triggers into
+        a frozen episode.
         """
         episode = self._episodes.get(key)
         if episode is None:
             return False
-        return episode.count == 0 or (
-            episode.active and self.refire_interval_s is None
-        )
+        return episode.count == 0 or episode.active
 
     def idle_band(self, key: str) -> Optional[Tuple[float, float]]:
         """The values ``[lo, hi)`` at which observing *any* value on ``key``
@@ -197,54 +196,47 @@ class OutageDetector(Detector):
 
 
 class _EwmaBaseline:
-    """EWMA that only learns while the series is healthy.
+    """EWMA (:data:`EWMA_ALPHA`) that only learns while the series is
+    healthy.
 
     ``samples`` counts warm-up samples only, so once warm an update at
     the fixed point (:meth:`absorbs`) leaves the baseline bit-identical.
     """
 
-    def __init__(self, alpha: float, warmup: int) -> None:
-        self.alpha = alpha
-        self.warmup = warmup
+    def __init__(self) -> None:
         self.mean: Optional[float] = None
         self.samples = 0
 
     @property
     def warm(self) -> bool:
-        return self.mean is not None and self.samples >= self.warmup
+        return self.mean is not None and self.samples >= WARMUP_SAMPLES
 
     def absorbs(self, value: float) -> bool:
         """Learning ``value`` would leave the mean exactly where it is."""
         return (
             self.mean is not None
-            and self.alpha * value + (1.0 - self.alpha) * self.mean == self.mean
+            and EWMA_ALPHA * value + (1.0 - EWMA_ALPHA) * self.mean == self.mean
         )
 
     def update(self, value: float) -> None:
         self.mean = (
             value
             if self.mean is None
-            else self.alpha * value + (1.0 - self.alpha) * self.mean
+            else EWMA_ALPHA * value + (1.0 - EWMA_ALPHA) * self.mean
         )
-        if self.samples < self.warmup:
+        if self.samples < WARMUP_SAMPLES:
             self.samples += 1
 
 
 class _EwmaDetector(Detector):
     """A detector that judges each sample against its series' EWMA
-    baseline, learned from the first ``warmup_samples`` samples and then
-    from healthy ones only."""
+    baseline, learned from the first :data:`WARMUP_SAMPLES` samples and
+    then from healthy ones only."""
 
-    def __init__(
-        self,
-        alpha: float,
-        warmup_samples: int,
-        debounce_samples: int,
-        refire_interval_s: Optional[float],
-    ) -> None:
-        super().__init__(debounce_samples, refire_interval_s)
-        self.alpha = alpha
-        self.warmup_samples = warmup_samples
+    debounce = DEBOUNCE_SAMPLES
+
+    def __init__(self) -> None:
+        super().__init__()
         self._baselines: Dict[str, _EwmaBaseline] = {}
 
     def baseline(self, key: str) -> Optional[float]:
@@ -260,9 +252,7 @@ class _EwmaDetector(Detector):
         and this returns ``None``."""
         base = self._baselines.get(sample.key)
         if base is None:
-            base = self._baselines[sample.key] = _EwmaBaseline(
-                self.alpha, self.warmup_samples
-            )
+            base = self._baselines[sample.key] = _EwmaBaseline()
         if not base.warm:
             base.update(sample.value)
             return None
@@ -292,15 +282,6 @@ class BandwidthCollapseDetector(_EwmaDetector):
     stream = LINK_GOODPUT
     kind = "bw-collapse"
 
-    def __init__(
-        self,
-        alpha: float = 0.3,
-        warmup_samples: int = 4,
-        debounce_samples: int = 2,
-        refire_interval_s: Optional[float] = None,
-    ) -> None:
-        super().__init__(alpha, warmup_samples, debounce_samples, refire_interval_s)
-
     def anomalous(self, mean: float, value: float) -> bool:
         return value < COLLAPSE_RATIO * mean
 
@@ -319,24 +300,14 @@ class BandwidthCollapseDetector(_EwmaDetector):
 
 
 class LatencySpikeDetector(_EwmaDetector):
-    """Latency exceeds :data:`SPIKE_FACTOR` x EWMA baseline (+ guard band)."""
+    """Latency exceeds :data:`SPIKE_FACTOR` x EWMA baseline (+ the
+    :data:`MIN_EXTRA_S` guard band)."""
 
     stream = LINK_LATENCY
     kind = "latency-spike"
 
-    def __init__(
-        self,
-        min_extra_s: float = 5e-3,
-        alpha: float = 0.3,
-        warmup_samples: int = 4,
-        debounce_samples: int = 2,
-        refire_interval_s: Optional[float] = None,
-    ) -> None:
-        super().__init__(alpha, warmup_samples, debounce_samples, refire_interval_s)
-        self.min_extra_s = min_extra_s
-
     def anomalous(self, mean: float, value: float) -> bool:
-        return value > max(SPIKE_FACTOR * mean, mean + self.min_extra_s)
+        return value > max(SPIKE_FACTOR * mean, mean + MIN_EXTRA_S)
 
     def evaluate(self, sample: TelemetrySample) -> Optional[str]:
         base = self._warm_baseline(sample)
@@ -349,33 +320,24 @@ class LatencySpikeDetector(_EwmaDetector):
 
 
 class LossRateDetector(Detector):
-    """Loss-rate change point: threshold trigger, hysteresis clear."""
+    """Loss-rate change point: :data:`TRIGGER_LOSS` trigger, hysteresis
+    clear below :data:`CLEAR_LOSS`."""
 
     stream = LINK_LOSS
     kind = "loss"
-
-    def __init__(
-        self,
-        trigger_loss: float = 0.05,
-        clear_loss: float = 0.01,
-        debounce_samples: int = 2,
-        refire_interval_s: Optional[float] = None,
-    ) -> None:
-        super().__init__(debounce_samples, refire_interval_s)
-        self.trigger_loss = trigger_loss
-        self.clear_loss = clear_loss
+    debounce = DEBOUNCE_SAMPLES
 
     def evaluate(self, sample: TelemetrySample) -> Optional[str]:
-        if sample.value >= self.trigger_loss:
+        if sample.value >= TRIGGER_LOSS:
             return TRIGGER
-        if sample.value < self.clear_loss:
+        if sample.value < CLEAR_LOSS:
             return CLEAR
         return None  # hysteresis band
 
 
 class PhiSpikeDetector(Detector):
-    """Heartbeat suspicion (phi) crossed :data:`WARN_PHI`: no debounce, no
-    refire, cleared below :data:`CLEAR_PHI`."""
+    """Heartbeat suspicion (phi) crossed :data:`WARN_PHI`: no debounce,
+    cleared below :data:`CLEAR_PHI`."""
 
     stream = HOST_PHI
     kind = "phi-spike"
@@ -390,8 +352,8 @@ class PhiSpikeDetector(Detector):
 
     def idle_band(self, key: str) -> Optional[Tuple[float, float]]:
         # With one-sample debounce an episode is settled (count 0) or
-        # latched, and without refire only a verdict change moves it: a
-        # settled one waits for a trigger, a latched one for a clear.
+        # latched, and only a verdict change moves it: a settled one waits
+        # for a trigger, a latched one for a clear.
         episode = self._episodes.get(key)
         if episode is None:
             return None
@@ -403,22 +365,18 @@ class PhiSpikeDetector(Detector):
 class NonConvergenceDetector(Detector):
     """Precopy is not converging: rounds stopped shrinking.
 
-    Keyed by VM; triggers after ``stall_rounds`` consecutive rounds whose
-    wire bytes failed to shrink by at least :data:`MIN_SHRINK` relative to
-    the previous round.  A restarting migration (round index reset)
-    clears the history.
+    Keyed by VM; triggers after :data:`STALL_ROUNDS` consecutive rounds
+    whose wire bytes failed to shrink by at least :data:`MIN_SHRINK`
+    relative to the previous round.  A restarting migration (round index
+    reset) clears the history.
     """
 
     stream = MIGRATION_ROUND
     kind = "non-convergence"
+    debounce = STALL_ROUNDS
 
-    def __init__(
-        self,
-        stall_rounds: int = 3,
-        refire_interval_s: Optional[float] = None,
-    ) -> None:
-        super().__init__(debounce_samples=stall_rounds,
-                         refire_interval_s=refire_interval_s)
+    def __init__(self) -> None:
+        super().__init__()
         self._last: Dict[str, tuple] = {}  # key -> (index, wire_bytes)
 
     def idle(self, key: str, value: float) -> bool:

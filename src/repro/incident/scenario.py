@@ -466,6 +466,8 @@ def run_drill(
     site); ``crash_at_s`` kills the orchestrator at the first
     ``controller.crash.*`` boundary that many seconds into the drain.
     ``recover=False`` leaves a crashed controller without a successor.
+    ``seed`` is accepted so seeded callers share one call shape; the
+    estate draws nothing from it, so every seed gives the same run.
     """
     incident = cut_at_s is not None or kill_at_s is not None
     if kill_host is not None and kill_at_s is None:
@@ -474,12 +476,10 @@ def run_drill(
         raise ValueError("checkpoint_period_s needs a fiber cut or a host kill")
     if crash_at_s is not None and incident:
         raise ValueError("crash_at_s cannot be combined with a fiber cut or a host kill")
-    config = FleetConfig() if sequenced else FleetConfig.naive()
-    if viability_floor_Bps is not None:
-        config.viability_floor_Bps = viability_floor_Bps
+    config = FleetConfig(naive=not sequenced, viability_floor_Bps=viability_floor_Bps)
     estate = build_estate(
         jobs, vms_per_job, config, spares=spares, wan_gbps=wan_gbps,
-        seed=seed, tracer=tracer,
+        tracer=tracer,
     )
     cluster, orch, start_at = estate.cluster, estate.orch, estate.start_at
     env = cluster.env
@@ -750,7 +750,8 @@ def _fold_planner(orchs: List[FleetOrchestrator]) -> Dict[str, object]:
 
 def run_incident_scenario(cut_at_s: float = 6.0, **options) -> DrillResult:
     """The fiber-cut preset: the WAN fiber goes dark ``cut_at_s`` seconds
-    into the drain (``options`` as for :func:`run_drill`)."""
+    into the drain (``options`` as for :func:`run_drill`; the estate draws
+    nothing from ``seed``)."""
     return run_drill(cut_at_s=cut_at_s, **options)
 
 
@@ -759,7 +760,8 @@ def run_host_failure_scenario(
 ) -> DrillResult:
     """The host-kill preset: checkpoints every ``checkpoint_period_s`` and
     an unannounced host kill ``kill_at_s`` seconds into the drain
-    (``options`` as for :func:`run_drill`)."""
+    (``options`` as for :func:`run_drill`; the estate draws nothing from
+    ``seed``)."""
     return run_drill(
         kill_at_s=kill_at_s, checkpoint_period_s=checkpoint_period_s, **options
     )

@@ -79,8 +79,10 @@ class TelemetrySample:
 class TelemetryBus:
     """Bounded ring buffers per series + synchronous fan-out."""
 
-    def __init__(self, capacity: int = 512) -> None:
-        self.capacity = capacity
+    #: Samples each series' ring buffer holds.
+    CAPACITY = 512
+
+    def __init__(self) -> None:
         self._series: Dict[Tuple[str, str], Deque[TelemetrySample]] = {}
         self._subscribers: List[Callable[[TelemetrySample], None]] = []
         self.published = 0
@@ -92,9 +94,9 @@ class TelemetryBus:
     def publish(self, sample: TelemetrySample) -> None:
         ring = self._series.get((sample.stream, sample.key))
         if ring is None:
-            ring = deque(maxlen=self.capacity)
+            ring = deque(maxlen=self.CAPACITY)
             self._series[(sample.stream, sample.key)] = ring
-        if len(ring) == self.capacity:
+        if len(ring) == self.CAPACITY:
             self.dropped += 1
         ring.append(sample)
         self.published += 1

@@ -12,8 +12,8 @@ perturbs :class:`~repro.network.links.Link` objects on a schedule:
   crossing it fails with :class:`~repro.errors.LinkDownError`, and the link
   comes back after the event's duration.
 
-Events are applied by a simulation process, so everything is reproducible
-from the cluster seed; the ``network.chaos`` fault-injection site lets the
+Events are applied by a simulation process, so a schedule replays
+identically on every run; the ``network.chaos`` fault-injection site lets the
 :class:`~repro.core.faults.FaultInjector` veto or perturb individual events
 in tests.  Each applied event is traced under the ``chaos`` category.
 

@@ -53,7 +53,6 @@ class FatTree:
         *,
         host_Bps: float = gbps(10),
         fabric_Bps: float | None = None,
-        name: str = "fattree",
     ) -> None:
         if k < 2 or k % 2:
             raise NetworkError(f"fat-tree arity must be even and >= 2, got {k}")
@@ -61,7 +60,7 @@ class FatTree:
         self.half = k // 2
         self.host_Bps = float(host_Bps)
         self.fabric_Bps = float(fabric_Bps if fabric_Bps is not None else host_Bps)
-        self.topology = Topology(name)
+        self.topology = Topology("fattree")
         self._hosts: List[str] = []
         self._coords: Dict[str, tuple[int, int, int]] = {}
         self._racks: Dict[tuple[int, int], List[str]] = {}

@@ -9,8 +9,8 @@ above the single-job :class:`~repro.core.scheduler.CloudScheduler`:
   placement engine (also used by the cloud scheduler);
 * :mod:`~repro.orchestrator.planner` — bandwidth-aware wave sequencing
   and the destination-swap post-pass;
-* :mod:`~repro.orchestrator.admission` — priority queue, per-tenant
-  concurrency limits, backpressure (defer, never drop);
+* :mod:`~repro.orchestrator.admission` — priority queue, one running
+  sequence per job, backpressure (defer, never drop);
 * :mod:`~repro.orchestrator.executor` — the
   :class:`~repro.orchestrator.executor.FleetOrchestrator` running
   admitted plans through the transactional Ninja sequence.

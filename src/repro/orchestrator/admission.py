@@ -1,4 +1,4 @@
-"""Admission control: priority queue, tenant fairness, and backpressure.
+"""Admission control: priority queue and backpressure.
 
 The fleet accepts more migration requests than the fabric can absorb at
 once.  The :class:`AdmissionController` holds a priority queue of
@@ -6,9 +6,8 @@ once.  The :class:`AdmissionController` holds a priority queue of
 
 * **priority** — higher-priority requests (health-driven evacuations)
   are considered first; ties break FIFO;
-* **per-tenant concurrency** — one noisy tenant cannot occupy every
-  migration slot;
-* **global concurrency** — a fleet-wide cap on simultaneous sequences;
+* **one sequence per job** — a job with a migration running keeps its
+  next request queued;
 * **link budget** (applied by the executor after placement) — requests
   whose planned path would push a link's in-flight migration bytes past
   the budget are *deferred*, never dropped: they keep their queue
@@ -39,6 +38,9 @@ CANCELLED = "cancelled"  # terminal: withdrawn by the operator / incident respon
 
 TERMINAL_STATES = (COMPLETED, ABORTED, FAILED, CANCELLED)
 
+#: Attempts a request gets before an abort-and-rollback is final.
+MAX_ATTEMPTS = 3
+
 
 @dataclass(eq=False)
 class MigrationRequest:
@@ -59,7 +61,8 @@ class MigrationRequest:
     #: Destinations that aborted a previous attempt — never retried.
     blacklist: Set[str] = field(default_factory=set)
     attempts: int = 0
-    max_attempts: int = 3
+    #: Lowered by an incident runbook to stop a request's retries.
+    max_attempts: int = MAX_ATTEMPTS
     result: Optional["NinjaResult"] = None
     #: Why the request last failed to start (diagnostics).
     defer_reason: str = ""
@@ -69,10 +72,6 @@ class MigrationRequest:
     incident_id: Optional[int] = None
     #: Fires (with this request) on reaching a terminal state.
     done: Optional["Event"] = None
-
-    @property
-    def tenant(self) -> str:
-        return self.fleet_job.tenant
 
     @property
     def job_id(self) -> str:
@@ -99,8 +98,8 @@ class AdmissionStats:
 
     submitted: int = 0
     admitted: int = 0
-    #: Deferral events by reason ("tenant-limit", "global-limit",
-    #: "job-busy", "link-budget", "link-conflict", "no-placement").
+    #: Deferral events by reason ("job-busy", "vm-down", "link-budget",
+    #: "link-conflict", "no-placement", "degraded-link", "reservation").
     deferred: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -112,15 +111,9 @@ class AdmissionStats:
 
 
 class AdmissionController:
-    """Priority queue with tenant/global concurrency gates."""
+    """Priority queue that admits one running sequence per job."""
 
-    def __init__(
-        self,
-        max_inflight_total: Optional[int] = None,
-        max_inflight_per_tenant: Optional[int] = None,
-    ) -> None:
-        self.max_inflight_total = max_inflight_total
-        self.max_inflight_per_tenant = max_inflight_per_tenant
+    def __init__(self) -> None:
         #: (-priority, seq, request) — heap order is admission order.
         self._heap: List[tuple] = []
         self._seq = count()
@@ -146,21 +139,14 @@ class AdmissionController:
             self.stats.submitted += 1
 
     def select(self, inflight: List[MigrationRequest]) -> List[MigrationRequest]:
-        """Pop every request passing the concurrency gates, in order.
+        """Pop every request whose job has no sequence running, in order.
 
         ``inflight`` is the executor's currently-running request list.
-        Requests failing a gate stay queued (with the deferral counted);
+        Requests of a busy job stay queued (with the deferral counted);
         the caller applies the placement/link gates to the returned batch
         and re-submits members it cannot start.
         """
-        running_total = len(inflight)
-        running_by_tenant: Dict[str, int] = {}
-        busy_jobs = set()
-        for request in inflight:
-            running_by_tenant[request.tenant] = (
-                running_by_tenant.get(request.tenant, 0) + 1
-            )
-            busy_jobs.add(request.job_id)
+        busy_jobs = {request.job_id for request in inflight}
 
         batch: List[MigrationRequest] = []
         kept: List[tuple] = []
@@ -174,27 +160,8 @@ class AdmissionController:
                 self.stats.defer("job-busy")
                 kept.append(key)
                 continue
-            if (
-                self.max_inflight_total is not None
-                and running_total >= self.max_inflight_total
-            ):
-                request.defer_reason = "global-limit"
-                self.stats.defer("global-limit")
-                kept.append(key)
-                continue
-            tenant_running = running_by_tenant.get(request.tenant, 0)
-            if (
-                self.max_inflight_per_tenant is not None
-                and tenant_running >= self.max_inflight_per_tenant
-            ):
-                request.defer_reason = "tenant-limit"
-                self.stats.defer("tenant-limit")
-                kept.append(key)
-                continue
             batch.append(request)
             busy_jobs.add(request.job_id)
-            running_total += 1
-            running_by_tenant[request.tenant] = tenant_running + 1
         for key in kept:
             heapq.heappush(self._heap, key)
         self.stats.admitted += len(batch)

@@ -10,7 +10,7 @@ one cluster.  It composes the subsystem's four parts:
 * the :class:`~repro.orchestrator.planner.WavePlanner` (bandwidth-aware
   sequencing + destination swapping);
 * the :class:`~repro.orchestrator.admission.AdmissionController`
-  (priority queue, tenant limits, backpressure).
+  (priority queue, one running sequence per job, backpressure).
 
 Each admitted request runs the existing **transactional** Ninja sequence
 (:class:`~repro.core.ninja.NinjaMigration`, PR 1) as its own simulation
@@ -18,7 +18,8 @@ process.  Compositional guarantees:
 
 * an *aborted* sequence rolled the job back to a safe running state —
   the orchestrator re-enqueues the request with the failed destinations
-  blacklisted, up to ``max_attempts``;
+  blacklisted, up to
+  :data:`~repro.orchestrator.admission.MAX_ATTEMPTS` attempts in all;
 * an *unrecoverable* abort (:class:`~repro.errors.MigrationAbortedError`
   — the rollback itself failed) marks the request ``failed`` and stops
   retrying: the job is in an unknown state and human attention beats
@@ -78,44 +79,25 @@ DEGRADED_RECHECK_S = 5.0
 #: Give up on a degraded path (or a busy job, or a down VM) after
 #: waiting this long in total.
 DEGRADED_MAX_WAIT_S = 600.0
+#: Per-link budget, in *seconds of solo transfer*: a request is deferred
+#: while the estimated in-flight bytes on any of its links exceed
+#: ``LINK_BUDGET_S x capacity``.
+LINK_BUDGET_S = 30.0
 
 
 @dataclass
 class FleetConfig:
     """Orchestrator policy knobs."""
 
-    #: Serialise migrations that share a directed link (waves).  ``False``
-    #: reproduces the naive fire-everything-concurrently baseline.
-    sequencing: bool = True
-    #: Run the destination-swap post-pass over each admitted batch.
-    destination_swap: bool = True
-    #: Per-link budget, expressed in *seconds of solo transfer*: a request
-    #: is deferred while the estimated in-flight bytes on any of its links
-    #: exceed ``link_budget_s x capacity``.  ``None`` disables the gate.
-    link_budget_s: Optional[float] = 30.0
-    #: Fleet-wide cap on concurrent Ninja sequences (``None`` = unlimited).
-    max_inflight_total: Optional[int] = None
-    #: Per-tenant cap on concurrent sequences (``None`` = unlimited).
-    max_inflight_per_tenant: Optional[int] = None
-    #: Default retry budget for aborted-and-rolled-back requests.
-    max_attempts: int = 3
+    #: The all-at-once baseline: start every admitted request at once,
+    #: with no wave sequencing, no destination swaps and no link budget.
+    naive: bool = False
     #: Minimum bottleneck bandwidth (bytes/s) a migration path must offer
     #: before a request is started.  Requests whose links have degraded
     #: below the floor (chaos, outages) are deferred — re-planned or
     #: re-queued until the path heals or :data:`DEGRADED_MAX_WAIT_S`
     #: elapses.  ``None`` disables the gate.
     viability_floor_Bps: Optional[float] = None
-
-    @classmethod
-    def naive(cls) -> "FleetConfig":
-        """The all-at-once baseline: no sequencing, swapping, or budget."""
-        return cls(
-            sequencing=False,
-            destination_swap=False,
-            link_budget_s=None,
-            max_inflight_total=None,
-            max_inflight_per_tenant=None,
-        )
 
 
 class FleetOrchestrator:
@@ -126,7 +108,6 @@ class FleetOrchestrator:
         cluster: "Cluster",
         config: Optional[FleetConfig] = None,
         state: Optional[FleetStateStore] = None,
-        ninja: Optional[NinjaMigration] = None,
         journal: Optional[MigrationJournal] = None,
     ) -> None:
         self.cluster = cluster
@@ -135,15 +116,9 @@ class FleetOrchestrator:
         self.store = state if state is not None else FleetStateStore(cluster)
         self.placement = PlacementEngine(cluster, self.store)
         self.planner = WavePlanner(cluster)
-        self.admission = AdmissionController(
-            max_inflight_total=self.config.max_inflight_total,
-            max_inflight_per_tenant=self.config.max_inflight_per_tenant,
-        )
-        self.ninja = (
-            ninja if ninja is not None else NinjaMigration(cluster, journal=journal)
-        )
-        #: Shared write-ahead journal (``journal`` is ignored when an
-        #: explicit ``ninja`` brings its own).
+        self.admission = AdmissionController()
+        self.ninja = NinjaMigration(cluster, journal=journal)
+        #: Shared write-ahead journal.
         self.journal = self.ninja.journal
         #: Spare-host leases across concurrent incident remediations.
         self.arbiter = SpareArbiter(cluster)
@@ -198,7 +173,6 @@ class FleetOrchestrator:
             priority=priority,
             dst_hosts=list(dst_hosts) if dst_hosts is not None else None,
             submitted_at=self.env.now,
-            max_attempts=self.config.max_attempts,
             incident_id=incident_id,
             done=Event(self.env),
         )
@@ -417,7 +391,8 @@ class FleetOrchestrator:
             return 0
 
         # 2. destination-swap post-pass over the whole batch.
-        if self.config.destination_swap and len(planned) > 1:
+        naive = self.config.naive
+        if not naive and len(planned) > 1:
             self.planner.destination_swap(planned)
             if self.planner.swaps_applied:
                 self.swaps_applied += self.planner.swaps_applied
@@ -426,14 +401,14 @@ class FleetOrchestrator:
                 )
 
         # 3. sequencing: only the first (link-disjoint) wave starts now.
-        busy_links = frozenset().union(
-            *(item.links for item in self._running_footprint.values())
-        ) if self._running_footprint else frozenset()
-        if self.config.sequencing:
+        if naive:
+            startable, held = list(planned), []
+        else:
+            busy_links = frozenset().union(
+                *(item.links for item in self._running_footprint.values())
+            ) if self._running_footprint else frozenset()
             waves = self.planner.waves(planned, busy_links=busy_links)
             startable, held = waves[0], [i for wave in waves[1:] for i in wave]
-        else:
-            startable, held = list(planned), []
         for item in held:
             self._defer(by_item[item], "link-conflict")
 
@@ -442,7 +417,7 @@ class FleetOrchestrator:
         inflight_loads = self._inflight_link_loads()
         for item in startable:
             request = by_item[item]
-            if self._over_budget(item, inflight_loads):
+            if not naive and self._over_budget(item, inflight_loads):
                 self._defer(request, "link-budget")
                 continue
             try:
@@ -520,14 +495,11 @@ class FleetOrchestrator:
         return self.planner.crosses_blacklist(links)
 
     def _over_budget(self, item: PlannedMigration, loads: Dict[object, float]) -> bool:
-        budget_s = self.config.link_budget_s
-        if budget_s is None:
-            return False
         for dlink, nbytes in item.bytes_by_link.items():
             current = loads.get(dlink, 0.0)
             # An idle link always admits one request — the budget bounds
             # *stacking*, it must not make a big migration infeasible.
-            if current > 0 and current + nbytes > budget_s * dlink.capacity_Bps:
+            if current > 0 and current + nbytes > LINK_BUDGET_S * dlink.capacity_Bps:
                 return True
         return False
 

@@ -57,7 +57,6 @@ def build_fleet_cluster(
     nvms: int,
     spares: int = 0,
     wan_gbps: float = 1.0,
-    seed: int = 0,
     tracer: Optional[Tracer] = None,
 ) -> Cluster:
     """Primary site (IB blades + local Ethernet) plus a WAN-attached backup.
@@ -71,7 +70,7 @@ def build_fleet_cluster(
     """
     if nvms < 2:
         raise ValueError("fleet scenario needs at least 2 VMs")
-    cluster = Cluster(seed=seed, tracer=tracer)
+    cluster = Cluster(tracer=tracer)
     ib_names = [f"ib{i + 1:02d}" for i in range(nvms)]
     eth_names = [f"eth{i + 1:02d}" for i in range(nvms)]
     spare_names = [f"sp{i + 1:02d}" for i in range(spares)]
@@ -213,7 +212,6 @@ def build_estate(
     config: FleetConfig,
     spares: int = 0,
     wan_gbps: float = 1.0,
-    seed: int = 0,
     tracer: Optional[Tracer] = None,
 ) -> Estate:
     """Cluster, orchestrator, and the provisioned jobs registered with it.
@@ -222,8 +220,7 @@ def build_estate(
     body so a checkpoint restore can relaunch the SPMD program.
     """
     cluster = build_fleet_cluster(
-        jobs * vms_per_job, spares=spares, wan_gbps=wan_gbps, seed=seed,
-        tracer=tracer,
+        jobs * vms_per_job, spares=spares, wan_gbps=wan_gbps, tracer=tracer,
     )
     orch = FleetOrchestrator(cluster, config=config)
     estate = Estate(
@@ -237,7 +234,8 @@ def build_estate(
 def run_fleet_scenario(jobs: int = 8, **options) -> "DrillResult":
     """The drain preset of :func:`repro.incident.scenario.run_drill`:
     ``jobs`` MPI jobs drained off the IB sub-cluster of an estate without
-    spares (``options`` as for :func:`~repro.incident.scenario.run_drill`)."""
+    spares (``options`` as for :func:`~repro.incident.scenario.run_drill`;
+    the estate draws nothing from ``seed``)."""
     from repro.incident.scenario import run_drill
 
     return run_drill(jobs=jobs, spares=0, **options)

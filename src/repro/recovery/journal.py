@@ -313,11 +313,9 @@ class MigrationJournal:
     which also keep the per-mid index and the step fold current.
     """
 
-    def __init__(
-        self, path: Optional[str] = None, env: Optional["Environment"] = None
-    ) -> None:
+    def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
-        self.env = env
+        self.env: Optional["Environment"] = None
         self.records: List[JournalRecord] = []
         #: (site, records written so far) for every site :meth:`step`
         #: offered, in order.

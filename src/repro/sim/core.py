@@ -14,18 +14,13 @@ from repro.sim.process import Process
 class Environment:
     """Execution environment for a single simulation run.
 
-    Holds the simulation clock (:attr:`now`, in seconds) and the pending
-    event queue, creates events/processes, and drives them with
-    :meth:`run` / :meth:`step`.
-
-    Parameters
-    ----------
-    initial_time:
-        Starting value of the clock (default ``0.0``).
+    Holds the simulation clock (:attr:`now`, in seconds, starting at 0)
+    and the pending event queue, creates events/processes, and drives them
+    with :meth:`run` / :meth:`step`.
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = count()
         self._active_process: Optional[Process] = None

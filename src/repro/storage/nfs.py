@@ -41,13 +41,12 @@ class NfsServer:
         env: "Environment",
         capacity_bytes: int = 2048 * GiB,
         bandwidth_Bps: float = gbps(10.0) * 0.7,  # protocol efficiency
-        name: str = "nfs",
     ) -> None:
         self.env = env
-        self.name = name
+        self.name = "nfs"
         self.capacity_bytes = int(capacity_bytes)
         self.used_bytes = 0
-        self._io = FairShare(env, capacity=float(bandwidth_Bps), name=f"{name}.io")
+        self._io = FairShare(env, capacity=float(bandwidth_Bps), name="nfs.io")
         self._images: Dict[str, StoredImage] = {}
 
     # -- inventory ---------------------------------------------------------------

@@ -34,7 +34,6 @@ class Controller:
         self,
         cluster: "Cluster",
         vms: Sequence["QemuProcess"],
-        epoch: Optional[int] = None,
     ) -> None:
         if not vms:
             raise SymVirtError("controller needs at least one VM")
@@ -47,10 +46,7 @@ class Controller:
         #: crash recovery bumps the cluster epoch, after which every
         #: command from this (now stale) controller is rejected.
         fencing = getattr(cluster, "fencing", None)
-        if epoch is not None:
-            self.epoch = epoch
-        else:
-            self.epoch = fencing.current if fencing is not None else 1
+        self.epoch = fencing.current if fencing is not None else 1
 
     # -- helpers -----------------------------------------------------------------
 

@@ -137,12 +137,10 @@ class PageRuns:
 class GuestMemory:
     """Guest physical RAM, tracked at 4 KiB page granularity."""
 
-    def __init__(self, size_bytes: int, page_size: int = PAGE_SIZE) -> None:
+    def __init__(self, size_bytes: int) -> None:
         if size_bytes <= 0:
             raise VmmError("guest RAM size must be positive")
-        if page_size <= 0:
-            raise VmmError("page size must be positive")
-        self.page_size = int(page_size)
+        self.page_size = PAGE_SIZE
         self.npages = -(-int(size_bytes) // self.page_size)
         self.size_bytes = self.npages * self.page_size
         # Class run map: run i covers [_starts[i], _starts[i + 1]) (the

@@ -27,9 +27,6 @@ class MemtestWorkload(Workload):
     ----------
     array_bytes:
         Target array size (the paper sweeps 2, 4, 8, 16 GB).
-    duration_s:
-        Stop after this much guest-visible write activity per rank
-        (``None`` → run until ``max_passes``).
     max_passes:
         Stop after this many full array sweeps (``None`` → run forever,
         until stopped externally).
@@ -43,12 +40,10 @@ class MemtestWorkload(Workload):
     def __init__(
         self,
         array_bytes: int = 2 * GiB,
-        duration_s: Optional[float] = None,
         max_passes: Optional[int] = None,
         page_class: PageClass = PageClass.UNIFORM,
     ) -> None:
         self.array_bytes = int(array_bytes)
-        self.duration_s = duration_s
         self.max_passes = max_passes
         self.page_class = page_class
         #: rank → completed passes (filled as ranks finish).
@@ -63,17 +58,12 @@ class MemtestWorkload(Workload):
             offset_bytes=offset,
         )
         yield from comm.barrier()
-        active = 0.0
         while True:
-            t0 = proc.env.now
             yield from writer.step()
-            active += proc.env.now - t0
             # Poll for checkpoint requests between chunks (the MPI
             # progress engine does this in the real runtime).
             yield from proc.maybe_service_cr()
             if self.max_passes is not None and writer.passes >= self.max_passes:
-                break
-            if self.duration_s is not None and active >= self.duration_s:
                 break
         yield from comm.barrier()
         self.passes[comm.rank] = writer.passes

@@ -106,7 +106,7 @@ CHAOS_HORIZON_S = 60.0
 def _chaos_drill(tracer: Tracer) -> None:
     """Two jobs drain while :data:`CHAOS_SCHEDULE` plays on the estate."""
     estate = build_estate(
-        2, 1, FleetConfig(link_budget_s=30.0), spares=1, tracer=tracer
+        2, 1, FleetConfig(), spares=1, tracer=tracer
     )
     cluster = estate.cluster
     monitor = scenario._heartbeat_mesh(cluster, scenario.HEARTBEAT_PERIOD_S)

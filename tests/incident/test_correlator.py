@@ -29,7 +29,7 @@ def _cluster():
 
 class TestFolding:
     def test_concurrent_alerts_fold_into_one_incident(self):
-        corr = IncidentCorrelator(_cluster(), window_s=2.0)
+        corr = IncidentCorrelator(_cluster())
         first = corr.ingest(alert(10.0, kind="outage", key="wan:pipe"))
         assert first is not None
         # A burst from the same event: collapse + loss on related series.
@@ -44,14 +44,14 @@ class TestFolding:
         assert incident.severity == "critical"
 
     def test_alert_outside_window_opens_new_incident(self):
-        corr = IncidentCorrelator(_cluster(), window_s=2.0)
+        corr = IncidentCorrelator(_cluster())
         corr.ingest(alert(10.0))
         second = corr.ingest(alert(20.0, key="eth01--sw"))
         assert second is not None
         assert len(corr.incidents) == 2
 
     def test_late_alert_folds_into_remediating_incident_by_overlap(self):
-        corr = IncidentCorrelator(_cluster(), window_s=2.0)
+        corr = IncidentCorrelator(_cluster())
         incident = corr.ingest(alert(10.0, key="wan:pipe"))
         incident.status = "remediating"
         # Outside the window but on the same link: same blast radius.
@@ -60,7 +60,7 @@ class TestFolding:
         assert len(corr.incidents) == 1
 
     def test_resolved_incident_never_absorbs(self):
-        corr = IncidentCorrelator(_cluster(), window_s=2.0)
+        corr = IncidentCorrelator(_cluster())
         incident = corr.ingest(alert(10.0))
         incident.status = "resolved"
         assert corr.ingest(alert(10.5)) is not None
@@ -68,7 +68,7 @@ class TestFolding:
         assert [i for i in corr.incidents if i.status != "resolved"] == [corr.incidents[1]]
 
     def test_first_anomaly_is_min_over_folded_alerts(self):
-        corr = IncidentCorrelator(_cluster(), window_s=5.0)
+        corr = IncidentCorrelator(_cluster())
         incident = corr.ingest(alert(10.0, first=9.5))
         corr.ingest(alert(11.0, kind="bw-collapse", key="wan:pipe",
                           severity="warning", first=8.0))
@@ -98,7 +98,7 @@ class TestClassification:
         assert incident.klass == "fiber-cut"
 
     def test_backbone_degradation_is_degraded_wan(self):
-        corr = IncidentCorrelator(_cluster(), backbone_patterns=("wan:*",))
+        corr = IncidentCorrelator(_cluster())
         incident = corr.ingest(
             alert(1.0, kind="bw-collapse", key="wan:pipe", severity="warning")
         )

@@ -1,4 +1,4 @@
-"""Detector episode machinery: debounce, latch, hysteresis, refire."""
+"""Detector episode machinery: debounce, latch, hysteresis."""
 
 from __future__ import annotations
 
@@ -60,20 +60,10 @@ class TestOutageDetector:
         det = OutageDetector()
         assert feed(det, LINK_LOSS, [0, 0, 0]) == []
 
-    def test_refire_interval(self):
-        det = OutageDetector(refire_interval_s=5.0)
-        alerts = feed(det, LINK_UP, [0] * 12)
-        # t=0 fires, then every >=5 s while still dark: t=5, t=10.
-        assert [a.time for a in alerts] == [0.0, 5.0, 10.0]
-
-    def test_debounce_validates(self):
-        with pytest.raises(ValueError):
-            OutageDetector(debounce_samples=0)
-
 
 class TestBandwidthCollapseDetector:
     def test_collapse_after_debounce_against_learned_baseline(self):
-        det = BandwidthCollapseDetector(warmup_samples=4, debounce_samples=2)
+        det = BandwidthCollapseDetector()
         healthy = [100.0] * 6
         collapsed = [10.0] * 4
         alerts = feed(det, LINK_GOODPUT, healthy + collapsed)
@@ -85,26 +75,26 @@ class TestBandwidthCollapseDetector:
         assert alerts[0].first_anomaly_at == 6.0
 
     def test_baseline_frozen_during_collapse(self):
-        det = BandwidthCollapseDetector(warmup_samples=4, debounce_samples=2)
+        det = BandwidthCollapseDetector()
         feed(det, LINK_GOODPUT, [100.0] * 6 + [10.0] * 50)
         # A long outage must not teach the baseline that 10 is normal.
         assert det.baseline("wan") == pytest.approx(100.0)
         assert active_keys(det) == ["wan"]
 
     def test_recovery_clears_episode(self):
-        det = BandwidthCollapseDetector(warmup_samples=4, debounce_samples=2)
+        det = BandwidthCollapseDetector()
         alerts = feed(det, LINK_GOODPUT, [100.0] * 6 + [10.0] * 3 + [100.0] * 3)
         assert len(alerts) == 1
         assert active_keys(det) == []
 
     def test_no_alert_during_warmup(self):
-        det = BandwidthCollapseDetector(warmup_samples=4, debounce_samples=2)
+        det = BandwidthCollapseDetector()
         assert feed(det, LINK_GOODPUT, [100.0, 1.0, 100.0, 1.0]) == []
 
 
 class TestLatencySpikeDetector:
     def test_spike_fires_and_normal_clears(self):
-        det = LatencySpikeDetector(warmup_samples=4, debounce_samples=2)
+        det = LatencySpikeDetector()
         base = [0.001] * 6
         spiky = [0.050] * 3
         alerts = feed(det, LINK_LATENCY, base + spiky + base)
@@ -113,17 +103,16 @@ class TestLatencySpikeDetector:
         assert active_keys(det) == []  # cleared by the trailing normals
 
     def test_guard_band_suppresses_tiny_absolute_jitter(self):
-        det = LatencySpikeDetector(
-            warmup_samples=2, debounce_samples=1, min_extra_s=5e-3
-        )
-        # 4x relative jump but only 3 ms absolute: inside the guard band.
-        assert feed(det, LINK_LATENCY, [0.001, 0.001, 0.001, 0.004]) == []
+        det = LatencySpikeDetector()
+        # 4x relative jump but only 3 ms absolute: inside the MIN_EXTRA_S
+        # guard band, so each sample clears (and is learned) instead of
+        # triggering against a frozen baseline.
+        assert feed(det, LINK_LATENCY, [0.001] * 4 + [0.004] * 2) == []
 
 
 class TestLossRateDetector:
     def test_change_point_with_hysteresis(self):
-        det = LossRateDetector(trigger_loss=0.05, clear_loss=0.01,
-                               debounce_samples=2)
+        det = LossRateDetector()  # TRIGGER_LOSS 0.05, CLEAR_LOSS 0.01
         alerts = feed(det, LINK_LOSS, [0, 0, 0.2, 0.2, 0.2, 0.03, 0.2, 0.2])
         # 0.03 sits inside the hysteresis band: the episode stays latched,
         # so the later 0.2s cannot fire a second alert.
@@ -131,7 +120,7 @@ class TestLossRateDetector:
         assert alerts[0].time == 3.0
 
     def test_clear_below_lower_threshold_rearms(self):
-        det = LossRateDetector(debounce_samples=2)
+        det = LossRateDetector()
         alerts = feed(det, LINK_LOSS, [0.2, 0.2, 0.0, 0.0, 0.2, 0.2])
         assert [a.time for a in alerts] == [1.0, 5.0]
 
@@ -166,7 +155,7 @@ class TestNonConvergenceDetector:
         return [{"index": start_index + i} for i in range(len(values))]
 
     def test_stalled_rounds_fire_once(self):
-        det = NonConvergenceDetector(stall_rounds=3)
+        det = NonConvergenceDetector()
         values = [1000, 990, 985, 984, 983]  # <5% shrink each round
         alerts = feed(det, MIGRATION_ROUND, values, key="j0-vm0",
                       fields=self.rounds(values))
@@ -174,13 +163,13 @@ class TestNonConvergenceDetector:
         assert alerts[0].kind == "non-convergence"
 
     def test_shrinking_precopy_never_fires(self):
-        det = NonConvergenceDetector(stall_rounds=3)
+        det = NonConvergenceDetector()
         values = [1000, 500, 250, 120, 60, 30]
         assert feed(det, MIGRATION_ROUND, values, key="v",
                     fields=self.rounds(values)) == []
 
     def test_restart_resets_history(self):
-        det = NonConvergenceDetector(stall_rounds=3)
+        det = NonConvergenceDetector()
         fields = [{"index": 1}, {"index": 2}, {"index": 3},
                   {"index": 1},  # retry: index reset
                   {"index": 2}, {"index": 3}]

@@ -30,14 +30,15 @@ def _sample(t, stream="link.up", key="wan", value=1.0):
 
 class TestTelemetryBus:
     def test_ring_buffer_is_bounded(self):
-        bus = TelemetryBus(capacity=4)
-        for i in range(10):
+        bus = TelemetryBus()
+        n = TelemetryBus.CAPACITY + 1
+        for i in range(n):
             bus.publish(_sample(float(i), value=float(i)))
         series = bus.series("link.up", "wan")
-        assert len(series) == 4
-        assert [s.value for s in series] == [6.0, 7.0, 8.0, 9.0]
-        assert bus.published == 10
-        assert bus.dropped == 6
+        assert len(series) == TelemetryBus.CAPACITY
+        assert series[0].value == 1.0 and series[-1].value == float(n - 1)
+        assert bus.published == n
+        assert bus.dropped == 1
 
     def test_latest(self):
         bus = TelemetryBus()

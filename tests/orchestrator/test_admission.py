@@ -1,4 +1,4 @@
-"""Admission controller: priority order, concurrency gates, backpressure."""
+"""Admission controller: priority order, the job-busy gate, backpressure."""
 
 import pytest
 
@@ -39,29 +39,6 @@ def test_job_busy_gate_defers():
     assert ctl.stats.deferred["job-busy"] == 1
     # Deferred, not dropped: it comes out once the job is free again.
     assert ctl.select(inflight=[]) == [second]
-
-
-def test_global_limit_counts_inflight():
-    ctl = AdmissionController(max_inflight_total=2)
-    running = _request("r")
-    queued = [_request(f"q{i}") for i in range(3)]
-    for r in queued:
-        ctl.submit(r)
-    batch = ctl.select(inflight=[running])
-    assert batch == [queued[0]]
-    assert ctl.stats.deferred["global-limit"] == 2
-
-
-def test_tenant_limit_is_per_tenant():
-    ctl = AdmissionController(max_inflight_per_tenant=1)
-    a1 = _request("a1", tenant="acme")
-    a2 = _request("a2", tenant="acme")
-    b1 = _request("b1", tenant="blub")
-    for r in (a1, a2, b1):
-        ctl.submit(r)
-    batch = ctl.select(inflight=[])
-    assert batch == [a1, b1]
-    assert a2.defer_reason == "tenant-limit"
 
 
 def test_requeue_does_not_recount_submission():

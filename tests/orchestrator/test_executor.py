@@ -5,7 +5,8 @@ import math
 from repro.incident.manager import IncidentManager
 from repro.incident.runbook import EVACUATION_PRIORITY
 from repro.incident.telemetry import HOST_PHI, TelemetrySample
-from repro.orchestrator import FleetConfig, FleetOrchestrator
+from repro.orchestrator import FleetOrchestrator
+from repro.orchestrator.admission import MAX_ATTEMPTS
 from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB, MiB
 from repro.vmm.guest_memory import PageClass
@@ -13,14 +14,14 @@ from repro.vmm.guest_memory import PageClass
 from tests.conftest import assert_safe, drive
 
 
-def _register(orch, cluster, job_id, hosts, tenant="default", data=32 * MiB):
+def _register(orch, cluster, job_id, hosts, data=32 * MiB):
     qemus = provision_vms(cluster, hosts, memory_bytes=4 * GiB, name_prefix=job_id)
     job = create_job(cluster, qemus)
     drive(cluster.env, job.init(), name=f"init.{job_id}")
     for q in qemus:
         q.vm.memory.write(0, data, PageClass.DATA)
     job.launch(busy_rank)
-    orch.register_job(job_id, job, qemus, tenant=tenant)
+    orch.register_job(job_id, job, qemus)
     return qemus
 
 
@@ -61,16 +62,15 @@ def test_abort_blacklists_and_retries_elsewhere(cluster44):
 
 
 def test_retries_exhausted_leaves_job_at_origin(cluster44):
-    config = FleetConfig(max_attempts=2)
-    orch = FleetOrchestrator(cluster44, config=config)
+    orch = FleetOrchestrator(cluster44)
     qemus = _register(orch, cluster44, "j0", ["ib01"])
     # Every attempt fails: one armed fault per attempt the request gets.
-    for _ in range(config.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         cluster44.faults.arm("ninja.migration", nth=1)
     request = orch.submit("j0", kind="fallback")
     _settle(orch, request)
     assert request.status == "aborted"
-    assert request.attempts == 2
+    assert request.attempts == MAX_ATTEMPTS
     # Rolled back cleanly: the VM still runs at its origin.
     assert qemus[0].node.name == "ib01"
     assert orch.store.total_released == orch.store.total_reserved
@@ -123,19 +123,6 @@ def test_infeasible_request_fails_instead_of_hanging(cluster44):
     assert_safe(cluster44, qemus=qemus, store=orch.store, hosts={"j01": "ib01"})
     assert request.status == "failed"
     assert "no feasible placement" in request.error
-
-
-def test_tenant_limit_serialises_one_tenants_jobs(cluster44):
-    config = FleetConfig(max_inflight_per_tenant=1, link_budget_s=None)
-    orch = FleetOrchestrator(cluster44, config=config)
-    _register(orch, cluster44, "j0", ["ib01"], tenant="acme")
-    _register(orch, cluster44, "j1", ["ib02"], tenant="acme")
-    r0 = orch.submit("j0", kind="fallback")
-    r1 = orch.submit("j1", kind="fallback")
-    _settle(orch)
-    assert r0.status == r1.status == "completed"
-    assert orch.admission.stats.deferred.get("tenant-limit", 0) >= 1
-    assert max(orch.wave_log) == 1  # never two acme sequences at once
 
 
 def test_spread_request_uses_explicit_hosts(cluster44):

@@ -6,7 +6,7 @@ series on a few keys (values drawn in runs, so repeats are common):
 * whenever a detector is ``idle`` at the value it last observed on a
   key, observing that value again returns no alert and leaves its
   episodes and baselines bit-identical, and so does observing any value
-  inside the key's ``idle_band``;
+  inside the key's ``idle_band``, where a repeated finite phi always lies;
 * feeding every tick and withholding each repeat at which all of the
   stream's detectors are idle, and each value inside all of their idle
   bands — what an incident manager's probe does — fire the same alerts.
@@ -15,12 +15,14 @@ series on a few keys (values drawn in runs, so repeats are common):
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.incident.detectors import (
+    CLEAR,
+    TRIGGER,
     BandwidthCollapseDetector,
     Detector,
     LatencySpikeDetector,
@@ -50,26 +52,36 @@ KEYS = ("a", "b")
 PERIOD_S = 0.25
 
 
-def _detectors(debounce: int, refire, warmup: int) -> List[Detector]:
+class _StrictLoss(Detector):
+    """A second, stricter loss detector, undebounced: withholding a loss
+    sample needs it idle as well as :class:`LossRateDetector`."""
+
+    stream = LINK_LOSS
+    kind = "loss"
+
+    def evaluate(self, sample: TelemetrySample) -> Optional[str]:
+        if sample.value >= 0.02:
+            return TRIGGER
+        if sample.value < 0.01:
+            return CLEAR
+        return None
+
+
+def _detectors() -> List[Detector]:
     return [
-        OutageDetector(refire_interval_s=refire),
-        LossRateDetector(debounce_samples=debounce, refire_interval_s=refire),
-        LatencySpikeDetector(
-            warmup_samples=warmup, debounce_samples=debounce, refire_interval_s=refire
-        ),
-        BandwidthCollapseDetector(
-            warmup_samples=warmup, debounce_samples=debounce, refire_interval_s=refire
-        ),
-        PhiSpikeDetector(),  # fixed: no debounce, no refire
-        # A second, stricter detector on one stream: withholding needs all.
-        LossRateDetector(trigger_loss=0.02, debounce_samples=1),
+        OutageDetector(),
+        LossRateDetector(),
+        LatencySpikeDetector(),
+        BandwidthCollapseDetector(),
+        PhiSpikeDetector(),
+        _StrictLoss(),
     ]
 
 
 def _snapshot(detector: Detector) -> str:
     """Every piece of a detector's observable state, bit-exact."""
     episodes = {
-        key: (e.count, e.active, e.first, e.last_fire)
+        key: (e.count, e.active, e.first)
         for key, e in sorted(detector._episodes.items())
     }
     baselines = {
@@ -112,29 +124,27 @@ def _routes(detectors: List[Detector]) -> Dict[str, List[Detector]]:
 
 
 @settings(max_examples=100)
-@given(
-    samples=ticks(),
-    debounce=st.integers(1, 3),
-    refire=st.sampled_from([None, 1.0]),
-    warmup=st.sampled_from([0, 1, 4]),
-)
-def test_idle_means_a_repeat_is_a_no_op_and_withholding_keeps_alerts(
-    samples, debounce, refire, warmup
-):
-    every = _routes(_detectors(debounce, refire, warmup))
-    withheld = _routes(_detectors(debounce, refire, warmup))
+@given(samples=ticks())
+def test_idle_means_a_repeat_is_a_no_op_and_withholding_keeps_alerts(samples):
+    every = _routes(_detectors())
+    withheld = _routes(_detectors())
     last: Dict[Tuple[str, str], float] = {}
     idle_at: Dict[Tuple[str, str], float] = {}
     alerts_every, alerts_withheld = [], []
-    idle_repeats = in_band = 0
+    idle_repeats = 0
     for tick in samples:
         for sample in tick:
             series = (sample.stream, sample.key)
             # Every tick, checking the contract on each repeat.
             for detector in every[sample.stream]:
                 band = detector.idle_band(sample.key)
+                if (
+                    sample.stream == HOST_PHI
+                    and last.get(series) == sample.value
+                    and math.isfinite(sample.value)
+                ):
+                    assert band is not None and band[0] <= sample.value < band[1]
                 if band is not None and band[0] <= sample.value < band[1]:
-                    in_band += 1
                     before = _snapshot(detector)
                     assert detector.observe(sample) is None
                     assert _snapshot(detector) == before
@@ -168,4 +178,3 @@ def test_idle_means_a_repeat_is_a_no_op_and_withholding_keeps_alerts(
                 idle_at.pop(series, None)
     assert alerts_withheld == alerts_every
     assert idle_repeats > 0  # runs of repeats must reach idle states
-    assert in_band > 0  # and phi samples land in verdict bands

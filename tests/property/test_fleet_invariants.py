@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.cluster import build_agc_cluster
-from repro.orchestrator import FleetConfig, FleetOrchestrator
+from repro.orchestrator import FleetOrchestrator
 from repro.testbed import busy_rank, create_job, provision_vms
 from repro.units import GiB, MiB
 from repro.vmm.guest_memory import PageClass
@@ -38,17 +38,12 @@ job_strategy = st.lists(
 )
 
 
-@given(
-    jobs=job_strategy,
-    max_per_tenant=st.sampled_from([None, 1, 2]),
-    inject_fault=st.booleans(),
-)
+@given(jobs=job_strategy, inject_fault=st.booleans())
 @settings(max_examples=15, deadline=None)
-def test_no_oversubscription_and_clean_settlement(jobs, max_per_tenant, inject_fault):
+def test_no_oversubscription_and_clean_settlement(jobs, inject_fault):
     cluster = build_agc_cluster(ib_nodes=4, eth_nodes=2)
     env = cluster.env
-    config = FleetConfig(max_inflight_per_tenant=max_per_tenant, max_attempts=2)
-    orch = FleetOrchestrator(cluster, config=config)
+    orch = FleetOrchestrator(cluster)
 
     origins = {}
     for i, (data_mib, _prio, tenant, _delay) in enumerate(jobs):

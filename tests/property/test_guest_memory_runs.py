@@ -68,8 +68,8 @@ def _assert_same(memory: GuestMemory, dense: DenseGuestMemory) -> None:
     ("snapshot_dirty",),
 ])
 def test_run_memory_matches_the_dense_oracle(ops):
-    memory = GuestMemory(NPAGES * PAGE, page_size=PAGE)
-    dense = DenseGuestMemory(NPAGES * PAGE, page_size=PAGE)
+    memory = GuestMemory(NPAGES * PAGE)
+    dense = DenseGuestMemory(NPAGES * PAGE)
     for op in ops:
         kind = op[0]
         if kind == "write":

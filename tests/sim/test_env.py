@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment
 
 
 def test_run_until_time(env):
@@ -46,10 +45,3 @@ def test_run_until_idle_counts_events(env):
         env.timeout(1.0)
     env.run()
     assert env.events_processed == 5
-
-
-def test_initial_time():
-    env = Environment(initial_time=100.0)
-    t = env.timeout(1.0)
-    env.run()
-    assert env.now == pytest.approx(101.0)

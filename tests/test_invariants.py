@@ -29,7 +29,7 @@ class World:
     def __init__(self):
         self.cluster = build_agc_cluster(ib_nodes=2, eth_nodes=2)
         (self.q,) = provision_vms(self.cluster, ["ib01"], memory_bytes=1 * GiB)
-        self.journal = MigrationJournal(env=self.cluster.env)
+        self.journal = MigrationJournal().bind(self.cluster.env)
         self.store = FleetStateStore(self.cluster)
         self.arbiter = SpareArbiter(self.cluster)
 

@@ -6,8 +6,10 @@ names the callable by its last name component (a function or method
 name, or the class name for ``__init__``) and passes the parameter by
 keyword or by position, or through a ``*args`` splat.  A
 ``super().__init__(...)`` call names the ``__init__`` its class inherits
-(the nearest base class that defines one), not every ``__init__``.
-Three indirections are followed:
+(the nearest base class that defines one), not every ``__init__``, and
+so does a call of a class that defines no ``__init__`` of its own
+(``Interrupt(cause)`` sets ``InterruptError.__init__``).  Four
+indirections are followed:
 
 - a ``**kwargs`` passthrough: keywords given to a preset such as
   ``run_fleet_scenario(**options)`` that the preset does not take itself
@@ -16,6 +18,9 @@ Three indirections are followed:
   function making it counts as a keyword (``repro incident`` builds its
   options dict), and a callee held in a local variable resolves to the
   names assigned to it;
+- a class table: a call through a local name bound from a module-level
+  dict of classes (``cls = DEVICE_CATALOG[kind]; cls(spec, serial)``)
+  calls every class in the dict;
 - a QMP dispatch: ``execute("<cmd>", k=...)`` sets ``_cmd_<cmd>(k)``, the
   handler :meth:`~repro.vmm.qmp.QmpServer.execute` looks up by name
   (hyphens become underscores).
@@ -87,11 +92,28 @@ def _base_name(node):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
-def _walk_file(file, tree, defs, calls, forwards, classes):
-    """Collect ``tree``'s definitions (src only), calls and passthroughs, and
+def _table(node):
+    """``(name, value names)`` of a module-level ``NAME = {key: Cls, ...}``."""
+    if (
+        isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Dict)
+        and node.value.values
+        and all(isinstance(v, (ast.Name, ast.Attribute)) for v in node.value.values)
+    ):
+        return node.targets[0].id, {_base_name(v) for v in node.value.values}
+    return None
+
+
+def _walk_file(file, tree, defs, calls, forwards, classes, tables):
+    """Collect ``tree``'s definitions (src only), calls and passthroughs;
     into ``classes`` each class's base names and whether it defines
-    ``__init__``."""
+    ``__init__``, and into ``tables`` each module-level dict of classes."""
     supers = {}  # id(super().__init__ call) -> enclosing class name
+    bound = {}  # id(call through a local name) -> names assigned to it
+    for node in tree.body:
+        table = _table(node)
+        if table:
+            tables[table[0]] = table[1]
 
     def visit(node, owner):
         if isinstance(node, ast.ClassDef):
@@ -132,6 +154,8 @@ def _walk_file(file, tree, defs, calls, forwards, classes):
                         forwards[node.name] |= _callee_names(sub.func, assigned)
                     elif splats:
                         calls.append(_call(file, sub, assigned, strings))
+                    elif isinstance(sub.func, ast.Name) and sub.func.id in assigned:
+                        bound[id(sub)] = assigned[sub.func.id]
             owner = None  # a def nested in a function is no method
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -147,13 +171,20 @@ def _walk_file(file, tree, defs, calls, forwards, classes):
                 names, npos, star, keywords, *rest = calls[-1]
                 calls.append(({handler}, npos - 1, star, keywords, *rest))
     for i in range(start, len(calls)):
-        owner = supers.get(id(calls[i][-1]))
+        node = calls[i][-1]
+        owner = supers.get(id(node))
         if owner is not None:
             calls[i] = ({_SUPER + owner}, *calls[i][1:])
+        elif id(node) in bound:
+            tabled = {_TABLE + name for name in bound[id(node)]}
+            calls[i] = (calls[i][0] | tabled, *calls[i][1:])
 
 
 #: Callee-name prefix of a ``super().__init__`` call, resolved by :func:`_inherited_init`.
 _SUPER = "super:"
+#: Callee-name prefix of a name a called local was assigned from; it
+#: resolves to the classes of the table of that name, if there is one.
+_TABLE = "table:"
 
 
 def _inherited_init(cls, classes):
@@ -192,25 +223,37 @@ def _call(file, node, assigned, extra_keywords):
 
 def _scan():
     """``(file, line, "name(param)")`` of every src option nothing sets."""
-    defs, calls, forwards, classes = [], [], defaultdict(set), {}
+    defs, calls, forwards, classes, tables = [], [], defaultdict(set), {}, {}
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
             file = path.relative_to(ROOT).as_posix()
-            _walk_file(file, ast.parse(path.read_text()), defs, calls, forwards, classes)
-    return _unset(defs, calls, forwards, classes)
+            _walk_file(
+                file, ast.parse(path.read_text()), defs, calls, forwards, classes, tables
+            )
+    return _unset(defs, calls, forwards, classes, tables)
 
 
-def _unset(defs, calls, forwards, classes):
+def _resolve(names, classes, tables):
+    """The callables ``names`` reach: prefixed names resolved, and a class
+    without an ``__init__`` of its own reaching the one it inherits."""
+    resolved = set()
+    for name in names:
+        if name.startswith(_SUPER):
+            resolved |= _inherited_init(name[len(_SUPER):], classes)
+        elif name.startswith(_TABLE):
+            resolved |= tables.get(name[len(_TABLE):], set())
+        else:
+            resolved.add(name)
+    return resolved | {
+        base for name in resolved
+        if name in classes and not classes[name][1]
+        for base in _inherited_init(name, classes)
+    }
+
+
+def _unset(defs, calls, forwards, classes, tables):
     """``(file, line, "name(param)")`` of each of ``defs``' options no call sets."""
-    calls = [
-        (
-            {r for n in c[0] for r in (
-                _inherited_init(n[len(_SUPER):], classes) if n.startswith(_SUPER) else {n}
-            )},
-            *c[1:],
-        )
-        for c in calls
-    ]
+    calls = [(_resolve(c[0], classes, tables), *c[1:]) for c in calls]
     params = defaultdict(set)
     for d in defs:
         for name in d.names:
@@ -250,9 +293,9 @@ _FLOW = (
     "a keyword the slotted Flow keeps from its dataclass form "
     "(test_flow_is_slotted_and_keeps_its_keywords)"
 )
-_ITEM8 = (
-    "seen once super().__init__ calls resolve to their base class; "
-    "ROADMAP item 8 makes it a constant"
+_JOURNAL = (
+    "the on-disk write-ahead log README documents; its per-record flush "
+    "is the journal's durability path"
 )
 
 #: The options no caller outside tests sets, each with the reason it
@@ -267,46 +310,9 @@ KEPT = {
     "Flow.__init__(_progressing)": _FLOW,
     "Flow.__init__(finished_at)": _FLOW,
     "Flow.__init__(rate_Bps)": _FLOW,
+    "MigrationJournal.__init__(path)": _JOURNAL,
     "build_agc_cluster(calibration)": _REGISTRY,
     "run_table2_scenario(seed)": _REGISTRY,
-    "BandwidthCollapseDetector.__init__(alpha)": _ITEM8,
-    "BandwidthCollapseDetector.__init__(debounce_samples)": _ITEM8,
-    "BandwidthCollapseDetector.__init__(refire_interval_s)": _ITEM8,
-    "BandwidthCollapseDetector.__init__(warmup_samples)": _ITEM8,
-    "Cluster.__init__(env)": _ITEM8,
-    "Controller.__init__(epoch)": _ITEM8,
-    "Environment.__init__(initial_time)": _ITEM8,
-    "EthernetNic.__init__(serial)": _ITEM8,
-    "EthernetNic.__init__(spec)": _ITEM8,
-    "FatTree.__init__(name)": _ITEM8,
-    "FleetOrchestrator.__init__(ninja)": _ITEM8,
-    "GuestMemory.__init__(page_size)": _ITEM8,
-    "IncidentCorrelator.__init__(backbone_patterns)": _ITEM8,
-    "IncidentCorrelator.__init__(window_s)": _ITEM8,
-    "InfiniBandHca.__init__(serial)": _ITEM8,
-    "InfiniBandHca.__init__(spec)": _ITEM8,
-    "InterruptError.__init__(cause)": _ITEM8,
-    "LatencySpikeDetector.__init__(alpha)": _ITEM8,
-    "LatencySpikeDetector.__init__(debounce_samples)": _ITEM8,
-    "LatencySpikeDetector.__init__(min_extra_s)": _ITEM8,
-    "LatencySpikeDetector.__init__(refire_interval_s)": _ITEM8,
-    "LatencySpikeDetector.__init__(warmup_samples)": _ITEM8,
-    "LossRateDetector.__init__(clear_loss)": _ITEM8,
-    "LossRateDetector.__init__(debounce_samples)": _ITEM8,
-    "LossRateDetector.__init__(refire_interval_s)": _ITEM8,
-    "LossRateDetector.__init__(trigger_loss)": _ITEM8,
-    "MemtestWorkload.__init__(duration_s)": _ITEM8,
-    "MigrationJournal.__init__(env)": _ITEM8,
-    "MigrationJournal.__init__(path)": _ITEM8,
-    "MyrinetNic.__init__(serial)": _ITEM8,
-    "MyrinetNic.__init__(spec)": _ITEM8,
-    "NfsServer.__init__(name)": _ITEM8,
-    "NonConvergenceDetector.__init__(refire_interval_s)": _ITEM8,
-    "NonConvergenceDetector.__init__(stall_rounds)": _ITEM8,
-    "PowerAwarePlacer.__init__(spec)": _ITEM8,
-    "PowerMeter.__init__(spec)": _ITEM8,
-    "TelemetryBus.__init__(capacity)": _ITEM8,
-    "VirtioNic.__init__(spec)": _ITEM8,
 }
 
 
@@ -327,7 +333,7 @@ def test_a_qmp_execute_sets_the_handler_it_dispatches_to():
     _walk_file(
         "examples/x.py",
         ast.parse('qmp.execute("query-migrate", uri="tcp:a:1", policy=p)'),
-        defs, calls, forwards, {},
+        defs, calls, forwards, {}, {},
     )
     dispatched = [c for c in calls if "_cmd_query_migrate" in c[0]]
     assert [(c[1], c[3]) for c in dispatched] == [(0, {"uri", "policy"})]
@@ -342,10 +348,39 @@ def test_super_init_sets_only_the_init_it_inherits():
         "class B(M):\n    def __init__(self, y=2):\n        super().__init__(5)\n"
         "class C:\n    def __init__(self, z=3): pass\n"
     )
-    defs, calls, forwards, classes = [], [], defaultdict(set), {}
-    _walk_file("src/x.py", ast.parse(source), defs, calls, forwards, classes)
-    unset = {name for _, _, name in _unset(defs, calls, forwards, classes)}
-    assert unset == {"B.__init__(y)", "C.__init__(z)"}
+    assert _unset_in(source) == {"B.__init__(y)", "C.__init__(z)"}
+
+
+def test_calling_a_class_without_init_sets_the_init_it_inherits():
+    """``Leaf(5)``, where ``Leaf(Mid)`` and ``Mid(Base)`` define no
+    ``__init__``, sets ``Base.__init__``'s first parameter."""
+    source = (
+        "class Base:\n    def __init__(self, x=1, y=2): pass\n"
+        "class Mid(Base): pass\n"
+        "class Leaf(Mid): pass\n"
+        "def make():\n    return Leaf(5)\n"
+    )
+    assert _unset_in(source) == {"Base.__init__(y)"}
+
+
+def test_a_local_bound_from_a_class_table_calls_each_class():
+    """``cls = TABLE[kind]; cls(0)`` sets the first parameter of every
+    class ``TABLE`` holds, and of no other class."""
+    source = (
+        "class A:\n    def __init__(self, x=1): pass\n"
+        "class B:\n    def __init__(self, x=1, y=2): pass\n"
+        "class C:\n    def __init__(self, z=3): pass\n"
+        "TABLE = {'a': A, 'b': B}\n"
+        "def make(kind):\n    cls = TABLE[kind]\n    return cls(0)\n"
+    )
+    assert _unset_in(source) == {"B.__init__(y)", "C.__init__(z)"}
+
+
+def _unset_in(source):
+    """The unset option names of one ``src/`` file's ``source``."""
+    defs, calls, forwards, classes, tables = [], [], defaultdict(set), {}, {}
+    _walk_file("src/x.py", ast.parse(source), defs, calls, forwards, classes, tables)
+    return {name for _, _, name in _unset(defs, calls, forwards, classes, tables)}
 
 
 if __name__ == "__main__":

@@ -90,8 +90,6 @@ def test_populate_resident():
 def test_invalid_sizes():
     with pytest.raises(VmmError):
         GuestMemory(0)
-    with pytest.raises(VmmError):
-        GuestMemory(100, page_size=0)
 
 
 @given(
